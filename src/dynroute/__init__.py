@@ -19,15 +19,12 @@ from .graph import (
     snapshot,
 )
 from .heuristics import (
-    ContextFlags,
     HeuristicField,
     HeuristicWeights,
     Observation,
     adapt_weights,
     combined_f,
-    comfort_heuristic,
     ingest_observations,
-    safety_heuristic,
     time_heuristic,
 )
 from .planners import (
@@ -53,7 +50,6 @@ from .simulate import (
     Simulation,
     SimulationTrace,
     run_simulation,
-    step_epoch,
 )
 from .evaluate import (
     OracleBoundsError,
@@ -61,7 +57,6 @@ from .evaluate import (
     ScoreReport,
     compare_algorithms,
     offline_optimal,
-    score_suite,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,6 +23,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from .evaluate import (
@@ -31,18 +32,10 @@ from .evaluate import (
     report_csv,
     report_table,
 )
-from .graph import Scenario, ScenarioError, load_scenario, snapshot
+from .graph import Scenario, ScenarioError, load_scenario
 from .heuristics import HeuristicWeights
-from .planners import (
-    FOUND,
-    SearchParams,
-    dijkstra_ucs,
-    dyn_a_star,
-    greedy_best_first,
-    rrt_plan,
-    static_a_star,
-)
-from .simulate import ALGORITHMS, SimConfig, run_simulation
+from .planners import FOUND, SearchParams
+from .simulate import ALGORITHMS, PLANNERS, SimConfig, TruthTimeline, run_simulation
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -59,9 +52,14 @@ class CliError(Exception):
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _load(path: str) -> Scenario:
@@ -149,22 +147,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
         )
     q = scn.queries[args.query]
     weights = _parse_weights(args.weights) if args.weights else q.weights
-    graph = scn.graph.copy()
-    fld = scn.initial_field.copy()
-    from .graph import apply_event
-
-    for ev in scn.events:
-        if ev.at_time <= q.depart_s:
-            apply_event(graph, fld, ev)
-    snap = snapshot(graph, fld, q.depart_s)
+    snap = TruthTimeline(scn, _sim_config(args).epoch_s).at_time(q.depart_s)
     params = SearchParams(weights=weights, rng_seed=scn.seed)
-    plan = {
-        "ucs": lambda: dijkstra_ucs(snap, q.start, q.goal),
-        "greedy": lambda: greedy_best_first(snap, q.start, q.goal),
-        "astar": lambda: static_a_star(snap, q.start, q.goal),
-        "rrt": lambda: rrt_plan(snap, q.start, q.goal, params),
-        "dyn_astar": lambda: dyn_a_star(snap, q.start, q.goal, params),
-    }[args.algo]()
+    plan = PLANNERS[args.algo](snap, q.start, q.goal, params)
     if plan.status != FOUND:
         print("Unreachable")
         return EXIT_UNREACHABLE
@@ -236,9 +221,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     rho = float(args.rho)
     if rho < 1.0:
         raise CliError("--rho must be >= 1", EXIT_USAGE)
+    jobs = int(args.jobs)
+    if jobs < 1:
+        raise CliError("--jobs must be >= 1", EXIT_USAGE)
     config = _sim_config(args)
     try:
-        report = compare_algorithms(paths, rho=rho, config=config, jobs=int(args.jobs))
+        report = compare_algorithms(paths, rho=rho, config=config, jobs=jobs)
     except ScenarioError as exc:
         raise CliError(str(exc), EXIT_SCENARIO) from exc
     except OracleBoundsError as exc:

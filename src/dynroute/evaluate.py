@@ -1,10 +1,11 @@
 """Offline-optimal oracle and suite-level algorithm comparison.
 
 The oracle computes the cheapest achievable journey under full foreknowledge
-of all scenario events, on a time-expanded view of the graph whose edge costs
-are frozen to their value during the epoch in which traversal starts. This is
-exactly the cost model the simulator charges, so every simulated realized
-cost is bounded below by the oracle.
+of all scenario events, on a time-expanded view of the graph. It reads the
+simulator's own :class:`~dynroute.simulate.TruthTimeline`: an edge costs what
+the truth charges at entry, and a node's penalty is the truth's at the
+arrival instant. That is exactly the cost model the simulator charges, so
+every simulated realized cost is bounded below by the oracle.
 """
 
 from __future__ import annotations
@@ -188,18 +189,6 @@ def _evaluate_path(args: tuple[str, float, SimConfig, tuple[str, ...]]) -> dict[
     path, rho, config, algorithms = args
     scenario = load_scenario(Path(path).read_text())
     return evaluate_scenario(scenario, rho, config, algorithms)
-
-
-def score_suite(
-    scenarios: list[Scenario],
-    algorithm: str,
-    rho: float = 1.15,
-    config: SimConfig | None = None,
-) -> AlgorithmScore:
-    cells = [
-        evaluate_scenario(s, rho, config, (algorithm,))[algorithm] for s in scenarios
-    ]
-    return _aggregate(algorithm, cells)
 
 
 def _aggregate(algorithm: str, cells: list[dict]) -> AlgorithmScore:

@@ -69,13 +69,6 @@ class Observation:
     at_time: float
 
 
-@dataclass(frozen=True)
-class ContextFlags:
-    passenger_prefers_comfort: bool = False
-    rough_road_reported: bool = False
-    heavy_traffic_reported: bool = False
-
-
 def time_heuristic(snap, node: str, goal: str) -> float:
     """Lower bound on remaining travel time: straight line at top speed."""
     try:
@@ -84,16 +77,6 @@ def time_heuristic(snap, node: str, goal: str) -> float:
         raise KeyError(f"unknown node {node!r}") from None
     g = snap.nodes[goal]
     return math.hypot(n.x - g.x, n.y - g.y) / snap.v_max
-
-
-def comfort_heuristic(field_or_snap, node: str) -> float:
-    h2 = field_or_snap.h2_by_node if hasattr(field_or_snap, "h2_by_node") else field_or_snap.h2
-    return h2.get(node, 0.0)
-
-
-def safety_heuristic(field_or_snap, node: str) -> float:
-    h3 = field_or_snap.h3_by_node if hasattr(field_or_snap, "h3_by_node") else field_or_snap.h3
-    return h3.get(node, 0.0)
 
 
 def combined_f(g: float, h1: float, h2: float, h3: float, w: HeuristicWeights) -> float:
@@ -127,18 +110,20 @@ def ingest_observations(graph, field: HeuristicField, batch: list[Observation]) 
         field.h2_by_node[head] = (1 - alpha) * old_h2 + alpha * obs.observed_comfort
 
 
-def adapt_weights(base: HeuristicWeights, ctx: ContextFlags) -> HeuristicWeights:
-    """Scale heuristic coefficients from context flags.
+def adapt_weights(
+    base: HeuristicWeights, prefers_comfort: bool, rough_road: bool, heavy_traffic: bool
+) -> HeuristicWeights:
+    """Scale heuristic coefficients from a query's context flags.
 
     Fixed multiplier table, composed multiplicatively so the result does not
     depend on flag order. w_g and the safety weight are never touched.
     """
     w1, w2 = base.w1, base.w2
-    if ctx.passenger_prefers_comfort:
+    if prefers_comfort:
         w2 *= 2.0
-    if ctx.rough_road_reported:
+    if rough_road:
         w2 *= 1.5
-    if ctx.heavy_traffic_reported:
+    if heavy_traffic:
         w1 *= 1.5
     if w1 == base.w1 and w2 == base.w2:
         return base

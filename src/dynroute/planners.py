@@ -63,8 +63,15 @@ def _check_node(snap: GraphSnapshot, node: str) -> None:
 def cheapest_edge(snap: GraphSnapshot, u: str, v: str) -> tuple[str, float] | None:
     """Cheapest unblocked edge u->v as (edge_id, effective_time), or None."""
     best = None
-    for succ, eid, eff in neighbors(snap, u):
-        if succ == v and (best is None or eff < best[1]):
+    edges, blocked, congestion = snap.edges, snap.blocked, snap.congestion
+    for eid in snap.adjacency[u]:
+        if eid in blocked:
+            continue
+        e = edges[eid]
+        if e.to_node != v:
+            continue
+        eff = e.base_time_s * congestion[eid]
+        if best is None or eff < best[1]:
             best = (eid, eff)
     return best
 

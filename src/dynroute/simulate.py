@@ -1,9 +1,10 @@
 """Epoch-synchronous multi-vehicle simulation with shared observations.
 
-Two copies of the world are kept:
+The world has one ground truth and one shared belief:
 
-* the ground truth, which all scenario events mutate and which determines
-  the travel times and penalties vehicles actually experience;
+* the ground truth is the :class:`TruthTimeline`, the state in force at each
+  epoch. It prices every edge a vehicle enters and every node penalty it
+  pays, and trace replay and the offline oracle read the same timeline;
 * the shared belief, from which planning snapshots are taken. Broadcast
   events reach it directly; ``sensed_only`` events reach it only through
   observations reported by vehicles that traversed the affected edges.
@@ -11,9 +12,12 @@ Two copies of the world are kept:
 With observation sharing disabled the belief sees broadcast events only,
 which is the control condition for measuring the value of sharing.
 
-Within an epoch every vehicle plans against one immutable snapshot and
-advances through ground truth; events and observation ingestion happen
-exclusively at epoch boundaries. Edge traversal cost is frozen at entry.
+An event takes effect at the first epoch boundary at or after its time, in
+the truth and the belief alike. Within an epoch every vehicle plans against
+one immutable belief snapshot and advances through ground truth. An edge's
+price is fixed by the truth at entry; a node's penalty is taken from the
+truth at the arrival instant, and an arrival exactly on a boundary belongs
+to the later epoch.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import bisect
 import math
 import random
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 
 from .graph import (
     GraphSnapshot,
@@ -31,7 +36,6 @@ from .graph import (
     snapshot,
 )
 from .heuristics import (
-    ContextFlags,
     HeuristicField,
     Observation,
     adapt_weights,
@@ -55,7 +59,17 @@ EN_ROUTE = "en_route"
 ARRIVED = "arrived"
 STRANDED = "stranded"
 
-ALGORITHMS = ("ucs", "greedy", "astar", "rrt", "dyn_astar")
+# One call per algorithm: (snapshot, start, goal, params) -> PlanResult. The
+# lambdas look each planner up in this module's globals when called, so a
+# planner wrapped or replaced here is the one every caller runs.
+PLANNERS = {
+    "ucs": lambda snap, start, goal, params: dijkstra_ucs(snap, start, goal),
+    "greedy": lambda snap, start, goal, params: greedy_best_first(snap, start, goal),
+    "astar": lambda snap, start, goal, params: static_a_star(snap, start, goal),
+    "rrt": lambda snap, start, goal, params: rrt_plan(snap, start, goal, params),
+    "dyn_astar": lambda snap, start, goal, params: dyn_a_star(snap, start, goal, params),
+}
+ALGORITHMS = tuple(PLANNERS)
 
 _EPS = 1e-9
 
@@ -103,12 +117,6 @@ class VehicleState:
     path_taken: list[str] = field(default_factory=list)
     arrival_s: float | None = None
 
-    @property
-    def position_on_edge(self) -> float:
-        if self.edge_id is None or self.edge_total_s <= 0:
-            return 0.0
-        return 1.0 - self.edge_remaining_s / self.edge_total_s
-
 
 @dataclass(frozen=True)
 class EpochRecord:
@@ -153,8 +161,7 @@ class Simulation:
         self.scenario = scenario
         self.config = config
         self.algorithm = algorithm
-        self.truth_graph: RoadGraph = scenario.graph.copy()
-        self.truth_field: HeuristicField = scenario.initial_field.copy()
+        self.truth = TruthTimeline(scenario, config.epoch_s)
         self.belief_graph: RoadGraph = scenario.graph.copy()
         self.belief_field: HeuristicField = scenario.initial_field.copy()
         self.epoch_index = 0
@@ -164,13 +171,10 @@ class Simulation:
         self._noise_rng = random.Random(config.seed)
         self.vehicles: list[VehicleState] = []
         for i, q in enumerate(sorted(scenario.queries, key=lambda q: q.vehicle)):
-            ctx = ContextFlags(
-                passenger_prefers_comfort=q.prefers_comfort,
-                rough_road_reported=q.rough_road,
-                heavy_traffic_reported=q.heavy_traffic,
-            )
             params = SearchParams(
-                weights=adapt_weights(q.weights, ctx),
+                weights=adapt_weights(
+                    q.weights, q.prefers_comfort, q.rough_road, q.heavy_traffic
+                ),
                 rng_seed=scenario.seed * 1000 + i,
                 rrt=config.rrt,
             )
@@ -189,12 +193,13 @@ class Simulation:
         return all(v.status != EN_ROUTE for v in self.vehicles)
 
     def step_epoch(self) -> None:
+        k = self.epoch_index
         t = self.now
         applied: list[dict] = []
         events = self.scenario.events
-        while self.event_idx < len(events) and events[self.event_idx].at_time <= t + _EPS:
+        while (self.event_idx < len(events)
+               and self.truth.event_epoch(events[self.event_idx].at_time) <= k):
             ev = events[self.event_idx]
-            apply_event(self.truth_graph, self.truth_field, ev)
             if not ev.sensed_only:
                 apply_event(self.belief_graph, self.belief_field, ev)
             applied.append(
@@ -212,8 +217,9 @@ class Simulation:
         snap = snapshot(self.belief_graph, self.belief_field, t)
         for v in self.vehicles:
             self._plan_vehicle(v, snap, t)
+        truth, truth_next = self.truth.at_epoch(k), self.truth.at_epoch(k + 1)
         for v in self.vehicles:
-            self._advance(v, t)
+            self._advance(v, t, truth, truth_next)
 
         self.epoch_log.append(EpochRecord(t, tuple(applied), ingested))
         self.epoch_index += 1
@@ -241,25 +247,18 @@ class Simulation:
         if origin is None:
             origin = v.start
 
-        if self.algorithm == "dyn_astar":
-            if v.has_plan and v.plan_nodes and v.plan_nodes[0] == origin:
-                prior = PlanResult(
-                    path=tuple(v.plan_nodes), g_cost=0.0, f_cost_at_goal=0.0,
-                    expanded=0, status=FOUND,
-                )
-                result = replan(prior, snap, origin, v.goal, v.params,
-                                self.config.hysteresis)
-            else:
-                result = dyn_a_star(snap, origin, v.goal, v.params)
-            v.replans += 1
+        if self.algorithm == "dyn_astar" and v.has_plan and v.plan_nodes \
+                and v.plan_nodes[0] == origin:
+            prior = PlanResult(
+                path=tuple(v.plan_nodes), g_cost=0.0, f_cost_at_goal=0.0,
+                expanded=0, status=FOUND,
+            )
+            result = replan(prior, snap, origin, v.goal, v.params,
+                            self.config.hysteresis)
         else:
-            planner = {
-                "ucs": lambda: dijkstra_ucs(snap, origin, v.goal),
-                "greedy": lambda: greedy_best_first(snap, origin, v.goal),
-                "astar": lambda: static_a_star(snap, origin, v.goal),
-                "rrt": lambda: rrt_plan(snap, origin, v.goal, v.params),
-            }[self.algorithm]
-            result = planner()
+            result = PLANNERS[self.algorithm](snap, origin, v.goal, v.params)
+        if self.algorithm == "dyn_astar":
+            v.replans += 1
 
         v.expanded += result.expanded
         v.has_plan = True
@@ -274,20 +273,23 @@ class Simulation:
 
     # -- movement through ground truth ---------------------------------------
 
-    def _truth_penalty(self, node: str) -> float:
-        return self.truth_field.h2_by_node.get(node, 0.0) + self.truth_field.h3_by_node.get(node, 0.0)
-
-    def _arrive_at_node(self, v: VehicleState, node: str, now: float) -> None:
+    def _arrive_at_node(
+        self, v: VehicleState, node: str, now: float, truth: GraphSnapshot
+    ) -> None:
         v.at_node = node
         v.path_taken.append(node)
-        v.realized_cost += self._truth_penalty(node)
+        v.realized_cost += truth.node_penalty(node)
         if node == v.goal:
             v.status = ARRIVED
             v.arrival_s = now
         elif v.plan_unreachable:
             v.status = STRANDED
 
-    def _advance(self, v: VehicleState, t: float) -> None:
+    def _advance(
+        self, v: VehicleState, t: float, truth: GraphSnapshot, truth_next: GraphSnapshot
+    ) -> None:
+        """Move ``v`` through the epoch starting at ``t``, whose ground truth
+        is ``truth``; an arrival on the closing boundary pays ``truth_next``."""
         if v.status != EN_ROUTE:
             return
         end = t + self.config.epoch_s
@@ -316,16 +318,16 @@ class Simulation:
                         v.status = STRANDED
                     return
                 nxt = v.plan_nodes[1]
-                truth_snap_edge = self._truth_edge(v.at_node, nxt)
-                if truth_snap_edge is None:
+                edge = cheapest_edge(truth, v.at_node, nxt)
+                if edge is None:
                     v.status = STRANDED
                     return
-                eid, eff = truth_snap_edge
+                eid, eff = edge
                 v.edge_id = eid
                 v.edge_head = nxt
                 v.edge_total_s = eff
                 v.edge_remaining_s = eff
-                v.edge_comfort = self.truth_graph.comfort[eid]
+                v.edge_comfort = truth.comfort[eid]
                 v.at_node = None
                 v.plan_nodes.pop(0)
             else:
@@ -339,20 +341,9 @@ class Simulation:
                     assert head is not None
                     v.edge_id = None
                     v.edge_head = None
-                    self._arrive_at_node(v, head, now)
-
-    def _truth_edge(self, u: str, nxt: str) -> tuple[str, float] | None:
-        best = None
-        for eid in self.truth_graph.adjacency[u]:
-            if eid in self.truth_graph.blocked:
-                continue
-            e = self.truth_graph.edges[eid]
-            if e.to_node != nxt:
-                continue
-            eff = e.base_time_s * self.truth_graph.congestion[eid]
-            if best is None or eff < best[1]:
-                best = (eid, eff)
-        return best
+                    self._arrive_at_node(
+                        v, head, now, truth if now < end - _EPS else truth_next
+                    )
 
     def _emit_observation(self, v: VehicleState, now: float) -> None:
         assert v.edge_id is not None
@@ -412,25 +403,6 @@ def run_simulation(
     return sim.run()
 
 
-def step_epoch(sim: Simulation) -> Simulation:
-    """Advance one epoch; run_simulation is this iterated to quiescence."""
-    sim.step_epoch()
-    return sim
-
-
-def collect_observation(
-    vehicle_id: str, edge_id: str, effective_time_s: float, comfort_penalty: float, at_time: float
-) -> Observation:
-    """Observation a vehicle files after completing an edge traversal."""
-    return Observation(
-        edge_id=edge_id,
-        observed_travel_time=effective_time_s,
-        observed_comfort=comfort_penalty,
-        reporter=vehicle_id,
-        at_time=at_time,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Ground-truth timeline, shared with the offline oracle and trace replay
 # ---------------------------------------------------------------------------
@@ -439,9 +411,14 @@ def collect_observation(
 class TruthTimeline:
     """Piecewise-constant ground-truth state per simulation epoch.
 
-    An event at time t takes effect at the first epoch boundary >= t,
-    matching the simulator's event application rule exactly.
+    An event at time t takes effect at the first epoch boundary >= t
+    (:meth:`event_epoch`); the simulator applies events to its shared belief
+    by the same rule. One state is kept per epoch that has events, and each
+    state shares with the one before it every overlay mapping that the
+    epoch's events left equal.
     """
+
+    _OVERLAYS = ("congestion", "comfort", "blocked", "h2")
 
     def __init__(self, scenario: Scenario, epoch_s: float):
         self.epoch_s = epoch_s
@@ -449,15 +426,24 @@ class TruthTimeline:
         fld = scenario.initial_field.copy()
         self._starts: list[int] = [0]
         self._snaps: list[GraphSnapshot] = [snapshot(graph, fld, 0.0)]
-        for ev in scenario.events:
-            k = max(0, math.ceil(ev.at_time / epoch_s - 1e-12))
-            apply_event(graph, fld, ev)
+        for k, group in groupby(scenario.events, lambda ev: self.event_epoch(ev.at_time)):
+            for ev in group:
+                apply_event(graph, fld, ev)
+            prev = self._snaps[-1]
             snap = snapshot(graph, fld, k * epoch_s)
+            snap = replace(snap, **{
+                name: getattr(prev, name) for name in self._OVERLAYS
+                if getattr(snap, name) == getattr(prev, name)
+            })
             if k == self._starts[-1]:
                 self._snaps[-1] = snap
             else:
                 self._starts.append(k)
                 self._snaps.append(snap)
+
+    def event_epoch(self, at_time: float) -> int:
+        """Index of the epoch whose opening boundary applies an event at ``at_time``."""
+        return max(0, math.ceil(at_time / self.epoch_s - 1e-12))
 
     def epoch_of(self, time: float) -> int:
         return max(0, int(math.floor(time / self.epoch_s + 1e-12)))

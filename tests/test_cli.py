@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from dynroute.cli import main
+from dynroute import SimConfig, Simulation, load_scenario
+from dynroute.cli import _atomic_write, main
 
 from test_sim import FORK, LINE, scenario_doc
 
@@ -58,6 +59,28 @@ class TestPlan:
         assert main(["plan", "--scenario", str(p)]) == 4
         assert "Unreachable" in capsys.readouterr().out
 
+    def test_plans_on_truth_in_force_at_departure(self, tmp_path, capsys):
+        # departing at t=45, the block at t=40 lands on the t=60 boundary, so
+        # the plan made in the t=30 epoch still runs through e2
+        doc = scenario_doc(
+            **LINE,
+            events=[{"t_s": 40.0, "kind": "block_edge", "target": "e2"}],
+            queries=[{"vehicle": "v1", "start": "a", "goal": "d", "depart_s": 45.0,
+                      "weights": {"wg": 1, "w1": 1, "w2": 0, "w3": 0}, "context": {}}],
+        )
+        p = tmp_path / "late_block.scn"
+        p.write_text(doc)
+        assert main(["plan", "--scenario", str(p)]) == 0
+        assert "path: a -> b -> c -> d" in capsys.readouterr().out
+        sim = Simulation(load_scenario(doc), SimConfig())
+        sim.step_epoch()
+        sim.step_epoch()
+        (v,) = sim.vehicles
+        assert v.departed and not v.plan_unreachable
+        # with 45 s epochs the block is already in force in the departure epoch
+        assert main(["plan", "--scenario", str(p), "--epoch-s", "45"]) == 4
+        assert "Unreachable" in capsys.readouterr().out
+
     def test_custom_weights_accepted(self, line_scn, capsys):
         assert main(["plan", "--scenario", str(line_scn), "--weights", "1,2,0,0"]) == 0
         capsys.readouterr()
@@ -99,6 +122,24 @@ class TestSimulate:
 
     def test_dyn_survives_same_scenario(self, blocked_fork, capsys):
         assert main(["simulate", "--scenario", str(blocked_fork)]) == 0
+
+    def test_output_leaves_foreign_tmp_file_alone(self, line_scn, tmp_path, capsys):
+        stale = tmp_path / "run.csv.tmp"
+        stale.write_text("another writer's data")
+        prefix = str(tmp_path / "run")
+        assert main(["simulate", "--scenario", str(line_scn), "--out", prefix]) == 0
+        assert stale.read_text() == "another writer's data"
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "line.scn", "run.csv", "run.csv.tmp", "run.trace.json"]
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr("dynroute.cli.os.replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            _atomic_write(tmp_path / "run.csv", "data\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_epoch_flag_validated(self, line_scn, capsys):
         assert main(["simulate", "--scenario", str(line_scn), "--epoch-s", "0"]) == 2
@@ -168,6 +209,13 @@ class TestBench:
         suite.mkdir()
         (suite / "s1.scn").write_text(scenario_doc(**LINE))
         assert main(["bench", "--suite", str(suite), "--rho", "0.5"]) == 2
+
+    def test_jobs_below_one_rejected(self, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "s1.scn").write_text(scenario_doc(**LINE))
+        assert main(["bench", "--suite", str(suite), "--jobs", "0"]) == 2
+        assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
 class TestValidate:

@@ -17,9 +17,8 @@ from dynroute import (
     make_grid,
     offline_optimal,
     run_simulation,
-    score_suite,
 )
-from dynroute.evaluate import evaluate_scenario, report_csv, report_table
+from dynroute.evaluate import _aggregate, evaluate_scenario, report_csv, report_table
 
 from test_sim import FORK, LINE, scenario_doc
 
@@ -152,8 +151,9 @@ class TestScoring:
 
     def test_score_suite_mixes_pass_and_fail(self):
         suite = [self._congested_fork(), scn(scenario_doc(**LINE))]
-        dyn = score_suite(suite, "dyn_astar")
-        astar = score_suite(suite, "astar")
+        cells = [evaluate_scenario(s, algorithms=("astar", "dyn_astar")) for s in suite]
+        dyn = _aggregate("dyn_astar", [c["dyn_astar"] for c in cells])
+        astar = _aggregate("astar", [c["astar"] for c in cells])
         assert (dyn.passes, dyn.total, dyn.score) == (2, 2, 1.0)
         assert (astar.passes, astar.total, astar.score) == (1, 2, 0.5)
         assert astar.mean_cost_ratio > dyn.mean_cost_ratio

@@ -6,16 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynroute import (
-    ContextFlags,
     HeuristicField,
     HeuristicWeights,
     Observation,
     adapt_weights,
     combined_f,
-    comfort_heuristic,
     ingest_observations,
     make_grid,
-    safety_heuristic,
     time_heuristic,
 )
 from conftest import build_graph, enumerate_min_travel, snap_of
@@ -70,24 +67,6 @@ class TestTimeHeuristic:
                 hu = time_heuristic(snap, e.from_node, goal)
                 hv = time_heuristic(snap, e.to_node, goal)
                 assert hu <= e.base_time_s + hv + 1e-9
-
-
-class TestLookups:
-    def test_comfort_lookup_and_default(self):
-        fld = HeuristicField(h2_by_node={"a": 4.0})
-        assert comfort_heuristic(fld, "a") == 4.0
-        assert comfort_heuristic(fld, "missing") == 0.0
-
-    def test_safety_lookup_and_default(self):
-        fld = HeuristicField(h3_by_node={"a": 1.0})
-        assert safety_heuristic(fld, "a") == 1.0
-        assert safety_heuristic(fld, "missing") == 0.0
-
-    def test_lookups_work_on_snapshots(self):
-        g = make_grid(1, 2, 100.0, 10.0)
-        snap = snap_of(g, h2={"n00_01": 7.5}, h3={"n00_00": 2.0})
-        assert comfort_heuristic(snap, "n00_01") == 7.5
-        assert safety_heuristic(snap, "n00_00") == 2.0
 
 
 class TestCombinedF:
@@ -191,19 +170,20 @@ class TestIngestObservations:
 class TestAdaptWeights:
     def test_no_flags_identity(self):
         base = HeuristicWeights(1, 1, 1, 1)
-        assert adapt_weights(base, ContextFlags()) is base
+        assert adapt_weights(base, False, False, False) is base
 
     def test_comfort_and_rough_compose(self):
         out = adapt_weights(
             HeuristicWeights(1, 1, 1, 1),
-            ContextFlags(passenger_prefers_comfort=True, rough_road_reported=True),
+            prefers_comfort=True, rough_road=True, heavy_traffic=False,
         )
         assert out.w2 == pytest.approx(3.0)
         assert (out.w_g, out.w1, out.w3) == (1, 1, 1)
 
     def test_heavy_traffic_scales_time_weight(self):
         out = adapt_weights(
-            HeuristicWeights(1, 1, 1, 1), ContextFlags(heavy_traffic_reported=True)
+            HeuristicWeights(1, 1, 1, 1),
+            prefers_comfort=False, rough_road=False, heavy_traffic=True,
         )
         assert (out.w_g, out.w1, out.w2, out.w3) == (1, 1.5, 1, 1)
 
@@ -214,9 +194,8 @@ class TestAdaptWeights:
     )
     def test_pure_and_preserves_wg_w3(self, wg, w1, w2, w3, flags):
         base = HeuristicWeights(wg, w1, w2, w3)
-        ctx = ContextFlags(*flags)
-        out1 = adapt_weights(base, ctx)
-        out2 = adapt_weights(base, ctx)
+        out1 = adapt_weights(base, *flags)
+        out2 = adapt_weights(base, *flags)
         assert out1 == out2
         assert out1.w_g == base.w_g
         assert out1.w3 == base.w3

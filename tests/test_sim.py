@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dynroute import (
     ALGORITHMS,
@@ -9,6 +11,7 @@ from dynroute import (
     SimConfig,
     Simulation,
     load_scenario,
+    offline_optimal,
     run_simulation,
 )
 from dynroute.simulate import TruthTimeline, replay_realized_cost
@@ -249,6 +252,20 @@ class TestTruthTimeline:
         assert "e3" not in tl.at_time(29.0).blocked
         assert "e3" in tl.at_time(30.0).blocked
 
+    def test_states_share_unchanged_overlays(self):
+        doc = scenario_doc(
+            **LINE,
+            events=[{"t_s": 20.0, "kind": "set_congestion", "target": "e2", "value": 3.0},
+                    {"t_s": 30.0, "kind": "set_congestion", "target": "e3", "value": 2.0},
+                    {"t_s": 60.0, "kind": "block_edge", "target": "e1"}],
+        )
+        tl = TruthTimeline(load_scenario(doc), 30.0)
+        free, congested, blocked = tl.at_epoch(0), tl.at_epoch(1), tl.at_epoch(2)
+        assert dict(congested.congestion) == {"e1": 1.0, "e2": 3.0, "e3": 2.0}
+        assert congested.congestion is not free.congestion
+        assert congested.comfort is free.comfort and congested.h2 is free.h2
+        assert blocked.blocked == {"e1"} and blocked.congestion is congested.congestion
+
     def test_replay_matches_simulated_cost(self, scenario_dir):
         for name in ("sharing_fixture.scn", "grid10_congestion.scn"):
             scn = load_scenario((scenario_dir / name).read_text())
@@ -261,3 +278,86 @@ class TestTruthTimeline:
                     scn, cfg, v["vehicle"], v["path"], departs[v["vehicle"]]
                 )
                 assert replayed == pytest.approx(v["realized_cost_s"])
+
+
+@st.composite
+def boundary_aligned_docs(draw):
+    """Small scenarios whose edge times, event times and departures are all
+    multiples of the 30 s epoch, so arrivals land on epoch boundaries."""
+    n = draw(st.integers(3, 5))
+    ids = [f"n{i}" for i in range(n)]
+    pairs = [(i, i + 1) for i in range(n - 1)]  # a forward chain keeps goals reachable
+    pairs += draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+        max_size=5,
+    ))
+    edges = [
+        (f"e{k}", ids[i], ids[j], 300.0 * abs(i - j), draw(st.sampled_from((30.0, 60.0))))
+        for k, (i, j) in enumerate(pairs)
+    ]
+    edge_ids = [e[0] for e in edges]
+    events = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from((
+            "set_congestion", "set_comfort", "set_node_comfort_h", "set_node_comfort_h",
+            "block_edge", "unblock_edge",
+        )))
+        ev = {"t_s": 30.0 * draw(st.integers(0, 6)), "kind": kind,
+              "target": draw(st.sampled_from(ids if kind == "set_node_comfort_h" else edge_ids)),
+              "sensed_only": draw(st.booleans())}
+        if kind == "set_congestion":
+            ev["value"] = draw(st.sampled_from((1.0, 2.0, 3.0)))
+        elif kind in ("set_comfort", "set_node_comfort_h"):
+            ev["value"] = draw(st.sampled_from((0.0, 25.0, 100.0)))
+        events.append(ev)
+    events.sort(key=lambda ev: ev["t_s"])
+    queries = []
+    for k in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, n - 2))
+        queries.append({
+            "vehicle": f"v{k}", "start": ids[start], "goal": ids[draw(st.integers(start + 1, n - 1))],
+            "depart_s": 30.0 * draw(st.integers(0, 2)),
+            "weights": {"wg": 1, "w1": 1, "w2": draw(st.sampled_from((0, 1))), "w3": 0},
+            "context": {"prefers_comfort": draw(st.booleans())},
+        })
+    return scenario_doc(
+        nodes=[(i, 300.0 * k, 0.0) for k, i in enumerate(ids)], edges=edges, events=events,
+        queries=queries, h2=draw(st.dictionaries(st.sampled_from(ids), st.sampled_from((0.0, 10.0)))),
+    )
+
+
+class TestOneTruthModel:
+    def test_boundary_arrival_pays_the_later_epochs_penalty(self):
+        # each arrival lands on the boundary whose event raises that node's
+        # penalty, so simulator, replay and oracle all charge both penalties
+        doc = scenario_doc(
+            nodes=[("a", 0.0, 0.0), ("b", 300.0, 0.0), ("c", 600.0, 0.0)],
+            edges=[("e1", "a", "b", 300.0, 30.0), ("e2", "b", "c", 300.0, 30.0)],
+            events=[
+                {"t_s": 30.0, "kind": "set_node_comfort_h", "target": "b", "value": 100.0},
+                {"t_s": 60.0, "kind": "set_node_comfort_h", "target": "c", "value": 100.0},
+            ],
+            queries=[{"vehicle": "v1", "start": "a", "goal": "c", "depart_s": 0.0,
+                      "weights": {"wg": 1, "w1": 1, "w2": 0, "w3": 0}, "context": {}}],
+        )
+        scn, cfg = load_scenario(doc), SimConfig()
+        (v,) = run_simulation(scn, cfg).vehicles
+        assert v["realized_cost_s"] == pytest.approx(260.0)
+        assert replay_realized_cost(scn, cfg, "v1", v["path"], 0.0) == pytest.approx(260.0)
+        assert offline_optimal(scn, scn.queries[0]).optimal_realized_cost == pytest.approx(260.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(doc=boundary_aligned_docs(), share=st.booleans())
+    def test_simulator_replay_and_oracle_agree(self, doc, share):
+        scn = load_scenario(doc)
+        cfg = SimConfig(share_observations=share, horizon_s=3000.0)
+        queries = {q.vehicle: q for q in scn.queries}
+        for algo in ALGORITHMS:
+            for v in run_simulation(scn, cfg, algo).vehicles:
+                if v["status"] != ARRIVED:
+                    continue
+                q = queries[v["vehicle"]]
+                cost = v["realized_cost_s"]
+                assert replay_realized_cost(scn, cfg, q.vehicle, v["path"], q.depart_s) \
+                    == pytest.approx(cost)
+                assert offline_optimal(scn, q).optimal_realized_cost <= cost + 1e-6
