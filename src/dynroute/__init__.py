@@ -10,6 +10,7 @@ from .graph import (
     RoadGraph,
     Scenario,
     ScenarioError,
+    SearchIndex,
     ValidationError,
     apply_event,
     load_scenario,

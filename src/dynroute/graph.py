@@ -5,13 +5,18 @@ is loaded. Time-varying state lives in a per-edge overlay (congestion factor,
 comfort penalty, blocked set) plus the per-node heuristic field. Planners
 never see the mutable state directly; they operate on immutable
 :class:`GraphSnapshot` values taken at epoch boundaries.
+
+The topology is also compiled once, when a :class:`RoadGraph` is built, into
+a :class:`SearchIndex`: nodes numbered in sorted-id order, their coordinates,
+and each node's outgoing edges as (edge id, head index, base time). Copies,
+snapshots and every ground-truth state share that one object, and planners
+search on its integers while reading the string-keyed overlay directly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -90,6 +95,30 @@ class Query:
     heavy_traffic: bool = False
 
 
+class SearchIndex:
+    """The static topology on integers, for planners' inner loops.
+
+    Node ``i`` is ``ids[i]``, with ids in sorted order, so comparing indices
+    orders nodes exactly as comparing their ids does. ``out[i]`` lists the
+    node's outgoing edges as (edge id, head index, base time) in ascending
+    edge-id order, blocked edges included.
+    """
+
+    __slots__ = ("ids", "pos", "xs", "ys", "out")
+
+    def __init__(self, nodes: Mapping[str, NodeRecord], edges: Mapping[str, EdgeRecord],
+                 adjacency: Mapping[str, tuple[str, ...]]):
+        self.ids: tuple[str, ...] = tuple(sorted(nodes))
+        self.pos: dict[str, int] = {nid: i for i, nid in enumerate(self.ids)}
+        self.xs: list[float] = [nodes[nid].x for nid in self.ids]
+        self.ys: list[float] = [nodes[nid].y for nid in self.ids]
+        self.out: tuple[tuple[tuple[str, int, float], ...], ...] = tuple(
+            tuple((eid, self.pos[edges[eid].to_node], edges[eid].base_time_s)
+                  for eid in adjacency[nid])
+            for nid in self.ids
+        )
+
+
 class RoadGraph:
     """Directed road network with a mutable dynamic-condition overlay."""
 
@@ -121,6 +150,7 @@ class RoadGraph:
         self.adjacency: dict[str, tuple[str, ...]] = {
             nid: tuple(eids) for nid, eids in adjacency.items()
         }
+        self.index = SearchIndex(self.nodes, self.edges, self.adjacency)
         # Dynamic overlay: defaults are free flow, no penalty, nothing blocked.
         self.congestion: dict[str, float] = {eid: 1.0 for eid in self.edges}
         self.comfort: dict[str, float] = {eid: 0.0 for eid in self.edges}
@@ -135,6 +165,7 @@ class RoadGraph:
         g.nodes = self.nodes
         g.edges = self.edges
         g.adjacency = self.adjacency
+        g.index = self.index
         g.congestion = dict(self.congestion)
         g.comfort = dict(self.comfort)
         g.blocked = set(self.blocked)
@@ -164,6 +195,7 @@ class GraphSnapshot:
     nodes: Mapping[str, NodeRecord]
     edges: Mapping[str, EdgeRecord]
     adjacency: Mapping[str, tuple[str, ...]]
+    index: SearchIndex
     congestion: Mapping[str, float]
     comfort: Mapping[str, float]
     blocked: frozenset[str]
@@ -172,16 +204,14 @@ class GraphSnapshot:
     v_max: float
     time: float
 
-    def effective_time(self, edge_id: str) -> float:
-        e = self.edges[edge_id]
-        return e.base_time_s * self.congestion[edge_id]
-
     def node_penalty(self, node_id: str) -> float:
         return self.h2.get(node_id, 0.0) + self.h3.get(node_id, 0.0)
 
 
 def apply_event(graph: RoadGraph, field: HeuristicField, ev: Event) -> None:
     """Apply one event to the live overlay. Exactly one attribute changes."""
+    if ev.value is not None and not math.isfinite(ev.value):
+        raise ValidationError(f"event value must be finite, got {ev.value}")
     if ev.kind == SET_CONGESTION:
         if ev.target not in graph.edges:
             raise ValidationError(f"event targets unknown edge {ev.target!r}")
@@ -218,6 +248,7 @@ def snapshot(graph: RoadGraph, field: HeuristicField, time: float) -> GraphSnaps
         nodes=graph.nodes,
         edges=graph.edges,
         adjacency=graph.adjacency,
+        index=graph.index,
         congestion=MappingProxyType(dict(graph.congestion)),
         comfort=MappingProxyType(dict(graph.comfort)),
         blocked=frozenset(graph.blocked),
@@ -279,19 +310,19 @@ def make_grid(rows: int, cols: int, edge_length: float, speed: float) -> RoadGra
 
 
 def reachable(graph: RoadGraph, start: str, goal: str) -> bool:
-    if start == goal:
-        return True
-    seen = {start}
-    q = deque([start])
-    while q:
-        cur = q.popleft()
-        for eid in graph.adjacency[cur]:
-            nxt = graph.edges[eid].to_node
-            if nxt == goal:
-                return True
-            if nxt not in seen:
-                seen.add(nxt)
-                q.append(nxt)
+    index = graph.index
+    goal_i = index.pos[goal]
+    stack = [index.pos[start]]
+    seen = bytearray(len(index.ids))
+    seen[stack[0]] = 1
+    while stack:
+        u = stack.pop()
+        if u == goal_i:
+            return True
+        for _eid, v, _base in index.out[u]:
+            if not seen[v]:
+                seen[v] = 1
+                stack.append(v)
     return False
 
 
@@ -400,6 +431,7 @@ def load_scenario(text: str) -> Scenario:
 
     events = []
     prev_t = -math.inf
+    scratch = (graph.copy(), initial_field.copy())
     for i, ev in enumerate(doc.get("events", [])):
         if not isinstance(ev, dict):
             raise ParseError(f"events[{i}] must be an object")
@@ -409,6 +441,8 @@ def load_scenario(text: str) -> Scenario:
         target = _text(ev, "target", f"events[{i}]")
         if kind not in EVENT_KINDS:
             raise ValidationError(f"events[{i}]: unknown kind {kind!r}")
+        if not math.isfinite(t):
+            raise ValidationError(f"events[{i}]: t_s must be finite, got {t}")
         if t < 0:
             raise ValidationError(f"events[{i}]: negative time {t}")
         if t < prev_t:
@@ -425,8 +459,8 @@ def load_scenario(text: str) -> Scenario:
         if not isinstance(sensed_only, bool):
             raise ParseError(f"events[{i}]: 'sensed_only' must be a boolean")
         event = Event(t, kind, target, value, sensed_only)
-        # Validate targets and bounds by applying to throwaway copies.
-        apply_event(graph.copy(), initial_field.copy(), event)
+        # Validate targets and bounds by applying to a throwaway copy.
+        apply_event(*scratch, event)
         events.append(event)
 
     queries = []
@@ -438,12 +472,15 @@ def load_scenario(text: str) -> Scenario:
         if not isinstance(w, dict):
             raise ParseError(f"queries[{i}].weights must be an object")
         _check_keys(w, _WEIGHT_KEYS, f"queries[{i}].weights")
-        weights = HeuristicWeights(
-            w_g=float(w.get("wg", 1.0)),
-            w1=float(w.get("w1", 1.0)),
-            w2=float(w.get("w2", 1.0)),
-            w3=float(w.get("w3", 1.0)),
-        )
+        try:
+            weights = HeuristicWeights(
+                w_g=float(w.get("wg", 1.0)),
+                w1=float(w.get("w1", 1.0)),
+                w2=float(w.get("w2", 1.0)),
+                w3=float(w.get("w3", 1.0)),
+            )
+        except ValueError as exc:
+            raise ValidationError(f"queries[{i}].weights: {exc}") from None
         ctx = q.get("context", {})
         if not isinstance(ctx, dict):
             raise ParseError(f"queries[{i}].context must be an object")
@@ -463,8 +500,8 @@ def load_scenario(text: str) -> Scenario:
                 raise ValidationError(
                     f"queries[{i}]: {label} names unknown node {endpoint!r}"
                 )
-        if query.depart_s < 0:
-            raise ValidationError(f"queries[{i}]: negative depart_s")
+        if not (math.isfinite(query.depart_s) and query.depart_s >= 0):
+            raise ValidationError(f"queries[{i}]: depart_s must be finite and >= 0")
         if not reachable(graph, query.start, query.goal):
             raise ValidationError(
                 f"queries[{i}]: goal {query.goal!r} unreachable from {query.start!r}"

@@ -98,6 +98,8 @@ def ingest_observations(graph, field: HeuristicField, batch: list[Observation]) 
         edge = graph.edges.get(obs.edge_id)
         if edge is None:
             raise KeyError(f"observation for unknown edge {obs.edge_id!r}")
+        if not (math.isfinite(obs.observed_travel_time) and math.isfinite(obs.observed_comfort)):
+            raise ValueError(f"observation of edge {obs.edge_id!r} is not finite")
         ratio = obs.observed_travel_time / edge.base_time_s
         old_factor = graph.congestion[obs.edge_id]
         graph.congestion[obs.edge_id] = max(

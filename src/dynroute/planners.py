@@ -1,10 +1,12 @@
 """Route planners over immutable graph snapshots.
 
-All planners share one tie-break policy so runs are exactly reproducible:
-priority orders by f, then by the time heuristic, then by node id. The
-weighted dynamic planner treats comfort/safety as priority-shaping heuristic
-terms only; reported costs additionally charge the per-node comfort/safety
-penalties actually traversed, so routed comfort shows up in evaluation.
+All planners search on the snapshot's :class:`~dynroute.graph.SearchIndex`
+and share one tie-break policy so runs are exactly reproducible: priority
+orders by f, then by the time heuristic, then by node index, which is the
+order of node ids. The weighted dynamic planner treats comfort/safety as
+priority-shaping heuristic terms only; reported costs additionally charge the
+per-node comfort/safety penalties actually traversed, so routed comfort shows
+up in evaluation.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .graph import GraphSnapshot, neighbors
-from .heuristics import HeuristicWeights, combined_f, time_heuristic
+from .graph import GraphSnapshot
+from .heuristics import HeuristicWeights
 
 FOUND = "found"
 UNREACHABLE = "unreachable"
@@ -55,16 +57,18 @@ class PlanResult:
     expansion_order: tuple[str, ...] = ()
 
 
-def _check_node(snap: GraphSnapshot, node: str) -> None:
-    if node not in snap.nodes:
+def _index_of(snap: GraphSnapshot, node: str) -> int:
+    i = snap.index.pos.get(node)
+    if i is None:
         raise KeyError(f"unknown node {node!r}")
+    return i
 
 
 def cheapest_edge(snap: GraphSnapshot, u: str, v: str) -> tuple[str, float] | None:
     """Cheapest unblocked edge u->v as (edge_id, effective_time), or None."""
     best = None
     edges, blocked, congestion = snap.edges, snap.blocked, snap.congestion
-    for eid in snap.adjacency[u]:
+    for eid in snap.adjacency.get(u, ()):
         if eid in blocked:
             continue
         e = edges[eid]
@@ -76,13 +80,21 @@ def cheapest_edge(snap: GraphSnapshot, u: str, v: str) -> tuple[str, float] | No
     return best
 
 
-def path_travel_time(snap: GraphSnapshot, path: tuple[str, ...]) -> float:
+def _travel_time(snap: GraphSnapshot, path: tuple[str, ...]) -> float | None:
+    """Travel time along ``path`` on cheapest unblocked edges; None if a hop has none."""
     total = 0.0
     for u, v in zip(path, path[1:]):
         edge = cheapest_edge(snap, u, v)
         if edge is None:
-            raise ValueError(f"no unblocked edge {u!r} -> {v!r}")
+            return None
         total += edge[1]
+    return total
+
+
+def path_travel_time(snap: GraphSnapshot, path: tuple[str, ...]) -> float:
+    total = _travel_time(snap, path)
+    if total is None:
+        raise ValueError(f"no unblocked edge along {path!r}")
     return total
 
 
@@ -92,19 +104,34 @@ def path_penalty(snap: GraphSnapshot, path: tuple[str, ...]) -> float:
 
 def validate_path(snap: GraphSnapshot, path: tuple[str, ...]) -> bool:
     """Independent check that consecutive nodes are joined by unblocked edges."""
-    if not path:
-        return False
-    if any(n not in snap.nodes for n in path):
-        return False
-    return all(cheapest_edge(snap, u, v) is not None for u, v in zip(path, path[1:]))
+    return (bool(path) and all(n in snap.nodes for n in path)
+            and _travel_time(snap, path) is not None)
 
 
-def _reconstruct(parent: dict[str, str | None], goal: str) -> tuple[str, ...]:
-    path = [goal]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])  # type: ignore[arg-type]
+def _path(ids: tuple[str, ...], parent: dict[int, int], node: int) -> tuple[str, ...]:
+    path = []
+    while node >= 0:
+        path.append(ids[node])
+        node = parent[node]
     path.reverse()
     return tuple(path)
+
+
+def _found(snap: GraphSnapshot, parent: dict[int, int], order: list[int], goal: int,
+           f: float, travel: float | None = None) -> PlanResult:
+    """Result of a search that expanded ``order`` and reached ``goal``;
+    ``travel`` defaults to the path's travel time."""
+    ids = snap.index.ids
+    path = _path(ids, parent, goal)
+    if travel is None:
+        travel = path_travel_time(snap, path)
+    return PlanResult(path, travel + path_penalty(snap, path), f, len(order), FOUND,
+                      tuple([ids[i] for i in order]))
+
+
+def _unreachable(snap: GraphSnapshot, order: list[int]) -> PlanResult:
+    ids = snap.index.ids
+    return PlanResult((), _INF, _INF, len(order), UNREACHABLE, tuple([ids[i] for i in order]))
 
 
 def dyn_a_star(
@@ -117,47 +144,45 @@ def dyn_a_star(
     consistent straight-line time heuristic this is classical A* and returns
     optimal travel time; other weightings trade optimality for preference.
     """
-    _check_node(snap, start)
-    _check_node(snap, goal)
+    s, t = _index_of(snap, start), _index_of(snap, goal)
     w = params.weights
+    wg, w1, w2, w3 = w.w_g, w.w1, w.w2, w.w3
+    index = snap.index
+    ids, xs, ys, out = index.ids, index.xs, index.ys, index.out
+    congestion, blocked, h2, h3 = snap.congestion, snap.blocked, snap.h2, snap.h3
+    gx, gy, v_max = xs[t], ys[t], snap.v_max
+    hypot, push, pop = math.hypot, heapq.heappush, heapq.heappop
 
-    def h1(n: str) -> float:
-        return time_heuristic(snap, n, goal)
-
-    def priority(g: float, n: str) -> float:
-        return combined_f(g, h1(n), snap.h2.get(n, 0.0), snap.h3.get(n, 0.0), w)
-
-    g_best: dict[str, float] = {start: 0.0}
-    parent: dict[str, str | None] = {start: None}
-    open_heap: list[tuple[float, float, str]] = [(priority(0.0, start), h1(start), start)]
-    closed: set[str] = set()
-    order: list[str] = []
+    h = hypot(xs[s] - gx, ys[s] - gy) / v_max
+    f = wg * 0.0 + w1 * h + w2 * h2.get(start, 0.0) + w3 * h3.get(start, 0.0)
+    g_best: dict[int, float] = {s: 0.0}
+    parent: dict[int, int] = {s: -1}
+    open_heap: list[tuple[float, float, int]] = [(f, h, s)]
+    closed = bytearray(len(ids))
+    order: list[int] = []
     while open_heap:
-        f, _, node = heapq.heappop(open_heap)
-        if node in closed:
+        f, _, u = pop(open_heap)
+        if closed[u]:
             continue
-        closed.add(node)
-        order.append(node)
-        if node == goal:
-            path = _reconstruct(parent, goal)
-            return PlanResult(
-                path=path,
-                g_cost=g_best[goal] + path_penalty(snap, path),
-                f_cost_at_goal=f,
-                expanded=len(closed),
-                status=FOUND,
-                expansion_order=tuple(order),
-            )
-        g_node = g_best[node]
-        for succ, _eid, eff in neighbors(snap, node):
-            if succ in closed:
+        closed[u] = 1
+        order.append(u)
+        if u == t:
+            return _found(snap, parent, order, t, f, g_best[t])
+        g_u = g_best[u]
+        for eid, v, base in out[u]:
+            if closed[v] or eid in blocked:
                 continue
-            ng = g_node + eff
-            if ng < g_best.get(succ, _INF):
-                g_best[succ] = ng
-                parent[succ] = node
-                heapq.heappush(open_heap, (priority(ng, succ), h1(succ), succ))
-    return PlanResult((), _INF, _INF, len(closed), UNREACHABLE, tuple(order))
+            ng = g_u + base * congestion[eid]
+            if ng < g_best.get(v, _INF):
+                g_best[v] = ng
+                parent[v] = u
+                # h1 and the priority are time_heuristic and combined_f,
+                # inlined with the same operations in the same order.
+                h = hypot(xs[v] - gx, ys[v] - gy) / v_max
+                nid = ids[v]
+                push(open_heap, (wg * ng + w1 * h + w2 * h2.get(nid, 0.0)
+                                 + w3 * h3.get(nid, 0.0), h, v))
+    return _unreachable(snap, order)
 
 
 def dijkstra_ucs(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
@@ -166,79 +191,62 @@ def dijkstra_ucs(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
     Kept as a hand-rolled loop, independent of the weighted planner, so the
     two can be checked against each other.
     """
-    _check_node(snap, start)
-    _check_node(snap, goal)
+    s, t = _index_of(snap, start), _index_of(snap, goal)
+    index = snap.index
+    ids, xs, ys, out = index.ids, index.xs, index.ys, index.out
+    congestion, blocked = snap.congestion, snap.blocked
+    gx, gy, v_max = xs[t], ys[t], snap.v_max
+    hypot, push, pop = math.hypot, heapq.heappush, heapq.heappop
 
-    def h1(n: str) -> float:
-        return time_heuristic(snap, n, goal)
-
-    dist: dict[str, float] = {start: 0.0}
-    parent: dict[str, str | None] = {start: None}
-    open_heap: list[tuple[float, float, str]] = [(0.0, h1(start), start)]
-    closed: set[str] = set()
-    order: list[str] = []
+    dist: dict[int, float] = {s: 0.0}
+    parent: dict[int, int] = {s: -1}
+    open_heap = [(0.0, hypot(xs[s] - gx, ys[s] - gy) / v_max, s)]
+    closed = bytearray(len(ids))
+    order: list[int] = []
     while open_heap:
-        g, _, node = heapq.heappop(open_heap)
-        if node in closed:
+        g, _, u = pop(open_heap)
+        if closed[u]:
             continue
-        closed.add(node)
-        order.append(node)
-        if node == goal:
-            path = _reconstruct(parent, goal)
-            return PlanResult(
-                path=path,
-                g_cost=g + path_penalty(snap, path),
-                f_cost_at_goal=g,
-                expanded=len(closed),
-                status=FOUND,
-                expansion_order=tuple(order),
-            )
-        for succ, _eid, eff in neighbors(snap, node):
-            if succ in closed:
+        closed[u] = 1
+        order.append(u)
+        if u == t:
+            return _found(snap, parent, order, t, g, g)
+        for eid, v, base in out[u]:
+            if closed[v] or eid in blocked:
                 continue
-            ng = g + eff
-            if ng < dist.get(succ, _INF):
-                dist[succ] = ng
-                parent[succ] = node
-                heapq.heappush(open_heap, (ng, h1(succ), succ))
-    return PlanResult((), _INF, _INF, len(closed), UNREACHABLE, tuple(order))
+            ng = g + base * congestion[eid]
+            if ng < dist.get(v, _INF):
+                dist[v] = ng
+                parent[v] = u
+                push(open_heap, (ng, hypot(xs[v] - gx, ys[v] - gy) / v_max, v))
+    return _unreachable(snap, order)
 
 
 def greedy_best_first(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
-    """Expands by the time heuristic alone; complete but not optimal."""
-    _check_node(snap, start)
-    _check_node(snap, goal)
+    """Expands by the time heuristic alone; complete but not optimal.
 
-    def h1(n: str) -> float:
-        return time_heuristic(snap, n, goal)
+    Each node enters the open list at most once, so every pop is an expansion.
+    """
+    s, t = _index_of(snap, start), _index_of(snap, goal)
+    index, blocked = snap.index, snap.blocked
+    xs, ys, out = index.xs, index.ys, index.out
+    gx, gy, v_max = xs[t], ys[t], snap.v_max
+    hypot, push, pop = math.hypot, heapq.heappush, heapq.heappop
 
-    parent: dict[str, str | None] = {start: None}
-    open_heap: list[tuple[float, str]] = [(h1(start), start)]
-    closed: set[str] = set()
-    order: list[str] = []
+    parent: dict[int, int] = {s: -1}
+    open_heap: list[tuple[float, int]] = [(hypot(xs[s] - gx, ys[s] - gy) / v_max, s)]
+    order: list[int] = []
     while open_heap:
-        hv, node = heapq.heappop(open_heap)
-        if node in closed:
-            continue
-        closed.add(node)
-        order.append(node)
-        if node == goal:
-            path = _reconstruct(parent, goal)
-            travel = path_travel_time(snap, path)
-            return PlanResult(
-                path=path,
-                g_cost=travel + path_penalty(snap, path),
-                f_cost_at_goal=hv,
-                expanded=len(closed),
-                status=FOUND,
-                expansion_order=tuple(order),
-            )
-        for succ, _eid, _eff in neighbors(snap, node):
-            if succ in closed or succ in parent:
+        hv, u = pop(open_heap)
+        order.append(u)
+        if u == t:
+            return _found(snap, parent, order, t, hv)
+        for eid, v, _base in out[u]:
+            if v in parent or eid in blocked:
                 continue
-            parent[succ] = node
-            heapq.heappush(open_heap, (h1(succ), succ))
-    return PlanResult((), _INF, _INF, len(closed), UNREACHABLE, tuple(order))
+            parent[v] = u
+            push(open_heap, (hypot(xs[v] - gx, ys[v] - gy) / v_max, v))
+    return _unreachable(snap, order)
 
 
 def static_a_star(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
@@ -256,23 +264,18 @@ def rrt_plan(
     Samples a node position (goal with probability goal_bias), finds the
     nearest tree node by straight-line distance, and extends the tree up to
     step_edges hops toward the sample along locally greedy unblocked edges.
+    Distance ties go to the lower node index, i.e. the lower node id.
     Deterministic for a fixed seed.
     """
-    _check_node(snap, start)
-    _check_node(snap, goal)
+    s, t = _index_of(snap, start), _index_of(snap, goal)
     p = params.rrt
     rng = random.Random(params.rng_seed)
+    index = snap.index
+    ids, xs, ys, out = index.ids, index.xs, index.ys, index.out
+    blocked = snap.blocked
 
-    def pos(n: str) -> tuple[float, float]:
-        rec = snap.nodes[n]
-        return rec.x, rec.y
-
-    def dist2(n: str, xy: tuple[float, float]) -> float:
-        x, y = pos(n)
-        return (x - xy[0]) ** 2 + (y - xy[1]) ** 2
-
-    def finish(tree: dict[str, str | None]) -> PlanResult:
-        path = _reconstruct(tree, goal)
+    def finish() -> PlanResult:
+        path = _path(ids, tree, t)
         travel = path_travel_time(snap, path)
         return PlanResult(
             path=path,
@@ -282,39 +285,46 @@ def rrt_plan(
             status=FOUND,
         )
 
-    tree: dict[str, str | None] = {start: None}
-    if start == goal:
-        return finish(tree)
-    node_ids = sorted(snap.nodes)
+    tree: dict[int, int] = {s: -1}
+    if s == t:
+        return finish()
     for _ in range(p.max_iterations):
-        if rng.random() < p.goal_bias:
-            sample = pos(goal)
-        else:
-            sample = pos(node_ids[rng.randrange(len(node_ids))])
-        nearest = min(tree, key=lambda n: (dist2(n, sample), n))
-        current = nearest
+        sample = t if rng.random() < p.goal_bias else rng.randrange(len(ids))
+        sx, sy = xs[sample], ys[sample]
+        current, best_d = s, (xs[s] - sx) ** 2 + (ys[s] - sy) ** 2
+        for i in tree:
+            d = (xs[i] - sx) ** 2 + (ys[i] - sy) ** 2
+            if d < best_d or (d == best_d and i < current):
+                current, best_d = i, d
         for _hop in range(p.step_edges):
-            candidates = [
-                succ
-                for succ, _eid, _eff in neighbors(snap, current)
-                if succ not in tree
-            ]
-            if not candidates:
+            step = -1
+            for eid, v, _base in out[current]:
+                if v in tree or eid in blocked:
+                    continue
+                d = (xs[v] - sx) ** 2 + (ys[v] - sy) ** 2
+                if step < 0 or d < step_d or (d == step_d and v < step):
+                    step, step_d = v, d
+            if step < 0:
                 break
-            step = min(candidates, key=lambda n: (dist2(n, sample), n))
             tree[step] = current
             current = step
-            if current == goal:
-                return finish(tree)
+            if current == t:
+                return finish()
     return PlanResult((), _INF, _INF, len(tree), UNREACHABLE)
 
 
 def weighted_path_cost(
-    snap: GraphSnapshot, path: tuple[str, ...], w: HeuristicWeights
+    snap: GraphSnapshot, path: tuple[str, ...], w: HeuristicWeights,
+    travel: float | None = None,
 ) -> float:
     """Route quality for plan comparison: weighted travel time plus weighted
-    comfort/safety penalties of the nodes the route passes through."""
-    total = w.w_g * path_travel_time(snap, path)
+    comfort/safety penalties of the nodes the route passes through.
+
+    ``travel`` is the path's travel time, when the caller already has it.
+    """
+    if travel is None:
+        travel = path_travel_time(snap, path)
+    total = w.w_g * travel
     for n in path[1:]:
         total += w.w2 * snap.h2.get(n, 0.0) + w.w3 * snap.h3.get(n, 0.0)
     return total
@@ -331,31 +341,30 @@ def replan(
     """Re-search from the vehicle's position, keeping the old route unless
     the fresh plan beats the re-costed remainder by more than ``hysteresis``.
     """
-    _check_node(snap, current_node)
+    _index_of(snap, current_node)
     if current_node == goal:
         return PlanResult((goal,), 0.0, 0.0, 1, FOUND, (goal,))
 
-    suffix: tuple[str, ...] = ()
+    # The kept route's remainder is walked once: its travel time is None if
+    # the remainder is no longer drivable, and otherwise serves both the
+    # comparison and the returned cost.
+    suffix, suffix_travel = (), None
     if prior.status == FOUND and current_node in prior.path:
-        idx = prior.path.index(current_node)
-        candidate = prior.path[idx:]
-        if validate_path(snap, candidate):
-            suffix = candidate
+        suffix = prior.path[prior.path.index(current_node):]
+        suffix_travel = _travel_time(snap, suffix)
 
     fresh = dyn_a_star(snap, current_node, goal, params)
-    if not suffix:
-        return fresh
-    if fresh.status != FOUND:
+    if suffix_travel is None or fresh.status != FOUND:
         return fresh
 
     w = params.weights
-    suffix_value = weighted_path_cost(snap, suffix, w)
+    suffix_value = weighted_path_cost(snap, suffix, w, suffix_travel)
     fresh_value = weighted_path_cost(snap, fresh.path, w)
     if fresh_value < suffix_value * (1.0 - hysteresis):
         return fresh
     return PlanResult(
         path=suffix,
-        g_cost=path_travel_time(snap, suffix) + path_penalty(snap, suffix),
+        g_cost=suffix_travel + path_penalty(snap, suffix),
         f_cost_at_goal=suffix_value,
         expanded=fresh.expanded,
         status=FOUND,

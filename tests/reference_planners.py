@@ -1,0 +1,236 @@
+"""String-keyed reference planners for differential tests.
+
+These are the planners as first written: they expand nodes through
+``neighbors()`` and price them with ``time_heuristic`` and ``combined_f``,
+the public definitions of successors, h1 and the priority. The planners in
+``dynroute.planners`` search on integer node indices instead and must return
+exactly the same results.
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+import random
+
+from dynroute import (
+    FOUND,
+    UNREACHABLE,
+    GraphSnapshot,
+    PlanResult,
+    SearchParams,
+    combined_f,
+    neighbors,
+    time_heuristic,
+)
+from dynroute.planners import path_penalty, path_travel_time
+
+_INF = math.inf
+
+
+def _check_node(snap: GraphSnapshot, node: str) -> None:
+    if node not in snap.nodes:
+        raise KeyError(f"unknown node {node!r}")
+
+
+def _reconstruct(parent: dict[str, str | None], goal: str) -> tuple[str, ...]:
+    path = [goal]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])  # type: ignore[arg-type]
+    path.reverse()
+    return tuple(path)
+
+
+def dyn_a_star(
+    snap: GraphSnapshot, start: str, goal: str, params: SearchParams
+) -> PlanResult:
+    """Best-first search with weighted time/comfort/safety heuristics.
+
+    Priority of a node with accumulated travel time g is
+    ``w_g*g + w1*h1 + w2*h2 + w3*h3``. With weights (1,1,0,0) and the
+    consistent straight-line time heuristic this is classical A* and returns
+    optimal travel time; other weightings trade optimality for preference.
+    """
+    _check_node(snap, start)
+    _check_node(snap, goal)
+    w = params.weights
+
+    def h1(n: str) -> float:
+        return time_heuristic(snap, n, goal)
+
+    def priority(g: float, n: str) -> float:
+        return combined_f(g, h1(n), snap.h2.get(n, 0.0), snap.h3.get(n, 0.0), w)
+
+    g_best: dict[str, float] = {start: 0.0}
+    parent: dict[str, str | None] = {start: None}
+    open_heap: list[tuple[float, float, str]] = [(priority(0.0, start), h1(start), start)]
+    closed: set[str] = set()
+    order: list[str] = []
+    while open_heap:
+        f, _, node = heapq.heappop(open_heap)
+        if node in closed:
+            continue
+        closed.add(node)
+        order.append(node)
+        if node == goal:
+            path = _reconstruct(parent, goal)
+            return PlanResult(
+                path=path,
+                g_cost=g_best[goal] + path_penalty(snap, path),
+                f_cost_at_goal=f,
+                expanded=len(closed),
+                status=FOUND,
+                expansion_order=tuple(order),
+            )
+        g_node = g_best[node]
+        for succ, _eid, eff in neighbors(snap, node):
+            if succ in closed:
+                continue
+            ng = g_node + eff
+            if ng < g_best.get(succ, _INF):
+                g_best[succ] = ng
+                parent[succ] = node
+                heapq.heappush(open_heap, (priority(ng, succ), h1(succ), succ))
+    return PlanResult((), _INF, _INF, len(closed), UNREACHABLE, tuple(order))
+
+
+def dijkstra_ucs(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
+    """Uniform-cost search on effective travel time. Optimal by construction.
+
+    Kept as a hand-rolled loop, independent of the weighted planner, so the
+    two can be checked against each other.
+    """
+    _check_node(snap, start)
+    _check_node(snap, goal)
+
+    def h1(n: str) -> float:
+        return time_heuristic(snap, n, goal)
+
+    dist: dict[str, float] = {start: 0.0}
+    parent: dict[str, str | None] = {start: None}
+    open_heap: list[tuple[float, float, str]] = [(0.0, h1(start), start)]
+    closed: set[str] = set()
+    order: list[str] = []
+    while open_heap:
+        g, _, node = heapq.heappop(open_heap)
+        if node in closed:
+            continue
+        closed.add(node)
+        order.append(node)
+        if node == goal:
+            path = _reconstruct(parent, goal)
+            return PlanResult(
+                path=path,
+                g_cost=g + path_penalty(snap, path),
+                f_cost_at_goal=g,
+                expanded=len(closed),
+                status=FOUND,
+                expansion_order=tuple(order),
+            )
+        for succ, _eid, eff in neighbors(snap, node):
+            if succ in closed:
+                continue
+            ng = g + eff
+            if ng < dist.get(succ, _INF):
+                dist[succ] = ng
+                parent[succ] = node
+                heapq.heappush(open_heap, (ng, h1(succ), succ))
+    return PlanResult((), _INF, _INF, len(closed), UNREACHABLE, tuple(order))
+
+
+def greedy_best_first(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
+    """Expands by the time heuristic alone; complete but not optimal."""
+    _check_node(snap, start)
+    _check_node(snap, goal)
+
+    def h1(n: str) -> float:
+        return time_heuristic(snap, n, goal)
+
+    parent: dict[str, str | None] = {start: None}
+    open_heap: list[tuple[float, str]] = [(h1(start), start)]
+    closed: set[str] = set()
+    order: list[str] = []
+    while open_heap:
+        hv, node = heapq.heappop(open_heap)
+        if node in closed:
+            continue
+        closed.add(node)
+        order.append(node)
+        if node == goal:
+            path = _reconstruct(parent, goal)
+            travel = path_travel_time(snap, path)
+            return PlanResult(
+                path=path,
+                g_cost=travel + path_penalty(snap, path),
+                f_cost_at_goal=hv,
+                expanded=len(closed),
+                status=FOUND,
+                expansion_order=tuple(order),
+            )
+        for succ, _eid, _eff in neighbors(snap, node):
+            if succ in closed or succ in parent:
+                continue
+            parent[succ] = node
+            heapq.heappush(open_heap, (h1(succ), succ))
+    return PlanResult((), _INF, _INF, len(closed), UNREACHABLE, tuple(order))
+
+
+def rrt_plan(
+    snap: GraphSnapshot, start: str, goal: str, params: SearchParams
+) -> PlanResult:
+    """Graph-adapted rapidly-exploring random tree.
+
+    Samples a node position (goal with probability goal_bias), finds the
+    nearest tree node by straight-line distance, and extends the tree up to
+    step_edges hops toward the sample along locally greedy unblocked edges.
+    Deterministic for a fixed seed.
+    """
+    _check_node(snap, start)
+    _check_node(snap, goal)
+    p = params.rrt
+    rng = random.Random(params.rng_seed)
+
+    def pos(n: str) -> tuple[float, float]:
+        rec = snap.nodes[n]
+        return rec.x, rec.y
+
+    def dist2(n: str, xy: tuple[float, float]) -> float:
+        x, y = pos(n)
+        return (x - xy[0]) ** 2 + (y - xy[1]) ** 2
+
+    def finish(tree: dict[str, str | None]) -> PlanResult:
+        path = _reconstruct(tree, goal)
+        travel = path_travel_time(snap, path)
+        return PlanResult(
+            path=path,
+            g_cost=travel + path_penalty(snap, path),
+            f_cost_at_goal=travel,
+            expanded=len(tree),
+            status=FOUND,
+        )
+
+    tree: dict[str, str | None] = {start: None}
+    if start == goal:
+        return finish(tree)
+    node_ids = sorted(snap.nodes)
+    for _ in range(p.max_iterations):
+        if rng.random() < p.goal_bias:
+            sample = pos(goal)
+        else:
+            sample = pos(node_ids[rng.randrange(len(node_ids))])
+        nearest = min(tree, key=lambda n: (dist2(n, sample), n))
+        current = nearest
+        for _hop in range(p.step_edges):
+            candidates = [
+                succ
+                for succ, _eid, _eff in neighbors(snap, current)
+                if succ not in tree
+            ]
+            if not candidates:
+                break
+            step = min(candidates, key=lambda n: (dist2(n, sample), n))
+            tree[step] = current
+            current = step
+            if current == goal:
+                return finish(tree)
+    return PlanResult((), _INF, _INF, len(tree), UNREACHABLE)

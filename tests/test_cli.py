@@ -218,6 +218,25 @@ class TestBench:
         assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
+class TestNonFiniteScenario:
+    """A non-finite number in a scenario is a bad scenario (exit 3) for every
+    command, reported as a message rather than a crash."""
+
+    @pytest.mark.parametrize("literal", ["1e400", "Infinity", "NaN"])
+    @pytest.mark.parametrize("command", ["validate", "simulate", "plan"])
+    def test_node_comfort_value(self, tmp_path, capsys, command, literal):
+        text = scenario_doc(**LINE, events=[
+            {"t_s": 30.0, "kind": "set_node_comfort_h", "target": "b", "value": 12345.0},
+        ])
+        p = tmp_path / "inf.scn"
+        p.write_text(text.replace("12345.0", literal))
+        argv = [command, str(p)] if command == "validate" else [command, "--scenario", str(p)]
+        assert main(argv) == 3
+        out = capsys.readouterr()
+        assert "must be finite" in out.out + out.err
+        assert "Traceback" not in out.out + out.err
+
+
 class TestValidate:
     def test_ok_and_error_mix(self, line_scn, tmp_path, capsys):
         bad = tmp_path / "bad.scn"

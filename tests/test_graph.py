@@ -79,6 +79,21 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="unreachable"):
             load_scenario(json.dumps(doc))
 
+    @pytest.mark.parametrize("old, new", [
+        ('"t_s": 5.0', '"t_s": 1e400'),
+        ('"t_s": 5.0', '"t_s": NaN'),
+        ('"value": 2.0', '"value": Infinity'),
+        ('"depart_s": 0.0', '"depart_s": 1e400'),
+        ('"wg": 1', '"wg": 1e400'),
+        ('"wg": 1', '"wg": -1'),
+    ])
+    def test_non_finite_or_negative_numbers_rejected(self, old, new):
+        events = [{"t_s": 5.0, "kind": "set_node_comfort_h", "target": "a", "value": 2.0}]
+        text = mini_doc(events=events)
+        assert old in text
+        with pytest.raises(ValidationError, match="finite"):
+            load_scenario(text.replace(old, new))
+
     def test_bad_json_is_parse_error(self):
         with pytest.raises(ParseError):
             load_scenario("{not json")
@@ -111,6 +126,14 @@ class TestApplyEvent:
         self.scn = load_scenario(mini_doc())
         self.graph = self.scn.graph
         self.field = self.scn.initial_field
+
+    @pytest.mark.parametrize("kind, target", [
+        ("set_congestion", "e1"), ("set_comfort", "e1"), ("set_node_comfort_h", "a"),
+    ])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_value_rejected(self, kind, target, value):
+        with pytest.raises(ValidationError, match="finite"):
+            apply_event(self.graph, self.field, Event(0, kind, target, value))
 
     def test_set_congestion_changes_only_target(self):
         before_comfort = dict(self.graph.comfort)

@@ -157,6 +157,13 @@ class TestIngestObservations:
         with pytest.raises(KeyError, match="e9"):
             ingest_observations(g, fld, [Observation("e9", 10.0, 0.0, "v", 0.0)])
 
+    @pytest.mark.parametrize("tt, comfort", [(math.inf, 0.0), (math.nan, 0.0), (10.0, math.inf)])
+    def test_non_finite_observation_rejected(self, tt, comfort):
+        g, fld = _line_graph()
+        with pytest.raises(ValueError, match="not finite"):
+            ingest_observations(g, fld, [_obs(tt, comfort=comfort)])
+        assert g.congestion["e1"] == 1.0
+
     def test_h3_untouched(self):
         g = build_graph(
             [("a", 0.0, 0.0), ("b", 100.0, 0.0)],

@@ -1,0 +1,115 @@
+"""The integer search index: planners on it match the string-keyed reference
+exactly, node indices follow id order, and one index is shared by every
+copy, snapshot and ground-truth state of a scenario's graph."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_planners as ref
+from dynroute import (
+    EdgeRecord,
+    HeuristicField,
+    HeuristicWeights,
+    NodeRecord,
+    RRTParams,
+    RoadGraph,
+    SearchParams,
+    SimConfig,
+    Simulation,
+    dijkstra_ucs,
+    dyn_a_star,
+    greedy_best_first,
+    load_scenario,
+    rrt_plan,
+    snapshot,
+    static_a_star,
+)
+from dynroute.simulate import TruthTimeline
+
+UNIT = HeuristicWeights(1.0, 1.0, 0.0, 0.0)
+
+# Few distinct positions, lengths and times, so h1 ties and f ties are common.
+POINTS = [(0.0, 0.0), (0.0, 0.0), (100.0, 0.0), (100.0, 100.0)]
+
+
+@st.composite
+def planning_cases(draw):
+    ids = draw(st.lists(st.text("abcnxz", min_size=1, max_size=3),
+                        min_size=1, max_size=9, unique=True))
+    # Insertion order is the drawn order, generally not sorted.
+    nodes = [NodeRecord(nid, *draw(st.sampled_from(POINTS))) for nid in ids]
+    edge_ids = draw(st.lists(st.text("ef0123", min_size=1, max_size=3),
+                             max_size=24, unique=True))
+    edges = [
+        EdgeRecord(eid, draw(st.sampled_from(ids)), draw(st.sampled_from(ids)),
+                   draw(st.sampled_from([100.0, 200.0])),
+                   draw(st.sampled_from([10.0, 20.0])))
+        for eid in edge_ids
+    ]
+    graph = RoadGraph(nodes, edges)
+    for eid in edge_ids:
+        graph.congestion[eid] = draw(st.sampled_from([1.0, 1.0, 2.0, 2.5]))
+    graph.blocked.update(draw(st.lists(st.sampled_from(edge_ids), max_size=4))
+                         if edge_ids else [])
+    penalty = st.dictionaries(st.sampled_from(ids), st.sampled_from([0.0, 5.0, 12.5]),
+                              max_size=3)
+    snap = snapshot(graph, HeuristicField(h2_by_node=draw(penalty),
+                                          h3_by_node=draw(penalty)), 0.0)
+    weight = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0])
+    params = SearchParams(
+        weights=HeuristicWeights(draw(st.sampled_from([0.5, 1.0, 2.0])),
+                                 draw(weight), draw(weight), draw(weight)),
+        rng_seed=draw(st.integers(0, 50)),
+        rrt=RRTParams(max_iterations=draw(st.integers(1, 40)),
+                      step_edges=draw(st.integers(1, 3)),
+                      goal_bias=draw(st.sampled_from([0.0, 0.1, 0.5]))),
+    )
+    return snap, draw(st.sampled_from(ids)), draw(st.sampled_from(ids)), params
+
+
+@settings(max_examples=400, deadline=None)
+@given(planning_cases())
+def test_planners_match_string_keyed_reference(case):
+    snap, start, goal, params = case
+    assert dyn_a_star(snap, start, goal, params) == ref.dyn_a_star(snap, start, goal, params)
+    assert static_a_star(snap, start, goal) == ref.dyn_a_star(
+        snap, start, goal, SearchParams(weights=UNIT))
+    assert dijkstra_ucs(snap, start, goal) == ref.dijkstra_ucs(snap, start, goal)
+    assert greedy_best_first(snap, start, goal) == ref.greedy_best_first(snap, start, goal)
+    assert rrt_plan(snap, start, goal, params) == ref.rrt_plan(snap, start, goal, params)
+
+
+def test_tie_break_follows_id_order_not_insertion_order():
+    # s reaches the goal z through a or b, which share a position and equal
+    # edge costs. The edge to b has the lower edge id and b is inserted
+    # first, but ties go to the lower id, a.
+    nodes = [NodeRecord("z", 20.0, 0.0), NodeRecord("b", 10.0, 0.0),
+             NodeRecord("s", 0.0, 0.0), NodeRecord("a", 10.0, 0.0)]
+    edges = [EdgeRecord("e1", "s", "b", 10.0, 1.0), EdgeRecord("e2", "s", "a", 10.0, 1.0),
+             EdgeRecord("e3", "b", "z", 10.0, 1.0), EdgeRecord("e4", "a", "z", 10.0, 1.0)]
+    graph = RoadGraph(nodes, edges)
+    assert graph.index.ids == ("a", "b", "s", "z")
+    snap = snapshot(graph, HeuristicField(), 0.0)
+    astar = static_a_star(snap, "s", "z")
+    assert astar.path == ("s", "a", "z")
+    assert astar.expansion_order == ("s", "a", "z")
+    # Uniform-cost order expands b before z; z keeps its first parent, a.
+    for ucs in (dijkstra_ucs(snap, "s", "z"),
+                dyn_a_star(snap, "s", "z", SearchParams(HeuristicWeights(1.0, 0.0, 0.0, 0.0)))):
+        assert ucs.path == ("s", "a", "z")
+        assert ucs.expansion_order == ("s", "a", "b", "z")
+
+
+def test_one_index_shared_by_copies_snapshots_and_truth(scenario_dir):
+    scn = load_scenario((scenario_dir / "grid10_congestion.scn").read_text())
+    assert scn.events
+    index = scn.graph.index
+    assert scn.graph.copy().index is index
+    assert snapshot(scn.graph, scn.initial_field, 0.0).index is index
+    timeline = TruthTimeline(scn, 30.0)
+    assert len(timeline._starts) > 1
+    for k in timeline._starts:
+        assert timeline.at_epoch(k).index is index
+    sim = Simulation(scn, SimConfig())
+    sim.step_epoch()
+    assert sim.belief_graph.index is index
