@@ -7,11 +7,13 @@ Exit codes are a stable contract:
   3  scenario parse/validation failure
   4  planner reported the goal unreachable
   5  a vehicle ended stranded (without --allow-stranded)
-  6  suite/oracle configuration error (scenario beyond oracle bounds)
+  6  suite/oracle configuration error (scenario beyond oracle bounds or
+     search budget)
 
-Every flag may also be supplied through a JSON config file (--config);
-explicit flags win on conflict. Output files are written to a temporary
-sibling and renamed into place, so readers never observe partial files.
+Every flag may also be supplied through a JSON config file (--config), as a
+value of the flag's JSON type; explicit flags win on conflict. Output files
+are written to a temporary sibling and renamed into place, so readers never
+observe partial files.
 """
 
 from __future__ import annotations
@@ -82,6 +84,30 @@ def _parse_weights(text: str) -> HeuristicWeights:
         raise CliError(f"bad --weights: {exc}", EXIT_USAGE) from exc
 
 
+def _config_type_error(action: argparse.Action, value: object) -> str | None:
+    """What a config-file ``value`` for ``action`` must be, or None if it is.
+
+    JSON gives typed values, so none is converted: flags take true/false,
+    int options an integer, float options any number, the rest a string.
+    ``null`` is accepted only where the option's own default is None.
+    """
+    if value is None and action.default is None:
+        return None
+    if isinstance(action, argparse._StoreTrueAction):
+        return None if isinstance(value, bool) else "true or false"
+    if action.type is int:
+        expected, types = "an integer", int
+    elif action.type is float:
+        expected, types = "a number", (int, float)
+    else:
+        expected, types = "a string", str
+    if isinstance(value, bool) or not isinstance(value, types):
+        return expected
+    if action.choices is not None and value not in action.choices:
+        return f"one of {', '.join(map(str, action.choices))}"
+    return None
+
+
 def _apply_config_file(
     args: argparse.Namespace, parser: argparse.ArgumentParser, argv: list[str] | None
 ) -> argparse.Namespace:
@@ -98,11 +124,18 @@ def _apply_config_file(
         a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
     )
     subparser = subparsers.choices[args.command]
+    actions = {a.dest: a for a in subparser._actions if a.dest != "help"}
     updates = {}
     for key, value in overrides.items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        if dest not in actions:
             raise CliError(f"config file sets unknown option {key!r}", EXIT_USAGE)
+        expected = _config_type_error(actions[dest], value)
+        if expected:
+            raise CliError(
+                f"config file option {key!r} must be {expected}, got {json.dumps(value)}",
+                EXIT_USAGE,
+            )
         updates[dest] = value
     subparser.set_defaults(**updates)
     return parser.parse_args(argv)
@@ -219,7 +252,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if not paths:
         raise CliError(f"no *.scn files in {suite_dir}", EXIT_USAGE)
     rho = float(args.rho)
-    if rho < 1.0:
+    if not rho >= 1.0:  # NaN included
         raise CliError("--rho must be >= 1", EXIT_USAGE)
     jobs = int(args.jobs)
     if jobs < 1:

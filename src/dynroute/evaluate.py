@@ -6,6 +6,13 @@ simulator's own :class:`~dynroute.simulate.TruthTimeline`: an edge costs what
 the truth charges at entry, and a node's penalty is the truth's at the
 arrival instant. That is exactly the cost model the simulator charges, so
 every simulated realized cost is bounded below by the oracle.
+
+:func:`evaluate_scenario` builds the timeline once per scenario and hands the
+same object to every oracle query and every simulation of that scenario; its
+states are immutable snapshots, so sharing is safe. The oracle searches on
+the graph's integer :class:`~dynroute.graph.SearchIndex`: labels hold node
+indices and out-edges are walked in ascending edge-id order, so label order,
+and with it every tie-break, is that of the id-keyed search it replaced.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .simulate import (
 
 ORACLE_MAX_NODES = 400
 ORACLE_MAX_EVENTS = 64
+ORACLE_MAX_POPS = 2_000_000
 
 _EPS = 1e-9
 
@@ -43,13 +51,7 @@ class OracleResult:
     optimal_path: tuple[str, ...]
 
 
-def offline_optimal(scenario: Scenario, query: Query, epoch_s: float = 30.0) -> OracleResult:
-    """Minimum realized cost with full event foreknowledge.
-
-    Label-setting uniform-cost search over (node, time) states with dominance
-    pruning: a label is dropped iff an existing label at the same node is no
-    later and no more expensive.
-    """
+def _check_oracle_bounds(scenario: Scenario) -> None:
     if len(scenario.graph.nodes) > ORACLE_MAX_NODES:
         raise OracleBoundsError(
             f"{len(scenario.graph.nodes)} nodes exceeds oracle bound {ORACLE_MAX_NODES}"
@@ -58,51 +60,64 @@ def offline_optimal(scenario: Scenario, query: Query, epoch_s: float = 30.0) -> 
         raise OracleBoundsError(
             f"{len(scenario.events)} events exceeds oracle bound {ORACLE_MAX_EVENTS}"
         )
-    timeline = TruthTimeline(scenario, epoch_s)
 
-    # labels[i] = (cost, time, node, parent_label_index)
-    labels: list[tuple[float, float, str, int]] = [(0.0, query.depart_s, query.start, -1)]
-    frontier: dict[str, list[tuple[float, float]]] = {query.start: [(query.depart_s, 0.0)]}
+
+def offline_optimal(
+    scenario: Scenario, query: Query, truth: TruthTimeline | None = None
+) -> OracleResult:
+    """Minimum realized cost with full event foreknowledge.
+
+    Label-setting uniform-cost search over (node, time) states with dominance
+    pruning: a label is dropped iff an existing label at the same node is no
+    later and no more expensive. ``truth`` is the scenario's ground truth;
+    ``None`` builds it with 30 s epochs.
+    """
+    _check_oracle_bounds(scenario)
+    if truth is None:
+        truth = TruthTimeline(scenario, 30.0)
+    index = scenario.graph.index
+    ids, out = index.ids, index.out
+    start, goal = index.pos[query.start], index.pos[query.goal]
+
+    # labels[i] = (cost, time, node index, parent label index)
+    labels: list[tuple[float, float, int, int]] = [(0.0, query.depart_s, start, -1)]
+    # frontier[u]: the (time, cost) of every undominated label at node u
+    frontier: list[list[tuple[float, float]]] = [[] for _ in ids]
+    frontier[start].append((query.depart_s, 0.0))
     heap: list[tuple[float, float, int]] = [(0.0, query.depart_s, 0)]
-    max_pops = 2_000_000
-
-    def dominated(node: str, time: float, cost: float) -> bool:
-        return any(
-            t <= time + _EPS and c <= cost + _EPS
-            for t, c in frontier.get(node, ())
-        )
 
     pops = 0
     while heap:
         cost, time, idx = heapq.heappop(heap)
-        _, _, node, _ = labels[idx]
+        u = labels[idx][2]
         pops += 1
-        if pops > max_pops:
-            raise RuntimeError("oracle search exceeded its pop budget")
-        if node == query.goal:
+        if pops > ORACLE_MAX_POPS:
+            raise OracleBoundsError(
+                f"oracle search for {query.vehicle!r} exceeded {ORACLE_MAX_POPS} pops"
+            )
+        if u == goal:
             path = []
             while idx != -1:
-                path.append(labels[idx][2])
+                path.append(ids[labels[idx][2]])
                 idx = labels[idx][3]
             path.reverse()
             return OracleResult(query.vehicle, cost, tuple(path))
-        snap = timeline.at_time(time)
-        for eid in snap.adjacency[node]:
-            if eid in snap.blocked:
+        snap = truth.at_time(time)
+        blocked, congestion = snap.blocked, snap.congestion
+        for eid, v, base in out[u]:
+            if eid in blocked:
                 continue
-            e = snap.edges[eid]
-            eff = e.base_time_s * snap.congestion[eid]
+            eff = base * congestion[eid]
             ntime = time + eff
-            ncost = cost + eff + timeline.at_time(ntime).node_penalty(e.to_node)
-            succ = e.to_node
-            if dominated(succ, ntime, ncost):
+            ncost = cost + eff + truth.at_time(ntime).node_penalty(ids[v])
+            bucket = frontier[v]
+            if any(t <= ntime + _EPS and c <= ncost + _EPS for t, c in bucket):
                 continue
-            bucket = frontier.setdefault(succ, [])
             bucket[:] = [
                 (t, c) for t, c in bucket if not (ntime <= t + _EPS and ncost <= c + _EPS)
             ]
             bucket.append((ntime, ncost))
-            labels.append((ncost, ntime, succ, idx))
+            labels.append((ncost, ntime, v, idx))
             heapq.heappush(heap, (ncost, ntime, len(labels) - 1))
     return OracleResult(query.vehicle, math.inf, ())
 
@@ -158,14 +173,14 @@ def evaluate_scenario(
 ) -> dict[str, dict]:
     """Run every algorithm on one scenario; one result cell per algorithm."""
     config = config or SimConfig()
-    oracles = {
-        q.vehicle: offline_optimal(scenario, q, config.epoch_s)
-        for q in scenario.queries
-    }
+    if scenario.queries:  # before building a timeline the oracle would refuse
+        _check_oracle_bounds(scenario)
+    truth = TruthTimeline(scenario, config.epoch_s)
+    oracles = {q.vehicle: offline_optimal(scenario, q, truth) for q in scenario.queries}
     cells: dict[str, dict] = {}
     for algo in algorithms:
         try:
-            trace = run_simulation(scenario, config, algo)
+            trace = run_simulation(scenario, config, algo, truth)
             correct, ratios, strandings = _scenario_correct(trace, oracles, rho)
             cells[algo] = {
                 "correct": correct,
@@ -263,4 +278,7 @@ def report_table(report: ScoreReport) -> str:
                 )
             )
         )
+    errors = [f"  {row.algorithm}: {err}" for row in report.rows for err in row.errors]
+    if errors:
+        lines += ["", "errors (cells that raised, counted as failures):", *errors]
     return "\n".join(lines) + "\n"

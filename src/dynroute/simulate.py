@@ -85,8 +85,10 @@ class SimConfig:
     rrt: RRTParams = field(default_factory=RRTParams)
 
     def __post_init__(self) -> None:
-        if self.epoch_s <= 0:
-            raise ValueError("epoch_s must be > 0")
+        if not (math.isfinite(self.epoch_s) and self.epoch_s > 0):
+            raise ValueError("epoch_s must be finite and > 0")
+        if not (math.isfinite(self.hysteresis) and self.hysteresis >= 0):
+            raise ValueError("hysteresis must be finite and >= 0")
         if self.horizon_s <= 0:
             raise ValueError("horizon_s must be > 0")
         if self.noise_sigma < 0:
@@ -155,13 +157,22 @@ class SimulationTrace:
 class Simulation:
     """One run of a scenario under one routing algorithm."""
 
-    def __init__(self, scenario: Scenario, config: SimConfig, algorithm: str = "dyn_astar"):
+    def __init__(self, scenario: Scenario, config: SimConfig, algorithm: str = "dyn_astar",
+                 truth: TruthTimeline | None = None):
+        """``truth`` is the scenario's ground truth, shared by every caller
+        that reads it; ``None`` builds it."""
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
+        if truth is None:
+            truth = TruthTimeline(scenario, config.epoch_s)
+        elif truth.epoch_s != config.epoch_s:
+            raise ValueError(
+                f"truth timeline has {truth.epoch_s} s epochs, config {config.epoch_s} s"
+            )
         self.scenario = scenario
         self.config = config
         self.algorithm = algorithm
-        self.truth = TruthTimeline(scenario, config.epoch_s)
+        self.truth = truth
         self.belief_graph: RoadGraph = scenario.graph.copy()
         self.belief_field: HeuristicField = scenario.initial_field.copy()
         self.epoch_index = 0
@@ -397,9 +408,10 @@ class Simulation:
 
 
 def run_simulation(
-    scenario: Scenario, config: SimConfig | None = None, algorithm: str = "dyn_astar"
+    scenario: Scenario, config: SimConfig | None = None, algorithm: str = "dyn_astar",
+    truth: TruthTimeline | None = None,
 ) -> SimulationTrace:
-    sim = Simulation(scenario, config or SimConfig(), algorithm)
+    sim = Simulation(scenario, config or SimConfig(), algorithm, truth)
     return sim.run()
 
 

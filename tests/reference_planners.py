@@ -1,10 +1,12 @@
-"""String-keyed reference planners for differential tests.
+"""String-keyed reference planners and oracle for differential tests.
 
 These are the planners as first written: they expand nodes through
 ``neighbors()`` and price them with ``time_heuristic`` and ``combined_f``,
 the public definitions of successors, h1 and the priority. The planners in
 ``dynroute.planners`` search on integer node indices instead and must return
-exactly the same results.
+exactly the same results. ``offline_optimal`` is the oracle as first written,
+keyed by node id and building its own ground-truth timeline; the oracle in
+``dynroute.evaluate`` searches on node indices and must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +25,15 @@ from dynroute import (
     neighbors,
     time_heuristic,
 )
+from dynroute.evaluate import (
+    ORACLE_MAX_EVENTS,
+    ORACLE_MAX_NODES,
+    OracleBoundsError,
+    OracleResult,
+)
+from dynroute.graph import Query, Scenario
 from dynroute.planners import path_penalty, path_travel_time
+from dynroute.simulate import TruthTimeline
 
 _INF = math.inf
 
@@ -234,3 +244,70 @@ def rrt_plan(
             if current == goal:
                 return finish(tree)
     return PlanResult((), _INF, _INF, len(tree), UNREACHABLE)
+
+
+_EPS = 1e-9
+
+
+def offline_optimal(scenario: Scenario, query: Query, epoch_s: float = 30.0) -> OracleResult:
+    """Minimum realized cost with full event foreknowledge.
+
+    Label-setting uniform-cost search over (node, time) states with dominance
+    pruning: a label is dropped iff an existing label at the same node is no
+    later and no more expensive.
+    """
+    if len(scenario.graph.nodes) > ORACLE_MAX_NODES:
+        raise OracleBoundsError(
+            f"{len(scenario.graph.nodes)} nodes exceeds oracle bound {ORACLE_MAX_NODES}"
+        )
+    if len(scenario.events) > ORACLE_MAX_EVENTS:
+        raise OracleBoundsError(
+            f"{len(scenario.events)} events exceeds oracle bound {ORACLE_MAX_EVENTS}"
+        )
+    timeline = TruthTimeline(scenario, epoch_s)
+
+    # labels[i] = (cost, time, node, parent_label_index)
+    labels: list[tuple[float, float, str, int]] = [(0.0, query.depart_s, query.start, -1)]
+    frontier: dict[str, list[tuple[float, float]]] = {query.start: [(query.depart_s, 0.0)]}
+    heap: list[tuple[float, float, int]] = [(0.0, query.depart_s, 0)]
+    max_pops = 2_000_000
+
+    def dominated(node: str, time: float, cost: float) -> bool:
+        return any(
+            t <= time + _EPS and c <= cost + _EPS
+            for t, c in frontier.get(node, ())
+        )
+
+    pops = 0
+    while heap:
+        cost, time, idx = heapq.heappop(heap)
+        _, _, node, _ = labels[idx]
+        pops += 1
+        if pops > max_pops:
+            raise RuntimeError("oracle search exceeded its pop budget")
+        if node == query.goal:
+            path = []
+            while idx != -1:
+                path.append(labels[idx][2])
+                idx = labels[idx][3]
+            path.reverse()
+            return OracleResult(query.vehicle, cost, tuple(path))
+        snap = timeline.at_time(time)
+        for eid in snap.adjacency[node]:
+            if eid in snap.blocked:
+                continue
+            e = snap.edges[eid]
+            eff = e.base_time_s * snap.congestion[eid]
+            ntime = time + eff
+            ncost = cost + eff + timeline.at_time(ntime).node_penalty(e.to_node)
+            succ = e.to_node
+            if dominated(succ, ntime, ncost):
+                continue
+            bucket = frontier.setdefault(succ, [])
+            bucket[:] = [
+                (t, c) for t, c in bucket if not (ntime <= t + _EPS and ncost <= c + _EPS)
+            ]
+            bucket.append((ntime, ncost))
+            labels.append((ncost, ntime, succ, idx))
+            heapq.heappush(heap, (ncost, ntime, len(labels) - 1))
+    return OracleResult(query.vehicle, math.inf, ())

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from dynroute import SimConfig, Simulation, load_scenario
+from dynroute import SimConfig, Simulation, evaluate, load_scenario
 from dynroute.cli import _atomic_write, main
 
 from test_sim import FORK, LINE, scenario_doc
@@ -178,6 +178,41 @@ class TestConfigFile:
         assert main(["simulate", "--scenario", str(line_scn), "--config", str(cfg)]) == 2
 
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"rho": [1]}, "'rho' must be a number, got [1]"),
+        ({"rho": None}, "'rho' must be a number, got null"),
+        ({"epoch_s": [1]}, "'epoch_s' must be a number, got [1]"),
+        ({"jobs": 1.5}, "'jobs' must be an integer, got 1.5"),
+        ({"jobs": True}, "'jobs' must be an integer, got true"),
+        ({"no_share": "false"}, "'no_share' must be true or false, got \"false\""),
+        ({"suite": 5}, "'suite' must be a string, got 5"),
+    ])
+    def test_mistyped_config_value_is_usage_error(self, overrides, message, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "s1.scn").write_text(scenario_doc(**LINE))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        assert main(["bench", "--suite", str(suite), "--config", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_config_choice_checked(self, line_scn, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"algo": "bogus"}))
+        assert main(["plan", "--scenario", str(line_scn), "--config", str(cfg)]) == 2
+        assert "'algo' must be one of ucs, greedy" in capsys.readouterr().err
+
+    def test_typed_config_values_accepted(self, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "s1.scn").write_text(scenario_doc(**LINE))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rho": 2, "epoch_s": 15.0, "jobs": 1,
+                                   "no_share": False, "seed": None}))
+        assert main(["bench", "--suite", str(suite), "--config", str(cfg)]) == 0
+        assert "pass = arrived within 2 x" in capsys.readouterr().out
+
+
 class TestBench:
     def test_small_suite(self, tmp_path, capsys):
         suite = tmp_path / "suite"
@@ -216,6 +251,26 @@ class TestBench:
         (suite / "s1.scn").write_text(scenario_doc(**LINE))
         assert main(["bench", "--suite", str(suite), "--jobs", "0"]) == 2
         assert "--jobs must be >= 1" in capsys.readouterr().err
+
+
+    def test_oracle_pop_budget_is_suite_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(evaluate, "ORACLE_MAX_POPS", 2)
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "s1.scn").write_text(scenario_doc(**LINE))
+        assert main(["bench", "--suite", str(suite)]) == 6
+        assert "oracle search for 'v1' exceeded 2 pops" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--rho", "nan"), ("--epoch-s", "nan"), ("--epoch-s", "inf"),
+        ("--hysteresis", "nan"), ("--hysteresis", "-1"),
+    ])
+    def test_non_finite_or_negative_flag_is_usage_error(self, flag, value, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "s1.scn").write_text(scenario_doc(**LINE))
+        assert main(["bench", "--suite", str(suite), flag, value]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestNonFiniteScenario:

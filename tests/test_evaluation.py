@@ -18,7 +18,9 @@ from dynroute import (
     offline_optimal,
     run_simulation,
 )
+from dynroute import evaluate, simulate
 from dynroute.evaluate import _aggregate, evaluate_scenario, report_csv, report_table
+from dynroute.simulate import TruthTimeline
 
 from test_sim import FORK, LINE, scenario_doc
 
@@ -175,6 +177,39 @@ class TestCompare:
         by = {r.algorithm: r for r in serial.rows}
         assert by["dyn_astar"].score == 1.0
         assert by["ucs"].score == 1.0
+
+    def test_one_truth_timeline_per_scenario(self, scenario_dir, monkeypatch):
+        built = []
+
+        def counting(scenario, epoch_s):
+            built.append(scenario.name)
+            return TruthTimeline(scenario, epoch_s)
+
+        monkeypatch.setattr(evaluate, "TruthTimeline", counting)
+        monkeypatch.setattr(simulate, "TruthTimeline", counting)
+        paths = [scenario_dir / "grid10_congestion.scn", scenario_dir / "sharing_fixture.scn"]
+        compare_algorithms(paths)
+        names = [scn(p.read_text()).name for p in sorted(paths)]
+        assert built == names
+
+    def test_table_lists_cells_that_raised(self, scenario_dir, tmp_path, monkeypatch):
+        line = tmp_path / "line.scn"
+        line.write_text(scenario_doc(**LINE))
+        paths = [line, scenario_dir / "grid10_congestion.scn"]
+        clean = report_table(compare_algorithms(paths, algorithms=("ucs", "astar")))
+        assert "errors" not in clean
+        ucs = simulate.PLANNERS["ucs"]
+
+        def flaky(snap, start, goal, params):
+            if "a" in snap.nodes:  # the line scenario only
+                raise RuntimeError("ucs exploded")
+            return ucs(snap, start, goal, params)
+
+        monkeypatch.setitem(simulate.PLANNERS, "ucs", flaky)
+        report = compare_algorithms(paths, algorithms=("ucs", "astar"))
+        assert report.rows[0].errors == ("t: ucs exploded",)
+        assert report_table(report).endswith(
+            "\nerrors (cells that raised, counted as failures):\n  ucs: t: ucs exploded\n")
 
     def test_csv_and_table_rendering(self, scenario_dir):
         paths = sorted((scenario_dir / "static_suite").glob("*.scn"))[:2]

@@ -1,6 +1,7 @@
-"""The integer search index: planners on it match the string-keyed reference
-exactly, node indices follow id order, and one index is shared by every
-copy, snapshot and ground-truth state of a scenario's graph."""
+"""The integer search index: planners and the offline oracle on it match the
+string-keyed reference exactly, node indices follow id order, and one index
+is shared by every copy, snapshot and ground-truth state of a scenario's
+graph."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,18 +9,22 @@ from hypothesis import strategies as st
 import reference_planners as ref
 from dynroute import (
     EdgeRecord,
+    Event,
     HeuristicField,
     HeuristicWeights,
     NodeRecord,
+    Query,
     RRTParams,
     RoadGraph,
     SearchParams,
+    Scenario,
     SimConfig,
     Simulation,
     dijkstra_ucs,
     dyn_a_star,
     greedy_best_first,
     load_scenario,
+    offline_optimal,
     rrt_plan,
     snapshot,
     static_a_star,
@@ -77,6 +82,100 @@ def test_planners_match_string_keyed_reference(case):
     assert dijkstra_ucs(snap, start, goal) == ref.dijkstra_ucs(snap, start, goal)
     assert greedy_best_first(snap, start, goal) == ref.greedy_best_first(snap, start, goal)
     assert rrt_plan(snap, start, goal, params) == ref.rrt_plan(snap, start, goal, params)
+
+
+EVENT_KINDS = ("set_congestion", "set_comfort", "set_node_comfort_h",
+               "block_edge", "unblock_edge")
+
+
+@st.composite
+def oracle_cases(draw):
+    """A small scenario, one query and an epoch length. Node ids are drawn in
+    unsorted order and chained in that order, so most queries have a route;
+    extra edges add detours, parallel edges and self-loops. Edge times, event
+    times and departures are multiples of 15 s, so arrivals and events often
+    fall on epoch boundaries, where node penalties change."""
+    ids = draw(st.lists(st.text("abcnxz", min_size=1, max_size=3),
+                        min_size=2, max_size=7, unique=True))
+    n = len(ids)
+    node = st.integers(0, n - 1)
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    pairs += draw(st.lists(st.sampled_from(pairs) | st.tuples(node, node), max_size=12))
+    edge_ids = draw(st.lists(st.text("ef0123", min_size=1, max_size=3),
+                             min_size=len(pairs), max_size=len(pairs), unique=True))
+    edges = [
+        EdgeRecord(eid, ids[i], ids[j], 100.0,
+                   draw(st.sampled_from([15.0, 15.0, 30.0, 60.0])))
+        for eid, (i, j) in zip(edge_ids, pairs)
+    ]
+    events = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(EVENT_KINDS))
+        target = draw(st.sampled_from(ids if kind == "set_node_comfort_h" else edge_ids))
+        value = {"set_congestion": st.sampled_from([1.0, 1.5, 2.0, 4.0]),
+                 "set_comfort": st.sampled_from([0.0, 25.0]),
+                 "set_node_comfort_h": st.sampled_from([0.0, 10.0, 40.0])}.get(kind)
+        events.append(Event(15.0 * draw(st.integers(0, 8)), kind, target,
+                            None if value is None else draw(value), draw(st.booleans())))
+    events.sort(key=lambda ev: ev.at_time)
+    penalty = st.dictionaries(st.sampled_from(ids), st.sampled_from([0.0, 5.0, 12.5]),
+                              max_size=3)
+    start = draw(st.integers(0, n - 2))
+    goal = draw(st.integers(start + 1, n - 1) | node)
+    query = Query("v1", ids[start], ids[goal], 15.0 * draw(st.integers(0, 4)),
+                  HeuristicWeights())
+    scn = Scenario(RoadGraph([NodeRecord(nid, 0.0, 0.0) for nid in ids], edges),
+                   HeuristicField(h2_by_node=draw(penalty), h3_by_node=draw(penalty)),
+                   tuple(events), (query,), "oracle", 0)
+    return scn, query, draw(st.sampled_from([15.0, 30.0, 45.0]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(oracle_cases())
+def test_oracle_matches_string_keyed_reference(case):
+    scn, query, epoch_s = case
+    expected = ref.offline_optimal(scn, query, epoch_s)
+    got = offline_optimal(scn, query, TruthTimeline(scn, epoch_s))
+    assert got.optimal_realized_cost.hex() == expected.optimal_realized_cost.hex()
+    assert got.optimal_path == expected.optimal_path
+    assert got.vehicle == expected.vehicle
+    if epoch_s == 30.0:
+        assert offline_optimal(scn, query) == got
+
+
+def _diamond_scenario(edges, events=(), h2=None):
+    nodes = [NodeRecord(nid, 0.0, 0.0) for nid in ("z", "b", "s", "a", "m", "p", "q")]
+    query = Query("v1", "s", "z", 0.0, HeuristicWeights())
+    return Scenario(RoadGraph(nodes, [EdgeRecord(*e) for e in edges]),
+                    HeuristicField(h2_by_node=h2 or {}), tuple(events), (query,), "d", 0)
+
+
+def test_oracle_tie_break_follows_edge_id_order():
+    # s reaches z through b or a at equal cost and time. The edge to b has
+    # the lower edge id, so its label is made first and wins the tie.
+    scn = _diamond_scenario([("e1", "s", "b", 100.0, 15.0), ("e2", "s", "a", 100.0, 15.0),
+                             ("e3", "b", "z", 100.0, 15.0), ("e4", "a", "z", 100.0, 15.0)])
+    (query,) = scn.queries
+    result = offline_optimal(scn, query)
+    assert result == ref.offline_optimal(scn, query)
+    assert result.optimal_path == ("s", "b", "z")
+
+
+def test_oracle_keeps_an_earlier_costlier_label():
+    # Via q the vehicle reaches m at t=30 having paid q's 100 s penalty; via
+    # p it reaches m at t=60 at cost 60, after m->z is congested tenfold.
+    # Only the earlier, costlier label leads to the optimum.
+    scn = _diamond_scenario(
+        [("e1", "s", "p", 100.0, 30.0), ("e2", "p", "m", 100.0, 30.0),
+         ("e3", "s", "q", 100.0, 15.0), ("e4", "q", "m", 100.0, 15.0),
+         ("e5", "m", "z", 100.0, 30.0)],
+        events=[Event(60.0, "set_congestion", "e5", 10.0)], h2={"q": 100.0},
+    )
+    (query,) = scn.queries
+    result = offline_optimal(scn, query)
+    assert result == ref.offline_optimal(scn, query)
+    assert result.optimal_path == ("s", "q", "m", "z")
+    assert result.optimal_realized_cost == 160.0
 
 
 def test_tie_break_follows_id_order_not_insertion_order():

@@ -266,6 +266,18 @@ class TestTruthTimeline:
         assert congested.comfort is free.comfort and congested.h2 is free.h2
         assert blocked.blocked == {"e1"} and blocked.congestion is congested.congestion
 
+    def test_shared_timeline_gives_the_same_traces(self, scenario_dir):
+        scn = load_scenario((scenario_dir / "grid10_congestion.scn").read_text())
+        cfg = SimConfig()
+        truth = TruthTimeline(scn, cfg.epoch_s)
+        for algo in ALGORITHMS:
+            assert run_simulation(scn, cfg, algo, truth) == run_simulation(scn, cfg, algo)
+
+    def test_simulation_rejects_timeline_of_another_epoch(self):
+        scn = load_scenario(scenario_doc(**LINE))
+        with pytest.raises(ValueError, match="30.0 s epochs, config 15.0 s"):
+            Simulation(scn, SimConfig(epoch_s=15.0), truth=TruthTimeline(scn, 30.0))
+
     def test_replay_matches_simulated_cost(self, scenario_dir):
         for name in ("sharing_fixture.scn", "grid10_congestion.scn"):
             scn = load_scenario((scenario_dir / name).read_text())
