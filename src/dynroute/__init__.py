@@ -15,7 +15,6 @@ from .graph import (
     apply_event,
     load_scenario,
     make_grid,
-    neighbors,
     serialize_scenario,
     snapshot,
 )
@@ -24,9 +23,7 @@ from .heuristics import (
     HeuristicWeights,
     Observation,
     adapt_weights,
-    combined_f,
     ingest_observations,
-    time_heuristic,
 )
 from .planners import (
     FOUND,

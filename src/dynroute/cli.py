@@ -163,7 +163,6 @@ def _override_scenario(scn: Scenario, args: argparse.Namespace) -> Scenario:
             raise CliError("--alpha must be in (0, 1]", EXIT_USAGE)
         fld = scn.initial_field.copy()
         fld.smoothing_alpha = alpha
-        changes["alpha"] = alpha
         changes["initial_field"] = fld
     return dataclasses.replace(scn, **changes) if changes else scn
 

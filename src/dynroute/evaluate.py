@@ -247,11 +247,11 @@ def compare_algorithms(
 
 
 def report_csv(report: ScoreReport) -> str:
-    lines = ["algorithm,score,mean_ratio,strandings,mean_expanded"]
+    lines = ["algorithm,score,mean_ratio,strandings,mean_expanded,errors"]
     for row in report.rows:
         lines.append(
             f"{row.algorithm},{row.score:.4f},{row.mean_cost_ratio:.4f},"
-            f"{row.strandings},{row.mean_expanded:.1f}"
+            f"{row.strandings},{row.mean_expanded:.1f},{len(row.errors)}"
         )
     return "\n".join(lines) + "\n"
 

@@ -1,16 +1,18 @@
 """Road network representation, dynamic-condition overlay, scenarios and snapshots.
 
-The static topology (nodes, edges, adjacency) never changes after a scenario
-is loaded. Time-varying state lives in a per-edge overlay (congestion factor,
-comfort penalty, blocked set) plus the per-node heuristic field. Planners
-never see the mutable state directly; they operate on immutable
-:class:`GraphSnapshot` values taken at epoch boundaries.
+The static topology never changes after a scenario is loaded. It is compiled
+once, when a :class:`RoadGraph` is built, into a :class:`SearchIndex`, the
+one adjacency structure: nodes numbered in sorted-id order, their
+coordinates, each node's outgoing edges as (edge id, head index, base time)
+and the network's top speed. Copies, snapshots and every ground-truth state
+share that one object. The graph keeps its id-keyed node and edge records
+for validation, serialization and the observation ratio.
 
-The topology is also compiled once, when a :class:`RoadGraph` is built, into
-a :class:`SearchIndex`: nodes numbered in sorted-id order, their coordinates,
-and each node's outgoing edges as (edge id, head index, base time). Copies,
-snapshots and every ground-truth state share that one object, and planners
-search on its integers while reading the string-keyed overlay directly.
+Time-varying state lives in a per-edge overlay (congestion factor, comfort
+penalty, blocked set) plus the per-node heuristic field. Planners never see
+the mutable state directly: they search the index of an immutable
+:class:`GraphSnapshot` taken at an epoch boundary, reading its string-keyed
+overlay directly.
 """
 
 from __future__ import annotations
@@ -101,21 +103,24 @@ class SearchIndex:
     Node ``i`` is ``ids[i]``, with ids in sorted order, so comparing indices
     orders nodes exactly as comparing their ids does. ``out[i]`` lists the
     node's outgoing edges as (edge id, head index, base time) in ascending
-    edge-id order, blocked edges included.
+    edge-id order, blocked edges included. ``v_max`` is the free-flow
+    network top speed, the divisor of the time heuristic.
     """
 
-    __slots__ = ("ids", "pos", "xs", "ys", "out")
+    __slots__ = ("ids", "pos", "xs", "ys", "out", "v_max")
 
-    def __init__(self, nodes: Mapping[str, NodeRecord], edges: Mapping[str, EdgeRecord],
-                 adjacency: Mapping[str, tuple[str, ...]]):
+    def __init__(self, nodes: Mapping[str, NodeRecord], edges: Mapping[str, EdgeRecord]):
         self.ids: tuple[str, ...] = tuple(sorted(nodes))
         self.pos: dict[str, int] = {nid: i for i, nid in enumerate(self.ids)}
         self.xs: list[float] = [nodes[nid].x for nid in self.ids]
         self.ys: list[float] = [nodes[nid].y for nid in self.ids]
-        self.out: tuple[tuple[tuple[str, int, float], ...], ...] = tuple(
-            tuple((eid, self.pos[edges[eid].to_node], edges[eid].base_time_s)
-                  for eid in adjacency[nid])
-            for nid in self.ids
+        out: list[list[tuple[str, int, float]]] = [[] for _ in self.ids]
+        for eid in sorted(edges):
+            e = edges[eid]
+            out[self.pos[e.from_node]].append((eid, self.pos[e.to_node], e.base_time_s))
+        self.out: tuple[tuple[tuple[str, int, float], ...], ...] = tuple(map(tuple, out))
+        self.v_max: float = max(
+            (e.length_m / e.base_time_s for e in edges.values()), default=1.0
         )
 
 
@@ -144,32 +149,20 @@ class RoadGraph:
             if not (math.isfinite(e.base_time_s) and e.base_time_s > 0):
                 raise ValidationError(f"edge {e.id!r} has non-positive base time")
             self.edges[e.id] = e
-        adjacency: dict[str, list[str]] = {nid: [] for nid in self.nodes}
-        for eid in sorted(self.edges):
-            adjacency[self.edges[eid].from_node].append(eid)
-        self.adjacency: dict[str, tuple[str, ...]] = {
-            nid: tuple(eids) for nid, eids in adjacency.items()
-        }
-        self.index = SearchIndex(self.nodes, self.edges, self.adjacency)
+        self.index = SearchIndex(self.nodes, self.edges)
         # Dynamic overlay: defaults are free flow, no penalty, nothing blocked.
         self.congestion: dict[str, float] = {eid: 1.0 for eid in self.edges}
         self.comfort: dict[str, float] = {eid: 0.0 for eid in self.edges}
         self.blocked: set[str] = set()
-        # Free-flow network top speed, used by the time heuristic.
-        self.v_max: float = max(
-            e.length_m / e.base_time_s for e in self.edges.values()
-        ) if self.edges else 1.0
 
     def copy(self) -> "RoadGraph":
         g = RoadGraph.__new__(RoadGraph)
         g.nodes = self.nodes
         g.edges = self.edges
-        g.adjacency = self.adjacency
         g.index = self.index
         g.congestion = dict(self.congestion)
         g.comfort = dict(self.comfort)
         g.blocked = set(self.blocked)
-        g.v_max = self.v_max
         return g
 
 
@@ -181,7 +174,6 @@ class Scenario:
     queries: tuple[Query, ...]
     name: str
     seed: int
-    alpha: float = 0.3
 
 
 @dataclass(frozen=True)
@@ -192,16 +184,12 @@ class GraphSnapshot:
     snapshot, so concurrent mutation of the live graph cannot affect it.
     """
 
-    nodes: Mapping[str, NodeRecord]
-    edges: Mapping[str, EdgeRecord]
-    adjacency: Mapping[str, tuple[str, ...]]
     index: SearchIndex
     congestion: Mapping[str, float]
     comfort: Mapping[str, float]
     blocked: frozenset[str]
     h2: Mapping[str, float]
     h3: Mapping[str, float]
-    v_max: float
     time: float
 
     def node_penalty(self, node_id: str) -> float:
@@ -245,34 +233,14 @@ def apply_event(graph: RoadGraph, field: HeuristicField, ev: Event) -> None:
 def snapshot(graph: RoadGraph, field: HeuristicField, time: float) -> GraphSnapshot:
     """Freeze the current overlay + field into an immutable snapshot."""
     return GraphSnapshot(
-        nodes=graph.nodes,
-        edges=graph.edges,
-        adjacency=graph.adjacency,
         index=graph.index,
         congestion=MappingProxyType(dict(graph.congestion)),
         comfort=MappingProxyType(dict(graph.comfort)),
         blocked=frozenset(graph.blocked),
         h2=MappingProxyType(dict(field.h2_by_node)),
         h3=field.h3_by_node,
-        v_max=graph.v_max,
         time=time,
     )
-
-
-def neighbors(snap: GraphSnapshot, node: str) -> list[tuple[str, str, float]]:
-    """Unblocked successors of ``node`` as (successor, edge_id, effective_time).
-
-    Ordered by ascending edge id, so traversal order is deterministic.
-    """
-    if node not in snap.nodes:
-        raise KeyError(f"unknown node {node!r}")
-    out = []
-    for eid in snap.adjacency[node]:
-        if eid in snap.blocked:
-            continue
-        e = snap.edges[eid]
-        out.append((e.to_node, eid, e.base_time_s * snap.congestion[eid]))
-    return out
 
 
 def make_grid(rows: int, cols: int, edge_length: float, speed: float) -> RoadGraph:
@@ -515,14 +483,14 @@ def load_scenario(text: str) -> Scenario:
         queries=tuple(queries),
         name=name,
         seed=seed,
-        alpha=alpha,
     )
 
 
 def scenario_to_dict(scn: Scenario) -> dict:
     """Canonical dict form: ids and events sorted, suitable for stable JSON."""
     doc: dict = {
-        "meta": {"name": scn.name, "seed": scn.seed, "alpha": scn.alpha},
+        "meta": {"name": scn.name, "seed": scn.seed,
+                 "alpha": scn.initial_field.smoothing_alpha},
         "nodes": [
             {"id": n.id, "x": n.x, "y": n.y}
             for n in sorted(scn.graph.nodes.values(), key=lambda n: n.id)

@@ -1,4 +1,4 @@
-"""Per-node heuristic values, weighted cost combination, and observation fusion.
+"""Per-node heuristic values, their weights, and observation fusion.
 
 Three heuristic channels feed the search:
 
@@ -69,25 +69,9 @@ class Observation:
     at_time: float
 
 
-def time_heuristic(snap, node: str, goal: str) -> float:
-    """Lower bound on remaining travel time: straight line at top speed."""
-    try:
-        n = snap.nodes[node]
-    except KeyError:
-        raise KeyError(f"unknown node {node!r}") from None
-    g = snap.nodes[goal]
-    return math.hypot(n.x - g.x, n.y - g.y) / snap.v_max
-
-
-def combined_f(g: float, h1: float, h2: float, h3: float, w: HeuristicWeights) -> float:
-    for name, v in (("g", g), ("h1", h1), ("h2", h2), ("h3", h3)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
-    return w.w_g * g + w.w1 * h1 + w.w2 * h2 + w.w3 * h3
-
-
 def ingest_observations(graph, field: HeuristicField, batch: list[Observation]) -> None:
-    """Fuse shared traversal observations into the overlay and comfort field.
+    """Fuse shared traversal observations into edge congestion and the
+    comfort heuristic of each edge's head node.
 
     Exponential moving average with the field's alpha; congestion never drops
     below free flow. Processing order is (at_time, edge_id, reporter) so the
@@ -105,8 +89,6 @@ def ingest_observations(graph, field: HeuristicField, batch: list[Observation]) 
         graph.congestion[obs.edge_id] = max(
             1.0, (1 - alpha) * old_factor + alpha * ratio
         )
-        old_pen = graph.comfort[obs.edge_id]
-        graph.comfort[obs.edge_id] = (1 - alpha) * old_pen + alpha * obs.observed_comfort
         head = edge.to_node
         old_h2 = field.h2_by_node.get(head, 0.0)
         field.h2_by_node[head] = (1 - alpha) * old_h2 + alpha * obs.observed_comfort

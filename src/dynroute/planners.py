@@ -65,16 +65,20 @@ def _index_of(snap: GraphSnapshot, node: str) -> int:
 
 
 def cheapest_edge(snap: GraphSnapshot, u: str, v: str) -> tuple[str, float] | None:
-    """Cheapest unblocked edge u->v as (edge_id, effective_time), or None."""
+    """Cheapest unblocked edge u->v as (edge_id, effective_time), or None.
+
+    Equal times go to the lowest edge id.
+    """
+    pos = snap.index.pos
+    i, j = pos.get(u), pos.get(v)
+    if i is None or j is None:
+        return None
     best = None
-    edges, blocked, congestion = snap.edges, snap.blocked, snap.congestion
-    for eid in snap.adjacency.get(u, ()):
-        if eid in blocked:
+    blocked, congestion = snap.blocked, snap.congestion
+    for eid, head, base in snap.index.out[i]:
+        if head != j or eid in blocked:
             continue
-        e = edges[eid]
-        if e.to_node != v:
-            continue
-        eff = e.base_time_s * congestion[eid]
+        eff = base * congestion[eid]
         if best is None or eff < best[1]:
             best = (eid, eff)
     return best
@@ -104,7 +108,7 @@ def path_penalty(snap: GraphSnapshot, path: tuple[str, ...]) -> float:
 
 def validate_path(snap: GraphSnapshot, path: tuple[str, ...]) -> bool:
     """Independent check that consecutive nodes are joined by unblocked edges."""
-    return (bool(path) and all(n in snap.nodes for n in path)
+    return (bool(path) and all(n in snap.index.pos for n in path)
             and _travel_time(snap, path) is not None)
 
 
@@ -150,7 +154,7 @@ def dyn_a_star(
     index = snap.index
     ids, xs, ys, out = index.ids, index.xs, index.ys, index.out
     congestion, blocked, h2, h3 = snap.congestion, snap.blocked, snap.h2, snap.h3
-    gx, gy, v_max = xs[t], ys[t], snap.v_max
+    gx, gy, v_max = xs[t], ys[t], index.v_max
     hypot, push, pop = math.hypot, heapq.heappush, heapq.heappop
 
     h = hypot(xs[s] - gx, ys[s] - gy) / v_max
@@ -176,8 +180,8 @@ def dyn_a_star(
             if ng < g_best.get(v, _INF):
                 g_best[v] = ng
                 parent[v] = u
-                # h1 and the priority are time_heuristic and combined_f,
-                # inlined with the same operations in the same order.
+                # h1 and the priority repeat the float operations, in order,
+                # of the reference definitions the differential tests hold.
                 h = hypot(xs[v] - gx, ys[v] - gy) / v_max
                 nid = ids[v]
                 push(open_heap, (wg * ng + w1 * h + w2 * h2.get(nid, 0.0)
@@ -195,7 +199,7 @@ def dijkstra_ucs(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
     index = snap.index
     ids, xs, ys, out = index.ids, index.xs, index.ys, index.out
     congestion, blocked = snap.congestion, snap.blocked
-    gx, gy, v_max = xs[t], ys[t], snap.v_max
+    gx, gy, v_max = xs[t], ys[t], index.v_max
     hypot, push, pop = math.hypot, heapq.heappush, heapq.heappop
 
     dist: dict[int, float] = {s: 0.0}
@@ -230,7 +234,7 @@ def greedy_best_first(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
     s, t = _index_of(snap, start), _index_of(snap, goal)
     index, blocked = snap.index, snap.blocked
     xs, ys, out = index.xs, index.ys, index.out
-    gx, gy, v_max = xs[t], ys[t], snap.v_max
+    gx, gy, v_max = xs[t], ys[t], index.v_max
     hypot, push, pop = math.hypot, heapq.heappush, heapq.heappop
 
     parent: dict[int, int] = {s: -1}

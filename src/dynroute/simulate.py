@@ -395,7 +395,7 @@ class Simulation:
             seed=self.scenario.seed,
             config={
                 "epoch_s": cfg.epoch_s,
-                "alpha": self.scenario.alpha,
+                "alpha": self.scenario.initial_field.smoothing_alpha,
                 "hysteresis": cfg.hysteresis,
                 "share_observations": cfg.share_observations,
                 "horizon_s": cfg.horizon_s,

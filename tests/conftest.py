@@ -52,24 +52,22 @@ def enumerate_min_travel(snap, start, goal) -> float:
     """Independent oracle: exhaustive DFS over simple paths, minimum
     effective travel time. Only usable on small graphs."""
     best = math.inf
+    pos = snap.index.pos
+    goal_i = pos[goal]
 
     def dfs(node, cost, visited):
         nonlocal best
         if cost >= best:
             return
-        if node == goal:
+        if node == goal_i:
             best = cost
             return
-        for eid in snap.adjacency[node]:
-            if eid in snap.blocked:
+        for eid, v, base in snap.index.out[node]:
+            if eid in snap.blocked or v in visited:
                 continue
-            e = snap.edges[eid]
-            if e.to_node in visited:
-                continue
-            dfs(e.to_node, cost + e.base_time_s * snap.congestion[eid],
-                visited | {e.to_node})
+            dfs(v, cost + base * snap.congestion[eid], visited | {v})
 
-    dfs(start, 0.0, {start})
+    dfs(pos[start], 0.0, {pos[start]})
     return best
 
 

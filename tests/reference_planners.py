@@ -1,11 +1,14 @@
 """String-keyed reference planners and oracle for differential tests.
 
-These are the planners as first written: they expand nodes through
-``neighbors()`` and price them with ``time_heuristic`` and ``combined_f``,
-the public definitions of successors, h1 and the priority. The planners in
-``dynroute.planners`` search on integer node indices instead and must return
-exactly the same results. ``offline_optimal`` is the oracle as first written,
-keyed by node id and building its own ground-truth timeline; the oracle in
+``neighbors``, ``time_heuristic`` and ``combined_f`` are the reference
+definitions of successors, h1 and the search priority. They read the
+snapshot's search index but speak in node ids, one call per node or edge.
+The planners here are the planners as first written: they expand nodes
+through ``neighbors()`` and price them with ``time_heuristic`` and
+``combined_f``. The planners in ``dynroute.planners`` inline those
+definitions in tight loops over node indices and must return exactly the
+same results. ``offline_optimal`` is the oracle as first written, keyed by
+node id and building its own ground-truth timeline; the oracle in
 ``dynroute.evaluate`` searches on node indices and must match it bit for bit.
 """
 
@@ -19,11 +22,9 @@ from dynroute import (
     FOUND,
     UNREACHABLE,
     GraphSnapshot,
+    HeuristicWeights,
     PlanResult,
     SearchParams,
-    combined_f,
-    neighbors,
-    time_heuristic,
 )
 from dynroute.evaluate import (
     ORACLE_MAX_EVENTS,
@@ -38,9 +39,38 @@ from dynroute.simulate import TruthTimeline
 _INF = math.inf
 
 
-def _check_node(snap: GraphSnapshot, node: str) -> None:
-    if node not in snap.nodes:
+def _check_node(snap: GraphSnapshot, node: str) -> int:
+    i = snap.index.pos.get(node)
+    if i is None:
         raise KeyError(f"unknown node {node!r}")
+    return i
+
+
+def neighbors(snap: GraphSnapshot, node: str) -> list[tuple[str, str, float]]:
+    """Unblocked successors of ``node`` as (successor, edge_id, effective_time).
+
+    Ordered by ascending edge id, so traversal order is deterministic.
+    """
+    ids = snap.index.ids
+    return [
+        (ids[v], eid, base * snap.congestion[eid])
+        for eid, v, base in snap.index.out[_check_node(snap, node)]
+        if eid not in snap.blocked
+    ]
+
+
+def time_heuristic(snap: GraphSnapshot, node: str, goal: str) -> float:
+    """Lower bound on remaining travel time: straight line at top speed."""
+    index = snap.index
+    n, g = _check_node(snap, node), _check_node(snap, goal)
+    return math.hypot(index.xs[n] - index.xs[g], index.ys[n] - index.ys[g]) / index.v_max
+
+
+def combined_f(g: float, h1: float, h2: float, h3: float, w: HeuristicWeights) -> float:
+    for name, v in (("g", g), ("h1", h1), ("h2", h2), ("h3", h3)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
+    return w.w_g * g + w.w1 * h1 + w.w2 * h2 + w.w3 * h3
 
 
 def _reconstruct(parent: dict[str, str | None], goal: str) -> tuple[str, ...]:
@@ -201,8 +231,8 @@ def rrt_plan(
     rng = random.Random(params.rng_seed)
 
     def pos(n: str) -> tuple[float, float]:
-        rec = snap.nodes[n]
-        return rec.x, rec.y
+        i = snap.index.pos[n]
+        return snap.index.xs[i], snap.index.ys[i]
 
     def dist2(n: str, xy: tuple[float, float]) -> float:
         x, y = pos(n)
@@ -222,7 +252,7 @@ def rrt_plan(
     tree: dict[str, str | None] = {start: None}
     if start == goal:
         return finish(tree)
-    node_ids = sorted(snap.nodes)
+    node_ids = sorted(snap.index.ids)
     for _ in range(p.max_iterations):
         if rng.random() < p.goal_bias:
             sample = pos(goal)
@@ -293,14 +323,9 @@ def offline_optimal(scenario: Scenario, query: Query, epoch_s: float = 30.0) -> 
             path.reverse()
             return OracleResult(query.vehicle, cost, tuple(path))
         snap = timeline.at_time(time)
-        for eid in snap.adjacency[node]:
-            if eid in snap.blocked:
-                continue
-            e = snap.edges[eid]
-            eff = e.base_time_s * snap.congestion[eid]
+        for succ, _eid, eff in neighbors(snap, node):
             ntime = time + eff
-            ncost = cost + eff + timeline.at_time(ntime).node_penalty(e.to_node)
-            succ = e.to_node
+            ncost = cost + eff + timeline.at_time(ntime).node_penalty(succ)
             if dominated(succ, ntime, ncost):
                 continue
             bucket = frontier.setdefault(succ, [])

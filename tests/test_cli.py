@@ -114,6 +114,13 @@ class TestSimulate:
         assert (tmp_path / "run.csv").read_text().startswith("vehicle,")
         assert not (tmp_path / "run.csv.tmp").exists()
 
+    def test_alpha_flag_reaches_the_trace(self, line_scn, tmp_path, capsys):
+        prefix = str(tmp_path / "run")
+        assert main(["simulate", "--scenario", str(line_scn), "--alpha", "0.5",
+                     "--out", prefix]) == 0
+        trace = json.loads((tmp_path / "run.trace.json").read_text())
+        assert trace["config"]["alpha"] == 0.5
+
     def test_stranded_exit_code(self, blocked_fork, capsys):
         assert main(["simulate", "--scenario", str(blocked_fork), "--algo", "astar"]) == 5
         assert "stranded" in capsys.readouterr().err

@@ -201,7 +201,7 @@ class TestCompare:
         ucs = simulate.PLANNERS["ucs"]
 
         def flaky(snap, start, goal, params):
-            if "a" in snap.nodes:  # the line scenario only
+            if "a" in snap.index.pos:  # the line scenario only
                 raise RuntimeError("ucs exploded")
             return ucs(snap, start, goal, params)
 
@@ -210,19 +210,23 @@ class TestCompare:
         assert report.rows[0].errors == ("t: ucs exploded",)
         assert report_table(report).endswith(
             "\nerrors (cells that raised, counted as failures):\n  ucs: t: ucs exploded\n")
+        errors = {line.split(",")[0]: line.split(",")[-1]
+                  for line in report_csv(report).splitlines()[1:]}
+        assert errors == {"ucs": "1", "astar": "0"}
 
     def test_csv_and_table_rendering(self, scenario_dir):
         paths = sorted((scenario_dir / "static_suite").glob("*.scn"))[:2]
         report = compare_algorithms(paths, algorithms=("ucs", "dyn_astar"))
         csv = report_csv(report)
         lines = csv.strip().splitlines()
-        assert lines[0] == "algorithm,score,mean_ratio,strandings,mean_expanded"
+        assert lines[0] == "algorithm,score,mean_ratio,strandings,mean_expanded,errors"
         assert len(lines) == 3
         for line in lines[1:]:
-            algo, score, ratio, strand, expanded = line.split(",")
+            algo, score, ratio, strand, expanded, errors = line.split(",")
             assert algo in ("ucs", "dyn_astar")
             assert 0.0 <= float(score) <= 1.0
             float(ratio), int(strand), float(expanded)
+            assert errors == "0"
         table = report_table(report)
         assert "ucs" in table and "dyn_astar" in table
         assert "2 scenarios" in table

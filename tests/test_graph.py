@@ -13,10 +13,11 @@ from dynroute import (
     apply_event,
     load_scenario,
     make_grid,
-    neighbors,
     serialize_scenario,
     snapshot,
 )
+from dynroute.suite import write_suites
+from reference_planners import neighbors
 
 MINIMAL = {
     "meta": {"name": "mini", "seed": 1},
@@ -268,7 +269,7 @@ class TestNeighbors:
     def test_effective_time_scales_with_factor(self):
         grid = make_grid(1, 2, 100.0, 10.0)
         fld = HeuristicField()
-        eid = grid.adjacency["n00_00"][0]
+        (eid, _, _), *_ = grid.index.out[grid.index.pos["n00_00"]]
         apply_event(grid, fld, Event(0, "set_congestion", eid, 1.5))
         snap = snapshot(grid, fld, 0.0)
         (_, _, eff), = [n for n in neighbors(snap, "n00_00")]
@@ -286,3 +287,13 @@ class TestNeighbors:
         snap = snapshot(grid, HeuristicField(), 0.0)
         with pytest.raises(KeyError):
             neighbors(snap, "nope")
+
+
+def test_suite_generator_rewrites_the_committed_scenarios(scenario_dir, tmp_path):
+    counts = write_suites(tmp_path)
+    written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*.scn"))
+    committed = sorted(p.relative_to(scenario_dir) for p in scenario_dir.rglob("*.scn"))
+    assert written == committed
+    assert sum(counts.values()) == len(committed) == 124
+    for rel in committed:
+        assert (tmp_path / rel).read_bytes() == (scenario_dir / rel).read_bytes(), rel

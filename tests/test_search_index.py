@@ -1,7 +1,7 @@
-"""The integer search index: planners and the offline oracle on it match the
-string-keyed reference exactly, node indices follow id order, and one index
-is shared by every copy, snapshot and ground-truth state of a scenario's
-graph."""
+"""The integer search index: it is built exactly from the graph's edge
+records, planners and the offline oracle on it match the string-keyed
+reference exactly, node indices follow id order, and one index is shared by
+every copy, snapshot and ground-truth state of a scenario's graph."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,12 +29,66 @@ from dynroute import (
     snapshot,
     static_a_star,
 )
+from dynroute.planners import cheapest_edge, validate_path
 from dynroute.simulate import TruthTimeline
 
 UNIT = HeuristicWeights(1.0, 1.0, 0.0, 0.0)
 
 # Few distinct positions, lengths and times, so h1 ties and f ties are common.
 POINTS = [(0.0, 0.0), (0.0, 0.0), (100.0, 0.0), (100.0, 100.0)]
+
+
+@st.composite
+def topologies(draw):
+    """Unsorted node and edge ids, parallel edges, self-loops, isolated nodes,
+    and a congestion factor and blocked flag per edge."""
+    ids = draw(st.lists(st.text("abcnxz", min_size=1, max_size=3),
+                        min_size=1, max_size=8, unique=True))
+    nodes = [NodeRecord(nid, draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3)))
+             for nid in ids]
+    edge_ids = draw(st.lists(st.text("ef0123", min_size=1, max_size=3),
+                             max_size=20, unique=True))
+    edges = [
+        EdgeRecord(eid, draw(st.sampled_from(ids)), draw(st.sampled_from(ids)),
+                   draw(st.floats(0.5, 1e3)), draw(st.sampled_from([10.0, 20.0, 0.3])))
+        for eid in edge_ids
+    ]
+    graph = RoadGraph(nodes, edges)
+    for eid in edge_ids:
+        graph.congestion[eid] = draw(st.sampled_from([1.0, 1.0, 1.5, 2.0]))
+        if draw(st.integers(0, 4)) == 0:
+            graph.blocked.add(eid)
+    return graph
+
+
+@settings(max_examples=300, deadline=None)
+@given(topologies())
+def test_index_is_built_from_the_edge_records(graph):
+    index = graph.index
+    assert index.ids == tuple(sorted(graph.nodes))
+    assert all(index.pos[nid] == i for i, nid in enumerate(index.ids))
+    assert [(x, y) for x, y in zip(index.xs, index.ys)] == [
+        (graph.nodes[nid].x, graph.nodes[nid].y) for nid in index.ids]
+    for u in graph.nodes:
+        expected = [(e.id, index.pos[e.to_node], e.base_time_s)
+                    for e in sorted(graph.edges.values(), key=lambda e: e.id)
+                    if e.from_node == u]
+        assert list(index.out[index.pos[u]]) == expected
+    speeds = [e.length_m / e.base_time_s for e in graph.edges.values()]
+    assert index.v_max == (max(speeds) if speeds else 1.0)
+
+    # The cheapest unblocked u->v edge: least effective time, then least id.
+    snap = snapshot(graph, HeuristicField(), 0.0)
+    for u in graph.nodes:
+        for v in graph.nodes:
+            times = sorted((e.base_time_s * graph.congestion[e.id], e.id)
+                           for e in graph.edges.values()
+                           if (e.from_node, e.to_node) == (u, v) and e.id not in graph.blocked)
+            assert cheapest_edge(snap, u, v) == ((times[0][1], times[0][0]) if times else None)
+            assert validate_path(snap, (u, v)) == bool(times)
+    assert cheapest_edge(snap, "unknown", index.ids[0]) is None
+    assert cheapest_edge(snap, index.ids[0], "unknown") is None
+    assert not validate_path(snap, ("unknown",))
 
 
 @st.composite

@@ -8,11 +8,13 @@ from dynroute import (
     ALGORITHMS,
     ARRIVED,
     STRANDED,
+    Scenario,
     SimConfig,
     Simulation,
     load_scenario,
     offline_optimal,
     run_simulation,
+    serialize_scenario,
 )
 from dynroute.simulate import TruthTimeline, replay_realized_cost
 
@@ -208,6 +210,17 @@ class TestObservationSharing:
         assert sum(ep.observations_ingested for ep in trace.epochs) > 0
         off = run_simulation(scn, SimConfig(share_observations=False))
         assert sum(ep.observations_ingested for ep in off.epochs) == 0
+
+    def test_smoothing_alpha_survives_a_save_and_reload(self, scenario_dir):
+        scn = self._fixture(scenario_dir)
+        fld = scn.initial_field.copy()
+        fld.smoothing_alpha = 0.5
+        scn = Scenario(scn.graph, fld, scn.events, scn.queries, scn.name, scn.seed)
+        trace = run_simulation(scn).to_dict()
+        assert trace["config"]["alpha"] == 0.5
+        again = load_scenario(serialize_scenario(scn))
+        assert again.initial_field.smoothing_alpha == 0.5
+        assert run_simulation(again).to_dict() == trace
 
 
 class TestDeterminism:
