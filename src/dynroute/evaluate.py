@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graph import Query, Scenario, load_scenario
+from .graph import SET_NODE_COMFORT_H, Query, Scenario, load_scenario
 from .simulate import (
     ALGORITHMS,
     ARRIVED,
@@ -78,6 +78,11 @@ def offline_optimal(
     index = scenario.graph.index
     ids, out = index.ids, index.out
     start, goal = index.pos[query.start], index.pos[query.goal]
+    # A node's arrival penalty changes only through set_node_comfort_h events;
+    # every other node's is priced once, not looked up per relaxed edge.
+    first = truth.at_epoch(0)
+    penalty = [first.node_penalty(nid) for nid in ids]
+    varying = {index.pos[ev.target] for ev in scenario.events if ev.kind == SET_NODE_COMFORT_H}
 
     # labels[i] = (cost, time, node index, parent label index)
     labels: list[tuple[float, float, int, int]] = [(0.0, query.depart_s, start, -1)]
@@ -109,7 +114,8 @@ def offline_optimal(
                 continue
             eff = base * congestion[eid]
             ntime = time + eff
-            ncost = cost + eff + truth.at_time(ntime).node_penalty(ids[v])
+            pen = truth.at_time(ntime).node_penalty(ids[v]) if v in varying else penalty[v]
+            ncost = cost + eff + pen
             bucket = frontier[v]
             if any(t <= ntime + _EPS and c <= ncost + _EPS for t, c in bucket):
                 continue

@@ -196,38 +196,44 @@ class GraphSnapshot:
         return self.h2.get(node_id, 0.0) + self.h3.get(node_id, 0.0)
 
 
-def apply_event(graph: RoadGraph, field: HeuristicField, ev: Event) -> None:
-    """Apply one event to the live overlay. Exactly one attribute changes."""
+def apply_event(graph: RoadGraph, field: HeuristicField, ev: Event) -> bool:
+    """Apply one event to the live overlay; at most one attribute changes.
+
+    Returns whether a value a planner reads changed: an edge's congestion or
+    blocked flag, or a node's h2 (read with a 0.0 default). Comfort is read by
+    no planner, so ``set_comfort`` returns False, as does any no-op.
+    """
     if ev.value is not None and not math.isfinite(ev.value):
         raise ValidationError(f"event value must be finite, got {ev.value}")
-    if ev.kind == SET_CONGESTION:
-        if ev.target not in graph.edges:
-            raise ValidationError(f"event targets unknown edge {ev.target!r}")
-        if ev.value is None or ev.value < 1.0:
-            raise ValidationError(f"congestion factor must be >= 1, got {ev.value}")
-        graph.congestion[ev.target] = float(ev.value)
-    elif ev.kind == SET_COMFORT:
-        if ev.target not in graph.edges:
-            raise ValidationError(f"event targets unknown edge {ev.target!r}")
-        if ev.value is None or ev.value < 0.0:
-            raise ValidationError(f"comfort penalty must be >= 0, got {ev.value}")
-        graph.comfort[ev.target] = float(ev.value)
-    elif ev.kind == SET_NODE_COMFORT_H:
+    if ev.kind == SET_NODE_COMFORT_H:
         if ev.target not in graph.nodes:
             raise ValidationError(f"event targets unknown node {ev.target!r}")
         if ev.value is None or ev.value < 0.0:
             raise ValidationError(f"comfort heuristic must be >= 0, got {ev.value}")
+        old = field.h2_by_node.get(ev.target, 0.0)
         field.h2_by_node[ev.target] = float(ev.value)
-    elif ev.kind == BLOCK_EDGE:
-        if ev.target not in graph.edges:
-            raise ValidationError(f"event targets unknown edge {ev.target!r}")
-        graph.blocked.add(ev.target)
-    elif ev.kind == UNBLOCK_EDGE:
-        if ev.target not in graph.edges:
-            raise ValidationError(f"event targets unknown edge {ev.target!r}")
-        graph.blocked.discard(ev.target)
-    else:
+        return ev.value != old
+    if ev.kind not in EVENT_KINDS:
         raise ValidationError(f"unknown event kind {ev.kind!r}")
+    if ev.target not in graph.edges:
+        raise ValidationError(f"event targets unknown edge {ev.target!r}")
+    if ev.kind == SET_CONGESTION:
+        if ev.value is None or ev.value < 1.0:
+            raise ValidationError(f"congestion factor must be >= 1, got {ev.value}")
+        old = graph.congestion[ev.target]
+        graph.congestion[ev.target] = float(ev.value)
+        return ev.value != old
+    if ev.kind == SET_COMFORT:
+        if ev.value is None or ev.value < 0.0:
+            raise ValidationError(f"comfort penalty must be >= 0, got {ev.value}")
+        graph.comfort[ev.target] = float(ev.value)
+        return False
+    was_blocked = ev.target in graph.blocked
+    if ev.kind == BLOCK_EDGE:
+        graph.blocked.add(ev.target)
+        return not was_blocked
+    graph.blocked.discard(ev.target)
+    return was_blocked
 
 
 def snapshot(graph: RoadGraph, field: HeuristicField, time: float) -> GraphSnapshot:
@@ -315,11 +321,28 @@ def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
         raise ParseError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
-def _num(obj: dict, key: str, where: str) -> float:
+def _num(obj: dict, key: str, where: str, default: float | None = None) -> float:
+    if default is not None and key not in obj:
+        return default
     v = obj.get(key)
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise ParseError(f"{where}: {key!r} must be a number")
     return float(v)
+
+
+def _flag(obj: dict, key: str, where: str) -> bool:
+    v = obj.get(key, False)
+    if not isinstance(v, bool):
+        raise ParseError(f"{where}: {key!r} must be a boolean")
+    return v
+
+
+def _typed(obj: dict, key: str, kind: type, where: str, default=None):
+    """``obj[key]`` (or ``default`` if absent), which must be a list or a dict."""
+    v = obj.get(key, default)
+    if not isinstance(v, kind):
+        raise ParseError(f"{where}: {key!r} must be {'an object' if kind is dict else 'a list'}")
+    return v
 
 
 def _text(obj: dict, key: str, where: str) -> str:
@@ -355,12 +378,12 @@ def load_scenario(text: str) -> Scenario:
     seed = meta.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ParseError("meta: 'seed' must be an integer")
-    alpha = float(meta.get("alpha", 0.3))
+    alpha = _num(meta, "alpha", "meta", 0.3)
     if not (0.0 < alpha <= 1.0):
         raise ValidationError(f"meta.alpha must be in (0, 1], got {alpha}")
 
     nodes = []
-    for i, n in enumerate(doc["nodes"]):
+    for i, n in enumerate(_typed(doc, "nodes", list, "document")):
         if not isinstance(n, dict):
             raise ParseError(f"nodes[{i}] must be an object")
         _check_keys(n, _NODE_KEYS, f"nodes[{i}]")
@@ -368,7 +391,7 @@ def load_scenario(text: str) -> Scenario:
             NodeRecord(_text(n, "id", "node"), _num(n, "x", "node"), _num(n, "y", "node"))
         )
     edges = []
-    for i, e in enumerate(doc["edges"]):
+    for i, e in enumerate(_typed(doc, "edges", list, "document")):
         if not isinstance(e, dict):
             raise ParseError(f"edges[{i}] must be an object")
         _check_keys(e, _EDGE_KEYS, f"edges[{i}]")
@@ -383,24 +406,25 @@ def load_scenario(text: str) -> Scenario:
         )
     graph = RoadGraph(nodes, edges)
 
-    heur = doc.get("heuristics", {})
-    if not isinstance(heur, dict):
-        raise ParseError("heuristics must be an object")
+    heur = _typed(doc, "heuristics", dict, "document", {})
     _check_keys(heur, _HEUR_KEYS, "heuristics")
-    h2 = {str(k): float(v) for k, v in heur.get("h2", {}).items()}
-    h3 = {str(k): float(v) for k, v in heur.get("h3", {}).items()}
-    for mapping, label in ((h2, "h2"), (h3, "h3")):
-        for nid, val in mapping.items():
+    h2: dict[str, float] = {}
+    h3: dict[str, float] = {}
+    for label, mapping in (("h2", h2), ("h3", h3)):
+        values = _typed(heur, label, dict, "heuristics", {})
+        for nid in values:
+            val = _num(values, nid, f"heuristics.{label}")
             if nid not in graph.nodes:
                 raise ValidationError(f"heuristics.{label} names unknown node {nid!r}")
             if not math.isfinite(val) or val < 0:
                 raise ValidationError(f"heuristics.{label}[{nid!r}] must be finite >= 0")
+            mapping[nid] = val
     initial_field = HeuristicField(h2_by_node=h2, h3_by_node=h3, smoothing_alpha=alpha)
 
     events = []
     prev_t = -math.inf
     scratch = (graph.copy(), initial_field.copy())
-    for i, ev in enumerate(doc.get("events", [])):
+    for i, ev in enumerate(_typed(doc, "events", list, "document", [])):
         if not isinstance(ev, dict):
             raise ParseError(f"events[{i}] must be an object")
         _check_keys(ev, _EVENT_KEYS, f"events[{i}]")
@@ -423,16 +447,13 @@ def load_scenario(text: str) -> Scenario:
             value = _num(ev, "value", f"events[{i}]")
         elif "value" in ev:
             raise ParseError(f"events[{i}]: {kind!r} takes no value")
-        sensed_only = ev.get("sensed_only", False)
-        if not isinstance(sensed_only, bool):
-            raise ParseError(f"events[{i}]: 'sensed_only' must be a boolean")
-        event = Event(t, kind, target, value, sensed_only)
+        event = Event(t, kind, target, value, _flag(ev, "sensed_only", f"events[{i}]"))
         # Validate targets and bounds by applying to a throwaway copy.
         apply_event(*scratch, event)
         events.append(event)
 
     queries = []
-    for i, q in enumerate(doc["queries"]):
+    for i, q in enumerate(_typed(doc, "queries", list, "document")):
         if not isinstance(q, dict):
             raise ParseError(f"queries[{i}] must be an object")
         _check_keys(q, _QUERY_KEYS, f"queries[{i}]")
@@ -440,13 +461,9 @@ def load_scenario(text: str) -> Scenario:
         if not isinstance(w, dict):
             raise ParseError(f"queries[{i}].weights must be an object")
         _check_keys(w, _WEIGHT_KEYS, f"queries[{i}].weights")
+        where = f"queries[{i}].weights"
         try:
-            weights = HeuristicWeights(
-                w_g=float(w.get("wg", 1.0)),
-                w1=float(w.get("w1", 1.0)),
-                w2=float(w.get("w2", 1.0)),
-                w3=float(w.get("w3", 1.0)),
-            )
+            weights = HeuristicWeights(*(_num(w, k, where, 1.0) for k in ("wg", "w1", "w2", "w3")))
         except ValueError as exc:
             raise ValidationError(f"queries[{i}].weights: {exc}") from None
         ctx = q.get("context", {})
@@ -457,11 +474,11 @@ def load_scenario(text: str) -> Scenario:
             vehicle=_text(q, "vehicle", f"queries[{i}]"),
             start=_text(q, "start", f"queries[{i}]"),
             goal=_text(q, "goal", f"queries[{i}]"),
-            depart_s=_num(q, "depart_s", f"queries[{i}]") if "depart_s" in q else 0.0,
+            depart_s=_num(q, "depart_s", f"queries[{i}]", 0.0),
             weights=weights,
-            prefers_comfort=bool(ctx.get("prefers_comfort", False)),
-            rough_road=bool(ctx.get("rough_road", False)),
-            heavy_traffic=bool(ctx.get("heavy_traffic", False)),
+            prefers_comfort=_flag(ctx, "prefers_comfort", f"queries[{i}].context"),
+            rough_road=_flag(ctx, "rough_road", f"queries[{i}].context"),
+            heavy_traffic=_flag(ctx, "heavy_traffic", f"queries[{i}].context"),
         )
         for endpoint, label in ((query.start, "start"), (query.goal, "goal")):
             if endpoint not in graph.nodes:

@@ -69,15 +69,21 @@ class Observation:
     at_time: float
 
 
-def ingest_observations(graph, field: HeuristicField, batch: list[Observation]) -> None:
+def ingest_observations(
+    graph, field: HeuristicField, batch: list[Observation]
+) -> tuple[set[str], set[str]]:
     """Fuse shared traversal observations into edge congestion and the
     comfort heuristic of each edge's head node.
 
     Exponential moving average with the field's alpha; congestion never drops
     below free flow. Processing order is (at_time, edge_id, reporter) so the
-    result is independent of queue arrival order.
+    result is independent of queue arrival order. Returns the ids of the
+    edges whose congestion changed and of the nodes whose h2 (read with a 0.0
+    default) changed; most observations change neither.
     """
     alpha = field.smoothing_alpha
+    changed_edges: set[str] = set()
+    changed_nodes: set[str] = set()
     for obs in sorted(batch, key=lambda o: (o.at_time, o.edge_id, o.reporter)):
         edge = graph.edges.get(obs.edge_id)
         if edge is None:
@@ -86,12 +92,17 @@ def ingest_observations(graph, field: HeuristicField, batch: list[Observation]) 
             raise ValueError(f"observation of edge {obs.edge_id!r} is not finite")
         ratio = obs.observed_travel_time / edge.base_time_s
         old_factor = graph.congestion[obs.edge_id]
-        graph.congestion[obs.edge_id] = max(
-            1.0, (1 - alpha) * old_factor + alpha * ratio
-        )
+        factor = max(1.0, (1 - alpha) * old_factor + alpha * ratio)
+        graph.congestion[obs.edge_id] = factor
+        if factor != old_factor:
+            changed_edges.add(obs.edge_id)
         head = edge.to_node
         old_h2 = field.h2_by_node.get(head, 0.0)
-        field.h2_by_node[head] = (1 - alpha) * old_h2 + alpha * obs.observed_comfort
+        h2 = (1 - alpha) * old_h2 + alpha * obs.observed_comfort
+        field.h2_by_node[head] = h2
+        if h2 != old_h2:
+            changed_nodes.add(head)
+    return changed_edges, changed_nodes
 
 
 def adapt_weights(

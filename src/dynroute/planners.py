@@ -341,24 +341,34 @@ def replan(
     goal: str,
     params: SearchParams,
     hysteresis: float = 0.01,
+    fresh: PlanResult | None = None,
 ) -> PlanResult:
     """Re-search from the vehicle's position, keeping the old route unless
     the fresh plan beats the re-costed remainder by more than ``hysteresis``.
+
+    ``fresh`` is a search from ``current_node`` on ``snap`` that the caller
+    already holds; it must equal what :func:`dyn_a_star` would return, and
+    only when it is None does this run one. A fresh plan that follows the
+    kept remainder is returned as it is: its path, cost and expansions are
+    those of the kept route.
     """
     _index_of(snap, current_node)
     if current_node == goal:
         return PlanResult((goal,), 0.0, 0.0, 1, FOUND, (goal,))
 
+    suffix = ()
+    if prior.status == FOUND and current_node in prior.path:
+        suffix = prior.path[prior.path.index(current_node):]
+    if fresh is None:
+        fresh = dyn_a_star(snap, current_node, goal, params)
+    if fresh.status != FOUND or fresh.path == suffix:
+        return fresh
+
     # The kept route's remainder is walked once: its travel time is None if
     # the remainder is no longer drivable, and otherwise serves both the
     # comparison and the returned cost.
-    suffix, suffix_travel = (), None
-    if prior.status == FOUND and current_node in prior.path:
-        suffix = prior.path[prior.path.index(current_node):]
-        suffix_travel = _travel_time(snap, suffix)
-
-    fresh = dyn_a_star(snap, current_node, goal, params)
-    if suffix_travel is None or fresh.status != FOUND:
+    suffix_travel = _travel_time(snap, suffix) if suffix else None
+    if suffix_travel is None:
         return fresh
 
     w = params.weights

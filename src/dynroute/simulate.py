@@ -18,6 +18,13 @@ one immutable belief snapshot and advances through ground truth. An edge's
 price is fixed by the truth at entry; a node's penalty is taken from the
 truth at the arrival instant, and an arrival exactly on a boundary belongs
 to the later epoch.
+
+A ``dyn_astar`` vehicle keeps its last search. The simulation notes which
+planner-read values (congestion, blocked flags, h2) really changed at each
+boundary and marks dirty the nodes whose expansion reads them. A vehicle whose
+origin is unchanged hands last epoch's search to :func:`replan` in place of a
+new one when no node it expanded is dirty, since searching again would return
+the same result. Its trace still counts that search's expansions.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ from dataclasses import dataclass, field, replace
 from itertools import groupby
 
 from .graph import (
+    SET_NODE_COMFORT_H,
     GraphSnapshot,
     RoadGraph,
     Scenario,
@@ -118,6 +126,8 @@ class VehicleState:
     expanded: int = 0
     path_taken: list[str] = field(default_factory=list)
     arrival_s: float | None = None
+    # dyn_astar only: (origin, epoch, fresh search, its expanded node set)
+    memo: tuple[str, int, PlanResult, frozenset[str]] | None = None
 
 
 @dataclass(frozen=True)
@@ -180,6 +190,15 @@ class Simulation:
         self.obs_queue: list[Observation] = []
         self.epoch_log: list[EpochRecord] = []
         self._noise_rng = random.Random(config.seed)
+        # dyn_astar only: the nodes whose expansion reads a value changed at
+        # this epoch's boundary, and for each node the nodes that read its h2:
+        # itself, as a search's start, and its predecessors, which push it.
+        self._dirty: set[str] = set()
+        self._h2_readers: dict[str, list[str]] | None = None
+        if algorithm == "dyn_astar":
+            self._h2_readers = {nid: [nid] for nid in scenario.graph.nodes}
+            for e in scenario.graph.edges.values():
+                self._h2_readers[e.to_node].append(e.from_node)
         self.vehicles: list[VehicleState] = []
         for i, q in enumerate(sorted(scenario.queries, key=lambda q: q.vehicle)):
             params = SearchParams(
@@ -207,12 +226,14 @@ class Simulation:
         k = self.epoch_index
         t = self.now
         applied: list[dict] = []
+        changed_edges: list[str] = []  # planner-read values that changed
+        changed_nodes: list[str] = []
         events = self.scenario.events
         while (self.event_idx < len(events)
                and self.truth.event_epoch(events[self.event_idx].at_time) <= k):
             ev = events[self.event_idx]
-            if not ev.sensed_only:
-                apply_event(self.belief_graph, self.belief_field, ev)
+            if not ev.sensed_only and apply_event(self.belief_graph, self.belief_field, ev):
+                (changed_nodes if ev.kind == SET_NODE_COMFORT_H else changed_edges).append(ev.target)
             applied.append(
                 {"t_s": ev.at_time, "kind": ev.kind, "target": ev.target,
                  "value": ev.value, "sensed_only": ev.sensed_only}
@@ -221,9 +242,15 @@ class Simulation:
 
         ingested = 0
         if self.config.share_observations and self.obs_queue:
-            ingest_observations(self.belief_graph, self.belief_field, self.obs_queue)
+            edges, nodes = ingest_observations(self.belief_graph, self.belief_field, self.obs_queue)
+            changed_edges += edges
+            changed_nodes += nodes
             ingested = len(self.obs_queue)
         self.obs_queue.clear()
+        if self._h2_readers is not None:
+            graph_edges = self.scenario.graph.edges
+            self._dirty = {graph_edges[eid].from_node for eid in changed_edges}.union(
+                *(self._h2_readers[n] for n in changed_nodes))
 
         snap = snapshot(self.belief_graph, self.belief_field, t)
         for v in self.vehicles:
@@ -258,18 +285,31 @@ class Simulation:
         if origin is None:
             origin = v.start
 
+        fresh = None
         if self.algorithm == "dyn_astar" and v.has_plan and v.plan_nodes \
                 and v.plan_nodes[0] == origin:
             prior = PlanResult(
                 path=tuple(v.plan_nodes), g_cost=0.0, f_cost_at_goal=0.0,
                 expanded=0, status=FOUND,
             )
+            # Last epoch's search from this origin, if nothing it read has
+            # changed since: searching again would return it unchanged.
+            memo = v.memo
+            if memo is not None and memo[0] == origin and memo[1] == self.epoch_index - 1 \
+                    and memo[3].isdisjoint(self._dirty):
+                fresh = memo[2]
             result = replan(prior, snap, origin, v.goal, v.params,
-                            self.config.hysteresis)
+                            self.config.hysteresis, fresh)
         else:
             result = PLANNERS[self.algorithm](snap, origin, v.goal, v.params)
         if self.algorithm == "dyn_astar":
             v.replans += 1
+            if fresh is not None:  # still the search of this epoch's snapshot
+                v.memo = (origin, self.epoch_index, fresh, v.memo[3])
+            elif result.expansion_order and origin != v.goal:  # a search made in this call
+                v.memo = (origin, self.epoch_index, result, frozenset(result.expansion_order))
+            else:  # a kept route or the goal itself: no search of this call is known
+                v.memo = None
 
         v.expanded += result.expanded
         v.has_plan = True

@@ -309,6 +309,27 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "errors" in out and "bad.scn" in out
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d.update(nodes=5), "'nodes' must be a list"),
+        (lambda d: d["heuristics"].update(h2={"a": "abc"}), "'a' must be a number"),
+        (lambda d: d["heuristics"].update(h2=[]), "'h2' must be an object"),
+        (lambda d: d["queries"][0]["context"].update(prefers_comfort="false"),
+         "'prefers_comfort' must be a boolean"),
+        (lambda d: d["meta"].update(alpha="0.5"), "'alpha' must be a number"),
+        (lambda d: d["queries"][0]["weights"].update(wg="2"), "'wg' must be a number"),
+        (lambda d: d.update(events={}), "'events' must be a list"),
+    ], ids=["nodes-int", "h2-text", "h2-list", "flag-text", "alpha-text", "wg-text",
+            "events-object"])
+    def test_mistyped_value_is_a_scenario_error(self, mutate, message, tmp_path, capsys):
+        doc = json.loads(scenario_doc(**LINE))
+        mutate(doc)
+        p = tmp_path / "typed.scn"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == 3
+        out = capsys.readouterr()
+        assert message in out.out
+        assert "Traceback" not in out.out + out.err
+
 
 class TestEntryPoints:
     def test_module_invocation(self, line_scn):

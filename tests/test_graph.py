@@ -167,6 +167,26 @@ class TestApplyEvent:
         with pytest.raises(TypeError):
             self.field.h3_by_node["a"] = 1.0  # type: ignore[index]
 
+    @pytest.mark.parametrize("events, changed", [
+        ([Event(0, "set_congestion", "e1", 2.0)], True),
+        ([Event(0, "set_congestion", "e1", 1.0)], False),  # already free flow
+        ([Event(0, "set_congestion", "e1", 2.0), Event(1, "set_congestion", "e1", 2.0)], False),
+        ([Event(0, "set_comfort", "e1", 5.0)], False),  # no planner reads comfort
+        ([Event(0, "set_node_comfort_h", "a", 4.0)], True),
+        ([Event(0, "set_node_comfort_h", "a", 0.0)], False),  # an absent h2 reads 0.0
+        ([Event(0, "set_node_comfort_h", "a", 4.0),
+          Event(1, "set_node_comfort_h", "a", 4.0)], False),
+        ([Event(0, "block_edge", "e1")], True),
+        ([Event(0, "block_edge", "e1"), Event(1, "block_edge", "e1")], False),
+        ([Event(0, "unblock_edge", "e1")], False),
+        ([Event(0, "block_edge", "e1"), Event(1, "unblock_edge", "e1")], True),
+    ])
+    def test_reports_whether_a_planner_read_changed(self, events, changed):
+        *before, last = events
+        for ev in before:
+            apply_event(self.graph, self.field, ev)
+        assert apply_event(self.graph, self.field, last) is changed
+
 
 _EVENT_STRATEGY = st.lists(
     st.tuples(

@@ -162,6 +162,19 @@ class TestIngestObservations:
             ingest_observations(g, fld, [_obs(tt, comfort=comfort)])
         assert g.congestion["e1"] == 1.0
 
+    def test_reports_only_changed_keys(self):
+        g = build_graph(
+            [("a", 0.0, 0.0), ("b", 100.0, 0.0), ("c", 200.0, 0.0)],
+            [("e1", "a", "b", 100.0, 10.0), ("e2", "b", "c", 100.0, 10.0)],
+        )
+        fld = HeuristicField(h2_by_node={"c": 2.0}, smoothing_alpha=0.5)
+        # e1 at free flow with no comfort leaves both values as they were;
+        # e2 slower than free flow with its head's comfort unchanged.
+        batch = [_obs(8.0), Observation("e2", 30.0, 2.0, "v2", 0.0)]
+        assert ingest_observations(g, fld, batch) == ({"e2"}, set())
+        assert ingest_observations(g, fld, [_obs(10.0, comfort=1.0)]) == (set(), {"b"})
+        assert ingest_observations(g, fld, []) == (set(), set())
+
     def test_h3_untouched(self):
         g = build_graph(
             [("a", 0.0, 0.0), ("b", 100.0, 0.0)],

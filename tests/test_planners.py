@@ -25,7 +25,7 @@ from dynroute import (
     static_a_star,
     validate_path,
 )
-from dynroute.planners import path_travel_time, weighted_path_cost
+from dynroute.planners import path_penalty, path_travel_time, weighted_path_cost
 from conftest import (
     build_graph,
     diamond_graph,
@@ -291,6 +291,38 @@ class TestReplan:
         res = replan(self._prior(snap), snap, "d", "d", UNIT)
         assert res.path == ("d",)
         assert res.g_cost == 0.0
+
+    def test_given_search_is_not_rerun(self, monkeypatch):
+        g = diamond_graph()
+        fld = HeuristicField()
+        prior = self._prior(snapshot(g, fld, 0.0))
+        apply_event(g, fld, Event(0, "block_edge", "e1"))
+        snap = snapshot(g, fld, 1.0)
+        fresh = dyn_a_star(snap, "a", "d", UNIT)
+        expected = replan(prior, snap, "a", "d", UNIT)
+
+        def no_search(*args):
+            raise AssertionError("replan searched although it was handed a search")
+
+        monkeypatch.setattr("dynroute.planners.dyn_a_star", no_search)
+        assert replan(prior, snap, "a", "d", UNIT, fresh=fresh) == expected
+        kept = snap_of(diamond_graph())
+        fresh = dyn_a_star(kept, "b", "d", UNIT)
+        assert replan(self._prior(kept), kept, "b", "d", UNIT, fresh=fresh) is fresh
+
+    def test_search_along_the_remainder_costs_the_kept_route(self):
+        # Returned as it is, the search must carry exactly the path, cost and
+        # expansions of the kept route that replan would otherwise rebuild.
+        rng = random.Random(11)
+        for _ in range(200):
+            g, start, goal = random_connected_graph(rng)
+            h2 = {n: rng.choice((0.0, 0.5, 3.0)) for n in g.nodes if rng.random() < 0.4}
+            snap = snap_of(g, h2=h2)
+            params = SearchParams(weights=HeuristicWeights(1.0, 1.0, rng.choice((0.0, 1.0)), 0.0))
+            prior = dyn_a_star(snap, start, goal, params)
+            res = replan(prior, snap, start, goal, params)
+            assert res == prior  # the search itself, not a rebuilt kept route
+            assert res.g_cost == path_travel_time(snap, res.path) + path_penalty(snap, res.path)
 
 
 class TestWeightedPathCost:

@@ -1,4 +1,5 @@
 import json
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,8 @@ from dynroute import (
     run_simulation,
     serialize_scenario,
 )
+from dynroute import simulate
+from dynroute.planners import dyn_a_star
 from dynroute.simulate import TruthTimeline, replay_realized_cost
 
 def scenario_doc(*, edges, nodes, events=(), queries=None, h2=None, h3=None, alpha=0.3):
@@ -386,3 +389,129 @@ class TestOneTruthModel:
                 assert replay_realized_cost(scn, cfg, q.vehicle, v["path"], q.depart_s) \
                     == pytest.approx(cost)
                 assert offline_optimal(scn, q).optimal_realized_cost <= cost + 1e-6
+
+
+@st.composite
+def grid_fleet_docs(draw):
+    """Boundary-aligned scenarios on a small two-way grid: several vehicles,
+    edges of one to three epochs and frequent changes, so a kept search's
+    reads often change just inside or just outside what it expanded."""
+    rows, cols = draw(st.integers(2, 3)), draw(st.integers(3, 4))
+    ids = [f"n{r}{c}" for r in range(rows) for c in range(cols)]
+    pairs = [(f"n{r}{c}", f"n{r + dr}{c + dc}") for r in range(rows) for c in range(cols)
+             for dr, dc in ((0, 1), (1, 0), (0, -1), (-1, 0))
+             if 0 <= r + dr < rows and 0 <= c + dc < cols]
+    edges = [(f"e{k:02d}", u, v, 300.0, draw(st.sampled_from((30.0, 60.0, 90.0))))
+             for k, (u, v) in enumerate(pairs)]
+    events = []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from((
+            "set_congestion", "set_congestion", "set_comfort", "set_node_comfort_h",
+            "set_node_comfort_h", "block_edge", "unblock_edge",
+        )))
+        ev = {"t_s": 30.0 * draw(st.integers(0, 8)), "kind": kind,
+              "target": draw(st.sampled_from(ids if kind == "set_node_comfort_h"
+                                             else [e[0] for e in edges])),
+              "sensed_only": draw(st.booleans())}
+        if kind == "set_congestion":
+            ev["value"] = draw(st.sampled_from((1.0, 1.5, 3.0)))
+        elif kind in ("set_comfort", "set_node_comfort_h"):
+            ev["value"] = draw(st.sampled_from((0.0, 10.0, 40.0)))
+        events.append(ev)
+    events.sort(key=lambda ev: ev["t_s"])
+    queries = []
+    for k in range(draw(st.integers(1, 5))):
+        start, goal = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True))
+        queries.append({
+            "vehicle": f"v{k}", "start": start, "goal": goal,
+            "depart_s": 30.0 * draw(st.integers(0, 3)),
+            "weights": {"wg": 1, "w1": 1, "w2": draw(st.sampled_from((0, 1, 2))), "w3": 0},
+            "context": {"prefers_comfort": draw(st.booleans())},
+        })
+    return scenario_doc(
+        nodes=[(i, 300.0 * int(i[2]), 300.0 * int(i[1])) for i in ids], edges=edges,
+        events=events, queries=queries,
+        h2=draw(st.dictionaries(st.sampled_from(ids), st.sampled_from((0.0, 10.0, 40.0)))),
+    )
+
+
+def _checked_replan(handed: list[str]):
+    """A stand-in for ``simulate.replan`` that checks every search it is
+    handed against a new search of the same snapshot, and records where."""
+    real = simulate.replan
+
+    def checked(prior, snap, current, goal, params, hysteresis, fresh=None):
+        if fresh is not None:
+            assert fresh == dyn_a_star(snap, current, goal, params)
+            handed.append(current)
+        return real(prior, snap, current, goal, params, hysteresis, fresh)
+    return checked
+
+
+class TestSearchReuse:
+    """A dyn_astar vehicle reuses last epoch's search only where searching
+    again would return it unchanged."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=st.one_of(boundary_aligned_docs(), grid_fleet_docs()), share=st.booleans(),
+           noise=st.sampled_from((0.0, 0.0, 3.0)))
+    def test_every_reused_search_equals_a_new_one(self, doc, share, noise):
+        scn = load_scenario(doc)
+        cfg = SimConfig(share_observations=share, noise_sigma=noise, horizon_s=3000.0)
+        with patch.object(simulate, "replan", _checked_replan([])):
+            run_simulation(scn, cfg)
+
+    # a-b is a 90 s edge, so the vehicle plans from b in three epochs. From b
+    # the route runs b-c-d (80 s); the side road b-w-d starts out dearer, so a
+    # search from b pushes w but never expands it. At t=60 the side road
+    # becomes the cheaper one: a kept search from b is then stale.
+    SIDE_ROAD = dict(
+        nodes=[("a", 0.0, 0.0), ("b", 300.0, 0.0), ("c", 450.0, 100.0),
+               ("w", 450.0, 0.0), ("d", 600.0, 0.0)],
+        edges=[("e1", "a", "b", 300.0, 90.0), ("e2", "b", "c", 300.0, 40.0),
+               ("e3", "c", "d", 300.0, 40.0), ("e4", "b", "w", 150.0, 30.0),
+               ("e5", "w", "d", 150.0, 30.0)],
+    )
+
+    @staticmethod
+    def _query(vehicle, start, depart_s=0.0):
+        return {"vehicle": vehicle, "start": start, "goal": "d", "depart_s": depart_s,
+                "weights": {"wg": 1, "w1": 1, "w2": 1, "w3": 0}, "context": {}}
+
+    @pytest.mark.parametrize("events, h2", [
+        ([{"t_s": 0.0, "kind": "set_congestion", "target": "e4", "value": 3.0},
+          {"t_s": 60.0, "kind": "set_congestion", "target": "e4", "value": 1.0}], {}),
+        ([{"t_s": 60.0, "kind": "set_node_comfort_h", "target": "w", "value": 0.0}],
+         {"w": 100.0}),
+    ], ids=["side-edge-congestion", "unexpanded-node-h2"])
+    def test_a_change_next_to_the_kept_search_makes_it_stale(self, events, h2):
+        scn = load_scenario(scenario_doc(**self.SIDE_ROAD, events=events, h2=h2,
+                                         queries=[self._query("v1", "a")]))
+        with patch.object(simulate, "replan", _checked_replan([])):
+            (v,) = run_simulation(scn, SimConfig()).vehicles
+        assert v["path"] == ["a", "b", "w", "d"]
+
+    def test_a_shared_report_makes_the_kept_search_stale(self):
+        # The leader finds c-d ten times slower than the belief has it and
+        # reports it at t=430. The follower, on a-b from t=390 to 480, kept
+        # its t=420 search from b through c; after the t=450 ingest it must
+        # search again and take the side road.
+        scn = load_scenario(scenario_doc(
+            **self.SIDE_ROAD,
+            events=[{"t_s": 0.0, "kind": "set_congestion", "target": "e4", "value": 3.0},
+                    {"t_s": 0.0, "kind": "set_congestion", "target": "e3", "value": 10.0,
+                     "sensed_only": True}],
+            queries=[self._query("follower", "a", 390.0), self._query("leader", "c", 30.0)],
+        ))
+        with patch.object(simulate, "replan", _checked_replan([])):
+            follower, leader = run_simulation(scn, SimConfig()).vehicles
+        assert leader["arrival_s"] == 430.0
+        assert follower["path"] == ["a", "b", "w", "d"]
+
+    def test_reuse_happens_on_the_sharing_fixture(self, scenario_dir):
+        scn = load_scenario((scenario_dir / "sharing_fixture.scn").read_text())
+        handed: list[str] = []
+        with patch.object(simulate, "replan", _checked_replan(handed)):
+            trace = run_simulation(scn, SimConfig())
+        assert trace == run_simulation(scn, SimConfig())
+        assert len(handed) >= 9  # 9 of its 41 replans; a dead cache hands none
