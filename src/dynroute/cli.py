@@ -158,12 +158,12 @@ def _override_scenario(scn: Scenario, args: argparse.Namespace) -> Scenario:
     if args.seed is not None:
         changes["seed"] = int(args.seed)
     if args.alpha is not None:
-        alpha = float(args.alpha)
-        if not (0.0 < alpha <= 1.0):
-            raise CliError("--alpha must be in (0, 1]", EXIT_USAGE)
-        fld = scn.initial_field.copy()
-        fld.smoothing_alpha = alpha
-        changes["initial_field"] = fld
+        try:
+            changes["initial_field"] = dataclasses.replace(
+                scn.initial_field, smoothing_alpha=float(args.alpha)
+            )
+        except ValueError as exc:
+            raise CliError(f"--alpha: {exc}", EXIT_USAGE) from exc
     return dataclasses.replace(scn, **changes) if changes else scn
 
 

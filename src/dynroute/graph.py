@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -302,54 +302,83 @@ def reachable(graph: RoadGraph, start: str, goal: str) -> bool:
 
 # ---------------------------------------------------------------------------
 # Scenario document (de)serialization
+#
+# The schema is one field table per record: key -> (JSON type, default), with
+# _REQUIRED for a key that must be present, in the order of the record's
+# constructor. ``_record`` reads a record through its table and
+# ``scenario_to_dict`` writes one through the same table, so each document
+# key is named once. Types are strict: a number is a JSON int or float but
+# never a boolean, and nothing is converted from a string. What is checked by
+# hand below is the semantics: finite values and ranges, event order, dangling
+# and duplicate ids, which event kinds take a value, and reachability.
 # ---------------------------------------------------------------------------
 
-_TOP_KEYS = {"meta", "nodes", "edges", "heuristics", "events", "queries"}
-_META_KEYS = {"name", "seed", "alpha"}
-_NODE_KEYS = {"id", "x", "y"}
-_EDGE_KEYS = {"id", "from", "to", "length_m", "base_time_s"}
-_HEUR_KEYS = {"h2", "h3"}
-_EVENT_KEYS = {"t_s", "kind", "target", "value", "sensed_only"}
-_QUERY_KEYS = {"vehicle", "start", "goal", "depart_s", "weights", "context"}
-_WEIGHT_KEYS = {"wg", "w1", "w2", "w3"}
-_CONTEXT_KEYS = {"prefers_comfort", "rough_road", "heavy_traffic"}
+_REQUIRED = object()
+
+_DOCUMENT = {"meta": (dict, _REQUIRED), "nodes": (list, _REQUIRED), "edges": (list, _REQUIRED),
+             "heuristics": (dict, {}), "events": (list, []), "queries": (list, _REQUIRED)}
+_META = {"name": (str, _REQUIRED), "seed": (int, 0), "alpha": (float, 0.3)}
+_NODE = {"id": (str, _REQUIRED), "x": (float, _REQUIRED), "y": (float, _REQUIRED)}
+_EDGE = {"id": (str, _REQUIRED), "from": (str, _REQUIRED), "to": (str, _REQUIRED),
+         "length_m": (float, _REQUIRED), "base_time_s": (float, _REQUIRED)}
+_HEURISTICS = {"h2": (dict, {}), "h3": (dict, {})}
+_EVENT = {"t_s": (float, _REQUIRED), "kind": (str, _REQUIRED), "target": (str, _REQUIRED),
+          "value": (float, None), "sensed_only": (bool, False)}
+_QUERY = {"vehicle": (str, _REQUIRED), "start": (str, _REQUIRED), "goal": (str, _REQUIRED),
+          "depart_s": (float, 0.0), "weights": (dict, {}), "context": (dict, {})}
+_WEIGHTS = {"wg": (float, 1.0), "w1": (float, 1.0), "w2": (float, 1.0), "w3": (float, 1.0)}
+_CONTEXT = {"prefers_comfort": (bool, False), "rough_road": (bool, False),
+            "heavy_traffic": (bool, False)}
+
+_TYPE_NAMES = {str: "a string", float: "a number", int: "an integer", bool: "a boolean",
+               list: "a list", dict: "an object"}
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ParseError(f"unknown key(s) {sorted(unknown)} in {where}")
+def _value(v, kind: type, key: str, where: str):
+    """``v`` as a value of JSON type ``kind``; a JSON int is also a number.
+
+    An int too large for a float reads as infinity, as ``1e400`` does.
+    """
+    if type(v) is kind:
+        return v
+    if kind is float and type(v) is int:
+        try:
+            return float(v)
+        except OverflowError:
+            return math.inf if v > 0 else -math.inf
+    raise ParseError(f"{where}: {key!r} must be {_TYPE_NAMES[kind]}")
 
 
-def _num(obj: dict, key: str, where: str, default: float | None = None) -> float:
-    if default is not None and key not in obj:
-        return default
-    v = obj.get(key)
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ParseError(f"{where}: {key!r} must be a number")
-    return float(v)
+def _record(obj, table: dict, where: str) -> list:
+    """The values of record ``obj`` in ``table`` order, with defaults filled in.
+
+    Raises :class:`ParseError` if ``obj`` is not an object, has a key the
+    table lacks, misses a required key or holds a value of the wrong type.
+    """
+    if type(obj) is not dict:
+        raise ParseError(f"{where} must be an object")
+    if not obj.keys() <= table.keys():
+        raise ParseError(f"unknown key(s) {sorted(obj.keys() - table.keys())} in {where}")
+    values = []
+    for key, (kind, default) in table.items():
+        if key in obj:
+            v = obj[key]
+            values.append(v if type(v) is kind else _value(v, kind, key, where))
+        elif default is _REQUIRED:
+            raise ParseError(f"{where}: missing required key {key!r}")
+        else:
+            values.append(default)
+    return values
 
 
-def _flag(obj: dict, key: str, where: str) -> bool:
-    v = obj.get(key, False)
-    if not isinstance(v, bool):
-        raise ParseError(f"{where}: {key!r} must be a boolean")
-    return v
-
-
-def _typed(obj: dict, key: str, kind: type, where: str, default=None):
-    """``obj[key]`` (or ``default`` if absent), which must be a list or a dict."""
-    v = obj.get(key, default)
-    if not isinstance(v, kind):
-        raise ParseError(f"{where}: {key!r} must be {'an object' if kind is dict else 'a list'}")
-    return v
-
-
-def _text(obj: dict, key: str, where: str) -> str:
-    v = obj.get(key)
-    if not isinstance(v, str):
-        raise ParseError(f"{where}: {key!r} must be a string")
-    return v
+def _fields(table: dict, values: Iterable, sparse: bool = False) -> dict:
+    """The document form of a record: ``table``'s keys with ``values`` in
+    table order, leaving out each value at its default if ``sparse``."""
+    return {
+        key: v
+        for (key, (_kind, default)), v in zip(table.items(), values)
+        if not (sparse and v == default)
+    }
 
 
 def load_scenario(text: str) -> Scenario:
@@ -357,80 +386,42 @@ def load_scenario(text: str) -> Scenario:
 
     Raises :class:`ParseError` for malformed documents and
     :class:`ValidationError` for structurally sound documents that break a
-    scenario invariant (dangling ids, unsorted events, unreachable goals).
+    scenario invariant (dangling or duplicate ids, unsorted events,
+    unreachable goals).
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too long an int, too deep a nest
         raise ParseError(f"invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("scenario document must be a JSON object")
-    _check_keys(doc, _TOP_KEYS, "document")
-    for key in ("meta", "nodes", "edges", "queries"):
-        if key not in doc:
-            raise ParseError(f"missing required key {key!r}")
+    meta, node_docs, edge_docs, heur, event_docs, query_docs = _record(doc, _DOCUMENT, "document")
+    name, seed, alpha = _record(meta, _META, "meta")
 
-    meta = doc["meta"]
-    if not isinstance(meta, dict):
-        raise ParseError("meta must be an object")
-    _check_keys(meta, _META_KEYS, "meta")
-    name = _text(meta, "name", "meta")
-    seed = meta.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ParseError("meta: 'seed' must be an integer")
-    alpha = _num(meta, "alpha", "meta", 0.3)
-    if not (0.0 < alpha <= 1.0):
-        raise ValidationError(f"meta.alpha must be in (0, 1], got {alpha}")
-
-    nodes = []
-    for i, n in enumerate(_typed(doc, "nodes", list, "document")):
-        if not isinstance(n, dict):
-            raise ParseError(f"nodes[{i}] must be an object")
-        _check_keys(n, _NODE_KEYS, f"nodes[{i}]")
-        nodes.append(
-            NodeRecord(_text(n, "id", "node"), _num(n, "x", "node"), _num(n, "y", "node"))
-        )
-    edges = []
-    for i, e in enumerate(_typed(doc, "edges", list, "document")):
-        if not isinstance(e, dict):
-            raise ParseError(f"edges[{i}] must be an object")
-        _check_keys(e, _EDGE_KEYS, f"edges[{i}]")
-        edges.append(
-            EdgeRecord(
-                _text(e, "id", "edge"),
-                _text(e, "from", "edge"),
-                _text(e, "to", "edge"),
-                _num(e, "length_m", "edge"),
-                _num(e, "base_time_s", "edge"),
-            )
-        )
+    nodes = [NodeRecord(*_record(n, _NODE, f"nodes[{i}]")) for i, n in enumerate(node_docs)]
+    edges = [EdgeRecord(*_record(e, _EDGE, f"edges[{i}]")) for i, e in enumerate(edge_docs)]
     graph = RoadGraph(nodes, edges)
 
-    heur = _typed(doc, "heuristics", dict, "document", {})
-    _check_keys(heur, _HEUR_KEYS, "heuristics")
-    h2: dict[str, float] = {}
-    h3: dict[str, float] = {}
-    for label, mapping in (("h2", h2), ("h3", h3)):
-        values = _typed(heur, label, dict, "heuristics", {})
-        for nid in values:
-            val = _num(values, nid, f"heuristics.{label}")
+    maps = []
+    for label, values in zip(_HEURISTICS, _record(heur, _HEURISTICS, "heuristics")):
+        mapping: dict[str, float] = {}
+        for nid, val in values.items():
+            val = _value(val, float, nid, f"heuristics.{label}")
             if nid not in graph.nodes:
                 raise ValidationError(f"heuristics.{label} names unknown node {nid!r}")
             if not math.isfinite(val) or val < 0:
                 raise ValidationError(f"heuristics.{label}[{nid!r}] must be finite >= 0")
             mapping[nid] = val
-    initial_field = HeuristicField(h2_by_node=h2, h3_by_node=h3, smoothing_alpha=alpha)
+        maps.append(mapping)
+    try:
+        initial_field = HeuristicField(*maps, smoothing_alpha=alpha)
+    except ValueError as exc:
+        raise ValidationError(f"meta.alpha: {exc}") from None
 
     events = []
     prev_t = -math.inf
     scratch = (graph.copy(), initial_field.copy())
-    for i, ev in enumerate(_typed(doc, "events", list, "document", [])):
-        if not isinstance(ev, dict):
-            raise ParseError(f"events[{i}] must be an object")
-        _check_keys(ev, _EVENT_KEYS, f"events[{i}]")
-        t = _num(ev, "t_s", f"events[{i}]")
-        kind = _text(ev, "kind", f"events[{i}]")
-        target = _text(ev, "target", f"events[{i}]")
+    for i, ev in enumerate(event_docs):
+        event = Event(*_record(ev, _EVENT, f"events[{i}]"))
+        t, kind = event.at_time, event.kind
         if kind not in EVENT_KINDS:
             raise ValidationError(f"events[{i}]: unknown kind {kind!r}")
         if not math.isfinite(t):
@@ -442,55 +433,34 @@ def load_scenario(text: str) -> Scenario:
                 f"events[{i}] at t={t} is out of order (previous t={prev_t})"
             )
         prev_t = t
-        value = None
-        if kind in _VALUED_KINDS:
-            value = _num(ev, "value", f"events[{i}]")
-        elif "value" in ev:
-            raise ParseError(f"events[{i}]: {kind!r} takes no value")
-        event = Event(t, kind, target, value, _flag(ev, "sensed_only", f"events[{i}]"))
+        valued = kind in _VALUED_KINDS
+        if valued != (event.value is not None):
+            raise ParseError(f"events[{i}]: {kind!r} takes {'a' if valued else 'no'} value")
         # Validate targets and bounds by applying to a throwaway copy.
         apply_event(*scratch, event)
         events.append(event)
 
     queries = []
-    for i, q in enumerate(_typed(doc, "queries", list, "document")):
-        if not isinstance(q, dict):
-            raise ParseError(f"queries[{i}] must be an object")
-        _check_keys(q, _QUERY_KEYS, f"queries[{i}]")
-        w = q.get("weights", {})
-        if not isinstance(w, dict):
-            raise ParseError(f"queries[{i}].weights must be an object")
-        _check_keys(w, _WEIGHT_KEYS, f"queries[{i}].weights")
-        where = f"queries[{i}].weights"
+    vehicles = set()
+    for i, q in enumerate(query_docs):
+        where = f"queries[{i}]"
+        vehicle, start, goal, depart_s, w, ctx = _record(q, _QUERY, where)
         try:
-            weights = HeuristicWeights(*(_num(w, k, where, 1.0) for k in ("wg", "w1", "w2", "w3")))
+            weights = HeuristicWeights(*_record(w, _WEIGHTS, f"{where}.weights"))
         except ValueError as exc:
-            raise ValidationError(f"queries[{i}].weights: {exc}") from None
-        ctx = q.get("context", {})
-        if not isinstance(ctx, dict):
-            raise ParseError(f"queries[{i}].context must be an object")
-        _check_keys(ctx, _CONTEXT_KEYS, f"queries[{i}].context")
-        query = Query(
-            vehicle=_text(q, "vehicle", f"queries[{i}]"),
-            start=_text(q, "start", f"queries[{i}]"),
-            goal=_text(q, "goal", f"queries[{i}]"),
-            depart_s=_num(q, "depart_s", f"queries[{i}]", 0.0),
-            weights=weights,
-            prefers_comfort=_flag(ctx, "prefers_comfort", f"queries[{i}].context"),
-            rough_road=_flag(ctx, "rough_road", f"queries[{i}].context"),
-            heavy_traffic=_flag(ctx, "heavy_traffic", f"queries[{i}].context"),
-        )
-        for endpoint, label in ((query.start, "start"), (query.goal, "goal")):
+            raise ValidationError(f"{where}.weights: {exc}") from None
+        query = Query(vehicle, start, goal, depart_s, weights,
+                      *_record(ctx, _CONTEXT, f"{where}.context"))
+        if vehicle in vehicles:
+            raise ValidationError(f"{where}: vehicle {vehicle!r} already has a query")
+        vehicles.add(vehicle)
+        for endpoint, label in ((start, "start"), (goal, "goal")):
             if endpoint not in graph.nodes:
-                raise ValidationError(
-                    f"queries[{i}]: {label} names unknown node {endpoint!r}"
-                )
-        if not (math.isfinite(query.depart_s) and query.depart_s >= 0):
-            raise ValidationError(f"queries[{i}]: depart_s must be finite and >= 0")
-        if not reachable(graph, query.start, query.goal):
-            raise ValidationError(
-                f"queries[{i}]: goal {query.goal!r} unreachable from {query.start!r}"
-            )
+                raise ValidationError(f"{where}: {label} names unknown node {endpoint!r}")
+        if not (math.isfinite(depart_s) and depart_s >= 0):
+            raise ValidationError(f"{where}: depart_s must be finite and >= 0")
+        if not reachable(graph, start, goal):
+            raise ValidationError(f"{where}: goal {goal!r} unreachable from {start!r}")
         queries.append(query)
 
     return Scenario(
@@ -504,59 +474,34 @@ def load_scenario(text: str) -> Scenario:
 
 
 def scenario_to_dict(scn: Scenario) -> dict:
-    """Canonical dict form: ids and events sorted, suitable for stable JSON."""
-    doc: dict = {
-        "meta": {"name": scn.name, "seed": scn.seed,
-                 "alpha": scn.initial_field.smoothing_alpha},
-        "nodes": [
-            {"id": n.id, "x": n.x, "y": n.y}
-            for n in sorted(scn.graph.nodes.values(), key=lambda n: n.id)
+    """Canonical dict form: ids and events sorted, suitable for stable JSON.
+
+    Events leave out a value at its default (no value, not ``sensed_only``);
+    every other record writes all of its keys.
+    """
+    fld = scn.initial_field
+    return _fields(_DOCUMENT, (
+        _fields(_META, (scn.name, scn.seed, fld.smoothing_alpha)),
+        [_fields(_NODE, (n.id, n.x, n.y)) for _nid, n in sorted(scn.graph.nodes.items())],
+        [
+            _fields(_EDGE, (e.id, e.from_node, e.to_node, e.length_m, e.base_time_s))
+            for _eid, e in sorted(scn.graph.edges.items())
         ],
-        "edges": [
-            {
-                "id": e.id,
-                "from": e.from_node,
-                "to": e.to_node,
-                "length_m": e.length_m,
-                "base_time_s": e.base_time_s,
-            }
-            for e in sorted(scn.graph.edges.values(), key=lambda e: e.id)
+        _fields(_HEURISTICS, (dict(sorted(fld.h2_by_node.items())),
+                              dict(sorted(fld.h3_by_node.items())))),
+        [
+            _fields(_EVENT, (ev.at_time, ev.kind, ev.target, ev.value, ev.sensed_only), True)
+            for ev in scn.events
         ],
-        "heuristics": {
-            "h2": dict(sorted(scn.initial_field.h2_by_node.items())),
-            "h3": dict(sorted(scn.initial_field.h3_by_node.items())),
-        },
-        "events": [],
-        "queries": [],
-    }
-    for ev in scn.events:
-        entry: dict = {"t_s": ev.at_time, "kind": ev.kind, "target": ev.target}
-        if ev.value is not None:
-            entry["value"] = ev.value
-        if ev.sensed_only:
-            entry["sensed_only"] = True
-        doc["events"].append(entry)
-    for q in scn.queries:
-        doc["queries"].append(
-            {
-                "vehicle": q.vehicle,
-                "start": q.start,
-                "goal": q.goal,
-                "depart_s": q.depart_s,
-                "weights": {
-                    "wg": q.weights.w_g,
-                    "w1": q.weights.w1,
-                    "w2": q.weights.w2,
-                    "w3": q.weights.w3,
-                },
-                "context": {
-                    "prefers_comfort": q.prefers_comfort,
-                    "rough_road": q.rough_road,
-                    "heavy_traffic": q.heavy_traffic,
-                },
-            }
-        )
-    return doc
+        [
+            _fields(_QUERY, (
+                q.vehicle, q.start, q.goal, q.depart_s,
+                _fields(_WEIGHTS, (q.weights.w_g, q.weights.w1, q.weights.w2, q.weights.w3)),
+                _fields(_CONTEXT, (q.prefers_comfort, q.rough_road, q.heavy_traffic)),
+            ))
+            for q in scn.queries
+        ],
+    ))
 
 
 def serialize_scenario(scn: Scenario) -> str:

@@ -3,10 +3,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from dynroute import SimConfig, Simulation, evaluate, load_scenario
+from dynroute import SimConfig, Simulation, evaluate, load_scenario, serialize_scenario
 from dynroute.cli import _atomic_write, main
 
+from conftest import SCENARIO_DIR
 from test_sim import FORK, LINE, scenario_doc
 
 
@@ -318,8 +321,28 @@ class TestValidate:
         (lambda d: d["meta"].update(alpha="0.5"), "'alpha' must be a number"),
         (lambda d: d["queries"][0]["weights"].update(wg="2"), "'wg' must be a number"),
         (lambda d: d.update(events={}), "'events' must be a list"),
+        (lambda d: d.update(events=[
+            {"t_s": 0.0, "kind": "block_edge", "target": "e1", "value": None}]),
+         "'value' must be a number"),
+        (lambda d: d.update(events=[
+            {"t_s": 0.0, "kind": "set_congestion", "target": "e1", "value": None}]),
+         "'value' must be a number"),
+        (lambda d: d.update(events=[
+            {"t_s": 0.0, "kind": "block_edge", "target": "e1", "sensed_only": None}]),
+         "'sensed_only' must be a boolean"),
+        (lambda d: d["meta"].update(seed=True), "'seed' must be an integer"),
+        (lambda d: d["meta"].update(seed=1.0), "'seed' must be an integer"),
+        (lambda d: d["nodes"][1].pop("x"), "nodes[1]: missing required key 'x'"),
+        (lambda d: d["queries"][0].pop("vehicle"),
+         "queries[0]: missing required key 'vehicle'"),
+        (lambda d: d["queries"][0]["weights"].update(w4=1.0),
+         "unknown key(s) ['w4'] in queries[0].weights"),
+        (lambda d: d["queries"][0]["context"].update(raining=True),
+         "unknown key(s) ['raining'] in queries[0].context"),
     ], ids=["nodes-int", "h2-text", "h2-list", "flag-text", "alpha-text", "wg-text",
-            "events-object"])
+            "events-object", "block-value-null", "congestion-value-null",
+            "sensed-only-null", "seed-bool", "seed-float", "node-x-missing",
+            "query-vehicle-missing", "weights-unknown-key", "context-unknown-key"])
     def test_mistyped_value_is_a_scenario_error(self, mutate, message, tmp_path, capsys):
         doc = json.loads(scenario_doc(**LINE))
         mutate(doc)
@@ -329,6 +352,84 @@ class TestValidate:
         out = capsys.readouterr()
         assert message in out.out
         assert "Traceback" not in out.out + out.err
+
+
+    def test_duplicate_vehicle_id_is_a_scenario_error(self, tmp_path, capsys):
+        # Oracles are keyed by vehicle id, so a second "lead" trip would be
+        # scored against the first one's oracle.
+        doc = json.loads((SCENARIO_DIR / "sharing_fixture.scn").read_text())
+        doc["queries"].append(dict(doc["queries"][1], vehicle="lead"))
+        p = tmp_path / "twice.scn"
+        p.write_text(json.dumps(doc))
+        assert main(["validate", str(p)]) == 3
+        assert "queries[2]: vehicle 'lead' already has a query" in capsys.readouterr().out
+
+
+class TestSmoothingAlpha:
+    """One (0, 1] rule, the heuristic field's: out of range (NaN included) is
+    a usage error from --alpha and a scenario error from meta.alpha."""
+
+    @pytest.mark.parametrize("alpha", ["0", "1.5", "nan"])
+    def test_flag_out_of_range_is_usage_error(self, line_scn, alpha, capsys):
+        assert main(["simulate", "--scenario", str(line_scn), "--alpha", alpha]) == 2
+        assert "must be in (0, 1]" in capsys.readouterr().err
+
+    def test_document_out_of_range_is_scenario_error(self, tmp_path, capsys):
+        p = tmp_path / "alpha.scn"
+        p.write_text(scenario_doc(**LINE, alpha=0))
+        assert main(["validate", str(p)]) == 3
+        assert "meta.alpha: smoothing_alpha must be in (0, 1]" in capsys.readouterr().out
+
+
+_COMMITTED = sorted(SCENARIO_DIR.rglob("*.scn"))
+# Values of every JSON type, numbers at and beyond a float's range, and
+# strings that look like a number or a flag.
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.sampled_from([10**400, -10**400, 1e308, 5e-324, "0.5", "true", [], {}]),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.none(), max_size=2),
+)
+
+
+def _locations(node):
+    """Every (container, key) pair in a JSON document, at any depth."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield node, key
+            yield from _locations(child)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A committed scenario with one key dropped, one unknown key added or one
+    value replaced by another JSON value."""
+    doc = json.loads(draw(st.sampled_from(_COMMITTED)).read_text())
+    container, key = draw(st.sampled_from(list(_locations(doc))))
+    op = draw(st.sampled_from(["drop", "add", "replace"]))
+    if op == "drop" and isinstance(container, dict):
+        del container[key]
+    elif op == "add" and isinstance(container, dict):
+        container["unexpected"] = draw(_JSON_VALUES)
+    else:
+        container[key] = draw(_JSON_VALUES)
+    return json.dumps(doc)
+
+
+class TestScenarioFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=mutated_documents())
+    def test_validate_exits_0_or_3_and_round_trips(self, text, tmp_path, capsys):
+        p = tmp_path / "mutated.scn"
+        p.write_text(text)
+        code = main(["validate", str(p)])
+        out = capsys.readouterr()
+        assert code in (0, 3), out
+        assert "Traceback" not in out.out + out.err
+        if code == 0:
+            first = serialize_scenario(load_scenario(text))
+            assert serialize_scenario(load_scenario(first)) == first
 
 
 class TestEntryPoints:

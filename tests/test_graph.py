@@ -87,6 +87,7 @@ class TestLoadScenario:
         ('"depart_s": 0.0', '"depart_s": 1e400'),
         ('"wg": 1', '"wg": 1e400'),
         ('"wg": 1', '"wg": -1'),
+        ('"depart_s": 0.0', '"depart_s": 1' + "0" * 400),  # no float holds it
     ])
     def test_non_finite_or_negative_numbers_rejected(self, old, new):
         events = [{"t_s": 5.0, "kind": "set_node_comfort_h", "target": "a", "value": 2.0}]
@@ -98,6 +99,14 @@ class TestLoadScenario:
     def test_bad_json_is_parse_error(self):
         with pytest.raises(ParseError):
             load_scenario("{not json")
+
+    @pytest.mark.parametrize("text", [
+        '{"meta": {"name": "t", "seed": ' + "1" * 5000 + "}}",  # beyond int parsing's limit
+        "[" * 100_000 + "]" * 100_000,  # beyond the decoder's nesting depth
+    ], ids=["long-int", "deep-nesting"])
+    def test_undecodable_json_is_parse_error(self, text):
+        with pytest.raises(ParseError, match="invalid JSON"):
+            load_scenario(text)
 
     def test_nonpositive_edge_time_rejected(self):
         doc = json.loads(mini_doc())
