@@ -7,8 +7,9 @@ Exit codes are a stable contract:
   3  scenario parse/validation failure
   4  planner reported the goal unreachable
   5  a vehicle ended stranded (without --allow-stranded)
-  6  suite/oracle configuration error (scenario beyond oracle bounds or
-     search budget)
+
+A bench cell that cannot be scored, including every cell of a scenario whose
+oracle raises, counts as a failure and is listed under "errors" (exit 0).
 
 Every flag may also be supplied through a JSON config file (--config), as a
 value of the flag's JSON type; explicit flags win on conflict. Output files
@@ -28,12 +29,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .evaluate import (
-    OracleBoundsError,
-    compare_algorithms,
-    report_csv,
-    report_table,
-)
+from .evaluate import compare_algorithms, report_csv, report_table
 from .graph import Scenario, ScenarioError, load_scenario
 from .heuristics import HeuristicWeights
 from .planners import FOUND, SearchParams
@@ -44,7 +40,6 @@ EXIT_USAGE = 2
 EXIT_SCENARIO = 3
 EXIT_UNREACHABLE = 4
 EXIT_STRANDED = 5
-EXIT_SUITE = 6
 
 
 class CliError(Exception):
@@ -54,19 +49,22 @@ class CliError(Exception):
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}", EXIT_USAGE) from exc
 
 
 def _load(path: str) -> Scenario:
     try:
-        return load_scenario(Path(path).read_text())
+        return load_scenario(Path(path).read_bytes())
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_USAGE) from exc
     except ScenarioError as exc:
@@ -116,7 +114,7 @@ def _apply_config_file(
         return args
     try:
         overrides = json.loads(Path(args.config).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text or bad JSON
         raise CliError(f"bad config file {args.config}: {exc}", EXIT_USAGE) from exc
     if not isinstance(overrides, dict):
         raise CliError("config file must be a JSON object", EXIT_USAGE)
@@ -141,13 +139,13 @@ def _apply_config_file(
     return parser.parse_args(argv)
 
 
-def _sim_config(args: argparse.Namespace) -> SimConfig:
+def _sim_config(args: argparse.Namespace, seed: int | None = None) -> SimConfig:
     try:
         return SimConfig(
             epoch_s=float(args.epoch_s),
             hysteresis=float(args.hysteresis),
             share_observations=not args.no_share,
-            seed=int(args.seed) if args.seed is not None else 0,
+            seed=0 if seed is None else seed,
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
@@ -228,7 +226,7 @@ def _trace_csv(trace) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scn = _override_scenario(_load(args.scenario), args)
-    config = _sim_config(args)
+    config = _sim_config(args, args.seed)
     trace = run_simulation(scn, config, args.algo)
     if args.out:
         _atomic_write(
@@ -261,8 +259,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         report = compare_algorithms(paths, rho=rho, config=config, jobs=jobs)
     except ScenarioError as exc:
         raise CliError(str(exc), EXIT_SCENARIO) from exc
-    except OracleBoundsError as exc:
-        raise CliError(str(exc), EXIT_SUITE) from exc
     table = report_table(report)
     sys.stdout.write(table)
     if args.out:
@@ -275,7 +271,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     errors = []
     for path in args.scenarios:
         try:
-            load_scenario(Path(path).read_text())
+            load_scenario(Path(path).read_bytes())
             print(f"{path}: OK")
         except OSError as exc:
             errors.append({"file": path, "error": str(exc)})
@@ -290,11 +286,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 
-def _add_shared(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file of option defaults; explicit flags win")
+def _add_scenario_overrides(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="override scenario seed (integer)")
     p.add_argument("--alpha", type=float, default=None,
                    help="observation smoothing factor, in (0, 1]")
+
+
+def _add_shared(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="JSON file of option defaults; explicit flags win")
     p.add_argument("--epoch-s", dest="epoch_s", type=float, default=30.0,
                    help="replanning epoch length in seconds, > 0 (default 30)")
     p.add_argument("--hysteresis", type=float, default=0.01,
@@ -316,6 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--algo", choices=ALGORITHMS, default="dyn_astar")
     p_plan.add_argument("--query", type=int, default=0, help="query index, >= 0")
     p_plan.add_argument("--weights", default=None, help="wg,w1,w2,w3 (each >= 0, wg > 0)")
+    _add_scenario_overrides(p_plan)
     _add_shared(p_plan)
     p_plan.set_defaults(func=cmd_plan)
 
@@ -324,6 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--algo", choices=ALGORITHMS, default="dyn_astar")
     p_sim.add_argument("--allow-stranded", action="store_true",
                        help="exit 0 even if vehicles end stranded")
+    _add_scenario_overrides(p_sim)
     _add_shared(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -33,15 +33,13 @@ from .simulate import (
     run_simulation,
 )
 
-ORACLE_MAX_NODES = 400
-ORACLE_MAX_EVENTS = 64
 ORACLE_MAX_POPS = 2_000_000
 
 _EPS = 1e-9
 
 
 class OracleBoundsError(Exception):
-    """Scenario exceeds the scale the oracle is willing to solve exactly."""
+    """An oracle search popped more than ``ORACLE_MAX_POPS`` labels."""
 
 
 @dataclass(frozen=True)
@@ -49,17 +47,6 @@ class OracleResult:
     vehicle: str
     optimal_realized_cost: float
     optimal_path: tuple[str, ...]
-
-
-def _check_oracle_bounds(scenario: Scenario) -> None:
-    if len(scenario.graph.nodes) > ORACLE_MAX_NODES:
-        raise OracleBoundsError(
-            f"{len(scenario.graph.nodes)} nodes exceeds oracle bound {ORACLE_MAX_NODES}"
-        )
-    if len(scenario.events) > ORACLE_MAX_EVENTS:
-        raise OracleBoundsError(
-            f"{len(scenario.events)} events exceeds oracle bound {ORACLE_MAX_EVENTS}"
-        )
 
 
 def offline_optimal(
@@ -72,7 +59,6 @@ def offline_optimal(
     later and no more expensive. ``truth`` is the scenario's ground truth;
     ``None`` builds it with 30 s epochs.
     """
-    _check_oracle_bounds(scenario)
     if truth is None:
         truth = TruthTimeline(scenario, 30.0)
     index = scenario.graph.index
@@ -171,18 +157,29 @@ def _scenario_correct(trace, oracles: dict[str, OracleResult], rho: float) -> tu
     return correct, ratios, strandings
 
 
+def _failed_cell(scenario: Scenario, exc: Exception) -> dict:
+    error = f"{scenario.name}: {exc}"
+    return {"correct": False, "ratios": [], "strandings": 0, "expanded": [], "error": error}
+
+
 def evaluate_scenario(
     scenario: Scenario,
     rho: float = 1.15,
     config: SimConfig | None = None,
     algorithms: tuple[str, ...] = ALGORITHMS,
 ) -> dict[str, dict]:
-    """Run every algorithm on one scenario; one result cell per algorithm."""
+    """Run every algorithm on one scenario; one result cell per algorithm.
+
+    A cell that raises is failed with the error. If the truth timeline or an
+    oracle query raises, no cell can be scored: every cell fails with that
+    error and no simulation runs.
+    """
     config = config or SimConfig()
-    if scenario.queries:  # before building a timeline the oracle would refuse
-        _check_oracle_bounds(scenario)
-    truth = TruthTimeline(scenario, config.epoch_s)
-    oracles = {q.vehicle: offline_optimal(scenario, q, truth) for q in scenario.queries}
+    try:
+        truth = TruthTimeline(scenario, config.epoch_s)
+        oracles = {q.vehicle: offline_optimal(scenario, q, truth) for q in scenario.queries}
+    except Exception as exc:
+        return {algo: _failed_cell(scenario, exc) for algo in algorithms}
     cells: dict[str, dict] = {}
     for algo in algorithms:
         try:
@@ -196,19 +193,13 @@ def evaluate_scenario(
                 "error": None,
             }
         except Exception as exc:  # pragma: no cover - per-cell fault isolation
-            cells[algo] = {
-                "correct": False,
-                "ratios": [],
-                "strandings": 0,
-                "expanded": [],
-                "error": f"{scenario.name}: {exc}",
-            }
+            cells[algo] = _failed_cell(scenario, exc)
     return cells
 
 
 def _evaluate_path(args: tuple[str, float, SimConfig, tuple[str, ...]]) -> dict[str, dict]:
     path, rho, config, algorithms = args
-    scenario = load_scenario(Path(path).read_text())
+    scenario = load_scenario(Path(path).read_bytes())
     return evaluate_scenario(scenario, rho, config, algorithms)
 
 

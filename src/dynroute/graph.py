@@ -381,7 +381,7 @@ def _fields(table: dict, values: Iterable, sparse: bool = False) -> dict:
     }
 
 
-def load_scenario(text: str) -> Scenario:
+def load_scenario(text: str | bytes) -> Scenario:
     """Parse and validate a scenario document.
 
     Raises :class:`ParseError` for malformed documents and

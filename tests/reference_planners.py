@@ -26,12 +26,7 @@ from dynroute import (
     PlanResult,
     SearchParams,
 )
-from dynroute.evaluate import (
-    ORACLE_MAX_EVENTS,
-    ORACLE_MAX_NODES,
-    OracleBoundsError,
-    OracleResult,
-)
+from dynroute.evaluate import OracleResult
 from dynroute.graph import Query, Scenario
 from dynroute.planners import path_penalty, path_travel_time
 from dynroute.simulate import TruthTimeline
@@ -286,14 +281,6 @@ def offline_optimal(scenario: Scenario, query: Query, epoch_s: float = 30.0) -> 
     pruning: a label is dropped iff an existing label at the same node is no
     later and no more expensive.
     """
-    if len(scenario.graph.nodes) > ORACLE_MAX_NODES:
-        raise OracleBoundsError(
-            f"{len(scenario.graph.nodes)} nodes exceeds oracle bound {ORACLE_MAX_NODES}"
-        )
-    if len(scenario.events) > ORACLE_MAX_EVENTS:
-        raise OracleBoundsError(
-            f"{len(scenario.events)} events exceeds oracle bound {ORACLE_MAX_EVENTS}"
-        )
     timeline = TruthTimeline(scenario, epoch_s)
 
     # labels[i] = (cost, time, node, parent_label_index)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dynroute import SimConfig, Simulation, evaluate, load_scenario, serialize_scenario
-from dynroute.cli import _atomic_write, main
+from dynroute import (
+    ALGORITHMS, SimConfig, Simulation, evaluate, load_scenario, serialize_scenario,
+)
+from dynroute.cli import CliError, _atomic_write, main
 
 from conftest import SCENARIO_DIR
 from test_sim import FORK, LINE, scenario_doc
@@ -147,8 +149,9 @@ class TestSimulate:
             raise OSError("disk full")
 
         monkeypatch.setattr("dynroute.cli.os.replace", refuse)
-        with pytest.raises(OSError, match="disk full"):
+        with pytest.raises(CliError, match="disk full") as info:
             _atomic_write(tmp_path / "run.csv", "data\n")
+        assert info.value.code == 2
         assert list(tmp_path.iterdir()) == []
 
     def test_epoch_flag_validated(self, line_scn, capsys):
@@ -218,7 +221,7 @@ class TestConfigFile:
         (suite / "s1.scn").write_text(scenario_doc(**LINE))
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"rho": 2, "epoch_s": 15.0, "jobs": 1,
-                                   "no_share": False, "seed": None}))
+                                   "no_share": False, "out": None}))
         assert main(["bench", "--suite", str(suite), "--config", str(cfg)]) == 0
         assert "pass = arrived within 2 x" in capsys.readouterr().out
 
@@ -263,13 +266,46 @@ class TestBench:
         assert "--jobs must be >= 1" in capsys.readouterr().err
 
 
-    def test_oracle_pop_budget_is_suite_error(self, tmp_path, capsys, monkeypatch):
+    def test_oracle_pop_budget_fails_its_scenario_cells(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(evaluate, "ORACLE_MAX_POPS", 2)
+
+        def unscored(*args):
+            raise AssertionError("a scenario without an oracle was simulated")
+
+        monkeypatch.setattr(evaluate, "run_simulation", unscored)
+        doc = json.loads(scenario_doc(**LINE))
+        doc["meta"]["name"] = "lone"
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "s1.scn").write_text(json.dumps(doc))
+        out = str(tmp_path / "bench")
+        assert main(["bench", "--suite", str(suite), "--out", out]) == 0
+        table = capsys.readouterr().out
+        errors = table.split("errors (cells that raised, counted as failures):\n")[1]
+        assert errors.splitlines() == [
+            f"  {algo}: lone: oracle search for 'v1' exceeded 2 pops" for algo in ALGORITHMS]
+        rows = (tmp_path / "bench.csv").read_text().splitlines()[1:]
+        assert {row.split(",")[0]: row.split(",")[-1] for row in rows} == dict.fromkeys(
+            ALGORITHMS, "1")
+
+    @pytest.mark.parametrize("option, value", [("seed", 5), ("alpha", 0.5)])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_scenario_overrides_are_not_bench_options(self, option, value, form, tmp_path,
+                                                      capsys):
         suite = tmp_path / "suite"
         suite.mkdir()
         (suite / "s1.scn").write_text(scenario_doc(**LINE))
-        assert main(["bench", "--suite", str(suite)]) == 6
-        assert "oracle search for 'v1' exceeded 2 pops" in capsys.readouterr().err
+        argv = ["bench", "--suite", str(suite)]
+        if form == "flag":  # argparse rejects it and exits
+            with pytest.raises(SystemExit) as info:
+                main(argv + [f"--{option}", str(value)])
+            code = info.value.code
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({option: value}))
+            code = main(argv + ["--config", str(cfg)])
+        assert code == 2
+        assert option in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
         ("--rho", "nan"), ("--epoch-s", "nan"), ("--epoch-s", "inf"),
@@ -300,6 +336,37 @@ class TestNonFiniteScenario:
         out = capsys.readouterr()
         assert "must be finite" in out.out + out.err
         assert "Traceback" not in out.out + out.err
+
+
+class TestFileErrors:
+    @pytest.mark.parametrize("command", ["validate", "plan", "simulate", "bench"])
+    def test_non_utf8_scenario_is_scenario_error(self, command, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        p = suite / "latin.scn"
+        p.write_bytes(scenario_doc(**LINE).encode().replace(b'"name": "t"', b'"name": "\xff\xfe"'))
+        argv = {"validate": ["validate", str(p)], "bench": ["bench", "--suite", str(suite)]}.get(
+            command, [command, "--scenario", str(p)])
+        assert main(argv) == 3
+        out = capsys.readouterr()
+        assert "can't decode byte 0xff" in out.out + out.err
+        assert "Traceback" not in out.out + out.err
+
+    def test_non_utf8_config_is_usage_error(self, line_scn, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"algo": "\xff"}')
+        assert main(["simulate", "--scenario", str(line_scn), "--config", str(cfg)]) == 2
+        assert f"bad config file {cfg}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["plan", "simulate", "bench"])
+    def test_out_into_missing_directory_is_usage_error(self, command, line_scn, tmp_path,
+                                                       capsys):
+        target = tmp_path / "missing" / "x"
+        argv = (["bench", "--suite", str(line_scn.parent)] if command == "bench"
+                else [command, "--scenario", str(line_scn)])
+        assert main(argv + ["--out", str(target)]) == 2
+        assert f"error: cannot write {target}" in capsys.readouterr().err
+        assert not target.parent.exists()
 
 
 class TestValidate:

@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import random
 
 import pytest
 
@@ -8,7 +10,6 @@ from dynroute import (
     Event,
     HeuristicField,
     HeuristicWeights,
-    OracleBoundsError,
     Query,
     Scenario,
     SimConfig,
@@ -17,11 +18,14 @@ from dynroute import (
     make_grid,
     offline_optimal,
     run_simulation,
+    serialize_scenario,
 )
 from dynroute import evaluate, simulate
+from dynroute.graph import EVENT_KINDS
 from dynroute.evaluate import _aggregate, evaluate_scenario, report_csv, report_table
 from dynroute.simulate import TruthTimeline
 
+import reference_planners
 from test_sim import FORK, LINE, scenario_doc
 
 UNIT_W = {"wg": 1, "w1": 1, "w2": 0, "w3": 0}
@@ -29,6 +33,39 @@ UNIT_W = {"wg": 1, "w1": 1, "w2": 0, "w3": 0}
 
 def scn(doc):
     return load_scenario(doc)
+
+
+def _busy_grid(seed: int) -> Scenario:
+    """A seeded 30x30 grid with 20 events of each kind over 0..900 s (an
+    unblock reopens an edge blocked earlier) and 20 trips."""
+    rng = random.Random(seed)
+    grid = make_grid(30, 30, 100.0, 10.0)
+    nodes, edges = sorted(grid.nodes), sorted(grid.edges)
+    events, blocked = [], []
+    for i in range(100):
+        t = 9.0 * i
+        kind = ("set_congestion", "set_comfort", "set_node_comfort_h",
+                "block_edge", "unblock_edge")[i % 5]
+        if kind == "set_congestion":
+            ev = Event(t, kind, rng.choice(edges), rng.uniform(1.0, 4.0))
+        elif kind == "set_comfort":
+            ev = Event(t, kind, rng.choice(edges), rng.uniform(0.0, 30.0))
+        elif kind == "set_node_comfort_h":
+            ev = Event(t, kind, rng.choice(nodes), rng.uniform(0.0, 40.0))
+        elif kind == "block_edge":
+            blocked.append(rng.choice(edges))
+            ev = Event(t, kind, blocked[-1])
+        else:
+            ev = Event(t, kind, blocked.pop(rng.randrange(len(blocked))))
+        events.append(dataclasses.replace(ev, sensed_only=rng.random() < 0.3))
+    queries = []
+    for k in range(20):
+        start, goal = rng.sample(nodes, 2)
+        queries.append(Query(f"v{k:02d}", start, goal, rng.uniform(0.0, 300.0),
+                             HeuristicWeights()))
+    s = Scenario(graph=grid, initial_field=HeuristicField(), events=tuple(events),
+                 queries=tuple(queries), name="busy", seed=seed)
+    return load_scenario(serialize_scenario(s))  # the loader's checks hold
 
 
 class TestOracle:
@@ -84,29 +121,46 @@ class TestOracle:
         s = scn(doc)
         assert offline_optimal(s, s.queries[0]).optimal_realized_cost == pytest.approx(170.0)
 
-    def test_node_bound_enforced(self):
-        grid = make_grid(21, 21, 100.0, 10.0)
+    @pytest.mark.parametrize("rows, cols, goal, events", [
+        (21, 21, "n20_20", 0),  # 441 nodes
+        (2, 2, "n01_01", 65),
+    ])
+    def test_matches_reference_beyond_former_size_caps(self, rows, cols, goal, events):
+        grid = make_grid(rows, cols, 100.0, 10.0)
+        eid = sorted(grid.edges)[0]
         s = Scenario(
-            graph=grid, initial_field=HeuristicField(), events=(),
-            queries=(Query("v1", "n00_00", "n20_20", 0.0, HeuristicWeights()),),
+            graph=grid, initial_field=HeuristicField(),
+            events=tuple(
+                Event(float(i), "set_congestion", eid, 1.0 + i * 0.01) for i in range(events)
+            ),
+            queries=(Query("v1", "n00_00", goal, 0.0, HeuristicWeights()),),
             name="big", seed=0,
         )
-        with pytest.raises(OracleBoundsError, match="nodes"):
-            offline_optimal(s, s.queries[0])
+        got = offline_optimal(s, s.queries[0])
+        expected = reference_planners.offline_optimal(s, s.queries[0])
+        assert got.optimal_realized_cost.hex() == expected.optimal_realized_cost.hex()
+        assert got.optimal_path == expected.optimal_path
 
-    def test_event_bound_enforced(self):
-        grid = make_grid(2, 2, 100.0, 10.0)
-        eid = sorted(grid.edges)[0]
-        events = tuple(
-            Event(float(i), "set_congestion", eid, 1.0 + i * 0.01) for i in range(65)
-        )
-        s = Scenario(
-            graph=grid, initial_field=HeuristicField(), events=events,
-            queries=(Query("v1", "n00_00", "n01_01", 0.0, HeuristicWeights()),),
-            name="busy", seed=0,
-        )
-        with pytest.raises(OracleBoundsError, match="events"):
-            offline_optimal(s, s.queries[0])
+    def test_scores_a_fleet_on_a_30x30_grid(self):
+        """900 nodes, 100 events of every kind, 20 trips: every cell is scored,
+        the oracle bounds each dyn_astar trip and matches the reference."""
+        s = _busy_grid(seed=7)
+        assert len(s.graph.nodes) == 900
+        assert {ev.kind for ev in s.events} == EVENT_KINDS
+        cells = evaluate_scenario(s)
+        assert all(cell["error"] is None for cell in cells.values())
+        truth = TruthTimeline(s, 30.0)
+        trace = run_simulation(s, SimConfig(), "dyn_astar", truth)
+        oracles = {q.vehicle: offline_optimal(s, q, truth) for q in s.queries}
+        arrived = [v for v in trace.vehicles if v["status"] == "arrived"]
+        assert len(arrived) >= 15
+        for v in arrived:
+            assert oracles[v["vehicle"]].optimal_realized_cost <= v["realized_cost_s"] + 1e-9
+        for q in s.queries[:5]:
+            expected = reference_planners.offline_optimal(s, q)
+            got = oracles[q.vehicle]
+            assert got.optimal_realized_cost.hex() == expected.optimal_realized_cost.hex()
+            assert got.optimal_path == expected.optimal_path
 
     @pytest.mark.parametrize("name", [
         "grid10_congestion.scn", "sharing_fixture.scn",
