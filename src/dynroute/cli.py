@@ -255,6 +255,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if jobs < 1:
         raise CliError("--jobs must be >= 1", EXIT_USAGE)
     config = _sim_config(args)
+    if args.out and not Path(args.out).parent.is_dir():  # before the suite is scored
+        raise CliError(f"cannot write {args.out}.csv: no directory {Path(args.out).parent}",
+                       EXIT_USAGE)
     try:
         report = compare_algorithms(paths, rho=rho, config=config, jobs=jobs)
     except ScenarioError as exc:

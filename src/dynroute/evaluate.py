@@ -10,9 +10,11 @@ every simulated realized cost is bounded below by the oracle.
 :func:`evaluate_scenario` builds the timeline once per scenario and hands the
 same object to every oracle query and every simulation of that scenario; its
 states are immutable snapshots, so sharing is safe. The oracle searches on
-the graph's integer :class:`~dynroute.graph.SearchIndex`: labels hold node
-indices and out-edges are walked in ascending edge-id order, so label order,
-and with it every tie-break, is that of the id-keyed search it replaced.
+the truth states' planning view, keyed by the graph's integer
+:class:`~dynroute.graph.SearchIndex`: labels hold node indices and each
+state's unblocked out-edges are walked in ascending edge-id order, so label
+order, and with it every tie-break, is that of the id-keyed search it
+replaced.
 """
 
 from __future__ import annotations
@@ -62,12 +64,12 @@ def offline_optimal(
     if truth is None:
         truth = TruthTimeline(scenario, 30.0)
     index = scenario.graph.index
-    ids, out = index.ids, index.out
+    ids = index.ids
     start, goal = index.pos[query.start], index.pos[query.goal]
     # A node's arrival penalty changes only through set_node_comfort_h events;
     # every other node's is priced once, not looked up per relaxed edge.
     first = truth.at_epoch(0)
-    penalty = [first.node_penalty(nid) for nid in ids]
+    penalty = [h2 + h3 for h2, h3 in zip(first.h2_at, first.h3_at)]
     varying = {index.pos[ev.target] for ev in scenario.events if ev.kind == SET_NODE_COMFORT_H}
 
     # labels[i] = (cost, time, node index, parent label index)
@@ -93,12 +95,7 @@ def offline_optimal(
                 idx = labels[idx][3]
             path.reverse()
             return OracleResult(query.vehicle, cost, tuple(path))
-        snap = truth.at_time(time)
-        blocked, congestion = snap.blocked, snap.congestion
-        for eid, v, base in out[u]:
-            if eid in blocked:
-                continue
-            eff = base * congestion[eid]
+        for _eid, v, eff in truth.at_time(time).arcs[u]:
             ntime = time + eff
             pen = truth.at_time(ntime).node_penalty(ids[v]) if v in varying else penalty[v]
             ncost = cost + eff + pen

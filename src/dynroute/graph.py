@@ -10,9 +10,11 @@ for validation, serialization and the observation ratio.
 
 Time-varying state lives in a per-edge overlay (congestion factor, comfort
 penalty, blocked set) plus the per-node heuristic field. Planners never see
-the mutable state directly: they search the index of an immutable
-:class:`GraphSnapshot` taken at an epoch boundary, reading its string-keyed
-overlay directly.
+the mutable state directly: they search an immutable :class:`GraphSnapshot`
+taken at an epoch boundary, reading only its planning view, arrays keyed by
+node index: each node's unblocked out-edges with their effective times, and
+its h2 and h3 penalties. A snapshot can be patched from an earlier one of the
+same graph, rebuilding only the rows that changed and sharing the rest.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .heuristics import HeuristicField, HeuristicWeights
 
@@ -182,6 +184,17 @@ class GraphSnapshot:
 
     All reads a planner performs during one search go through a single
     snapshot, so concurrent mutation of the live graph cannot affect it.
+    Planners read only the planning view, keyed by node index:
+
+    * ``arcs[i]``: node ``i``'s unblocked out-edges as (edge id, head index,
+      effective time), in the ascending edge-id order of ``index.out``; the
+      effective time is the base time times the congestion factor;
+    * ``h2_at[i]`` and ``h3_at[i]``: the node's comfort and safety
+      penalties, 0.0 where the field has none.
+
+    The id-keyed mappings hold the same state for id-keyed readers, such as
+    the comfort of an edge a vehicle enters. ``time`` is the instant the
+    snapshot was taken; a simulation plans on it until the belief changes.
     """
 
     index: SearchIndex
@@ -191,9 +204,13 @@ class GraphSnapshot:
     h2: Mapping[str, float]
     h3: Mapping[str, float]
     time: float
+    arcs: tuple[tuple[tuple[str, int, float], ...], ...]
+    h2_at: tuple[float, ...]
+    h3_at: tuple[float, ...]
 
     def node_penalty(self, node_id: str) -> float:
-        return self.h2.get(node_id, 0.0) + self.h3.get(node_id, 0.0)
+        i = self.index.pos[node_id]
+        return self.h2_at[i] + self.h3_at[i]
 
 
 def apply_event(graph: RoadGraph, field: HeuristicField, ev: Event) -> bool:
@@ -236,16 +253,63 @@ def apply_event(graph: RoadGraph, field: HeuristicField, ev: Event) -> bool:
     return was_blocked
 
 
-def snapshot(graph: RoadGraph, field: HeuristicField, time: float) -> GraphSnapshot:
-    """Freeze the current overlay + field into an immutable snapshot."""
+def _rows(graph: RoadGraph, rows: tuple, edges: Collection[str]) -> tuple:
+    """``arcs`` rows: ``rows`` with the row of each tail of ``edges`` rebuilt
+    from the graph's overlay, and every other row shared."""
+    if not edges:
+        return rows
+    index, congestion, blocked = graph.index, graph.congestion, graph.blocked
+    rows = list(rows)
+    for i in {index.pos[graph.edges[eid].from_node] for eid in edges}:
+        rows[i] = tuple([(eid, v, base * congestion[eid])
+                         for eid, v, base in index.out[i] if eid not in blocked])
+    return tuple(rows)
+
+
+def snapshot(graph: RoadGraph, field: HeuristicField, time: float,
+             base: GraphSnapshot | None = None, edges: Collection[str] = (),
+             nodes: Collection[str] = ()) -> GraphSnapshot:
+    """Freeze the current overlay + field into an immutable snapshot.
+
+    ``base`` is an earlier snapshot of the same graph and field; ``edges``
+    and ``nodes`` must then name every edge whose congestion, comfort or
+    blocked flag, and every node whose h2, may have changed since it was
+    taken. Only the ``arcs`` rows of those edges' tails and the ``h2_at``
+    entries of those nodes are rebuilt; every other row and entry, and each
+    mapping that none of them changed, is shared with ``base``. Without
+    ``base``, a row at free flow is the index's own row, since a base time
+    times 1.0 is itself. Either way the result equals a snapshot built with
+    every row rebuilt.
+    """
+    index = graph.index
+    congestion, comfort, blocked = graph.congestion, graph.comfort, graph.blocked
+    h2 = field.h2_by_node
+    if base is None:
+        h3 = field.h3_by_node
+        return GraphSnapshot(
+            index, MappingProxyType(dict(congestion)), MappingProxyType(dict(comfort)),
+            frozenset(blocked), MappingProxyType(dict(h2)), h3, time,
+            _rows(graph, index.out, [eid for eid, c in congestion.items() if c != 1.0] + [*blocked]),
+            tuple([h2.get(nid, 0.0) for nid in index.ids]),
+            tuple([h3.get(nid, 0.0) for nid in index.ids]),
+        )
+    h2_at = base.h2_at
+    if nodes:
+        values = list(h2_at)
+        for nid in nodes:
+            values[index.pos[nid]] = h2.get(nid, 0.0)
+        h2_at = tuple(values)
     return GraphSnapshot(
-        index=graph.index,
-        congestion=MappingProxyType(dict(graph.congestion)),
-        comfort=MappingProxyType(dict(graph.comfort)),
-        blocked=frozenset(graph.blocked),
-        h2=MappingProxyType(dict(field.h2_by_node)),
-        h3=field.h3_by_node,
-        time=time,
+        index,
+        base.congestion if all(congestion[e] == base.congestion[e] for e in edges)
+        else MappingProxyType(dict(congestion)),
+        base.comfort if all(comfort[e] == base.comfort[e] for e in edges)
+        else MappingProxyType(dict(comfort)),
+        base.blocked if all((e in blocked) == (e in base.blocked) for e in edges)
+        else frozenset(blocked),
+        base.h2 if all(h2.get(n) == base.h2.get(n) for n in nodes)
+        else MappingProxyType(dict(h2)),
+        base.h3, time, _rows(graph, base.arcs, edges), h2_at, base.h3_at,
     )
 
 

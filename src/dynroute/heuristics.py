@@ -77,9 +77,10 @@ def ingest_observations(
 
     Exponential moving average with the field's alpha; congestion never drops
     below free flow. Processing order is (at_time, edge_id, reporter) so the
-    result is independent of queue arrival order. Returns the ids of the
-    edges whose congestion changed and of the nodes whose h2 (read with a 0.0
-    default) changed; most observations change neither.
+    result is independent of queue arrival order. Only values that change are
+    written. Returns the ids of the edges whose congestion changed and of the
+    nodes whose h2 (read with a 0.0 default) changed; most observations
+    change neither.
     """
     alpha = field.smoothing_alpha
     changed_edges: set[str] = set()
@@ -93,14 +94,14 @@ def ingest_observations(
         ratio = obs.observed_travel_time / edge.base_time_s
         old_factor = graph.congestion[obs.edge_id]
         factor = max(1.0, (1 - alpha) * old_factor + alpha * ratio)
-        graph.congestion[obs.edge_id] = factor
         if factor != old_factor:
+            graph.congestion[obs.edge_id] = factor
             changed_edges.add(obs.edge_id)
         head = edge.to_node
         old_h2 = field.h2_by_node.get(head, 0.0)
         h2 = (1 - alpha) * old_h2 + alpha * obs.observed_comfort
-        field.h2_by_node[head] = h2
         if h2 != old_h2:
+            field.h2_by_node[head] = h2
             changed_nodes.add(head)
     return changed_edges, changed_nodes
 

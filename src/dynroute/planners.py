@@ -1,12 +1,14 @@
 """Route planners over immutable graph snapshots.
 
-All planners search on the snapshot's :class:`~dynroute.graph.SearchIndex`
-and share one tie-break policy so runs are exactly reproducible: priority
-orders by f, then by the time heuristic, then by node index, which is the
-order of node ids. The weighted dynamic planner treats comfort/safety as
-priority-shaping heuristic terms only; reported costs additionally charge the
-per-node comfort/safety penalties actually traversed, so routed comfort shows
-up in evaluation.
+All planners, and the path costs here, read only the snapshot's planning
+view: its ``arcs`` (each node's unblocked out-edges with their effective
+times) and its ``h2_at``/``h3_at`` penalties, keyed by the node indices of
+its :class:`~dynroute.graph.SearchIndex`. They share one tie-break policy so
+runs are exactly reproducible: priority orders by f, then by the time
+heuristic, then by node index, which is the order of node ids. The weighted
+dynamic planner treats comfort/safety as priority-shaping heuristic terms
+only; reported costs additionally charge the per-node comfort/safety
+penalties actually traversed, so routed comfort shows up in evaluation.
 """
 
 from __future__ import annotations
@@ -74,12 +76,8 @@ def cheapest_edge(snap: GraphSnapshot, u: str, v: str) -> tuple[str, float] | No
     if i is None or j is None:
         return None
     best = None
-    blocked, congestion = snap.blocked, snap.congestion
-    for eid, head, base in snap.index.out[i]:
-        if head != j or eid in blocked:
-            continue
-        eff = base * congestion[eid]
-        if best is None or eff < best[1]:
+    for eid, head, eff in snap.arcs[i]:
+        if head == j and (best is None or eff < best[1]):
             best = (eid, eff)
     return best
 
@@ -152,13 +150,13 @@ def dyn_a_star(
     w = params.weights
     wg, w1, w2, w3 = w.w_g, w.w1, w.w2, w.w3
     index = snap.index
-    ids, xs, ys, out = index.ids, index.xs, index.ys, index.out
-    congestion, blocked, h2, h3 = snap.congestion, snap.blocked, snap.h2, snap.h3
+    ids, xs, ys = index.ids, index.xs, index.ys
+    arcs, h2_at, h3_at = snap.arcs, snap.h2_at, snap.h3_at
     gx, gy, v_max = xs[t], ys[t], index.v_max
     hypot, push, pop = math.hypot, heapq.heappush, heapq.heappop
 
     h = hypot(xs[s] - gx, ys[s] - gy) / v_max
-    f = wg * 0.0 + w1 * h + w2 * h2.get(start, 0.0) + w3 * h3.get(start, 0.0)
+    f = wg * 0.0 + w1 * h + w2 * h2_at[s] + w3 * h3_at[s]
     g_best: dict[int, float] = {s: 0.0}
     parent: dict[int, int] = {s: -1}
     open_heap: list[tuple[float, float, int]] = [(f, h, s)]
@@ -173,19 +171,17 @@ def dyn_a_star(
         if u == t:
             return _found(snap, parent, order, t, f, g_best[t])
         g_u = g_best[u]
-        for eid, v, base in out[u]:
-            if closed[v] or eid in blocked:
+        for _eid, v, eff in arcs[u]:
+            if closed[v]:
                 continue
-            ng = g_u + base * congestion[eid]
+            ng = g_u + eff
             if ng < g_best.get(v, _INF):
                 g_best[v] = ng
                 parent[v] = u
                 # h1 and the priority repeat the float operations, in order,
                 # of the reference definitions the differential tests hold.
                 h = hypot(xs[v] - gx, ys[v] - gy) / v_max
-                nid = ids[v]
-                push(open_heap, (wg * ng + w1 * h + w2 * h2.get(nid, 0.0)
-                                 + w3 * h3.get(nid, 0.0), h, v))
+                push(open_heap, (wg * ng + w1 * h + w2 * h2_at[v] + w3 * h3_at[v], h, v))
     return _unreachable(snap, order)
 
 
@@ -196,9 +192,8 @@ def dijkstra_ucs(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
     two can be checked against each other.
     """
     s, t = _index_of(snap, start), _index_of(snap, goal)
-    index = snap.index
-    ids, xs, ys, out = index.ids, index.xs, index.ys, index.out
-    congestion, blocked = snap.congestion, snap.blocked
+    index, arcs = snap.index, snap.arcs
+    ids, xs, ys = index.ids, index.xs, index.ys
     gx, gy, v_max = xs[t], ys[t], index.v_max
     hypot, push, pop = math.hypot, heapq.heappush, heapq.heappop
 
@@ -215,10 +210,10 @@ def dijkstra_ucs(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
         order.append(u)
         if u == t:
             return _found(snap, parent, order, t, g, g)
-        for eid, v, base in out[u]:
-            if closed[v] or eid in blocked:
+        for _eid, v, eff in arcs[u]:
+            if closed[v]:
                 continue
-            ng = g + base * congestion[eid]
+            ng = g + eff
             if ng < dist.get(v, _INF):
                 dist[v] = ng
                 parent[v] = u
@@ -232,8 +227,8 @@ def greedy_best_first(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
     Each node enters the open list at most once, so every pop is an expansion.
     """
     s, t = _index_of(snap, start), _index_of(snap, goal)
-    index, blocked = snap.index, snap.blocked
-    xs, ys, out = index.xs, index.ys, index.out
+    index, arcs = snap.index, snap.arcs
+    xs, ys = index.xs, index.ys
     gx, gy, v_max = xs[t], ys[t], index.v_max
     hypot, push, pop = math.hypot, heapq.heappush, heapq.heappop
 
@@ -245,8 +240,8 @@ def greedy_best_first(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
         order.append(u)
         if u == t:
             return _found(snap, parent, order, t, hv)
-        for eid, v, _base in out[u]:
-            if v in parent or eid in blocked:
+        for _eid, v, _eff in arcs[u]:
+            if v in parent:
                 continue
             parent[v] = u
             push(open_heap, (hypot(xs[v] - gx, ys[v] - gy) / v_max, v))
@@ -274,9 +269,8 @@ def rrt_plan(
     s, t = _index_of(snap, start), _index_of(snap, goal)
     p = params.rrt
     rng = random.Random(params.rng_seed)
-    index = snap.index
-    ids, xs, ys, out = index.ids, index.xs, index.ys, index.out
-    blocked = snap.blocked
+    index, arcs = snap.index, snap.arcs
+    ids, xs, ys = index.ids, index.xs, index.ys
 
     def finish() -> PlanResult:
         path = _path(ids, tree, t)
@@ -302,8 +296,8 @@ def rrt_plan(
                 current, best_d = i, d
         for _hop in range(p.step_edges):
             step = -1
-            for eid, v, _base in out[current]:
-                if v in tree or eid in blocked:
+            for _eid, v, _eff in arcs[current]:
+                if v in tree:
                     continue
                 d = (xs[v] - sx) ** 2 + (ys[v] - sy) ** 2
                 if step < 0 or d < step_d or (d == step_d and v < step):
@@ -328,9 +322,11 @@ def weighted_path_cost(
     """
     if travel is None:
         travel = path_travel_time(snap, path)
+    pos, h2_at, h3_at = snap.index.pos, snap.h2_at, snap.h3_at
     total = w.w_g * travel
     for n in path[1:]:
-        total += w.w2 * snap.h2.get(n, 0.0) + w.w3 * snap.h3.get(n, 0.0)
+        i = pos[n]
+        total += w.w2 * h2_at[i] + w.w3 * h3_at[i]
     return total
 
 

@@ -19,6 +19,13 @@ price is fixed by the truth at entry; a node's penalty is taken from the
 truth at the arrival instant, and an arrival exactly on a boundary belongs
 to the later epoch.
 
+The belief snapshot is taken lazily. The simulation collects the edges and
+nodes that events and observations touched at each boundary, and takes a
+snapshot only in an epoch where some vehicle plans and the belief has changed
+since the last one; it is then patched from that one, rebuilding only what
+the collected changes touch. Otherwise vehicles plan on the last snapshot,
+which keeps the time it was taken at.
+
 A ``dyn_astar`` vehicle keeps its last search. The simulation notes which
 planner-read values (congestion, blocked flags, h2) really changed at each
 boundary and marks dirty the nodes whose expansion reads them. A vehicle whose
@@ -32,7 +39,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import groupby
 
 from .graph import (
@@ -194,6 +201,11 @@ class Simulation:
         # this epoch's boundary, and for each node the nodes that read its h2:
         # itself, as a search's start, and its predecessors, which push it.
         self._dirty: set[str] = set()
+        # The belief snapshot last taken, and the edges and nodes whose belief
+        # values may have changed since: the patch the next snapshot needs.
+        self._snap: GraphSnapshot | None = None
+        self._stale_edges: set[str] = set()
+        self._stale_nodes: set[str] = set()
         self._h2_readers: dict[str, list[str]] | None = None
         if algorithm == "dyn_astar":
             self._h2_readers = {nid: [nid] for nid in scenario.graph.nodes}
@@ -232,8 +244,11 @@ class Simulation:
         while (self.event_idx < len(events)
                and self.truth.event_epoch(events[self.event_idx].at_time) <= k):
             ev = events[self.event_idx]
-            if not ev.sensed_only and apply_event(self.belief_graph, self.belief_field, ev):
-                (changed_nodes if ev.kind == SET_NODE_COMFORT_H else changed_edges).append(ev.target)
+            if not ev.sensed_only:
+                node_event = ev.kind == SET_NODE_COMFORT_H
+                (self._stale_nodes if node_event else self._stale_edges).add(ev.target)
+                if apply_event(self.belief_graph, self.belief_field, ev):
+                    (changed_nodes if node_event else changed_edges).append(ev.target)
             applied.append(
                 {"t_s": ev.at_time, "kind": ev.kind, "target": ev.target,
                  "value": ev.value, "sensed_only": ev.sensed_only}
@@ -245,6 +260,8 @@ class Simulation:
             edges, nodes = ingest_observations(self.belief_graph, self.belief_field, self.obs_queue)
             changed_edges += edges
             changed_nodes += nodes
+            self._stale_edges |= edges
+            self._stale_nodes |= nodes
             ingested = len(self.obs_queue)
         self.obs_queue.clear()
         if self._h2_readers is not None:
@@ -252,9 +269,11 @@ class Simulation:
             self._dirty = {graph_edges[eid].from_node for eid in changed_edges}.union(
                 *(self._h2_readers[n] for n in changed_nodes))
 
-        snap = snapshot(self.belief_graph, self.belief_field, t)
-        for v in self.vehicles:
-            self._plan_vehicle(v, snap, t)
+        planning = [v for v in self.vehicles if self._plans(v, t)]
+        if planning:
+            snap = self._belief_snapshot(t)
+            for v in planning:
+                self._plan_vehicle(v, snap)
         truth, truth_next = self.truth.at_epoch(k), self.truth.at_epoch(k + 1)
         for v in self.vehicles:
             self._advance(v, t, truth, truth_next)
@@ -272,15 +291,26 @@ class Simulation:
 
     # -- planning -----------------------------------------------------------
 
-    def _plan_vehicle(self, v: VehicleState, snap: GraphSnapshot, t: float) -> None:
+    def _plans(self, v: VehicleState, t: float) -> bool:
+        """Whether ``v`` plans in the epoch starting at ``t``: it is en route,
+        has departed or departs in this epoch, and replans or has no plan yet."""
         if v.status != EN_ROUTE:
-            return
-        departs_this_epoch = v.depart_s < t + self.config.epoch_s - _EPS
-        if not (v.departed or departs_this_epoch):
-            return
-        if self.algorithm != "dyn_astar" and v.has_plan:
-            return
+            return False
+        if not (v.departed or v.depart_s < t + self.config.epoch_s - _EPS):
+            return False
+        return self.algorithm == "dyn_astar" or not v.has_plan
 
+    def _belief_snapshot(self, t: float) -> GraphSnapshot:
+        """The belief as a snapshot: the last one taken, or a new one patched
+        from it if the belief has changed since."""
+        if self._snap is None or self._stale_edges or self._stale_nodes:
+            self._snap = snapshot(self.belief_graph, self.belief_field, t, self._snap,
+                                  self._stale_edges, self._stale_nodes)
+            self._stale_edges.clear()
+            self._stale_nodes.clear()
+        return self._snap
+
+    def _plan_vehicle(self, v: VehicleState, snap: GraphSnapshot) -> None:
         origin = v.at_node if v.at_node is not None else v.edge_head
         if origin is None:
             origin = v.start
@@ -465,12 +495,10 @@ class TruthTimeline:
 
     An event at time t takes effect at the first epoch boundary >= t
     (:meth:`event_epoch`); the simulator applies events to its shared belief
-    by the same rule. One state is kept per epoch that has events, and each
-    state shares with the one before it every overlay mapping that the
-    epoch's events left equal.
+    by the same rule. One state is kept per epoch that has events. Each is
+    patched from the one before it with the targets of the epoch's events,
+    so it shares every row and overlay mapping those events left equal.
     """
-
-    _OVERLAYS = ("congestion", "comfort", "blocked", "h2")
 
     def __init__(self, scenario: Scenario, epoch_s: float):
         self.epoch_s = epoch_s
@@ -479,14 +507,12 @@ class TruthTimeline:
         self._starts: list[int] = [0]
         self._snaps: list[GraphSnapshot] = [snapshot(graph, fld, 0.0)]
         for k, group in groupby(scenario.events, lambda ev: self.event_epoch(ev.at_time)):
+            edges: set[str] = set()
+            nodes: set[str] = set()
             for ev in group:
                 apply_event(graph, fld, ev)
-            prev = self._snaps[-1]
-            snap = snapshot(graph, fld, k * epoch_s)
-            snap = replace(snap, **{
-                name: getattr(prev, name) for name in self._OVERLAYS
-                if getattr(snap, name) == getattr(prev, name)
-            })
+                (nodes if ev.kind == SET_NODE_COMFORT_H else edges).add(ev.target)
+            snap = snapshot(graph, fld, k * epoch_s, self._snaps[-1], edges, nodes)
             if k == self._starts[-1]:
                 self._snaps[-1] = snap
             else:

@@ -1,8 +1,10 @@
 """String-keyed reference planners and oracle for differential tests.
 
 ``neighbors``, ``time_heuristic`` and ``combined_f`` are the reference
-definitions of successors, h1 and the search priority. They read the
-snapshot's search index but speak in node ids, one call per node or edge.
+definitions of successors, h1 and the search priority; ``node_penalty``,
+``cheapest_edge``, ``path_travel_time`` and ``path_penalty`` those of path
+costs. They read the snapshot's search index and its id-keyed mappings, never
+its planning view, and speak in node ids, one call per node or edge.
 The planners here are the planners as first written: they expand nodes
 through ``neighbors()`` and price them with ``time_heuristic`` and
 ``combined_f``. The planners in ``dynroute.planners`` inline those
@@ -28,7 +30,6 @@ from dynroute import (
 )
 from dynroute.evaluate import OracleResult
 from dynroute.graph import Query, Scenario
-from dynroute.planners import path_penalty, path_travel_time
 from dynroute.simulate import TruthTimeline
 
 _INF = math.inf
@@ -59,6 +60,36 @@ def time_heuristic(snap: GraphSnapshot, node: str, goal: str) -> float:
     index = snap.index
     n, g = _check_node(snap, node), _check_node(snap, goal)
     return math.hypot(index.xs[n] - index.xs[g], index.ys[n] - index.ys[g]) / index.v_max
+
+
+def node_penalty(snap: GraphSnapshot, node: str) -> float:
+    return snap.h2.get(node, 0.0) + snap.h3.get(node, 0.0)
+
+
+def cheapest_edge(snap: GraphSnapshot, u: str, v: str) -> tuple[str, float] | None:
+    """Cheapest unblocked edge u->v as (edge_id, effective_time); equal
+    times go to the lowest edge id. None if there is none or a node is unknown."""
+    if u not in snap.index.pos or v not in snap.index.pos:
+        return None
+    best = None
+    for succ, eid, eff in neighbors(snap, u):
+        if succ == v and (best is None or eff < best[1]):
+            best = (eid, eff)
+    return best
+
+
+def path_travel_time(snap: GraphSnapshot, path: tuple[str, ...]) -> float:
+    total = 0.0
+    for u, v in zip(path, path[1:]):
+        edge = cheapest_edge(snap, u, v)
+        if edge is None:
+            raise ValueError(f"no unblocked edge along {path!r}")
+        total += edge[1]
+    return total
+
+
+def path_penalty(snap: GraphSnapshot, path: tuple[str, ...]) -> float:
+    return sum(node_penalty(snap, n) for n in path[1:])
 
 
 def combined_f(g: float, h1: float, h2: float, h3: float, w: HeuristicWeights) -> float:
@@ -312,7 +343,7 @@ def offline_optimal(scenario: Scenario, query: Query, epoch_s: float = 30.0) -> 
         snap = timeline.at_time(time)
         for succ, _eid, eff in neighbors(snap, node):
             ntime = time + eff
-            ncost = cost + eff + timeline.at_time(ntime).node_penalty(succ)
+            ncost = cost + eff + node_penalty(timeline.at_time(ntime), succ)
             if dominated(succ, ntime, ncost):
                 continue
             bucket = frontier.setdefault(succ, [])

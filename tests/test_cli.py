@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dynroute import (
     ALGORITHMS, SimConfig, Simulation, evaluate, load_scenario, serialize_scenario,
 )
+from dynroute import cli
 from dynroute.cli import CliError, _atomic_write, main
 
 from conftest import SCENARIO_DIR
@@ -360,7 +361,11 @@ class TestFileErrors:
 
     @pytest.mark.parametrize("command", ["plan", "simulate", "bench"])
     def test_out_into_missing_directory_is_usage_error(self, command, line_scn, tmp_path,
-                                                       capsys):
+                                                       capsys, monkeypatch):
+        def no_scoring(*args, **kwargs):
+            pytest.fail("bench scored the suite before it checked --out")
+
+        monkeypatch.setattr(cli, "compare_algorithms", no_scoring)
         target = tmp_path / "missing" / "x"
         argv = (["bench", "--suite", str(line_scn.parent)] if command == "bench"
                 else [command, "--scenario", str(line_scn)])

@@ -1,7 +1,8 @@
-"""The integer search index: it is built exactly from the graph's edge
-records, planners and the offline oracle on it match the string-keyed
-reference exactly, node indices follow id order, and one index is shared by
-every copy, snapshot and ground-truth state of a scenario's graph."""
+"""The integer search index and the snapshot's planning view: the index is
+built exactly from the graph's edge records, planners and the offline oracle
+on fresh and patched snapshots match the string-keyed reference exactly, node
+indices follow id order, and one index is shared by every copy, snapshot and
+ground-truth state of a scenario's graph."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -93,6 +94,10 @@ def test_index_is_built_from_the_edge_records(graph):
 
 @st.composite
 def planning_cases(draw):
+    """A snapshot patched after random changes, its start and goal, and search
+    parameters. Every graph has two parallel edges of equal cost, one of them
+    blocked; the changes set congestion factors, block and unblock edges and
+    set h2 values, and the snapshot is patched from one taken before them."""
     ids = draw(st.lists(st.text("abcnxz", min_size=1, max_size=3),
                         min_size=1, max_size=9, unique=True))
     # Insertion order is the drawn order, generally not sorted.
@@ -105,15 +110,37 @@ def planning_cases(draw):
                    draw(st.sampled_from([10.0, 20.0])))
         for eid in edge_ids
     ]
+    u, v = draw(st.sampled_from(ids)), draw(st.sampled_from(ids))
+    edges += [EdgeRecord(eid, u, v, 100.0, 10.0) for eid in ("p0", "p1")]
+    edge_ids += ["p0", "p1"]
     graph = RoadGraph(nodes, edges)
     for eid in edge_ids:
         graph.congestion[eid] = draw(st.sampled_from([1.0, 1.0, 2.0, 2.5]))
-    graph.blocked.update(draw(st.lists(st.sampled_from(edge_ids), max_size=4))
-                         if edge_ids else [])
+    graph.congestion["p0"] = graph.congestion["p1"] = 1.0
+    graph.blocked.add(draw(st.sampled_from(["p0", "p1"])))
+    graph.blocked.update(draw(st.lists(st.sampled_from(edge_ids), max_size=4)))
     penalty = st.dictionaries(st.sampled_from(ids), st.sampled_from([0.0, 5.0, 12.5]),
                               max_size=3)
-    snap = snapshot(graph, HeuristicField(h2_by_node=draw(penalty),
-                                          h3_by_node=draw(penalty)), 0.0)
+    field = HeuristicField(h2_by_node=draw(penalty), h3_by_node=draw(penalty))
+    snap = snapshot(graph, field, 0.0)
+    changed_edges, changed_nodes = set(), set()
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["congestion", "block", "unblock", "h2"]))
+        if kind == "h2":
+            nid = draw(st.sampled_from(ids))
+            field.h2_by_node[nid] = draw(st.sampled_from([0.0, 5.0, 12.5]))
+            changed_nodes.add(nid)
+            continue
+        eid = draw(st.sampled_from(edge_ids))
+        if kind == "congestion":
+            graph.congestion[eid] = draw(st.sampled_from([1.0, 2.0, 2.5]))
+        elif kind == "block":
+            graph.blocked.add(eid)
+        else:
+            graph.blocked.discard(eid)
+        changed_edges.add(eid)
+    patched = snapshot(graph, field, 0.0, snap, changed_edges, changed_nodes)
+    assert patched == snapshot(graph, field, 0.0)
     weight = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0])
     params = SearchParams(
         weights=HeuristicWeights(draw(st.sampled_from([0.5, 1.0, 2.0])),
@@ -123,7 +150,7 @@ def planning_cases(draw):
                       step_edges=draw(st.integers(1, 3)),
                       goal_bias=draw(st.sampled_from([0.0, 0.1, 0.5]))),
     )
-    return snap, draw(st.sampled_from(ids)), draw(st.sampled_from(ids)), params
+    return patched, draw(st.sampled_from(ids)), draw(st.sampled_from(ids)), params
 
 
 @settings(max_examples=400, deadline=None)
@@ -136,6 +163,9 @@ def test_planners_match_string_keyed_reference(case):
     assert dijkstra_ucs(snap, start, goal) == ref.dijkstra_ucs(snap, start, goal)
     assert greedy_best_first(snap, start, goal) == ref.greedy_best_first(snap, start, goal)
     assert rrt_plan(snap, start, goal, params) == ref.rrt_plan(snap, start, goal, params)
+    for u in snap.index.ids:
+        for v in snap.index.ids:
+            assert cheapest_edge(snap, u, v) == ref.cheapest_edge(snap, u, v)
 
 
 EVENT_KINDS = ("set_congestion", "set_comfort", "set_node_comfort_h",

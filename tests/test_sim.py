@@ -1,4 +1,5 @@
 import json
+from contextlib import ExitStack
 from unittest.mock import patch
 
 import pytest
@@ -12,10 +13,12 @@ from dynroute import (
     Scenario,
     SimConfig,
     Simulation,
+    apply_event,
     load_scenario,
     offline_optimal,
     run_simulation,
     serialize_scenario,
+    snapshot,
 )
 from dynroute import simulate
 from dynroute.planners import dyn_a_star
@@ -515,3 +518,118 @@ class TestSearchReuse:
             trace = run_simulation(scn, SimConfig())
         assert trace == run_simulation(scn, SimConfig())
         assert len(handed) >= 9  # 9 of its 41 replans; a dead cache hands none
+
+
+PLANNER_LOOKUPS = ("dijkstra_ucs", "greedy_best_first", "static_a_star", "rrt_plan", "dyn_a_star")
+
+
+def _checked_snapshots(sim, seen: list):
+    """Stand-ins for ``simulate``'s planner lookups and ``replan`` that check
+    every snapshot a planner of ``sim`` is handed against one built from
+    scratch on its belief, and record it."""
+    def check(snap):
+        assert snap == snapshot(sim.belief_graph, sim.belief_field, snap.time)
+        seen.append(snap)
+
+    def checked(real):
+        def planner(snap, *args):
+            check(snap)
+            return real(snap, *args)
+        return planner
+
+    def checked_replan(prior, snap, *args):
+        check(snap)
+        return real_replan(prior, snap, *args)
+
+    real_replan = simulate.replan
+    stack = ExitStack()
+    for name in PLANNER_LOOKUPS:
+        stack.enter_context(patch.object(simulate, name, checked(getattr(simulate, name))))
+    stack.enter_context(patch.object(simulate, "replan", checked_replan))
+    return stack
+
+
+def _snapshot_epochs(sim):
+    """The epochs of ``sim``'s snapshot calls, and a patch of
+    ``simulate.snapshot`` that records them into that list."""
+    epochs: list[int] = []
+    real = simulate.snapshot
+
+    def counted(*args, **kwargs):
+        epochs.append(sim.epoch_index)
+        return real(*args, **kwargs)
+    return epochs, patch.object(simulate, "snapshot", counted)
+
+
+class TestLazySnapshot:
+    """The belief snapshot is patched from the last one, only in epochs where
+    a vehicle plans and the belief has changed, and always equals one built
+    from scratch."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=st.one_of(boundary_aligned_docs(), grid_fleet_docs()), share=st.booleans())
+    def test_every_planned_on_snapshot_equals_a_fresh_one(self, doc, share):
+        scn = load_scenario(doc)
+        cfg = SimConfig(share_observations=share, horizon_s=3000.0)
+        truth = TruthTimeline(scn, cfg.epoch_s)
+        for algo in ALGORITHMS:
+            sim = Simulation(scn, cfg, algo, truth)
+            seen: list = []
+            with _checked_snapshots(sim, seen):
+                trace = sim.run()
+            assert trace == run_simulation(scn, cfg, algo)
+            assert bool(seen) == any(v["path"] for v in trace.vehicles)
+
+    @settings(max_examples=200, deadline=None)
+    @given(doc=st.one_of(boundary_aligned_docs(), grid_fleet_docs()),
+           epoch_s=st.sampled_from((15.0, 30.0, 45.0)))
+    def test_every_truth_state_equals_a_fresh_build(self, doc, epoch_s):
+        scn = load_scenario(doc)
+        timeline = TruthTimeline(scn, epoch_s)
+        last = timeline.event_epoch(scn.events[-1].at_time) if scn.events else 0
+        for k in range(last + 2):
+            graph, fld = scn.graph.copy(), scn.initial_field.copy()
+            for ev in scn.events:
+                if timeline.event_epoch(ev.at_time) <= k:
+                    apply_event(graph, fld, ev)
+            state = timeline.at_epoch(k)
+            assert state == snapshot(graph, fld, state.time)
+
+    # The tail departs with the lead, in epoch 3 on a belief that no report has
+    # changed yet, and in epoch 20, after the lead's report of the slow edge.
+    @pytest.mark.parametrize("tail_depart_s, epochs", [(0.0, [0]), (95.0, [0]), (600.0, [0, 20])])
+    def test_single_shot_planners_snapshot_only_when_a_vehicle_departs(
+            self, scenario_dir, tail_depart_s, epochs):
+        doc = json.loads((scenario_dir / "sharing_fixture.scn").read_text())
+        for q in doc["queries"]:
+            if q["vehicle"] == "tail":
+                q["depart_s"] = tail_depart_s
+        scn = load_scenario(json.dumps(doc))
+        truth = TruthTimeline(scn, SimConfig().epoch_s)
+        sim = Simulation(scn, SimConfig(), "ucs", truth)
+        taken, counting = _snapshot_epochs(sim)
+        with counting:
+            trace = sim.run()
+        assert all(v["status"] == ARRIVED for v in trace.vehicles)
+        assert len(trace.epochs) > 5
+        assert taken == epochs
+
+    # The vehicle plans in every epoch of its trip; the belief changes at the
+    # t=60 boundary only, and no observation is shared. A comfort change is a
+    # change of the belief too, though no planner reads it.
+    @pytest.mark.parametrize("kind, value, replans", [
+        ("set_congestion", 2.0, 7), ("set_comfort", 25.0, 5)])
+    def test_dyn_astar_reuses_the_snapshot_while_the_belief_is_unchanged(
+            self, kind, value, replans):
+        doc = scenario_doc(**LINE, events=[
+            {"t_s": 45.0, "kind": kind, "target": "e3", "value": value},
+            {"t_s": 100.0, "kind": "set_congestion", "target": "e3", "value": 3.0,
+             "sensed_only": True}])
+        scn = load_scenario(doc)
+        cfg = SimConfig(share_observations=False)
+        sim = Simulation(scn, cfg, "dyn_astar", TruthTimeline(scn, cfg.epoch_s))
+        taken, counting = _snapshot_epochs(sim)
+        with counting:
+            (v,) = sim.run().vehicles
+        assert v["replans"] == replans
+        assert taken == [0, 2]
