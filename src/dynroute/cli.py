@@ -33,7 +33,7 @@ from .evaluate import compare_algorithms, report_csv, report_table
 from .graph import Scenario, ScenarioError, load_scenario
 from .heuristics import HeuristicWeights
 from .planners import FOUND, SearchParams
-from .simulate import ALGORITHMS, PLANNERS, SimConfig, TruthTimeline, run_simulation
+from .simulate import ALGORITHMS, MAX_EPOCHS, PLANNERS, SimConfig, TruthTimeline, run_simulation
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -298,7 +298,8 @@ def _add_scenario_overrides(p: argparse.ArgumentParser) -> None:
 def _add_shared(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON file of option defaults; explicit flags win")
     p.add_argument("--epoch-s", dest="epoch_s", type=float, default=30.0,
-                   help="replanning epoch length in seconds, > 0 (default 30)")
+                   help=f"replanning epoch length in seconds, > 0 (default 30); the "
+                        f"{SimConfig.horizon_s:g} s horizon spans at most {MAX_EPOCHS:,} epochs")
     p.add_argument("--hysteresis", type=float, default=0.01,
                    help="minimum relative improvement before switching plans, >= 0")
     p.add_argument("--no-share", action="store_true",

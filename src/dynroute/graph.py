@@ -11,10 +11,12 @@ for validation, serialization and the observation ratio.
 Time-varying state lives in a per-edge overlay (congestion factor, comfort
 penalty, blocked set) plus the per-node heuristic field. Planners never see
 the mutable state directly: they search an immutable :class:`GraphSnapshot`
-taken at an epoch boundary, reading only its planning view, arrays keyed by
-node index: each node's unblocked out-edges with their effective times, and
-its h2 and h3 penalties. A snapshot can be patched from an earlier one of the
-same graph, rebuilding only the rows that changed and sharing the rest.
+taken at an epoch boundary, which holds only the planning view, arrays keyed
+by node index: each node's unblocked out-edges with their effective times,
+and its h2 and h3 penalties. A snapshot can be patched from an earlier one of
+the same graph, rebuilding only the rows that changed and sharing the rest.
+Edge comfort, read when a vehicle enters an edge, is a read-only map of the
+values ``set_comfort`` events wrote, shared by snapshots until one changes.
 """
 
 from __future__ import annotations
@@ -153,8 +155,9 @@ class RoadGraph:
             self.edges[e.id] = e
         self.index = SearchIndex(self.nodes, self.edges)
         # Dynamic overlay: defaults are free flow, no penalty, nothing blocked.
+        # Comfort holds only the values set and is replaced, never mutated.
         self.congestion: dict[str, float] = {eid: 1.0 for eid in self.edges}
-        self.comfort: dict[str, float] = {eid: 0.0 for eid in self.edges}
+        self.comfort: Mapping[str, float] = MappingProxyType({})
         self.blocked: set[str] = set()
 
     def copy(self) -> "RoadGraph":
@@ -163,7 +166,7 @@ class RoadGraph:
         g.edges = self.edges
         g.index = self.index
         g.congestion = dict(self.congestion)
-        g.comfort = dict(self.comfort)
+        g.comfort = self.comfort
         g.blocked = set(self.blocked)
         return g
 
@@ -192,21 +195,15 @@ class GraphSnapshot:
     * ``h2_at[i]`` and ``h3_at[i]``: the node's comfort and safety
       penalties, 0.0 where the field has none.
 
-    The id-keyed mappings hold the same state for id-keyed readers, such as
-    the comfort of an edge a vehicle enters. ``time`` is the instant the
-    snapshot was taken; a simulation plans on it until the belief changes.
+    ``comfort`` is the graph's edge comfort map, shared, not copied: the values
+    ``set_comfort`` events wrote, read with a 0.0 default when a vehicle enters.
     """
 
     index: SearchIndex
-    congestion: Mapping[str, float]
-    comfort: Mapping[str, float]
-    blocked: frozenset[str]
-    h2: Mapping[str, float]
-    h3: Mapping[str, float]
-    time: float
     arcs: tuple[tuple[tuple[str, int, float], ...], ...]
     h2_at: tuple[float, ...]
     h3_at: tuple[float, ...]
+    comfort: Mapping[str, float]
 
     def node_penalty(self, node_id: str) -> float:
         i = self.index.pos[node_id]
@@ -243,7 +240,8 @@ def apply_event(graph: RoadGraph, field: HeuristicField, ev: Event) -> bool:
     if ev.kind == SET_COMFORT:
         if ev.value is None or ev.value < 0.0:
             raise ValidationError(f"comfort penalty must be >= 0, got {ev.value}")
-        graph.comfort[ev.target] = float(ev.value)
+        if graph.comfort.get(ev.target, 0.0) != ev.value:
+            graph.comfort = MappingProxyType({**graph.comfort, ev.target: float(ev.value)})
         return False
     was_blocked = ev.target in graph.blocked
     if ev.kind == BLOCK_EDGE:
@@ -266,32 +264,30 @@ def _rows(graph: RoadGraph, rows: tuple, edges: Collection[str]) -> tuple:
     return tuple(rows)
 
 
-def snapshot(graph: RoadGraph, field: HeuristicField, time: float,
+def snapshot(graph: RoadGraph, field: HeuristicField, _time: float = 0.0, /, *,
              base: GraphSnapshot | None = None, edges: Collection[str] = (),
              nodes: Collection[str] = ()) -> GraphSnapshot:
     """Freeze the current overlay + field into an immutable snapshot.
 
     ``base`` is an earlier snapshot of the same graph and field; ``edges``
-    and ``nodes`` must then name every edge whose congestion, comfort or
-    blocked flag, and every node whose h2, may have changed since it was
-    taken. Only the ``arcs`` rows of those edges' tails and the ``h2_at``
-    entries of those nodes are rebuilt; every other row and entry, and each
-    mapping that none of them changed, is shared with ``base``. Without
-    ``base``, a row at free flow is the index's own row, since a base time
-    times 1.0 is itself. Either way the result equals a snapshot built with
-    every row rebuilt.
+    and ``nodes`` must then name every edge whose congestion or blocked flag,
+    and every node whose h2, may have changed since it was taken. Only the
+    ``arcs`` rows of those edges' tails and the ``h2_at`` entries of those
+    nodes are rebuilt; every other row and entry is shared with ``base``.
+    Without ``base``, a row at free flow is the index's own row, since a base
+    time times 1.0 is itself. Either way the result equals a snapshot built
+    with every row rebuilt. The comfort map is the graph's own. A snapshot
+    records no instant: a third positional argument, once the time, is ignored.
     """
     index = graph.index
-    congestion, comfort, blocked = graph.congestion, graph.comfort, graph.blocked
     h2 = field.h2_by_node
     if base is None:
-        h3 = field.h3_by_node
+        congested = [eid for eid, c in graph.congestion.items() if c != 1.0]
         return GraphSnapshot(
-            index, MappingProxyType(dict(congestion)), MappingProxyType(dict(comfort)),
-            frozenset(blocked), MappingProxyType(dict(h2)), h3, time,
-            _rows(graph, index.out, [eid for eid, c in congestion.items() if c != 1.0] + [*blocked]),
+            index, _rows(graph, index.out, congested + [*graph.blocked]),
             tuple([h2.get(nid, 0.0) for nid in index.ids]),
-            tuple([h3.get(nid, 0.0) for nid in index.ids]),
+            tuple([field.h3_by_node.get(nid, 0.0) for nid in index.ids]),
+            graph.comfort,
         )
     h2_at = base.h2_at
     if nodes:
@@ -299,18 +295,8 @@ def snapshot(graph: RoadGraph, field: HeuristicField, time: float,
         for nid in nodes:
             values[index.pos[nid]] = h2.get(nid, 0.0)
         h2_at = tuple(values)
-    return GraphSnapshot(
-        index,
-        base.congestion if all(congestion[e] == base.congestion[e] for e in edges)
-        else MappingProxyType(dict(congestion)),
-        base.comfort if all(comfort[e] == base.comfort[e] for e in edges)
-        else MappingProxyType(dict(comfort)),
-        base.blocked if all((e in blocked) == (e in base.blocked) for e in edges)
-        else frozenset(blocked),
-        base.h2 if all(h2.get(n) == base.h2.get(n) for n in nodes)
-        else MappingProxyType(dict(h2)),
-        base.h3, time, _rows(graph, base.arcs, edges), h2_at, base.h3_at,
-    )
+    return GraphSnapshot(index, _rows(graph, base.arcs, edges), h2_at, base.h3_at,
+                         graph.comfort)
 
 
 def make_grid(rows: int, cols: int, edge_length: float, speed: float) -> RoadGraph:

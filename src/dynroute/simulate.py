@@ -4,7 +4,8 @@ The world has one ground truth and one shared belief:
 
 * the ground truth is the :class:`TruthTimeline`, the state in force at each
   epoch. It prices every edge a vehicle enters and every node penalty it
-  pays, and trace replay and the offline oracle read the same timeline;
+  pays, and gives the comfort of the edge, read with a 0.0 default. Trace
+  replay and the offline oracle read the same timeline;
 * the shared belief, from which planning snapshots are taken. Broadcast
   events reach it directly; ``sensed_only`` events reach it only through
   observations reported by vehicles that traversed the affected edges.
@@ -23,8 +24,7 @@ The belief snapshot is taken lazily. The simulation collects the edges and
 nodes that events and observations touched at each boundary, and takes a
 snapshot only in an epoch where some vehicle plans and the belief has changed
 since the last one; it is then patched from that one, rebuilding only what
-the collected changes touch. Otherwise vehicles plan on the last snapshot,
-which keeps the time it was taken at.
+the collected changes touch. Otherwise vehicles plan on the last snapshot.
 
 A ``dyn_astar`` vehicle keeps its last search. The simulation notes which
 planner-read values (congestion, blocked flags, h2) really changed at each
@@ -88,6 +88,10 @@ ALGORITHMS = tuple(PLANNERS)
 
 _EPS = 1e-9
 
+# The most epochs a run's horizon may span. Every epoch is stepped, and one too
+# short leaves a vehicle's remaining edge time unchanged: it would never finish.
+MAX_EPOCHS = 10**7
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -100,14 +104,14 @@ class SimConfig:
     rrt: RRTParams = field(default_factory=RRTParams)
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.epoch_s) and self.epoch_s > 0):
-            raise ValueError("epoch_s must be finite and > 0")
-        if not (math.isfinite(self.hysteresis) and self.hysteresis >= 0):
-            raise ValueError("hysteresis must be finite and >= 0")
-        if self.horizon_s <= 0:
-            raise ValueError("horizon_s must be > 0")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be >= 0")
+        for name, bound in (("epoch_s", "> 0"), ("hysteresis", ">= 0"),
+                            ("horizon_s", "> 0"), ("noise_sigma", ">= 0")):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and (value > 0 or bound == ">= 0" and value == 0)):
+                raise ValueError(f"{name} must be finite and {bound}")
+        if self.horizon_s > MAX_EPOCHS * self.epoch_s:
+            raise ValueError(f"the {self.horizon_s:g} s horizon is more than {MAX_EPOCHS:,} "
+                             f"epochs of {self.epoch_s:g} s")
 
 
 @dataclass
@@ -180,16 +184,10 @@ class Simulation:
         that reads it; ``None`` builds it."""
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-        if truth is None:
-            truth = TruthTimeline(scenario, config.epoch_s)
-        elif truth.epoch_s != config.epoch_s:
-            raise ValueError(
-                f"truth timeline has {truth.epoch_s} s epochs, config {config.epoch_s} s"
-            )
         self.scenario = scenario
         self.config = config
         self.algorithm = algorithm
-        self.truth = truth
+        self.truth = _truth(scenario, config, truth)
         self.belief_graph: RoadGraph = scenario.graph.copy()
         self.belief_field: HeuristicField = scenario.initial_field.copy()
         self.epoch_index = 0
@@ -271,7 +269,7 @@ class Simulation:
 
         planning = [v for v in self.vehicles if self._plans(v, t)]
         if planning:
-            snap = self._belief_snapshot(t)
+            snap = self._belief_snapshot()
             for v in planning:
                 self._plan_vehicle(v, snap)
         truth, truth_next = self.truth.at_epoch(k), self.truth.at_epoch(k + 1)
@@ -300,12 +298,12 @@ class Simulation:
             return False
         return self.algorithm == "dyn_astar" or not v.has_plan
 
-    def _belief_snapshot(self, t: float) -> GraphSnapshot:
+    def _belief_snapshot(self) -> GraphSnapshot:
         """The belief as a snapshot: the last one taken, or a new one patched
         from it if the belief has changed since."""
         if self._snap is None or self._stale_edges or self._stale_nodes:
-            self._snap = snapshot(self.belief_graph, self.belief_field, t, self._snap,
-                                  self._stale_edges, self._stale_nodes)
+            self._snap = snapshot(self.belief_graph, self.belief_field, base=self._snap,
+                                  edges=self._stale_edges, nodes=self._stale_nodes)
             self._stale_edges.clear()
             self._stale_nodes.clear()
         return self._snap
@@ -408,7 +406,7 @@ class Simulation:
                 v.edge_head = nxt
                 v.edge_total_s = eff
                 v.edge_remaining_s = eff
-                v.edge_comfort = truth.comfort[eid]
+                v.edge_comfort = truth.comfort.get(eid, 0.0)
                 v.at_node = None
                 v.plan_nodes.pop(0)
             else:
@@ -496,8 +494,9 @@ class TruthTimeline:
     An event at time t takes effect at the first epoch boundary >= t
     (:meth:`event_epoch`); the simulator applies events to its shared belief
     by the same rule. One state is kept per epoch that has events. Each is
-    patched from the one before it with the targets of the epoch's events,
-    so it shares every row and overlay mapping those events left equal.
+    patched from the one before it with the targets whose congestion, blocked
+    flag or h2 the epoch's events changed, so it shares every row those
+    events left equal, and the comfort map unless one of them set a comfort.
     """
 
     def __init__(self, scenario: Scenario, epoch_s: float):
@@ -505,14 +504,14 @@ class TruthTimeline:
         graph = scenario.graph.copy()
         fld = scenario.initial_field.copy()
         self._starts: list[int] = [0]
-        self._snaps: list[GraphSnapshot] = [snapshot(graph, fld, 0.0)]
+        self._snaps: list[GraphSnapshot] = [snapshot(graph, fld)]
         for k, group in groupby(scenario.events, lambda ev: self.event_epoch(ev.at_time)):
             edges: set[str] = set()
             nodes: set[str] = set()
             for ev in group:
-                apply_event(graph, fld, ev)
-                (nodes if ev.kind == SET_NODE_COMFORT_H else edges).add(ev.target)
-            snap = snapshot(graph, fld, k * epoch_s, self._snaps[-1], edges, nodes)
+                if apply_event(graph, fld, ev):
+                    (nodes if ev.kind == SET_NODE_COMFORT_H else edges).add(ev.target)
+            snap = snapshot(graph, fld, base=self._snaps[-1], edges=edges, nodes=nodes)
             if k == self._starts[-1]:
                 self._snaps[-1] = snap
             else:
@@ -534,15 +533,28 @@ class TruthTimeline:
         return self.at_epoch(self.epoch_of(time))
 
 
+def _truth(scenario: Scenario, config: SimConfig, truth: TruthTimeline | None) -> TruthTimeline:
+    """``truth`` checked against ``config``'s epoch length, or a new timeline if None."""
+    if truth is None:
+        return TruthTimeline(scenario, config.epoch_s)
+    if truth.epoch_s != config.epoch_s:
+        raise ValueError(
+            f"truth timeline has {truth.epoch_s} s epochs, config {config.epoch_s} s"
+        )
+    return truth
+
+
 def replay_realized_cost(
-    scenario: Scenario, config: SimConfig, vehicle: str, path: list[str], depart_s: float
+    scenario: Scenario, config: SimConfig, vehicle: str, path: list[str], depart_s: float,
+    truth: TruthTimeline | None = None,
 ) -> float:
     """Recompute a vehicle's realized cost from its recorded path alone.
 
     Follows the path through the ground-truth timeline with the same
     frozen-at-entry cost rule; a trace is replayable iff this matches.
+    ``truth`` is the scenario's timeline, as for :class:`Simulation`.
     """
-    timeline = TruthTimeline(scenario, config.epoch_s)
+    timeline = _truth(scenario, config, truth)
     now = depart_s
     cost = 0.0
     for u, v in zip(path, path[1:]):

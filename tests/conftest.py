@@ -28,8 +28,8 @@ def build_graph(nodes, edges) -> RoadGraph:
     )
 
 
-def snap_of(graph, h2=None, h3=None, t=0.0):
-    return snapshot(graph, HeuristicField(h2_by_node=h2 or {}, h3_by_node=h3 or {}), t)
+def snap_of(graph, h2=None, h3=None):
+    return snapshot(graph, HeuristicField(h2_by_node=h2 or {}, h3_by_node=h3 or {}))
 
 
 def diamond_graph() -> RoadGraph:
@@ -48,11 +48,12 @@ def diamond_graph() -> RoadGraph:
     return build_graph(nodes, edges)
 
 
-def enumerate_min_travel(snap, start, goal) -> float:
-    """Independent oracle: exhaustive DFS over simple paths, minimum
-    effective travel time. Only usable on small graphs."""
+def enumerate_min_travel(graph, start, goal) -> float:
+    """Independent oracle: exhaustive DFS over simple paths of ``graph``'s
+    current overlay, minimum effective travel time. Only usable on small
+    graphs."""
     best = math.inf
-    pos = snap.index.pos
+    pos = graph.index.pos
     goal_i = pos[goal]
 
     def dfs(node, cost, visited):
@@ -62,10 +63,10 @@ def enumerate_min_travel(snap, start, goal) -> float:
         if node == goal_i:
             best = cost
             return
-        for eid, v, base in snap.index.out[node]:
-            if eid in snap.blocked or v in visited:
+        for eid, v, base in graph.index.out[node]:
+            if eid in graph.blocked or v in visited:
                 continue
-            dfs(v, cost + base * snap.congestion[eid], visited | {v})
+            dfs(v, cost + base * graph.congestion[eid], visited | {v})
 
     dfs(pos[start], 0.0, {pos[start]})
     return best

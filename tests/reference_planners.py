@@ -1,16 +1,20 @@
 """String-keyed reference planners and oracle for differential tests.
 
-``neighbors``, ``time_heuristic`` and ``combined_f`` are the reference
-definitions of successors, h1 and the search priority; ``node_penalty``,
-``cheapest_edge``, ``path_travel_time`` and ``path_penalty`` those of path
-costs. They read the snapshot's search index and its id-keyed mappings, never
-its planning view, and speak in node ids, one call per node or edge.
+They read an :class:`IdView`, the id-keyed state a snapshot is taken from,
+copied by :func:`id_view` from a ``RoadGraph`` and ``HeuristicField``, never a
+snapshot's planning view. ``neighbors``, ``time_heuristic`` and
+``combined_f`` are the reference definitions of successors, h1 and the
+search priority; ``node_penalty``, ``cheapest_edge``, ``path_travel_time``
+and ``path_penalty`` those of path costs. They speak in node ids, one call
+per node or edge. :func:`assert_snapshot_of` checks a snapshot's planning
+view and comfort against a view, id by id.
+
 The planners here are the planners as first written: they expand nodes
 through ``neighbors()`` and price them with ``time_heuristic`` and
 ``combined_f``. The planners in ``dynroute.planners`` inline those
 definitions in tight loops over node indices and must return exactly the
 same results. ``offline_optimal`` is the oracle as first written, keyed by
-node id and building its own ground-truth timeline; the oracle in
+node id and reading its own ground truth, :class:`IdTimeline`; the oracle in
 ``dynroute.evaluate`` searches on node indices and must match it bit for bit.
 """
 
@@ -19,77 +23,139 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from dataclasses import dataclass
+from typing import Mapping
 
 from dynroute import (
     FOUND,
     UNREACHABLE,
     GraphSnapshot,
+    HeuristicField,
     HeuristicWeights,
     PlanResult,
+    RoadGraph,
+    SearchIndex,
     SearchParams,
+    apply_event,
 )
 from dynroute.evaluate import OracleResult
 from dynroute.graph import Query, Scenario
-from dynroute.simulate import TruthTimeline
 
 _INF = math.inf
 
 
-def _check_node(snap: GraphSnapshot, node: str) -> int:
-    i = snap.index.pos.get(node)
+@dataclass(frozen=True)
+class IdView:
+    """A graph's overlay and heuristic field at one instant, keyed by id."""
+
+    index: SearchIndex
+    congestion: Mapping[str, float]
+    comfort: Mapping[str, float]
+    blocked: frozenset[str]
+    h2: Mapping[str, float]
+    h3: Mapping[str, float]
+
+
+def id_view(graph: RoadGraph, field: HeuristicField) -> IdView:
+    """A copy of the state a snapshot of ``graph`` and ``field`` is taken from."""
+    return IdView(graph.index, dict(graph.congestion), dict(graph.comfort),
+                  frozenset(graph.blocked), dict(field.h2_by_node), dict(field.h3_by_node))
+
+
+def assert_snapshot_of(snap: GraphSnapshot, view: IdView) -> None:
+    """Assert that ``snap`` holds ``view``'s state: each node's ``arcs`` row,
+    ``h2_at`` and ``h3_at`` entry, and each edge's comfort, read id by id."""
+    ids, pos = view.index.ids, view.index.pos
+    assert len(snap.arcs) == len(snap.h2_at) == len(snap.h3_at) == len(ids)
+    for nid in ids:
+        i = pos[nid]
+        assert snap.arcs[i] == tuple((eid, pos[succ], eff)
+                                     for succ, eid, eff in neighbors(view, nid))
+        assert snap.h2_at[i] == view.h2.get(nid, 0.0)
+        assert snap.h3_at[i] == view.h3.get(nid, 0.0)
+    for eid in view.congestion:
+        assert snap.comfort.get(eid, 0.0) == view.comfort.get(eid, 0.0)
+
+
+class IdTimeline:
+    """Ground truth as an id-keyed view per epoch, each rebuilt by applying
+    every event that takes effect by then, at the first epoch boundary at or
+    after its time, to a fresh copy of the scenario."""
+
+    def __init__(self, scenario: Scenario, epoch_s: float):
+        self.scenario = scenario
+        self.epoch_s = epoch_s
+        self._views: dict[int, IdView] = {}
+
+    def at_epoch(self, k: int) -> IdView:
+        if k not in self._views:
+            graph = self.scenario.graph.copy()
+            field = self.scenario.initial_field.copy()
+            for ev in self.scenario.events:
+                if max(0, math.ceil(ev.at_time / self.epoch_s - 1e-12)) <= k:
+                    apply_event(graph, field, ev)
+            self._views[k] = id_view(graph, field)
+        return self._views[k]
+
+    def at_time(self, time: float) -> IdView:
+        return self.at_epoch(max(0, int(math.floor(time / self.epoch_s + 1e-12))))
+
+
+def _check_node(view: IdView, node: str) -> int:
+    i = view.index.pos.get(node)
     if i is None:
         raise KeyError(f"unknown node {node!r}")
     return i
 
 
-def neighbors(snap: GraphSnapshot, node: str) -> list[tuple[str, str, float]]:
+def neighbors(view: IdView, node: str) -> list[tuple[str, str, float]]:
     """Unblocked successors of ``node`` as (successor, edge_id, effective_time).
 
     Ordered by ascending edge id, so traversal order is deterministic.
     """
-    ids = snap.index.ids
+    ids = view.index.ids
     return [
-        (ids[v], eid, base * snap.congestion[eid])
-        for eid, v, base in snap.index.out[_check_node(snap, node)]
-        if eid not in snap.blocked
+        (ids[v], eid, base * view.congestion[eid])
+        for eid, v, base in view.index.out[_check_node(view, node)]
+        if eid not in view.blocked
     ]
 
 
-def time_heuristic(snap: GraphSnapshot, node: str, goal: str) -> float:
+def time_heuristic(view: IdView, node: str, goal: str) -> float:
     """Lower bound on remaining travel time: straight line at top speed."""
-    index = snap.index
-    n, g = _check_node(snap, node), _check_node(snap, goal)
+    index = view.index
+    n, g = _check_node(view, node), _check_node(view, goal)
     return math.hypot(index.xs[n] - index.xs[g], index.ys[n] - index.ys[g]) / index.v_max
 
 
-def node_penalty(snap: GraphSnapshot, node: str) -> float:
-    return snap.h2.get(node, 0.0) + snap.h3.get(node, 0.0)
+def node_penalty(view: IdView, node: str) -> float:
+    return view.h2.get(node, 0.0) + view.h3.get(node, 0.0)
 
 
-def cheapest_edge(snap: GraphSnapshot, u: str, v: str) -> tuple[str, float] | None:
+def cheapest_edge(view: IdView, u: str, v: str) -> tuple[str, float] | None:
     """Cheapest unblocked edge u->v as (edge_id, effective_time); equal
     times go to the lowest edge id. None if there is none or a node is unknown."""
-    if u not in snap.index.pos or v not in snap.index.pos:
+    if u not in view.index.pos or v not in view.index.pos:
         return None
     best = None
-    for succ, eid, eff in neighbors(snap, u):
+    for succ, eid, eff in neighbors(view, u):
         if succ == v and (best is None or eff < best[1]):
             best = (eid, eff)
     return best
 
 
-def path_travel_time(snap: GraphSnapshot, path: tuple[str, ...]) -> float:
+def path_travel_time(view: IdView, path: tuple[str, ...]) -> float:
     total = 0.0
     for u, v in zip(path, path[1:]):
-        edge = cheapest_edge(snap, u, v)
+        edge = cheapest_edge(view, u, v)
         if edge is None:
             raise ValueError(f"no unblocked edge along {path!r}")
         total += edge[1]
     return total
 
 
-def path_penalty(snap: GraphSnapshot, path: tuple[str, ...]) -> float:
-    return sum(node_penalty(snap, n) for n in path[1:])
+def path_penalty(view: IdView, path: tuple[str, ...]) -> float:
+    return sum(node_penalty(view, n) for n in path[1:])
 
 
 def combined_f(g: float, h1: float, h2: float, h3: float, w: HeuristicWeights) -> float:
@@ -108,7 +174,7 @@ def _reconstruct(parent: dict[str, str | None], goal: str) -> tuple[str, ...]:
 
 
 def dyn_a_star(
-    snap: GraphSnapshot, start: str, goal: str, params: SearchParams
+    view: IdView, start: str, goal: str, params: SearchParams
 ) -> PlanResult:
     """Best-first search with weighted time/comfort/safety heuristics.
 
@@ -117,15 +183,15 @@ def dyn_a_star(
     consistent straight-line time heuristic this is classical A* and returns
     optimal travel time; other weightings trade optimality for preference.
     """
-    _check_node(snap, start)
-    _check_node(snap, goal)
+    _check_node(view, start)
+    _check_node(view, goal)
     w = params.weights
 
     def h1(n: str) -> float:
-        return time_heuristic(snap, n, goal)
+        return time_heuristic(view, n, goal)
 
     def priority(g: float, n: str) -> float:
-        return combined_f(g, h1(n), snap.h2.get(n, 0.0), snap.h3.get(n, 0.0), w)
+        return combined_f(g, h1(n), view.h2.get(n, 0.0), view.h3.get(n, 0.0), w)
 
     g_best: dict[str, float] = {start: 0.0}
     parent: dict[str, str | None] = {start: None}
@@ -142,14 +208,14 @@ def dyn_a_star(
             path = _reconstruct(parent, goal)
             return PlanResult(
                 path=path,
-                g_cost=g_best[goal] + path_penalty(snap, path),
+                g_cost=g_best[goal] + path_penalty(view, path),
                 f_cost_at_goal=f,
                 expanded=len(closed),
                 status=FOUND,
                 expansion_order=tuple(order),
             )
         g_node = g_best[node]
-        for succ, _eid, eff in neighbors(snap, node):
+        for succ, _eid, eff in neighbors(view, node):
             if succ in closed:
                 continue
             ng = g_node + eff
@@ -160,17 +226,17 @@ def dyn_a_star(
     return PlanResult((), _INF, _INF, len(closed), UNREACHABLE, tuple(order))
 
 
-def dijkstra_ucs(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
+def dijkstra_ucs(view: IdView, start: str, goal: str) -> PlanResult:
     """Uniform-cost search on effective travel time. Optimal by construction.
 
     Kept as a hand-rolled loop, independent of the weighted planner, so the
     two can be checked against each other.
     """
-    _check_node(snap, start)
-    _check_node(snap, goal)
+    _check_node(view, start)
+    _check_node(view, goal)
 
     def h1(n: str) -> float:
-        return time_heuristic(snap, n, goal)
+        return time_heuristic(view, n, goal)
 
     dist: dict[str, float] = {start: 0.0}
     parent: dict[str, str | None] = {start: None}
@@ -187,13 +253,13 @@ def dijkstra_ucs(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
             path = _reconstruct(parent, goal)
             return PlanResult(
                 path=path,
-                g_cost=g + path_penalty(snap, path),
+                g_cost=g + path_penalty(view, path),
                 f_cost_at_goal=g,
                 expanded=len(closed),
                 status=FOUND,
                 expansion_order=tuple(order),
             )
-        for succ, _eid, eff in neighbors(snap, node):
+        for succ, _eid, eff in neighbors(view, node):
             if succ in closed:
                 continue
             ng = g + eff
@@ -204,13 +270,13 @@ def dijkstra_ucs(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
     return PlanResult((), _INF, _INF, len(closed), UNREACHABLE, tuple(order))
 
 
-def greedy_best_first(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
+def greedy_best_first(view: IdView, start: str, goal: str) -> PlanResult:
     """Expands by the time heuristic alone; complete but not optimal."""
-    _check_node(snap, start)
-    _check_node(snap, goal)
+    _check_node(view, start)
+    _check_node(view, goal)
 
     def h1(n: str) -> float:
-        return time_heuristic(snap, n, goal)
+        return time_heuristic(view, n, goal)
 
     parent: dict[str, str | None] = {start: None}
     open_heap: list[tuple[float, str]] = [(h1(start), start)]
@@ -224,16 +290,16 @@ def greedy_best_first(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
         order.append(node)
         if node == goal:
             path = _reconstruct(parent, goal)
-            travel = path_travel_time(snap, path)
+            travel = path_travel_time(view, path)
             return PlanResult(
                 path=path,
-                g_cost=travel + path_penalty(snap, path),
+                g_cost=travel + path_penalty(view, path),
                 f_cost_at_goal=hv,
                 expanded=len(closed),
                 status=FOUND,
                 expansion_order=tuple(order),
             )
-        for succ, _eid, _eff in neighbors(snap, node):
+        for succ, _eid, _eff in neighbors(view, node):
             if succ in closed or succ in parent:
                 continue
             parent[succ] = node
@@ -242,7 +308,7 @@ def greedy_best_first(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
 
 
 def rrt_plan(
-    snap: GraphSnapshot, start: str, goal: str, params: SearchParams
+    view: IdView, start: str, goal: str, params: SearchParams
 ) -> PlanResult:
     """Graph-adapted rapidly-exploring random tree.
 
@@ -251,14 +317,14 @@ def rrt_plan(
     step_edges hops toward the sample along locally greedy unblocked edges.
     Deterministic for a fixed seed.
     """
-    _check_node(snap, start)
-    _check_node(snap, goal)
+    _check_node(view, start)
+    _check_node(view, goal)
     p = params.rrt
     rng = random.Random(params.rng_seed)
 
     def pos(n: str) -> tuple[float, float]:
-        i = snap.index.pos[n]
-        return snap.index.xs[i], snap.index.ys[i]
+        i = view.index.pos[n]
+        return view.index.xs[i], view.index.ys[i]
 
     def dist2(n: str, xy: tuple[float, float]) -> float:
         x, y = pos(n)
@@ -266,10 +332,10 @@ def rrt_plan(
 
     def finish(tree: dict[str, str | None]) -> PlanResult:
         path = _reconstruct(tree, goal)
-        travel = path_travel_time(snap, path)
+        travel = path_travel_time(view, path)
         return PlanResult(
             path=path,
-            g_cost=travel + path_penalty(snap, path),
+            g_cost=travel + path_penalty(view, path),
             f_cost_at_goal=travel,
             expanded=len(tree),
             status=FOUND,
@@ -278,7 +344,7 @@ def rrt_plan(
     tree: dict[str, str | None] = {start: None}
     if start == goal:
         return finish(tree)
-    node_ids = sorted(snap.index.ids)
+    node_ids = sorted(view.index.ids)
     for _ in range(p.max_iterations):
         if rng.random() < p.goal_bias:
             sample = pos(goal)
@@ -289,7 +355,7 @@ def rrt_plan(
         for _hop in range(p.step_edges):
             candidates = [
                 succ
-                for succ, _eid, _eff in neighbors(snap, current)
+                for succ, _eid, _eff in neighbors(view, current)
                 if succ not in tree
             ]
             if not candidates:
@@ -312,7 +378,7 @@ def offline_optimal(scenario: Scenario, query: Query, epoch_s: float = 30.0) -> 
     pruning: a label is dropped iff an existing label at the same node is no
     later and no more expensive.
     """
-    timeline = TruthTimeline(scenario, epoch_s)
+    timeline = IdTimeline(scenario, epoch_s)
 
     # labels[i] = (cost, time, node, parent_label_index)
     labels: list[tuple[float, float, str, int]] = [(0.0, query.depart_s, query.start, -1)]
@@ -340,8 +406,8 @@ def offline_optimal(scenario: Scenario, query: Query, epoch_s: float = 30.0) -> 
                 idx = labels[idx][3]
             path.reverse()
             return OracleResult(query.vehicle, cost, tuple(path))
-        snap = timeline.at_time(time)
-        for succ, _eid, eff in neighbors(snap, node):
+        view = timeline.at_time(time)
+        for succ, _eid, eff in neighbors(view, node):
             ntime = time + eff
             ncost = cost + eff + node_penalty(timeline.at_time(ntime), succ)
             if dominated(succ, ntime, ncost):

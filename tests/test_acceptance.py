@@ -53,7 +53,7 @@ def test_01_exact_optimality_on_random_graphs():
     for _ in range(200):
         g, start, goal = random_connected_graph(rng, max_nodes=10)
         snap = snap_of(g)
-        want = enumerate_min_travel(snap, start, goal)
+        want = enumerate_min_travel(g, start, goal)
         for plan in (
             dijkstra_ucs(snap, start, goal),
             static_a_star(snap, start, goal),
@@ -78,7 +78,7 @@ def test_02_weighted_search_bounded_suboptimality():
         for _ in range(60):
             g, start, goal = random_connected_graph(rng, max_nodes=10)
             snap = snap_of(g)
-            best = enumerate_min_travel(snap, start, goal)
+            best = enumerate_min_travel(g, start, goal)
             res = dyn_a_star(snap, start, goal, params)
             got = path_travel_time(snap, res.path)
             worst = max(worst, got / best if best > 0 else 1.0)
@@ -152,16 +152,13 @@ def test_06_observation_sharing_benefit_matches_route_math():
     fld = scn.initial_field.copy()
     for ev in scn.events:
         apply_event(truth, fld, ev)
-    snap = snapshot(truth, fld, 0.0)
     edge = truth.edges[hidden.target]
     goal = next(q.goal for q in scn.queries if q.vehicle == "tail")
     through = (edge.base_time_s * truth.congestion[edge.id]
-               + enumerate_min_travel(snap, edge.to_node, goal))
+               + enumerate_min_travel(truth, edge.to_node, goal))
     detour_truth = truth.copy()
     detour_truth.blocked.add(hidden.target)
-    around = enumerate_min_travel(
-        snapshot(detour_truth, fld, 0.0), edge.from_node, goal
-    )
+    around = enumerate_min_travel(detour_truth, edge.from_node, goal)
     expected = through - around
 
     statuses = {v["status"] for t in (shared, alone) for v in t.vehicles}
@@ -227,7 +224,7 @@ def test_08_safety_field_immutable_under_event_storms():
 
 def test_09_single_plan_under_one_second_on_large_grid():
     grid = make_grid(100, 100, 100.0, 10.0)
-    snap = snapshot(grid, HeuristicField(), 0.0)
+    snap = snapshot(grid, HeuristicField())
     params = SearchParams(weights=HeuristicWeights(1, 1, 0, 0))
     t0 = time.monotonic()
     res = dyn_a_star(snap, "n00_00", "n99_99", params)

@@ -158,6 +158,11 @@ class TestSimulate:
     def test_epoch_flag_validated(self, line_scn, capsys):
         assert main(["simulate", "--scenario", str(line_scn), "--epoch-s", "0"]) == 2
 
+    def test_epoch_too_short_for_the_horizon_is_usage_error(self, line_scn, capsys):
+        # 1e-300 s epochs would split the 1e6 s horizon into 1e306 epochs.
+        assert main(["simulate", "--scenario", str(line_scn), "--epoch-s", "1e-300"]) == 2
+        assert "more than 10,000,000 epochs" in capsys.readouterr().err
+
     def test_byte_identical_reruns(self, line_scn, tmp_path, capsys):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(["simulate", "--scenario", str(line_scn), "--out", a]) == 0

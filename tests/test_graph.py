@@ -17,7 +17,7 @@ from dynroute import (
     snapshot,
 )
 from dynroute.suite import write_suites
-from reference_planners import neighbors
+from reference_planners import assert_snapshot_of, id_view, neighbors
 
 MINIMAL = {
     "meta": {"name": "mini", "seed": 1},
@@ -222,33 +222,36 @@ class TestSnapshot:
     def test_snapshot_unaffected_by_later_event(self):
         grid = make_grid(2, 2, 100.0, 10.0)
         fld = HeuristicField()
-        snap = snapshot(grid, fld, 0.0)
+        snap = snapshot(grid, fld)
         eid = sorted(grid.edges)[0]
+        tail = grid.index.pos[grid.edges[eid].from_node]
         apply_event(grid, fld, Event(0, "set_congestion", eid, 3.0))
-        assert snap.congestion[eid] == 1.0
+        assert snap.arcs[tail] == grid.index.out[tail]  # eid still at free flow
+        assert snapshot(grid, fld).arcs[tail] != snap.arcs[tail]
 
     def test_same_time_same_contents(self):
         grid = make_grid(2, 3, 100.0, 10.0)
         fld = HeuristicField()
-        assert snapshot(grid, fld, 5.0) == snapshot(grid, fld, 5.0)
+        assert snapshot(grid, fld) == snapshot(grid, fld)
 
     def test_grid_fixture_starts_free_flow(self, scenario_dir):
         scn = load_scenario((scenario_dir / "grid10_congestion.scn").read_text())
-        snap = snapshot(scn.graph, scn.initial_field, 0.0)
-        assert all(f == 1.0 for f in snap.congestion.values())
+        snap = snapshot(scn.graph, scn.initial_field)
+        assert snap.arcs == scn.graph.index.out
+        assert all(f == 1.0 for f in scn.graph.congestion.values())
 
     @settings(max_examples=50, deadline=None)
     @given(events=_EVENT_STRATEGY)
     def test_snapshot_reads_never_change(self, events):
         grid = make_grid(2, 3, 100.0, 10.0)
         fld = HeuristicField(h3_by_node={"n00_00": 1.5})
-        snap = snapshot(grid, fld, 0.0)
-        frozen = (dict(snap.congestion), dict(snap.comfort),
-                  set(snap.blocked), dict(snap.h2))
+        snap = snapshot(grid, fld)
+        taken_from = id_view(grid, fld)
+        frozen = (snap.arcs, snap.h2_at, snap.h3_at, dict(snap.comfort))
         for kind, idx, value in events:
             apply_event(grid, fld, _grid_event(kind, idx, value, grid))
-        assert (dict(snap.congestion), dict(snap.comfort),
-                set(snap.blocked), dict(snap.h2)) == frozen
+        assert (snap.arcs, snap.h2_at, snap.h3_at, dict(snap.comfort)) == frozen
+        assert_snapshot_of(snap, taken_from)
 
     @settings(max_examples=50, deadline=None)
     @given(events=_EVENT_STRATEGY)
@@ -284,38 +287,35 @@ class TestMakeGrid:
 class TestNeighbors:
     def test_interior_degree_four(self):
         grid = make_grid(3, 3, 100.0, 10.0)
-        snap = snapshot(grid, HeuristicField(), 0.0)
-        assert len(neighbors(snap, "n01_01")) == 4
+        view = id_view(grid, HeuristicField())
+        assert len(neighbors(view, "n01_01")) == 4
 
     def test_all_blocked_gives_empty(self):
         grid = make_grid(1, 2, 100.0, 10.0)
         fld = HeuristicField()
         for eid in list(grid.edges):
             apply_event(grid, fld, Event(0, "block_edge", eid))
-        snap = snapshot(grid, fld, 0.0)
-        assert neighbors(snap, "n00_00") == []
+        assert neighbors(id_view(grid, fld), "n00_00") == []
 
     def test_effective_time_scales_with_factor(self):
         grid = make_grid(1, 2, 100.0, 10.0)
         fld = HeuristicField()
         (eid, _, _), *_ = grid.index.out[grid.index.pos["n00_00"]]
         apply_event(grid, fld, Event(0, "set_congestion", eid, 1.5))
-        snap = snapshot(grid, fld, 0.0)
-        (_, _, eff), = [n for n in neighbors(snap, "n00_00")]
+        (_, _, eff), = [n for n in neighbors(id_view(grid, fld), "n00_00")]
         assert eff == pytest.approx(15.0)
 
     def test_deterministic_order(self):
         grid = make_grid(3, 3, 100.0, 10.0)
-        snap = snapshot(grid, HeuristicField(), 0.0)
-        first = neighbors(snap, "n01_01")
-        assert first == neighbors(snap, "n01_01")
+        view = id_view(grid, HeuristicField())
+        first = neighbors(view, "n01_01")
+        assert first == neighbors(view, "n01_01")
         assert [eid for _, eid, _ in first] == sorted(eid for _, eid, _ in first)
 
     def test_unknown_node(self):
         grid = make_grid(1, 2, 100.0, 10.0)
-        snap = snapshot(grid, HeuristicField(), 0.0)
         with pytest.raises(KeyError):
-            neighbors(snap, "nope")
+            neighbors(id_view(grid, HeuristicField()), "nope")
 
 
 def test_suite_generator_rewrites_the_committed_scenarios(scenario_dir, tmp_path):

@@ -13,8 +13,8 @@ from dynroute import (
     ingest_observations,
     make_grid,
 )
-from conftest import build_graph, enumerate_min_travel, snap_of
-from reference_planners import combined_f, time_heuristic
+from conftest import build_graph, enumerate_min_travel
+from reference_planners import combined_f, id_view, time_heuristic
 
 
 class TestTimeHeuristic:
@@ -24,25 +24,25 @@ class TestTimeHeuristic:
             [("a", 0.0, 0.0), ("b", 300.0, 400.0)],
             [("e1", "a", "b", 500.0, 50.0), ("e2", "b", "a", 500.0, 50.0)],
         )
-        snap = snap_of(g)
-        assert time_heuristic(snap, "a", "b") == pytest.approx(50.0)
+        view = id_view(g, HeuristicField())
+        assert time_heuristic(view, "a", "b") == pytest.approx(50.0)
 
     def test_zero_at_goal(self):
         g = make_grid(2, 2, 100.0, 10.0)
-        snap = snap_of(g)
-        assert time_heuristic(snap, "n00_00", "n00_00") == 0.0
+        view = id_view(g, HeuristicField())
+        assert time_heuristic(view, "n00_00", "n00_00") == 0.0
 
     def test_corner_to_corner_bound_on_grid(self):
         g = make_grid(3, 3, 100.0, 10.0)
-        snap = snap_of(g)
-        h = time_heuristic(snap, "n00_00", "n02_02")
+        view = id_view(g, HeuristicField())
+        h = time_heuristic(view, "n00_00", "n02_02")
         assert h == pytest.approx(100.0 * math.sqrt(8) / 10.0)
-        assert h <= enumerate_min_travel(snap, "n00_00", "n02_02") == 40.0
+        assert h <= enumerate_min_travel(g, "n00_00", "n02_02") == 40.0
 
     def test_unknown_node(self):
-        snap = snap_of(make_grid(1, 2, 100.0, 10.0))
+        view = id_view(make_grid(1, 2, 100.0, 10.0), HeuristicField())
         with pytest.raises(KeyError):
-            time_heuristic(snap, "zz", "n00_00")
+            time_heuristic(view, "zz", "n00_00")
 
     def test_admissible_on_congested_grids(self):
         rng = random.Random(7)
@@ -51,20 +51,20 @@ class TestTimeHeuristic:
             for eid in g.edges:
                 if rng.random() < 0.5:
                     g.congestion[eid] = rng.uniform(1.0, 5.0)
-            snap = snap_of(g)
+            view = id_view(g, HeuristicField())
             ids = sorted(g.nodes)
             for start in ids:
                 for goal in ids:
-                    true = enumerate_min_travel(snap, start, goal)
-                    assert time_heuristic(snap, start, goal) <= true + 1e-9
+                    true = enumerate_min_travel(g, start, goal)
+                    assert time_heuristic(view, start, goal) <= true + 1e-9
 
     def test_consistent_across_edges(self):
         g = make_grid(3, 3, 100.0, 10.0)
-        snap = snap_of(g)
+        view = id_view(g, HeuristicField())
         for goal in sorted(g.nodes):
             for e in g.edges.values():
-                hu = time_heuristic(snap, e.from_node, goal)
-                hv = time_heuristic(snap, e.to_node, goal)
+                hu = time_heuristic(view, e.from_node, goal)
+                hv = time_heuristic(view, e.to_node, goal)
                 assert hu <= e.base_time_s + hv + 1e-9
 
 

@@ -82,7 +82,7 @@ class TestDiamond:
         g = diamond_graph()
         fld = HeuristicField()
         apply_event(g, fld, Event(0, "block_edge", "e1"))
-        snap = snapshot(g, fld, 0.0)
+        snap = snapshot(g, fld)
         res = dijkstra_ucs(snap, "a", "d")
         assert res.path == ("a", "c", "d")
         assert res.g_cost == pytest.approx(4.0)
@@ -94,7 +94,7 @@ class TestOptimalityOracle:
         for _ in range(60):
             g, start, goal = random_connected_graph(rng)
             snap = snap_of(g)
-            want = enumerate_min_travel(snap, start, goal)
+            want = enumerate_min_travel(g, start, goal)
             for plan in (
                 dijkstra_ucs(snap, start, goal),
                 static_a_star(snap, start, goal),
@@ -109,7 +109,7 @@ class TestOptimalityOracle:
         for _ in range(25):
             g, start, goal = random_congested_grid(rng)
             snap = snap_of(g)
-            want = enumerate_min_travel(snap, start, goal)
+            want = enumerate_min_travel(g, start, goal)
             assert dijkstra_ucs(snap, start, goal).g_cost == pytest.approx(want)
             assert static_a_star(snap, start, goal).g_cost == pytest.approx(want)
 
@@ -136,7 +136,7 @@ class TestWeightedSearch:
         for _ in range(30):
             g, start, goal = random_connected_graph(rng)
             snap = snap_of(g)
-            best = enumerate_min_travel(snap, start, goal)
+            best = enumerate_min_travel(g, start, goal)
             res = dyn_a_star(snap, start, goal, params)
             assert res.status == FOUND
             assert path_travel_time(snap, res.path) <= W * best + 1e-9
@@ -173,7 +173,7 @@ class TestGreedy:
             res = greedy_best_first(snap, start, goal)
             assert res.status == FOUND
             assert validate_path(snap, res.path)
-            best = enumerate_min_travel(snap, start, goal)
+            best = enumerate_min_travel(g, start, goal)
             assert res.g_cost >= best - 1e-9
             if res.g_cost > best + 1e-9:
                 worse += 1
@@ -206,7 +206,7 @@ class TestRrt:
         g = diamond_graph()
         fld = HeuristicField()
         apply_event(g, fld, Event(0, "block_edge", "e1"))
-        snap = snapshot(g, fld, 0.0)
+        snap = snapshot(g, fld)
         res = rrt_plan(snap, "a", "d", SearchParams(rng_seed=1))
         assert res.status == FOUND
         assert res.path == ("a", "c", "d")
@@ -241,28 +241,28 @@ class TestReplan:
     def test_switches_when_next_edge_blocked(self):
         g = diamond_graph()
         fld = HeuristicField()
-        prior = self._prior(snapshot(g, fld, 0.0))
+        prior = self._prior(snapshot(g, fld))
         apply_event(g, fld, Event(0, "block_edge", "e1"))
-        res = replan(prior, snapshot(g, fld, 1.0), "a", "d", UNIT)
+        res = replan(prior, snapshot(g, fld), "a", "d", UNIT)
         assert res.path == ("a", "c", "d")
 
     def test_hysteresis_retains_marginally_worse_route(self):
         g = diamond_graph()
         fld = HeuristicField()
-        prior = self._prior(snapshot(g, fld, 0.0))
+        prior = self._prior(snapshot(g, fld))
         # old route becomes 2.02s vs fresh 2.0s: inside a 5% band, keep it
         apply_event(g, fld, Event(0, "set_congestion", "e2", 1.02))
         apply_event(g, fld, Event(0, "set_congestion", "e4", 1.0))
-        snap = snapshot(g, fld, 1.0)
+        snap = snapshot(g, fld)
         res = replan(prior, snap, "a", "d", UNIT, hysteresis=0.05)
         assert res.path == ("a", "b", "d")
 
     def test_large_improvement_overcomes_hysteresis(self):
         g = diamond_graph()
         fld = HeuristicField()
-        prior = self._prior(snapshot(g, fld, 0.0))
+        prior = self._prior(snapshot(g, fld))
         apply_event(g, fld, Event(0, "set_congestion", "e2", 9.0))
-        snap = snapshot(g, fld, 1.0)
+        snap = snapshot(g, fld)
         res = replan(prior, snap, "a", "d", UNIT, hysteresis=0.05)
         assert res.path == ("a", "c", "d")
 
@@ -280,9 +280,9 @@ class TestReplan:
         )
         fld = HeuristicField()
         params = SearchParams(weights=HeuristicWeights(1.0, 1.0, 1.0, 0.0))
-        prior = dyn_a_star(snapshot(g, fld, 0.0), "a", "d", params)
+        prior = dyn_a_star(snapshot(g, fld), "a", "d", params)
         apply_event(g, fld, Event(0, "set_node_comfort_h", prior.path[1], 50.0))
-        snap = snapshot(g, fld, 1.0)
+        snap = snapshot(g, fld)
         res = replan(prior, snap, "a", "d", params)
         assert prior.path[1] not in res.path
 
@@ -295,9 +295,9 @@ class TestReplan:
     def test_given_search_is_not_rerun(self, monkeypatch):
         g = diamond_graph()
         fld = HeuristicField()
-        prior = self._prior(snapshot(g, fld, 0.0))
+        prior = self._prior(snapshot(g, fld))
         apply_event(g, fld, Event(0, "block_edge", "e1"))
-        snap = snapshot(g, fld, 1.0)
+        snap = snapshot(g, fld)
         fresh = dyn_a_star(snap, "a", "d", UNIT)
         expected = replan(prior, snap, "a", "d", UNIT)
 

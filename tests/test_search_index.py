@@ -79,7 +79,7 @@ def test_index_is_built_from_the_edge_records(graph):
     assert index.v_max == (max(speeds) if speeds else 1.0)
 
     # The cheapest unblocked u->v edge: least effective time, then least id.
-    snap = snapshot(graph, HeuristicField(), 0.0)
+    snap = snapshot(graph, HeuristicField())
     for u in graph.nodes:
         for v in graph.nodes:
             times = sorted((e.base_time_s * graph.congestion[e.id], e.id)
@@ -94,10 +94,11 @@ def test_index_is_built_from_the_edge_records(graph):
 
 @st.composite
 def planning_cases(draw):
-    """A snapshot patched after random changes, its start and goal, and search
-    parameters. Every graph has two parallel edges of equal cost, one of them
-    blocked; the changes set congestion factors, block and unblock edges and
-    set h2 values, and the snapshot is patched from one taken before them."""
+    """A snapshot patched after random changes, the id-keyed view of the state
+    it was taken from, its start and goal, and search parameters. Every graph
+    has two parallel edges of equal cost, one of them blocked; the changes set
+    congestion factors, block and unblock edges and set h2 values, and the
+    snapshot is patched from one taken before them."""
     ids = draw(st.lists(st.text("abcnxz", min_size=1, max_size=3),
                         min_size=1, max_size=9, unique=True))
     # Insertion order is the drawn order, generally not sorted.
@@ -122,7 +123,7 @@ def planning_cases(draw):
     penalty = st.dictionaries(st.sampled_from(ids), st.sampled_from([0.0, 5.0, 12.5]),
                               max_size=3)
     field = HeuristicField(h2_by_node=draw(penalty), h3_by_node=draw(penalty))
-    snap = snapshot(graph, field, 0.0)
+    snap = snapshot(graph, field)
     changed_edges, changed_nodes = set(), set()
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(["congestion", "block", "unblock", "h2"]))
@@ -139,8 +140,10 @@ def planning_cases(draw):
         else:
             graph.blocked.discard(eid)
         changed_edges.add(eid)
-    patched = snapshot(graph, field, 0.0, snap, changed_edges, changed_nodes)
-    assert patched == snapshot(graph, field, 0.0)
+    patched = snapshot(graph, field, base=snap, edges=changed_edges, nodes=changed_nodes)
+    assert patched == snapshot(graph, field)
+    view = ref.id_view(graph, field)
+    ref.assert_snapshot_of(patched, view)
     weight = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0])
     params = SearchParams(
         weights=HeuristicWeights(draw(st.sampled_from([0.5, 1.0, 2.0])),
@@ -150,22 +153,22 @@ def planning_cases(draw):
                       step_edges=draw(st.integers(1, 3)),
                       goal_bias=draw(st.sampled_from([0.0, 0.1, 0.5]))),
     )
-    return patched, draw(st.sampled_from(ids)), draw(st.sampled_from(ids)), params
+    return patched, view, draw(st.sampled_from(ids)), draw(st.sampled_from(ids)), params
 
 
 @settings(max_examples=400, deadline=None)
 @given(planning_cases())
 def test_planners_match_string_keyed_reference(case):
-    snap, start, goal, params = case
-    assert dyn_a_star(snap, start, goal, params) == ref.dyn_a_star(snap, start, goal, params)
+    snap, view, start, goal, params = case
+    assert dyn_a_star(snap, start, goal, params) == ref.dyn_a_star(view, start, goal, params)
     assert static_a_star(snap, start, goal) == ref.dyn_a_star(
-        snap, start, goal, SearchParams(weights=UNIT))
-    assert dijkstra_ucs(snap, start, goal) == ref.dijkstra_ucs(snap, start, goal)
-    assert greedy_best_first(snap, start, goal) == ref.greedy_best_first(snap, start, goal)
-    assert rrt_plan(snap, start, goal, params) == ref.rrt_plan(snap, start, goal, params)
+        view, start, goal, SearchParams(weights=UNIT))
+    assert dijkstra_ucs(snap, start, goal) == ref.dijkstra_ucs(view, start, goal)
+    assert greedy_best_first(snap, start, goal) == ref.greedy_best_first(view, start, goal)
+    assert rrt_plan(snap, start, goal, params) == ref.rrt_plan(view, start, goal, params)
     for u in snap.index.ids:
         for v in snap.index.ids:
-            assert cheapest_edge(snap, u, v) == ref.cheapest_edge(snap, u, v)
+            assert cheapest_edge(snap, u, v) == ref.cheapest_edge(view, u, v)
 
 
 EVENT_KINDS = ("set_congestion", "set_comfort", "set_node_comfort_h",
@@ -272,7 +275,7 @@ def test_tie_break_follows_id_order_not_insertion_order():
              EdgeRecord("e3", "b", "z", 10.0, 1.0), EdgeRecord("e4", "a", "z", 10.0, 1.0)]
     graph = RoadGraph(nodes, edges)
     assert graph.index.ids == ("a", "b", "s", "z")
-    snap = snapshot(graph, HeuristicField(), 0.0)
+    snap = snapshot(graph, HeuristicField())
     astar = static_a_star(snap, "s", "z")
     assert astar.path == ("s", "a", "z")
     assert astar.expansion_order == ("s", "a", "z")
@@ -288,7 +291,7 @@ def test_one_index_shared_by_copies_snapshots_and_truth(scenario_dir):
     assert scn.events
     index = scn.graph.index
     assert scn.graph.copy().index is index
-    assert snapshot(scn.graph, scn.initial_field, 0.0).index is index
+    assert snapshot(scn.graph, scn.initial_field).index is index
     timeline = TruthTimeline(scn, 30.0)
     assert len(timeline._starts) > 1
     for k in timeline._starts:

@@ -1,4 +1,6 @@
 import json
+import random
+import tracemalloc
 from contextlib import ExitStack
 from unittest.mock import patch
 
@@ -6,15 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_planners as ref
 from dynroute import (
     ALGORITHMS,
     ARRIVED,
     STRANDED,
+    Event,
+    HeuristicField,
     Scenario,
     SimConfig,
     Simulation,
     apply_event,
     load_scenario,
+    make_grid,
     offline_optimal,
     run_simulation,
     serialize_scenario,
@@ -22,7 +28,7 @@ from dynroute import (
 )
 from dynroute import simulate
 from dynroute.planners import dyn_a_star
-from dynroute.simulate import TruthTimeline, replay_realized_cost
+from dynroute.simulate import MAX_EPOCHS, TruthTimeline, replay_realized_cost
 
 def scenario_doc(*, edges, nodes, events=(), queries=None, h2=None, h3=None, alpha=0.3):
     queries = queries or [
@@ -65,6 +71,11 @@ FORK = dict(
 
 def run(doc, algorithm="dyn_astar", **cfg):
     return run_simulation(load_scenario(doc), SimConfig(**cfg), algorithm)
+
+
+def _effective_time(snap, eid):
+    """Edge ``eid``'s effective time in ``snap``'s arcs; None if it is blocked."""
+    return next((eff for row in snap.arcs for e, _v, eff in row if e == eid), None)
 
 
 class TestBasicRuns:
@@ -113,6 +124,22 @@ class TestBasicRuns:
             SimConfig(epoch_s=0)
         with pytest.raises(ValueError):
             SimConfig(noise_sigma=-1)
+        # NaN passes every comparison-based bound: a NaN horizon strands every
+        # vehicle after no epoch, and a NaN sigma silently turns noise off.
+        with pytest.raises(ValueError, match="horizon_s must be finite"):
+            SimConfig(horizon_s=float("nan"))
+        with pytest.raises(ValueError, match="horizon_s must be finite"):
+            SimConfig(horizon_s=float("inf"))
+        with pytest.raises(ValueError, match="noise_sigma must be finite"):
+            SimConfig(noise_sigma=float("nan"))
+
+    def test_epoch_count_is_capped(self):
+        # A 1e-300 s epoch would step 1e306 times and never end.
+        with pytest.raises(ValueError, match="more than 10,000,000 epochs of 1e-300 s"):
+            SimConfig(epoch_s=1e-300)
+        with pytest.raises(ValueError, match="epochs"):
+            SimConfig(horizon_s=MAX_EPOCHS * 30.0 * 2)
+        assert SimConfig(horizon_s=MAX_EPOCHS * 30.0).horizon_s == 3e8
 
 
 class TestEventTiming:
@@ -258,9 +285,9 @@ class TestTruthTimeline:
             events=[{"t_s": 31.0, "kind": "set_congestion", "target": "e2", "value": 3.0}],
         )
         tl = TruthTimeline(load_scenario(doc), 30.0)
-        assert tl.at_time(59.9).congestion["e2"] == 1.0
-        assert tl.at_time(60.0).congestion["e2"] == 3.0
-        assert tl.at_time(500.0).congestion["e2"] == 3.0
+        assert _effective_time(tl.at_time(59.9), "e2") == 50.0  # free flow
+        assert _effective_time(tl.at_time(60.0), "e2") == 150.0  # 3x congested
+        assert _effective_time(tl.at_time(500.0), "e2") == 150.0
 
     def test_boundary_event_is_immediate(self):
         doc = scenario_doc(
@@ -268,8 +295,8 @@ class TestTruthTimeline:
             events=[{"t_s": 30.0, "kind": "block_edge", "target": "e3"}],
         )
         tl = TruthTimeline(load_scenario(doc), 30.0)
-        assert "e3" not in tl.at_time(29.0).blocked
-        assert "e3" in tl.at_time(30.0).blocked
+        assert _effective_time(tl.at_time(29.0), "e3") == 50.0
+        assert _effective_time(tl.at_time(30.0), "e3") is None  # blocked
 
     def test_states_share_unchanged_overlays(self):
         doc = scenario_doc(
@@ -280,10 +307,64 @@ class TestTruthTimeline:
         )
         tl = TruthTimeline(load_scenario(doc), 30.0)
         free, congested, blocked = tl.at_epoch(0), tl.at_epoch(1), tl.at_epoch(2)
-        assert dict(congested.congestion) == {"e1": 1.0, "e2": 3.0, "e3": 2.0}
-        assert congested.congestion is not free.congestion
-        assert congested.comfort is free.comfort and congested.h2 is free.h2
-        assert blocked.blocked == {"e1"} and blocked.congestion is congested.congestion
+        a, b, c, d = range(4)  # LINE's nodes in index order; e1..e3 leave a..c
+        assert [_effective_time(congested, e) for e in ("e1", "e2", "e3")] == [50.0, 150.0, 100.0]
+        assert congested.arcs[b] is not free.arcs[b] and congested.arcs[c] is not free.arcs[c]
+        assert congested.arcs[a] is free.arcs[a] and congested.arcs[d] is free.arcs[d]
+        assert congested.h2_at is free.h2_at and congested.h3_at is free.h3_at
+        assert _effective_time(blocked, "e1") is None and blocked.arcs[a] == ()
+        assert blocked.arcs[1:] == congested.arcs[1:]
+        assert all(x is y for x, y in zip(blocked.arcs[1:], congested.arcs[1:]))
+        # Congestion and blocking events leave comfort alone: one map, empty.
+        assert free.comfort is congested.comfort is blocked.comfort
+        assert dict(free.comfort) == {}
+
+    def test_a_comfort_state_holds_only_the_values_set(self):
+        doc = scenario_doc(
+            **LINE,
+            events=[{"t_s": 0.0, "kind": "set_congestion", "target": "e1", "value": 2.0},
+                    {"t_s": 30.0, "kind": "set_comfort", "target": "e2", "value": 25.0},
+                    {"t_s": 30.0, "kind": "set_comfort", "target": "e3", "value": 0.0},
+                    {"t_s": 60.0, "kind": "set_comfort", "target": "e2", "value": 25.0},
+                    {"t_s": 90.0, "kind": "set_comfort", "target": "e2", "value": 0.0}],
+        )
+        tl = TruthTimeline(load_scenario(doc), 30.0)
+        first, comfort, same, cleared = (tl.at_epoch(k) for k in range(4))
+        # e3's 0.0 and the repeated 25.0 change nothing, so make no new map.
+        assert dict(first.comfort) == {} and dict(comfort.comfort) == {"e2": 25.0}
+        assert same.comfort is comfort.comfort
+        assert dict(cleared.comfort) == {"e2": 0.0} and dict(comfort.comfort) == {"e2": 25.0}
+        # No planner reads comfort: these states share every row and entry.
+        for state in (comfort, same, cleared):
+            assert all(x is y for x, y in zip(state.arcs, first.arcs))
+            assert state.h2_at is first.h2_at and state.h3_at is first.h3_at
+
+    def test_timeline_memory_is_what_its_events_changed(self):
+        # 300 mixed events on a 30x30 grid (3,480 edges), in 139 states. Each
+        # state holds only the rows and the comfort map its epoch's events
+        # changed: 1.1 MB here, where states holding whole id-keyed
+        # congestion and comfort copies took 13.5 MB.
+        rng = random.Random(5)
+        graph = make_grid(30, 30, 100.0, 10.0)
+        edges, nodes = sorted(graph.edges), sorted(graph.nodes)
+        events = []
+        for _ in range(300):
+            kind = rng.choice(("set_congestion", "set_congestion", "set_comfort",
+                               "set_node_comfort_h", "block_edge", "unblock_edge"))
+            target = rng.choice(nodes if kind == "set_node_comfort_h" else edges)
+            value = {"set_congestion": rng.uniform(1.0, 4.0), "set_comfort": rng.uniform(0, 60),
+                     "set_node_comfort_h": rng.uniform(0, 60)}.get(kind)
+            events.append(Event(round(rng.uniform(0.0, 4800.0), 1), kind, target, value))
+        events.sort(key=lambda ev: ev.at_time)
+        scn = Scenario(graph, HeuristicField(), tuple(events), (), "memory", 0)
+        tracemalloc.start()
+        try:
+            timeline = TruthTimeline(scn, 30.0)
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(timeline._starts) > 100
+        assert held < 3_500_000, f"timeline holds {held:,} bytes"
 
     def test_shared_timeline_gives_the_same_traces(self, scenario_dir):
         scn = load_scenario((scenario_dir / "grid10_congestion.scn").read_text())
@@ -296,19 +377,25 @@ class TestTruthTimeline:
         scn = load_scenario(scenario_doc(**LINE))
         with pytest.raises(ValueError, match="30.0 s epochs, config 15.0 s"):
             Simulation(scn, SimConfig(epoch_s=15.0), truth=TruthTimeline(scn, 30.0))
+        with pytest.raises(ValueError, match="30.0 s epochs, config 15.0 s"):
+            replay_realized_cost(scn, SimConfig(epoch_s=15.0), "v1", ["a", "b"], 0.0,
+                                 TruthTimeline(scn, 30.0))
 
     def test_replay_matches_simulated_cost(self, scenario_dir):
         for name in ("sharing_fixture.scn", "grid10_congestion.scn"):
             scn = load_scenario((scenario_dir / name).read_text())
             cfg = SimConfig()
-            trace = run_simulation(scn, cfg)
+            truth = TruthTimeline(scn, cfg.epoch_s)
+            trace = run_simulation(scn, cfg, truth=truth)
             departs = {q.vehicle: q.depart_s for q in scn.queries}
             for v in trace.vehicles:
                 assert v["status"] == ARRIVED
                 replayed = replay_realized_cost(
-                    scn, cfg, v["vehicle"], v["path"], departs[v["vehicle"]]
+                    scn, cfg, v["vehicle"], v["path"], departs[v["vehicle"]], truth
                 )
                 assert replayed == pytest.approx(v["realized_cost_s"])
+                assert replayed == replay_realized_cost(
+                    scn, cfg, v["vehicle"], v["path"], departs[v["vehicle"]])
 
 
 @st.composite
@@ -372,26 +459,29 @@ class TestOneTruthModel:
                       "weights": {"wg": 1, "w1": 1, "w2": 0, "w3": 0}, "context": {}}],
         )
         scn, cfg = load_scenario(doc), SimConfig()
-        (v,) = run_simulation(scn, cfg).vehicles
+        truth = TruthTimeline(scn, cfg.epoch_s)
+        (v,) = run_simulation(scn, cfg, truth=truth).vehicles
         assert v["realized_cost_s"] == pytest.approx(260.0)
-        assert replay_realized_cost(scn, cfg, "v1", v["path"], 0.0) == pytest.approx(260.0)
-        assert offline_optimal(scn, scn.queries[0]).optimal_realized_cost == pytest.approx(260.0)
+        assert replay_realized_cost(scn, cfg, "v1", v["path"], 0.0, truth) == pytest.approx(260.0)
+        assert offline_optimal(scn, scn.queries[0], truth).optimal_realized_cost \
+            == pytest.approx(260.0)
 
     @settings(max_examples=150, deadline=None)
     @given(doc=boundary_aligned_docs(), share=st.booleans())
     def test_simulator_replay_and_oracle_agree(self, doc, share):
         scn = load_scenario(doc)
         cfg = SimConfig(share_observations=share, horizon_s=3000.0)
+        truth = TruthTimeline(scn, cfg.epoch_s)
         queries = {q.vehicle: q for q in scn.queries}
         for algo in ALGORITHMS:
-            for v in run_simulation(scn, cfg, algo).vehicles:
+            for v in run_simulation(scn, cfg, algo, truth).vehicles:
                 if v["status"] != ARRIVED:
                     continue
                 q = queries[v["vehicle"]]
                 cost = v["realized_cost_s"]
-                assert replay_realized_cost(scn, cfg, q.vehicle, v["path"], q.depart_s) \
+                assert replay_realized_cost(scn, cfg, q.vehicle, v["path"], q.depart_s, truth) \
                     == pytest.approx(cost)
-                assert offline_optimal(scn, q).optimal_realized_cost <= cost + 1e-6
+                assert offline_optimal(scn, q, truth).optimal_realized_cost <= cost + 1e-6
 
 
 @st.composite
@@ -528,7 +618,8 @@ def _checked_snapshots(sim, seen: list):
     every snapshot a planner of ``sim`` is handed against one built from
     scratch on its belief, and record it."""
     def check(snap):
-        assert snap == snapshot(sim.belief_graph, sim.belief_field, snap.time)
+        assert snap == snapshot(sim.belief_graph, sim.belief_field)
+        ref.assert_snapshot_of(snap, ref.id_view(sim.belief_graph, sim.belief_field))
         seen.append(snap)
 
     def checked(real):
@@ -593,7 +684,8 @@ class TestLazySnapshot:
                 if timeline.event_epoch(ev.at_time) <= k:
                     apply_event(graph, fld, ev)
             state = timeline.at_epoch(k)
-            assert state == snapshot(graph, fld, state.time)
+            assert state == snapshot(graph, fld)
+            ref.assert_snapshot_of(state, ref.id_view(graph, fld))
 
     # The tail departs with the lead, in epoch 3 on a belief that no report has
     # changed yet, and in epoch 20, after the lead's report of the slow edge.
