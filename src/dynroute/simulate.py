@@ -9,29 +9,34 @@ The world has one ground truth and one shared belief:
 * the shared belief, from which planning snapshots are taken. Broadcast
   events reach it directly; ``sensed_only`` events reach it only through
   observations reported by vehicles that traversed the affected edges.
+  It holds only what planners read, so ``set_comfort`` events never reach it.
 
 With observation sharing disabled the belief sees broadcast events only,
 which is the control condition for measuring the value of sharing.
 
-An event takes effect at the first epoch boundary at or after its time, in
-the truth and the belief alike. Within an epoch every vehicle plans against
-one immutable belief snapshot and advances through ground truth. An edge's
-price is fixed by the truth at entry; a node's penalty is taken from the
-truth at the arrival instant, and an arrival exactly on a boundary belongs
-to the later epoch.
+The timeline is the one clock. An event takes effect at the first epoch
+boundary at or after its time (:meth:`TruthTimeline.event_epoch`), in the
+truth and the belief alike; a departure, an edge entry and an arrival belong
+to the epoch :meth:`TruthTimeline.epoch_of` gives their instant, as in replay
+and the oracle. Within an epoch every vehicle plans against one immutable
+belief snapshot and advances through ground truth. An edge's price is fixed
+by the truth at entry; a node's penalty is taken from the truth at the
+arrival instant. A vehicle whose arrival falls in the next epoch enters its
+next edge there.
 
 The belief snapshot is taken lazily. The simulation collects the edges and
-nodes that events and observations touched at each boundary, and takes a
-snapshot only in an epoch where some vehicle plans and the belief has changed
-since the last one; it is then patched from that one, rebuilding only what
-the collected changes touch. Otherwise vehicles plan on the last snapshot.
+nodes whose planner-read values (congestion, blocked flags, h2) events and
+observations changed, and takes a snapshot only in an epoch where some
+vehicle plans and the belief has changed since the last one; it is then
+patched from that one, rebuilding only what the collected changes touch.
+Otherwise vehicles plan on the last snapshot.
 
-A ``dyn_astar`` vehicle keeps its last search. The simulation notes which
-planner-read values (congestion, blocked flags, h2) really changed at each
-boundary and marks dirty the nodes whose expansion reads them. A vehicle whose
-origin is unchanged hands last epoch's search to :func:`replan` in place of a
-new one when no node it expanded is dirty, since searching again would return
-the same result. Its trace still counts that search's expansions.
+A ``dyn_astar`` vehicle keeps its last search. It plans in every epoch it is
+en route, so that search is last epoch's. The same changes mark dirty the
+nodes whose expansion reads them, and a vehicle whose origin is unchanged
+hands the kept search to :func:`replan` in place of a new one when no node
+it expanded is dirty, since searching again would return the same result.
+Its trace still counts that search's expansions.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 from .graph import (
+    SET_COMFORT,
     SET_NODE_COMFORT_H,
     GraphSnapshot,
     RoadGraph,
@@ -59,7 +65,6 @@ from .heuristics import (
 from .planners import (
     FOUND,
     PlanResult,
-    RRTParams,
     SearchParams,
     cheapest_edge,
     dijkstra_ucs,
@@ -101,7 +106,6 @@ class SimConfig:
     horizon_s: float = 1e6
     noise_sigma: float = 0.0
     seed: int = 0
-    rrt: RRTParams = field(default_factory=RRTParams)
 
     def __post_init__(self) -> None:
         for name, bound in (("epoch_s", "> 0"), ("hysteresis", ">= 0"),
@@ -120,6 +124,7 @@ class VehicleState:
     start: str
     goal: str
     depart_s: float
+    depart_epoch: int
     params: SearchParams
     status: str = EN_ROUTE
     departed: bool = False
@@ -129,16 +134,14 @@ class VehicleState:
     edge_total_s: float = 0.0
     edge_remaining_s: float = 0.0
     edge_comfort: float = 0.0
-    plan_nodes: list[str] = field(default_factory=list)
-    has_plan: bool = False
-    plan_unreachable: bool = False
+    plan_nodes: list[str] = field(default_factory=list)  # empty: no route
     realized_cost: float = 0.0
     replans: int = 0
     expanded: int = 0
     path_taken: list[str] = field(default_factory=list)
     arrival_s: float | None = None
-    # dyn_astar only: (origin, epoch, fresh search, its expanded node set)
-    memo: tuple[str, int, PlanResult, frozenset[str]] | None = None
+    # dyn_astar only: (origin, last epoch's search, its expanded node set)
+    memo: tuple[str, PlanResult, frozenset[str]] | None = None
 
 
 @dataclass(frozen=True)
@@ -195,12 +198,12 @@ class Simulation:
         self.obs_queue: list[Observation] = []
         self.epoch_log: list[EpochRecord] = []
         self._noise_rng = random.Random(config.seed)
-        # dyn_astar only: the nodes whose expansion reads a value changed at
-        # this epoch's boundary, and for each node the nodes that read its h2:
-        # itself, as a search's start, and its predecessors, which push it.
+        # dyn_astar only: the nodes whose expansion reads a value changed
+        # since the last snapshot, and for each node the nodes that read its
+        # h2: itself, as a search's start, and its predecessors, which push it.
         self._dirty: set[str] = set()
-        # The belief snapshot last taken, and the edges and nodes whose belief
-        # values may have changed since: the patch the next snapshot needs.
+        # The belief snapshot last taken, and the edges and nodes whose
+        # planner-read belief values changed since: the patch the next needs.
         self._snap: GraphSnapshot | None = None
         self._stale_edges: set[str] = set()
         self._stale_nodes: set[str] = set()
@@ -216,11 +219,10 @@ class Simulation:
                     q.weights, q.prefers_comfort, q.rough_road, q.heavy_traffic
                 ),
                 rng_seed=scenario.seed * 1000 + i,
-                rrt=config.rrt,
             )
             self.vehicles.append(
-                VehicleState(id=q.vehicle, start=q.start, goal=q.goal,
-                             depart_s=q.depart_s, params=params)
+                VehicleState(id=q.vehicle, start=q.start, goal=q.goal, depart_s=q.depart_s,
+                             depart_epoch=self.truth.epoch_of(q.depart_s), params=params)
             )
 
     # -- epoch machinery ----------------------------------------------------
@@ -236,17 +238,14 @@ class Simulation:
         k = self.epoch_index
         t = self.now
         applied: list[dict] = []
-        changed_edges: list[str] = []  # planner-read values that changed
-        changed_nodes: list[str] = []
         events = self.scenario.events
         while (self.event_idx < len(events)
                and self.truth.event_epoch(events[self.event_idx].at_time) <= k):
             ev = events[self.event_idx]
-            if not ev.sensed_only:
-                node_event = ev.kind == SET_NODE_COMFORT_H
-                (self._stale_nodes if node_event else self._stale_edges).add(ev.target)
-                if apply_event(self.belief_graph, self.belief_field, ev):
-                    (changed_nodes if node_event else changed_edges).append(ev.target)
+            if not (ev.sensed_only or ev.kind == SET_COMFORT) \
+                    and apply_event(self.belief_graph, self.belief_field, ev):
+                stale = self._stale_nodes if ev.kind == SET_NODE_COMFORT_H else self._stale_edges
+                stale.add(ev.target)
             applied.append(
                 {"t_s": ev.at_time, "kind": ev.kind, "target": ev.target,
                  "value": ev.value, "sensed_only": ev.sensed_only}
@@ -256,25 +255,19 @@ class Simulation:
         ingested = 0
         if self.config.share_observations and self.obs_queue:
             edges, nodes = ingest_observations(self.belief_graph, self.belief_field, self.obs_queue)
-            changed_edges += edges
-            changed_nodes += nodes
             self._stale_edges |= edges
             self._stale_nodes |= nodes
             ingested = len(self.obs_queue)
         self.obs_queue.clear()
-        if self._h2_readers is not None:
-            graph_edges = self.scenario.graph.edges
-            self._dirty = {graph_edges[eid].from_node for eid in changed_edges}.union(
-                *(self._h2_readers[n] for n in changed_nodes))
 
-        planning = [v for v in self.vehicles if self._plans(v, t)]
+        planning = [v for v in self.vehicles if self._plans(v, k)]
         if planning:
             snap = self._belief_snapshot()
             for v in planning:
                 self._plan_vehicle(v, snap)
-        truth, truth_next = self.truth.at_epoch(k), self.truth.at_epoch(k + 1)
+        truth = self.truth.at_epoch(k)
         for v in self.vehicles:
-            self._advance(v, t, truth, truth_next)
+            self._advance(v, k, truth)
 
         self.epoch_log.append(EpochRecord(t, tuple(applied), ingested))
         self.epoch_index += 1
@@ -289,23 +282,26 @@ class Simulation:
 
     # -- planning -----------------------------------------------------------
 
-    def _plans(self, v: VehicleState, t: float) -> bool:
-        """Whether ``v`` plans in the epoch starting at ``t``: it is en route,
-        has departed or departs in this epoch, and replans or has no plan yet."""
-        if v.status != EN_ROUTE:
-            return False
-        if not (v.departed or v.depart_s < t + self.config.epoch_s - _EPS):
-            return False
-        return self.algorithm == "dyn_astar" or not v.has_plan
+    def _plans(self, v: VehicleState, k: int) -> bool:
+        """Whether ``v`` plans in epoch ``k``: it is en route, has departed or
+        departs in this epoch, and replans or has not departed yet."""
+        return (v.status == EN_ROUTE and v.depart_epoch <= k
+                and (self.algorithm == "dyn_astar" or not v.departed))
 
     def _belief_snapshot(self) -> GraphSnapshot:
         """The belief as a snapshot: the last one taken, or a new one patched
-        from it if the belief has changed since."""
-        if self._snap is None or self._stale_edges or self._stale_nodes:
+        from it if the belief has changed since. ``_dirty`` becomes the nodes
+        whose expansion reads one of those changes."""
+        edges, nodes = self._stale_edges, self._stale_nodes
+        if self._h2_readers is not None:
+            graph_edges = self.scenario.graph.edges
+            self._dirty = {graph_edges[eid].from_node for eid in edges}.union(
+                *(self._h2_readers[n] for n in nodes))
+        if self._snap is None or edges or nodes:
             self._snap = snapshot(self.belief_graph, self.belief_field, base=self._snap,
-                                  edges=self._stale_edges, nodes=self._stale_nodes)
-            self._stale_edges.clear()
-            self._stale_nodes.clear()
+                                  edges=edges, nodes=nodes)
+            edges.clear()
+            nodes.clear()
         return self._snap
 
     def _plan_vehicle(self, v: VehicleState, snap: GraphSnapshot) -> None:
@@ -313,42 +309,30 @@ class Simulation:
         if origin is None:
             origin = v.start
 
-        fresh = None
-        if self.algorithm == "dyn_astar" and v.has_plan and v.plan_nodes \
-                and v.plan_nodes[0] == origin:
-            prior = PlanResult(
-                path=tuple(v.plan_nodes), g_cost=0.0, f_cost_at_goal=0.0,
-                expanded=0, status=FOUND,
-            )
-            # Last epoch's search from this origin, if nothing it read has
-            # changed since: searching again would return it unchanged.
+        if self.algorithm == "dyn_astar":
+            # The route held (empty before the first plan), and last epoch's
+            # search from this origin if nothing it read has changed since:
+            # searching again would return it unchanged.
+            prior = PlanResult(tuple(v.plan_nodes), 0.0, 0.0, 0, FOUND)
             memo = v.memo
-            if memo is not None and memo[0] == origin and memo[1] == self.epoch_index - 1 \
-                    and memo[3].isdisjoint(self._dirty):
-                fresh = memo[2]
+            fresh = None
+            if memo is not None and memo[0] == origin and memo[2].isdisjoint(self._dirty):
+                fresh = memo[1]
             result = replan(prior, snap, origin, v.goal, v.params,
                             self.config.hysteresis, fresh)
+            v.replans += 1
+            if fresh is None:
+                # A search made in this call, or none known for a kept route
+                # or the goal itself.
+                v.memo = ((origin, result, frozenset(result.expansion_order))
+                          if result.expansion_order and origin != v.goal else None)
         else:
             result = PLANNERS[self.algorithm](snap, origin, v.goal, v.params)
-        if self.algorithm == "dyn_astar":
-            v.replans += 1
-            if fresh is not None:  # still the search of this epoch's snapshot
-                v.memo = (origin, self.epoch_index, fresh, v.memo[3])
-            elif result.expansion_order and origin != v.goal:  # a search made in this call
-                v.memo = (origin, self.epoch_index, result, frozenset(result.expansion_order))
-            else:  # a kept route or the goal itself: no search of this call is known
-                v.memo = None
 
         v.expanded += result.expanded
-        v.has_plan = True
-        if result.status != FOUND:
-            v.plan_nodes = []
-            v.plan_unreachable = True
-            if v.at_node is not None:
-                v.status = STRANDED
-        else:
-            v.plan_nodes = list(result.path)
-            v.plan_unreachable = False
+        v.plan_nodes = list(result.path)  # an unreachable result's path is empty
+        if result.status != FOUND and v.at_node is not None:
+            v.status = STRANDED
 
     # -- movement through ground truth ---------------------------------------
 
@@ -361,20 +345,17 @@ class Simulation:
         if node == v.goal:
             v.status = ARRIVED
             v.arrival_s = now
-        elif v.plan_unreachable:
+        elif not v.plan_nodes:
             v.status = STRANDED
 
-    def _advance(
-        self, v: VehicleState, t: float, truth: GraphSnapshot, truth_next: GraphSnapshot
-    ) -> None:
-        """Move ``v`` through the epoch starting at ``t``, whose ground truth
-        is ``truth``; an arrival on the closing boundary pays ``truth_next``."""
+    def _advance(self, v: VehicleState, k: int, truth: GraphSnapshot) -> None:
+        """Move ``v`` through epoch ``k``, whose ground truth is ``truth``."""
         if v.status != EN_ROUTE:
             return
-        end = t + self.config.epoch_s
-        now = t
+        now = k * self.config.epoch_s
+        end = now + self.config.epoch_s
         if not v.departed:
-            if v.depart_s >= end - _EPS:
+            if v.depart_epoch > k:
                 return
             now = max(now, v.depart_s)
             v.departed = True
@@ -384,11 +365,11 @@ class Simulation:
                 v.status = ARRIVED
                 v.arrival_s = now
                 return
-            if v.plan_unreachable:
+            if not v.plan_nodes:
                 v.status = STRANDED
                 return
 
-        while v.status == EN_ROUTE and now < end - _EPS:
+        while v.status == EN_ROUTE and now < end:
             if v.at_node is not None:
                 if len(v.plan_nodes) < 2 or v.plan_nodes[0] != v.at_node:
                     # No usable route forward; wait for the next replanning
@@ -420,9 +401,11 @@ class Simulation:
                     assert head is not None
                     v.edge_id = None
                     v.edge_head = None
-                    self._arrive_at_node(
-                        v, head, now, truth if now < end - _EPS else truth_next
-                    )
+                    arrival_epoch = self.truth.epoch_of(now)
+                    self._arrive_at_node(v, head, now, truth if arrival_epoch == k
+                                         else self.truth.at_epoch(arrival_epoch))
+                    if arrival_epoch != k:  # the next edge is entered in that epoch
+                        return
 
     def _emit_observation(self, v: VehicleState, now: float) -> None:
         assert v.edge_id is not None
@@ -523,7 +506,9 @@ class TruthTimeline:
         return max(0, math.ceil(at_time / self.epoch_s - 1e-12))
 
     def epoch_of(self, time: float) -> int:
-        return max(0, int(math.floor(time / self.epoch_s + 1e-12)))
+        """Index of the epoch the instant ``time`` belongs to: the one clock
+        of every departure, edge entry and arrival."""
+        return max(0, math.floor(time / self.epoch_s + 1e-12))
 
     def at_epoch(self, k: int) -> GraphSnapshot:
         i = bisect.bisect_right(self._starts, k) - 1

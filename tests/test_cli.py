@@ -82,7 +82,7 @@ class TestPlan:
         sim.step_epoch()
         sim.step_epoch()
         (v,) = sim.vehicles
-        assert v.departed and not v.plan_unreachable
+        assert v.departed and v.plan_nodes
         # with 45 s epochs the block is already in force in the departure epoch
         assert main(["plan", "--scenario", str(p), "--epoch-s", "45"]) == 4
         assert "Unreachable" in capsys.readouterr().out

@@ -398,10 +398,17 @@ class TestTruthTimeline:
                     scn, cfg, v["vehicle"], v["path"], departs[v["vehicle"]])
 
 
+# How far an edge time or a departure misses a multiple of the 30 s epoch:
+# exactly, inside the timeline's 1e-12-epoch tolerance, and either side of 1e-9 s.
+OFF_BOUNDARY = st.builds(lambda d, sign: d * sign, st.sampled_from((0.0, 1e-11, 5e-10, 2e-9)),
+                         st.sampled_from((-1.0, 1.0)))
+
+
 @st.composite
 def boundary_aligned_docs(draw):
-    """Small scenarios whose edge times, event times and departures are all
-    multiples of the 30 s epoch, so arrivals land on epoch boundaries."""
+    """Small scenarios whose event times are multiples of the 30 s epoch and
+    whose edge times and departures are too or miss one by a hair, so
+    arrivals land on epoch boundaries or just either side of them."""
     n = draw(st.integers(3, 5))
     ids = [f"n{i}" for i in range(n)]
     pairs = [(i, i + 1) for i in range(n - 1)]  # a forward chain keeps goals reachable
@@ -410,7 +417,8 @@ def boundary_aligned_docs(draw):
         max_size=5,
     ))
     edges = [
-        (f"e{k}", ids[i], ids[j], 300.0 * abs(i - j), draw(st.sampled_from((30.0, 60.0))))
+        (f"e{k}", ids[i], ids[j], 300.0 * abs(i - j),
+         draw(st.sampled_from((30.0, 60.0))) + draw(OFF_BOUNDARY))
         for k, (i, j) in enumerate(pairs)
     ]
     edge_ids = [e[0] for e in edges]
@@ -434,7 +442,7 @@ def boundary_aligned_docs(draw):
         start = draw(st.integers(0, n - 2))
         queries.append({
             "vehicle": f"v{k}", "start": ids[start], "goal": ids[draw(st.integers(start + 1, n - 1))],
-            "depart_s": 30.0 * draw(st.integers(0, 2)),
+            "depart_s": abs(30.0 * draw(st.integers(0, 2)) + draw(OFF_BOUNDARY)),
             "weights": {"wg": 1, "w1": 1, "w2": draw(st.sampled_from((0, 1))), "w3": 0},
             "context": {"prefers_comfort": draw(st.booleans())},
         })
@@ -465,6 +473,37 @@ class TestOneTruthModel:
         assert replay_realized_cost(scn, cfg, "v1", v["path"], 0.0, truth) == pytest.approx(260.0)
         assert offline_optimal(scn, scn.queries[0], truth).optimal_realized_cost \
             == pytest.approx(260.0)
+
+    # 5e-10 s before a boundary lies inside a 1e-9 s tolerance but outside the
+    # timeline's, so that instant belongs to the earlier epoch everywhere: the
+    # arrival at b pays b's penalty before it drops, and the departure enters
+    # e1 before its congestion starts. 1e-11 s before lies inside the
+    # timeline's tolerance: that arrival enters e2 in the later epoch.
+    @pytest.mark.parametrize("e1_s, depart_s, event, h2, cost", [
+        (29.9999999995, 0.0, ("set_node_comfort_h", "b", 0.0), {"b": 100.0}, 139.9999999995),
+        (10.0, 29.9999999995, ("set_congestion", "e1", 5.0), {}, 20.0),
+        (29.99999999999, 0.0, ("set_congestion", "e2", 5.0), {}, 79.99999999999),
+    ], ids=["arrival", "departure", "arrival-in-tolerance"])
+    def test_an_instant_just_before_a_boundary_is_priced_in_its_own_epoch(
+            self, e1_s, depart_s, event, h2, cost):
+        kind, target, value = event
+        doc = scenario_doc(
+            nodes=[("a", 0.0, 0.0), ("b", 100.0, 0.0), ("c", 200.0, 0.0)],
+            edges=[("e1", "a", "b", 100.0, e1_s), ("e2", "b", "c", 100.0, 10.0)],
+            events=[{"t_s": 30.0, "kind": kind, "target": target, "value": value}], h2=h2,
+            queries=[{"vehicle": "v1", "start": "a", "goal": "c", "depart_s": depart_s,
+                      "weights": {"wg": 1, "w1": 1, "w2": 0, "w3": 0}, "context": {}}],
+        )
+        scn, cfg = load_scenario(doc), SimConfig()
+        truth = TruthTimeline(scn, cfg.epoch_s)
+        for algo in ALGORITHMS:
+            (v,) = run_simulation(scn, cfg, algo, truth).vehicles
+            assert v["status"] == ARRIVED
+            assert v["realized_cost_s"] == pytest.approx(cost)
+            assert replay_realized_cost(scn, cfg, "v1", v["path"], depart_s, truth) \
+                == pytest.approx(cost)
+            assert offline_optimal(scn, scn.queries[0], truth).optimal_realized_cost \
+                <= cost + 1e-6
 
     @settings(max_examples=150, deadline=None)
     @given(doc=boundary_aligned_docs(), share=st.booleans())
@@ -707,8 +746,8 @@ class TestLazySnapshot:
         assert taken == epochs
 
     # The vehicle plans in every epoch of its trip; the belief changes at the
-    # t=60 boundary only, and no observation is shared. A comfort change is a
-    # change of the belief too, though no planner reads it.
+    # t=60 boundary only, and no observation is shared. A comfort change is no
+    # change of the belief, since no planner reads it.
     @pytest.mark.parametrize("kind, value, replans", [
         ("set_congestion", 2.0, 7), ("set_comfort", 25.0, 5)])
     def test_dyn_astar_reuses_the_snapshot_while_the_belief_is_unchanged(
@@ -724,4 +763,4 @@ class TestLazySnapshot:
         with counting:
             (v,) = sim.run().vehicles
         assert v["replans"] == replans
-        assert taken == [0, 2]
+        assert taken == ([0] if kind == "set_comfort" else [0, 2])
