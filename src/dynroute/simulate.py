@@ -19,10 +19,15 @@ boundary at or after its time (:meth:`TruthTimeline.event_epoch`), in the
 truth and the belief alike; a departure, an edge entry and an arrival belong
 to the epoch :meth:`TruthTimeline.epoch_of` gives their instant, as in replay
 and the oracle. Within an epoch every vehicle plans against one immutable
-belief snapshot and advances through ground truth. An edge's price is fixed
-by the truth at entry; a node's penalty is taken from the truth at the
-arrival instant. A vehicle whose arrival falls in the next epoch enters its
-next edge there.
+belief snapshot and advances through ground truth by replay's walk. An
+edge's price is fixed by the truth at entry, and the vehicle reaches the
+head that much later. On arrival it pays the price whole, then the head's
+penalty from the truth at the arrival instant, and enters its next edge at
+that instant. An arrival is handled in the epoch whose closing boundary
+would apply an event at its instant, so a vehicle whose arrival belongs to
+the next epoch enters its next edge there. A vehicle that the horizon
+strands mid-edge has paid only the edges it finished, so every trace
+replays from its path.
 
 The belief snapshot is taken lazily. The simulation collects the edges and
 nodes whose planner-read values (congestion, blocked flags, h2) events and
@@ -93,8 +98,8 @@ ALGORITHMS = tuple(PLANNERS)
 
 _EPS = 1e-9
 
-# The most epochs a run's horizon may span. Every epoch is stepped, and one too
-# short leaves a vehicle's remaining edge time unchanged: it would never finish.
+# The most epochs a run's horizon may span. Every epoch up to the horizon is
+# stepped, so one far too short would make a run that never ends.
 MAX_EPOCHS = 10**7
 
 
@@ -126,20 +131,16 @@ class VehicleState:
     depart_s: float
     depart_epoch: int
     params: SearchParams
+    at_node: str  # the last node reached: the start before departure
+    t_s: float  # the instant it reaches ``edge``'s head, or reached ``at_node``
     status: str = EN_ROUTE
     departed: bool = False
-    at_node: str | None = None
-    edge_id: str | None = None
-    edge_head: str | None = None
-    edge_total_s: float = 0.0
-    edge_remaining_s: float = 0.0
-    edge_comfort: float = 0.0
+    edge: tuple[str, str, float, float] | None = None  # (id, head, price, comfort)
     plan_nodes: list[str] = field(default_factory=list)  # empty: no route
     realized_cost: float = 0.0
     replans: int = 0
     expanded: int = 0
     path_taken: list[str] = field(default_factory=list)
-    arrival_s: float | None = None
     # dyn_astar only: (origin, last epoch's search, its expanded node set)
     memo: tuple[str, PlanResult, frozenset[str]] | None = None
 
@@ -222,7 +223,8 @@ class Simulation:
             )
             self.vehicles.append(
                 VehicleState(id=q.vehicle, start=q.start, goal=q.goal, depart_s=q.depart_s,
-                             depart_epoch=self.truth.epoch_of(q.depart_s), params=params)
+                             depart_epoch=self.truth.epoch_of(q.depart_s), params=params,
+                             at_node=q.start, t_s=q.depart_s)
             )
 
     # -- epoch machinery ----------------------------------------------------
@@ -273,7 +275,8 @@ class Simulation:
         self.epoch_index += 1
 
     def run(self) -> SimulationTrace:
-        while not self.done() and self.now < self.config.horizon_s - _EPS:
+        epochs = self.truth.event_epoch(self.config.horizon_s)  # opening before the horizon
+        while not self.done() and self.epoch_index < epochs:
             self.step_epoch()
         for v in self.vehicles:
             if v.status == EN_ROUTE:
@@ -305,9 +308,7 @@ class Simulation:
         return self._snap
 
     def _plan_vehicle(self, v: VehicleState, snap: GraphSnapshot) -> None:
-        origin = v.at_node if v.at_node is not None else v.edge_head
-        if origin is None:
-            origin = v.start
+        origin = v.at_node if v.edge is None else v.edge[1]
 
         if self.algorithm == "dyn_astar":
             # The route held (empty before the first plan), and last epoch's
@@ -331,96 +332,63 @@ class Simulation:
 
         v.expanded += result.expanded
         v.plan_nodes = list(result.path)  # an unreachable result's path is empty
-        if result.status != FOUND and v.at_node is not None:
-            v.status = STRANDED
 
     # -- movement through ground truth ---------------------------------------
 
-    def _arrive_at_node(
-        self, v: VehicleState, node: str, now: float, truth: GraphSnapshot
-    ) -> None:
-        v.at_node = node
-        v.path_taken.append(node)
-        v.realized_cost += truth.node_penalty(node)
-        if node == v.goal:
-            v.status = ARRIVED
-            v.arrival_s = now
-        elif not v.plan_nodes:
-            v.status = STRANDED
-
     def _advance(self, v: VehicleState, k: int, truth: GraphSnapshot) -> None:
-        """Move ``v`` through epoch ``k``, whose ground truth is ``truth``."""
-        if v.status != EN_ROUTE:
+        """Move ``v`` through epoch ``k``, whose ground truth is ``truth``, by
+        replay's walk: it enters an edge at the instant it reached the tail,
+        at the edge's price in ``truth``, and pays that price whole, then the
+        head's penalty, on arrival. At a node without a route it strands."""
+        if v.status != EN_ROUTE or v.depart_epoch > k:
             return
-        now = k * self.config.epoch_s
-        end = now + self.config.epoch_s
         if not v.departed:
-            if v.depart_epoch > k:
-                return
-            now = max(now, v.depart_s)
             v.departed = True
-            v.at_node = v.start
-            v.path_taken.append(v.start)
-            if v.start == v.goal:
+            v.path_taken.append(v.at_node)
+        reached = k  # the epoch of the instant it reached at_node
+        while True:
+            if v.edge is not None:
+                if self.truth.event_epoch(v.t_s) > k + 1:
+                    return  # still on the edge when this epoch ends
+                self._emit_observation(v, v.edge, v.t_s)
+                _eid, head, price, _comfort = v.edge
+                reached = self.truth.epoch_of(v.t_s)
+                state = truth if reached == k else self.truth.at_epoch(reached)
+                v.realized_cost += price
+                v.realized_cost += state.node_penalty(head)
+                v.at_node, v.edge = head, None
+                v.path_taken.append(head)
+            if v.at_node == v.goal:
                 v.status = ARRIVED
-                v.arrival_s = now
                 return
             if not v.plan_nodes:
                 v.status = STRANDED
                 return
+            if reached != k:
+                return  # it enters its next edge in the epoch it reached this node
+            nxt = v.plan_nodes[1]
+            edge = cheapest_edge(truth, v.at_node, nxt)
+            if edge is None:
+                v.status = STRANDED
+                return
+            eid, price = edge
+            v.t_s += price
+            v.edge = (eid, nxt, price, truth.comfort.get(eid, 0.0))
+            v.plan_nodes.pop(0)
 
-        while v.status == EN_ROUTE and now < end:
-            if v.at_node is not None:
-                if len(v.plan_nodes) < 2 or v.plan_nodes[0] != v.at_node:
-                    # No usable route forward; wait for the next replanning
-                    # epoch if replanning is possible, otherwise strand.
-                    if self.algorithm != "dyn_astar":
-                        v.status = STRANDED
-                    return
-                nxt = v.plan_nodes[1]
-                edge = cheapest_edge(truth, v.at_node, nxt)
-                if edge is None:
-                    v.status = STRANDED
-                    return
-                eid, eff = edge
-                v.edge_id = eid
-                v.edge_head = nxt
-                v.edge_total_s = eff
-                v.edge_remaining_s = eff
-                v.edge_comfort = truth.comfort.get(eid, 0.0)
-                v.at_node = None
-                v.plan_nodes.pop(0)
-            else:
-                step = min(v.edge_remaining_s, end - now)
-                v.edge_remaining_s -= step
-                v.realized_cost += step
-                now += step
-                if v.edge_remaining_s <= _EPS:
-                    self._emit_observation(v, now)
-                    head = v.edge_head
-                    assert head is not None
-                    v.edge_id = None
-                    v.edge_head = None
-                    arrival_epoch = self.truth.epoch_of(now)
-                    self._arrive_at_node(v, head, now, truth if arrival_epoch == k
-                                         else self.truth.at_epoch(arrival_epoch))
-                    if arrival_epoch != k:  # the next edge is entered in that epoch
-                        return
-
-    def _emit_observation(self, v: VehicleState, now: float) -> None:
-        assert v.edge_id is not None
-        observed_time = v.edge_total_s
-        observed_comfort = v.edge_comfort
+    def _emit_observation(self, v: VehicleState, edge: tuple[str, str, float, float],
+                          at_time: float) -> None:
+        eid, _head, observed_time, observed_comfort = edge
         if self.config.noise_sigma > 0:
             observed_time = max(_EPS, observed_time + self._noise_rng.gauss(0, self.config.noise_sigma))
             observed_comfort = max(0.0, observed_comfort + self._noise_rng.gauss(0, self.config.noise_sigma))
         self.obs_queue.append(
             Observation(
-                edge_id=v.edge_id,
+                edge_id=eid,
                 observed_travel_time=observed_time,
                 observed_comfort=observed_comfort,
                 reporter=v.id,
-                at_time=now,
+                at_time=at_time,
             )
         )
 
@@ -432,7 +400,7 @@ class Simulation:
                 "vehicle": v.id,
                 "status": v.status,
                 "realized_cost_s": round(v.realized_cost, 9),
-                "arrival_s": None if v.arrival_s is None else round(v.arrival_s, 9),
+                "arrival_s": round(v.t_s, 9) if v.status == ARRIVED else None,
                 "replans": v.replans,
                 "expanded": v.expanded,
                 "path": list(v.path_taken),

@@ -209,9 +209,14 @@ class TestReplanningAdvantage:
         assert v["status"] == STRANDED
         assert v["path"][-1] == "b"
 
-    def test_horizon_strands_unfinished_vehicles(self):
-        (v,) = run(scenario_doc(**LINE), horizon_s=60.0).vehicles
+    # The run steps the epochs that open before the horizon, by the
+    # timeline's clock: a horizon a hair past a boundary opens one more.
+    @pytest.mark.parametrize("horizon_s, epochs", [(59.9999999, 2), (60.0, 2), (60.0000001, 3)])
+    def test_horizon_strands_unfinished_vehicles(self, horizon_s, epochs):
+        trace = run(scenario_doc(**LINE), horizon_s=horizon_s)
+        (v,) = trace.vehicles
         assert v["status"] == STRANDED
+        assert len(trace.epochs) == epochs
 
 
 class TestObservationSharing:
@@ -505,22 +510,82 @@ class TestOneTruthModel:
             assert offline_optimal(scn, scn.queries[0], truth).optimal_realized_cost \
                 <= cost + 1e-6
 
+    def _line_walk(self, edge_times, horizon_s=1e6, events=(), h2=None):
+        """Every algorithm's trace of one trip along a line of edges, each
+        run checked to cost exactly what replay of its path costs."""
+        ids = "abcdefg"[:len(edge_times) + 1]
+        scn = load_scenario(scenario_doc(
+            nodes=[(n, 100.0 * i, 0.0) for i, n in enumerate(ids)],
+            edges=[(f"e{i}", ids[i], ids[i + 1], 100.0, t) for i, t in enumerate(edge_times)],
+            events=events, h2=h2,
+            queries=[{"vehicle": "v1", "start": "a", "goal": ids[-1], "depart_s": 0.0,
+                      "weights": {"wg": 1, "w1": 1, "w2": 0, "w3": 0}, "context": {}}],
+        ))
+        cfg = SimConfig(horizon_s=horizon_s)
+        truth = TruthTimeline(scn, cfg.epoch_s)
+        traces = []
+        for algo in ALGORITHMS:
+            sim = Simulation(scn, cfg, algo, truth)
+            (v,) = sim.run().vehicles
+            assert sim.vehicles[0].realized_cost \
+                == replay_realized_cost(scn, cfg, "v1", v["path"], 0.0, truth)
+            if v["status"] == ARRIVED:
+                assert offline_optimal(scn, scn.queries[0], truth).optimal_realized_cost \
+                    <= v["realized_cost_s"] + 1e-6
+            traces.append(v)
+        return traces
+
+    def test_an_edge_ending_just_past_a_boundary_is_paid_whole(self):
+        # 9e-10 s past t=30 lies inside a 1e-9 s tolerance but outside the
+        # timeline's, so the vehicle arrives in epoch 1 and pays all of it.
+        for v in self._line_walk([30.0000000009]):
+            assert v["status"] == ARRIVED
+            assert v["realized_cost_s"] == v["arrival_s"] == 30.000000001
+
+    def test_a_vehicle_stranded_mid_edge_has_paid_only_finished_edges(self):
+        for v in self._line_walk([100.0], horizon_s=60.0):
+            assert v["status"] == STRANDED
+            assert v["path"] == ["a"]
+            assert v["realized_cost_s"] == 0.0
+
+    def test_a_vehicle_drives_on_from_its_arrival_instant(self):
+        # Each edge is 1e-11 s short of 30 s, inside the timeline's tolerance,
+        # so each arrival belongs to the next epoch. Driving on from each
+        # arrival instant, as replay does, the vehicle reaches e 4e-11 s before
+        # t=120, in epoch 3, and pays e's penalty before the t=120 event drops
+        # it. Had it waited for each boundary it would reach e at t=120 and
+        # pay 100 s less than the oracle's optimum.
+        for v in self._line_walk(
+                [30.0 - 1e-11] * 4, h2={"e": 100.0},
+                events=[{"t_s": 120.0, "kind": "set_node_comfort_h", "target": "e", "value": 0.0}]):
+            assert v["status"] == ARRIVED
+            assert v["realized_cost_s"] == v["arrival_s"] + 100.0 == 220.0
+
+    def test_costs_add_up_in_replays_order(self):
+        # Price, then penalty, edge by edge: adding each penalty before its
+        # price would give 0.6 here, where replay gives 0.6000000000000001.
+        for v in self._line_walk([0.1, 0.1], h2={"b": 0.1, "c": 0.3}):
+            assert v["status"] == ARRIVED
+
+    # Short horizons strand vehicles mid-edge; a stranded trace replays too.
     @settings(max_examples=150, deadline=None)
-    @given(doc=boundary_aligned_docs(), share=st.booleans())
-    def test_simulator_replay_and_oracle_agree(self, doc, share):
+    @given(doc=boundary_aligned_docs(), share=st.booleans(),
+           horizon_s=st.sampled_from((3000.0, 90.0, 150.0)))
+    def test_simulator_replay_and_oracle_agree(self, doc, share, horizon_s):
         scn = load_scenario(doc)
-        cfg = SimConfig(share_observations=share, horizon_s=3000.0)
+        cfg = SimConfig(share_observations=share, horizon_s=horizon_s)
         truth = TruthTimeline(scn, cfg.epoch_s)
         queries = {q.vehicle: q for q in scn.queries}
         for algo in ALGORITHMS:
-            for v in run_simulation(scn, cfg, algo, truth).vehicles:
-                if v["status"] != ARRIVED:
-                    continue
-                q = queries[v["vehicle"]]
-                cost = v["realized_cost_s"]
-                assert replay_realized_cost(scn, cfg, q.vehicle, v["path"], q.depart_s, truth) \
-                    == pytest.approx(cost)
-                assert offline_optimal(scn, q, truth).optimal_realized_cost <= cost + 1e-6
+            sim = Simulation(scn, cfg, algo, truth)
+            sim.run()
+            for v in sim.vehicles:
+                q = queries[v.id]
+                assert replay_realized_cost(scn, cfg, v.id, v.path_taken, q.depart_s, truth) \
+                    == v.realized_cost
+                if v.status == ARRIVED:
+                    assert offline_optimal(scn, q, truth).optimal_realized_cost \
+                        <= v.realized_cost + 1e-6
 
 
 @st.composite
