@@ -209,10 +209,14 @@ class TestReplanningAdvantage:
         assert v["status"] == STRANDED
         assert v["path"][-1] == "b"
 
+    def test_horizon_strands_unfinished_vehicles(self):
+        (v,) = run(scenario_doc(**LINE), horizon_s=60.0).vehicles
+        assert v["status"] == STRANDED
+
     # The run steps the epochs that open before the horizon, by the
     # timeline's clock: a horizon a hair past a boundary opens one more.
     @pytest.mark.parametrize("horizon_s, epochs", [(59.9999999, 2), (60.0, 2), (60.0000001, 3)])
-    def test_horizon_strands_unfinished_vehicles(self, horizon_s, epochs):
+    def test_horizon_counts_epochs_by_the_clock(self, horizon_s, epochs):
         trace = run(scenario_doc(**LINE), horizon_s=horizon_s)
         (v,) = trace.vehicles
         assert v["status"] == STRANDED
