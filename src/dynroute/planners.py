@@ -57,6 +57,7 @@ class PlanResult:
     expanded: int
     status: str
     expansion_order: tuple[str, ...] = ()
+    declined: tuple[str, ...] = ()  # replan's kept route: the path of the search it was kept over
 
 
 def _index_of(snap: GraphSnapshot, node: str) -> int:
@@ -342,11 +343,11 @@ def replan(
     """Re-search from the vehicle's position, keeping the old route unless
     the fresh plan beats the re-costed remainder by more than ``hysteresis``.
 
-    ``fresh`` is a search from ``current_node`` on ``snap`` that the caller
-    already holds; it must equal what :func:`dyn_a_star` would return, and
-    only when it is None does this run one. A fresh plan that follows the
-    kept remainder is returned as it is: its path, cost and expansions are
-    those of the kept route.
+    ``fresh`` is a route from ``current_node`` the caller holds, such as the
+    rest of an earlier search's path. Only its path and status are read; only
+    when it is None does this run :func:`dyn_a_star`. A fresh plan that
+    follows the kept remainder is returned as it is. A kept remainder carries
+    the expansions and, as ``declined``, the path of the search made here.
     """
     _index_of(snap, current_node)
     if current_node == goal:
@@ -378,4 +379,6 @@ def replan(
         f_cost_at_goal=suffix_value,
         expanded=fresh.expanded,
         status=FOUND,
+        expansion_order=fresh.expansion_order,
+        declined=fresh.path,
     )

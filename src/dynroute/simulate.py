@@ -36,12 +36,12 @@ vehicle plans and the belief has changed since the last one; it is then
 patched from that one, rebuilding only what the collected changes touch.
 Otherwise vehicles plan on the last snapshot.
 
-A ``dyn_astar`` vehicle keeps its last search. It plans in every epoch it is
-en route, so that search is last epoch's. The same changes mark dirty the
-nodes whose expansion reads them, and a vehicle whose origin is unchanged
-hands the kept search to :func:`replan` in place of a new one when no node
-it expanded is dirty, since searching again would return the same result.
-Its trace still counts that search's expansions.
+A ``dyn_astar`` vehicle keeps its last search's path and expanded nodes. The
+same changes mark dirty the nodes whose expansion reads them; while none it
+expanded is dirty and its origin lies on that path, it hands :func:`replan`
+the rest of the path in place of a new search. That is exact at the search's
+own origin, not further on: with h2/h3 in the priority the heuristic is not
+consistent. A trace's ``expanded`` counts only the searches run.
 """
 
 from __future__ import annotations
@@ -126,7 +126,6 @@ class SimConfig:
 @dataclass
 class VehicleState:
     id: str
-    start: str
     goal: str
     depart_s: float
     depart_epoch: int
@@ -141,8 +140,8 @@ class VehicleState:
     replans: int = 0
     expanded: int = 0
     path_taken: list[str] = field(default_factory=list)
-    # dyn_astar only: (origin, last epoch's search, its expanded node set)
-    memo: tuple[str, PlanResult, frozenset[str]] | None = None
+    # dyn_astar only: its last search's path and expanded node set
+    memo: tuple[tuple[str, ...], frozenset[str]] | None = None
 
 
 @dataclass(frozen=True)
@@ -222,7 +221,7 @@ class Simulation:
                 rng_seed=scenario.seed * 1000 + i,
             )
             self.vehicles.append(
-                VehicleState(id=q.vehicle, start=q.start, goal=q.goal, depart_s=q.depart_s,
+                VehicleState(id=q.vehicle, goal=q.goal, depart_s=q.depart_s,
                              depart_epoch=self.truth.epoch_of(q.depart_s), params=params,
                              at_node=q.start, t_s=q.depart_s)
             )
@@ -311,21 +310,19 @@ class Simulation:
         origin = v.at_node if v.edge is None else v.edge[1]
 
         if self.algorithm == "dyn_astar":
-            # The route held (empty before the first plan), and last epoch's
-            # search from this origin if nothing it read has changed since:
-            # searching again would return it unchanged.
+            # The route held (empty before the first plan), and the rest of
+            # the kept search's path from this origin if nothing it read has
+            # changed since it ran.
             prior = PlanResult(tuple(v.plan_nodes), 0.0, 0.0, 0, FOUND)
             memo = v.memo
             fresh = None
-            if memo is not None and memo[0] == origin and memo[2].isdisjoint(self._dirty):
-                fresh = memo[1]
-            result = replan(prior, snap, origin, v.goal, v.params,
-                            self.config.hysteresis, fresh)
+            if memo is not None and origin in memo[0] and memo[1].isdisjoint(self._dirty):
+                fresh = PlanResult(memo[0][memo[0].index(origin):], 0.0, 0.0, 0, FOUND)
+            result = replan(prior, snap, origin, v.goal, v.params, self.config.hysteresis, fresh)
             v.replans += 1
             if fresh is None:
-                # A search made in this call, or none known for a kept route
-                # or the goal itself.
-                v.memo = ((origin, result, frozenset(result.expansion_order))
+                # A search ran in this call, unless the origin is the goal.
+                v.memo = ((result.declined or result.path, frozenset(result.expansion_order))
                           if result.expansion_order and origin != v.goal else None)
         else:
             result = PLANNERS[self.algorithm](snap, origin, v.goal, v.params)

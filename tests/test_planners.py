@@ -257,6 +257,20 @@ class TestReplan:
         res = replan(prior, snap, "a", "d", UNIT, hysteresis=0.05)
         assert res.path == ("a", "b", "d")
 
+    def test_a_kept_route_hands_back_the_search_it_was_kept_over(self):
+        # a-b-d slows to 4.1 s against a-c-d's 4.0 s: inside a 5% band, so the
+        # old route is kept, and the search it ran comes back with it.
+        g = diamond_graph()
+        fld = HeuristicField()
+        prior = self._prior(snapshot(g, fld))
+        apply_event(g, fld, Event(0, "set_congestion", "e2", 3.1))
+        snap = snapshot(g, fld)
+        res = replan(prior, snap, "a", "d", UNIT, hysteresis=0.05)
+        search = dyn_a_star(snap, "a", "d", UNIT)
+        assert res.path == ("a", "b", "d") and res.declined == search.path == ("a", "c", "d")
+        assert (res.expanded, res.expansion_order) == (search.expanded, search.expansion_order)
+        assert search.declined == ()
+
     def test_large_improvement_overcomes_hysteresis(self):
         g = diamond_graph()
         fld = HeuristicField()
