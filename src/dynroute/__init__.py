@@ -29,7 +29,6 @@ from .planners import (
     FOUND,
     UNREACHABLE,
     PlanResult,
-    RRTParams,
     SearchParams,
     dijkstra_ucs,
     dyn_a_star,

@@ -29,7 +29,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from .evaluate import compare_algorithms, report_csv, report_table
+from .evaluate import RHO, compare_algorithms, report_csv, report_table
 from .graph import Scenario, ScenarioError, load_scenario
 from .heuristics import HeuristicWeights
 from .planners import FOUND, SearchParams
@@ -140,11 +140,12 @@ def _apply_config_file(
 
 
 def _sim_config(args: argparse.Namespace, seed: int | None = None) -> SimConfig:
+    """The settings ``args`` gives; ``plan`` has only ``--epoch-s``."""
     try:
         return SimConfig(
             epoch_s=float(args.epoch_s),
-            hysteresis=float(args.hysteresis),
-            share_observations=not args.no_share,
+            hysteresis=float(getattr(args, "hysteresis", SimConfig.hysteresis)),
+            share_observations=not getattr(args, "no_share", False),
             seed=0 if seed is None else seed,
         )
     except ValueError as exc:
@@ -155,7 +156,7 @@ def _override_scenario(scn: Scenario, args: argparse.Namespace) -> Scenario:
     changes = {}
     if args.seed is not None:
         changes["seed"] = int(args.seed)
-    if args.alpha is not None:
+    if getattr(args, "alpha", None) is not None:
         try:
             changes["initial_field"] = dataclasses.replace(
                 scn.initial_field, smoothing_alpha=float(args.alpha)
@@ -289,21 +290,18 @@ def cmd_validate(args: argparse.Namespace) -> int:
 # -- argument parsing ----------------------------------------------------------
 
 
-def _add_scenario_overrides(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="override scenario seed (integer)")
-    p.add_argument("--alpha", type=float, default=None,
-                   help="observation smoothing factor, in (0, 1]")
-
-
-def _add_shared(p: argparse.ArgumentParser) -> None:
+def _add_shared(p: argparse.ArgumentParser, simulates: bool) -> None:
+    """Options of every command that runs a scenario; ``plan`` does not simulate."""
     p.add_argument("--config", help="JSON file of option defaults; explicit flags win")
-    p.add_argument("--epoch-s", dest="epoch_s", type=float, default=30.0,
-                   help=f"replanning epoch length in seconds, > 0 (default 30); the "
-                        f"{SimConfig.horizon_s:g} s horizon spans at most {MAX_EPOCHS:,} epochs")
-    p.add_argument("--hysteresis", type=float, default=0.01,
-                   help="minimum relative improvement before switching plans, >= 0")
-    p.add_argument("--no-share", action="store_true",
-                   help="disable observation sharing between vehicles")
+    p.add_argument("--epoch-s", dest="epoch_s", type=float, default=SimConfig.epoch_s,
+                   help=f"replanning epoch length in seconds, > 0 (default "
+                        f"{SimConfig.epoch_s:g}); the {SimConfig.horizon_s:g} s horizon "
+                        f"spans at most {MAX_EPOCHS:,} epochs")
+    if simulates:
+        p.add_argument("--hysteresis", type=float, default=SimConfig.hysteresis,
+                       help="minimum relative improvement before switching plans, >= 0")
+        p.add_argument("--no-share", action="store_true",
+                       help="disable observation sharing between vehicles")
     p.add_argument("--out", default=None, help="output path or prefix")
 
 
@@ -319,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--algo", choices=ALGORITHMS, default="dyn_astar")
     p_plan.add_argument("--query", type=int, default=0, help="query index, >= 0")
     p_plan.add_argument("--weights", default=None, help="wg,w1,w2,w3 (each >= 0, wg > 0)")
-    _add_scenario_overrides(p_plan)
-    _add_shared(p_plan)
+    p_plan.add_argument("--seed", type=int, default=None, help="override scenario seed")
+    _add_shared(p_plan, simulates=False)
     p_plan.set_defaults(func=cmd_plan)
 
     p_sim = sub.add_parser("simulate", help="run the fleet simulation")
@@ -328,16 +326,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--algo", choices=ALGORITHMS, default="dyn_astar")
     p_sim.add_argument("--allow-stranded", action="store_true",
                        help="exit 0 even if vehicles end stranded")
-    _add_scenario_overrides(p_sim)
-    _add_shared(p_sim)
+    p_sim.add_argument("--seed", type=int, default=None, help="override scenario seed")
+    p_sim.add_argument("--alpha", type=float, default=None,
+                       help="observation smoothing factor, in (0, 1]")
+    _add_shared(p_sim, simulates=True)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_bench = sub.add_parser("bench", help="compare all algorithms over a scenario suite")
     p_bench.add_argument("--suite", required=True, help="directory of *.scn files")
-    p_bench.add_argument("--rho", type=float, default=1.15,
-                         help="pass threshold multiplier on oracle cost, >= 1 (default 1.15)")
+    p_bench.add_argument("--rho", type=float, default=RHO,
+                         help=f"pass threshold multiplier on oracle cost, >= 1 (default {RHO:g})")
     p_bench.add_argument("--jobs", type=int, default=1, help="parallel scenario workers, >= 1")
-    _add_shared(p_bench)
+    _add_shared(p_bench, simulates=True)
     p_bench.set_defaults(func=cmd_bench)
 
     p_val = sub.add_parser("validate", help="validate scenario files without running")

@@ -4,8 +4,10 @@ The oracle computes the cheapest achievable journey under full foreknowledge
 of all scenario events, on a time-expanded view of the graph. It reads the
 simulator's own :class:`~dynroute.simulate.TruthTimeline`: an edge costs what
 the truth charges at entry, and a node's penalty is the truth's at the
-arrival instant. That is exactly the cost model the simulator charges, so
-every simulated realized cost is bounded below by the oracle.
+arrival instant. That is exactly the cost model the simulator charges. It is
+not yet a lower bound on every simulated realized cost: its dominance pruning
+assumes that arriving earlier never costs more later, which fails when
+congestion drops, because a vehicle cannot wait (``TestOracle`` pins a case).
 
 :func:`evaluate_scenario` builds the timeline once per scenario and hands the
 same object to every oracle query and every simulation of that scenario; its
@@ -36,6 +38,8 @@ from .simulate import (
 
 ORACLE_MAX_POPS = 2_000_000
 
+RHO = 1.15  # default pass threshold: arrive within RHO x the oracle's cost
+
 _EPS = 1e-9
 
 
@@ -58,10 +62,10 @@ def offline_optimal(
     Label-setting uniform-cost search over (node, time) states with dominance
     pruning: a label is dropped iff an existing label at the same node is no
     later and no more expensive. ``truth`` is the scenario's ground truth;
-    ``None`` builds it with 30 s epochs.
+    ``None`` builds it with ``SimConfig``'s default epochs.
     """
     if truth is None:
-        truth = TruthTimeline(scenario, 30.0)
+        truth = TruthTimeline(scenario, SimConfig.epoch_s)
     index = scenario.graph.index
     ids = index.ids
     start, goal = index.pos[query.start], index.pos[query.goal]
@@ -99,11 +103,9 @@ def offline_optimal(
             pen = truth.at_time(ntime).node_penalty(ids[v]) if v in varying else penalty[v]
             ncost = cost + eff + pen
             bucket = frontier[v]
-            if any(t <= ntime + _EPS and c <= ncost + _EPS for t, c in bucket):
+            if any(t <= ntime and c <= ncost for t, c in bucket):
                 continue
-            bucket[:] = [
-                (t, c) for t, c in bucket if not (ntime <= t + _EPS and ncost <= c + _EPS)
-            ]
+            bucket[:] = [(t, c) for t, c in bucket if not (ntime <= t and ncost <= c)]
             bucket.append((ntime, ncost))
             labels.append((ncost, ntime, v, idx))
             heapq.heappush(heap, (ncost, ntime, len(labels) - 1))
@@ -160,7 +162,7 @@ def _failed_cell(scenario: Scenario, exc: Exception) -> dict:
 
 def evaluate_scenario(
     scenario: Scenario,
-    rho: float = 1.15,
+    rho: float = RHO,
     config: SimConfig | None = None,
     algorithms: tuple[str, ...] = ALGORITHMS,
 ) -> dict[str, dict]:
@@ -219,7 +221,7 @@ def _aggregate(algorithm: str, cells: list[dict]) -> AlgorithmScore:
 
 def compare_algorithms(
     scenario_paths: list[Path],
-    rho: float = 1.15,
+    rho: float = RHO,
     config: SimConfig | None = None,
     jobs: int = 1,
     algorithms: tuple[str, ...] = ALGORITHMS,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import GraphSnapshot
 from .heuristics import HeuristicWeights
@@ -26,27 +26,17 @@ UNREACHABLE = "unreachable"
 
 _INF = math.inf
 
-
-@dataclass(frozen=True)
-class RRTParams:
-    max_iterations: int = 2000
-    step_edges: int = 3
-    goal_bias: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be > 0")
-        if not (0.0 <= self.goal_bias <= 1.0):
-            raise ValueError("goal_bias must be in [0, 1]")
-        if self.step_edges < 1:
-            raise ValueError("step_edges must be >= 1")
+# The RRT baseline's fixed tuning: samples drawn, hops per extension, and the
+# chance a sample is the goal.
+RRT_MAX_ITERATIONS = 2000
+RRT_STEP_EDGES = 3
+RRT_GOAL_BIAS = 0.1
 
 
 @dataclass(frozen=True)
 class SearchParams:
     weights: HeuristicWeights = HeuristicWeights()
     rng_seed: int = 0
-    rrt: RRTParams = field(default_factory=RRTParams)
 
 
 @dataclass(frozen=True)
@@ -261,14 +251,14 @@ def rrt_plan(
 ) -> PlanResult:
     """Graph-adapted rapidly-exploring random tree.
 
-    Samples a node position (goal with probability goal_bias), finds the
-    nearest tree node by straight-line distance, and extends the tree up to
-    step_edges hops toward the sample along locally greedy unblocked edges.
-    Distance ties go to the lower node index, i.e. the lower node id.
-    Deterministic for a fixed seed.
+    Samples a node position (the goal with probability ``RRT_GOAL_BIAS``),
+    finds the nearest tree node by straight-line distance, and extends the
+    tree up to ``RRT_STEP_EDGES`` hops toward the sample along locally greedy
+    unblocked edges, for at most ``RRT_MAX_ITERATIONS`` samples. Distance ties
+    go to the lower node index, i.e. the lower node id. Deterministic for a
+    fixed seed.
     """
     s, t = _index_of(snap, start), _index_of(snap, goal)
-    p = params.rrt
     rng = random.Random(params.rng_seed)
     index, arcs = snap.index, snap.arcs
     ids, xs, ys = index.ids, index.xs, index.ys
@@ -287,15 +277,15 @@ def rrt_plan(
     tree: dict[int, int] = {s: -1}
     if s == t:
         return finish()
-    for _ in range(p.max_iterations):
-        sample = t if rng.random() < p.goal_bias else rng.randrange(len(ids))
+    for _ in range(RRT_MAX_ITERATIONS):
+        sample = t if rng.random() < RRT_GOAL_BIAS else rng.randrange(len(ids))
         sx, sy = xs[sample], ys[sample]
         current, best_d = s, (xs[s] - sx) ** 2 + (ys[s] - sy) ** 2
         for i in tree:
             d = (xs[i] - sx) ** 2 + (ys[i] - sy) ** 2
             if d < best_d or (d == best_d and i < current):
                 current, best_d = i, d
-        for _hop in range(p.step_edges):
+        for _hop in range(RRT_STEP_EDGES):
             step = -1
             for _eid, v, _eff in arcs[current]:
                 if v in tree:

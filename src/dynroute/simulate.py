@@ -261,13 +261,17 @@ class Simulation:
             ingested = len(self.obs_queue)
         self.obs_queue.clear()
 
-        planning = [v for v in self.vehicles if self._plans(v, k)]
+        # The vehicles en route that have departed or depart in this epoch:
+        # all of them replan under dyn_astar, the rest only to depart.
+        moving = [v for v in self.vehicles if v.status == EN_ROUTE and v.depart_epoch <= k]
+        planning = (moving if self.algorithm == "dyn_astar"
+                    else [v for v in moving if not v.departed])
         if planning:
             snap = self._belief_snapshot()
             for v in planning:
                 self._plan_vehicle(v, snap)
         truth = self.truth.at_epoch(k)
-        for v in self.vehicles:
+        for v in moving:
             self._advance(v, k, truth)
 
         self.epoch_log.append(EpochRecord(t, tuple(applied), ingested))
@@ -283,12 +287,6 @@ class Simulation:
         return self._trace()
 
     # -- planning -----------------------------------------------------------
-
-    def _plans(self, v: VehicleState, k: int) -> bool:
-        """Whether ``v`` plans in epoch ``k``: it is en route, has departed or
-        departs in this epoch, and replans or has not departed yet."""
-        return (v.status == EN_ROUTE and v.depart_epoch <= k
-                and (self.algorithm == "dyn_astar" or not v.departed))
 
     def _belief_snapshot(self) -> GraphSnapshot:
         """The belief as a snapshot: the last one taken, or a new one patched
@@ -320,10 +318,8 @@ class Simulation:
                 fresh = PlanResult(memo[0][memo[0].index(origin):], 0.0, 0.0, 0, FOUND)
             result = replan(prior, snap, origin, v.goal, v.params, self.config.hysteresis, fresh)
             v.replans += 1
-            if fresh is None:
-                # A search ran in this call, unless the origin is the goal.
-                v.memo = ((result.declined or result.path, frozenset(result.expansion_order))
-                          if result.expansion_order and origin != v.goal else None)
+            if fresh is None:  # a search ran in this call, or replan answered at the goal
+                v.memo = (result.declined or result.path, frozenset(result.expansion_order))
         else:
             result = PLANNERS[self.algorithm](snap, origin, v.goal, v.params)
 
@@ -333,12 +329,11 @@ class Simulation:
     # -- movement through ground truth ---------------------------------------
 
     def _advance(self, v: VehicleState, k: int, truth: GraphSnapshot) -> None:
-        """Move ``v`` through epoch ``k``, whose ground truth is ``truth``, by
-        replay's walk: it enters an edge at the instant it reached the tail,
-        at the edge's price in ``truth``, and pays that price whole, then the
-        head's penalty, on arrival. At a node without a route it strands."""
-        if v.status != EN_ROUTE or v.depart_epoch > k:
-            return
+        """Move ``v``, en route and departing by epoch ``k``, through that
+        epoch, whose ground truth is ``truth``, by replay's walk: it enters an
+        edge at the instant it reached the tail, at the edge's price in
+        ``truth``, and pays that price whole, then the head's penalty, on
+        arrival. At a node without a route it strands."""
         if not v.departed:
             v.departed = True
             v.path_taken.append(v.at_node)

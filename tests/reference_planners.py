@@ -38,6 +38,7 @@ from dynroute import (
     SearchParams,
     apply_event,
 )
+from dynroute import planners
 from dynroute.evaluate import OracleResult
 from dynroute.graph import Query, Scenario
 
@@ -312,14 +313,15 @@ def rrt_plan(
 ) -> PlanResult:
     """Graph-adapted rapidly-exploring random tree.
 
-    Samples a node position (goal with probability goal_bias), finds the
-    nearest tree node by straight-line distance, and extends the tree up to
-    step_edges hops toward the sample along locally greedy unblocked edges.
-    Deterministic for a fixed seed.
+    Samples a node position (goal with probability ``planners.RRT_GOAL_BIAS``),
+    finds the nearest tree node by straight-line distance, and extends the
+    tree up to ``planners.RRT_STEP_EDGES`` hops toward the sample along
+    locally greedy unblocked edges, for at most ``planners.RRT_MAX_ITERATIONS``
+    samples. Reads the constants when called, so a test that patches them
+    changes both planners alike. Deterministic for a fixed seed.
     """
     _check_node(view, start)
     _check_node(view, goal)
-    p = params.rrt
     rng = random.Random(params.rng_seed)
 
     def pos(n: str) -> tuple[float, float]:
@@ -345,14 +347,14 @@ def rrt_plan(
     if start == goal:
         return finish(tree)
     node_ids = sorted(view.index.ids)
-    for _ in range(p.max_iterations):
-        if rng.random() < p.goal_bias:
+    for _ in range(planners.RRT_MAX_ITERATIONS):
+        if rng.random() < planners.RRT_GOAL_BIAS:
             sample = pos(goal)
         else:
             sample = pos(node_ids[rng.randrange(len(node_ids))])
         nearest = min(tree, key=lambda n: (dist2(n, sample), n))
         current = nearest
-        for _hop in range(p.step_edges):
+        for _hop in range(planners.RRT_STEP_EDGES):
             candidates = [
                 succ
                 for succ, _eid, _eff in neighbors(view, current)
@@ -366,9 +368,6 @@ def rrt_plan(
             if current == goal:
                 return finish(tree)
     return PlanResult((), _INF, _INF, len(tree), UNREACHABLE)
-
-
-_EPS = 1e-9
 
 
 def offline_optimal(scenario: Scenario, query: Query, epoch_s: float = 30.0) -> OracleResult:
@@ -388,7 +387,7 @@ def offline_optimal(scenario: Scenario, query: Query, epoch_s: float = 30.0) -> 
 
     def dominated(node: str, time: float, cost: float) -> bool:
         return any(
-            t <= time + _EPS and c <= cost + _EPS
+            t <= time and c <= cost
             for t, c in frontier.get(node, ())
         )
 
@@ -414,7 +413,7 @@ def offline_optimal(scenario: Scenario, query: Query, epoch_s: float = 30.0) -> 
                 continue
             bucket = frontier.setdefault(succ, [])
             bucket[:] = [
-                (t, c) for t, c in bucket if not (ntime <= t + _EPS and ncost <= c + _EPS)
+                (t, c) for t, c in bucket if not (ntime <= t and ncost <= c)
             ]
             bucket.append((ntime, ncost))
             labels.append((ncost, ntime, succ, idx))

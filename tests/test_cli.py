@@ -294,6 +294,18 @@ class TestBench:
         assert {row.split(",")[0]: row.split(",")[-1] for row in rows} == dict.fromkeys(
             ALGORITHMS, "1")
 
+    @staticmethod
+    def _exit_code(argv, option, value, form, tmp_path):
+        """``argv`` run with ``option`` set to ``value`` as a flag or a config key."""
+        if form == "flag":  # argparse rejects it and exits
+            flag = [f"--{option}"] + ([] if value is True else [str(value)])
+            with pytest.raises(SystemExit) as info:
+                main(argv + flag)
+            return info.value.code
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({option: value}))
+        return main(argv + ["--config", str(cfg)])
+
     @pytest.mark.parametrize("option, value", [("seed", 5), ("alpha", 0.5)])
     @pytest.mark.parametrize("form", ["flag", "config"])
     def test_scenario_overrides_are_not_bench_options(self, option, value, form, tmp_path,
@@ -302,15 +314,17 @@ class TestBench:
         suite.mkdir()
         (suite / "s1.scn").write_text(scenario_doc(**LINE))
         argv = ["bench", "--suite", str(suite)]
-        if form == "flag":  # argparse rejects it and exits
-            with pytest.raises(SystemExit) as info:
-                main(argv + [f"--{option}", str(value)])
-            code = info.value.code
-        else:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({option: value}))
-            code = main(argv + ["--config", str(cfg)])
-        assert code == 2
+        assert self._exit_code(argv, option, value, form, tmp_path) == 2
+        assert option in capsys.readouterr().err
+
+    # plan answers one query on the truth: it neither simulates nor smooths.
+    @pytest.mark.parametrize("option, value",
+                             [("hysteresis", 0.5), ("no-share", True), ("alpha", 0.5)])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_simulation_settings_are_not_plan_options(self, option, value, form, line_scn,
+                                                      tmp_path, capsys):
+        argv = ["plan", "--scenario", str(line_scn)]
+        assert self._exit_code(argv, option, value, form, tmp_path) == 2
         assert option in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [

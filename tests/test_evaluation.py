@@ -13,6 +13,7 @@ from dynroute import (
     Query,
     Scenario,
     SimConfig,
+    Simulation,
     compare_algorithms,
     load_scenario,
     make_grid,
@@ -175,6 +176,57 @@ class TestOracle:
                     continue
                 opt = oracles[v["vehicle"]].optimal_realized_cost
                 assert v["realized_cost_s"] >= opt - 1e-6
+
+    def test_keeps_a_cheaper_label_a_hair_earlier_than_a_dearer_one(self):
+        """Two parallel n1->n2 edges, 30 s and 5e-10 s less, and n2->n3
+        congested x2 from t=30. Arriving at n2 5e-10 s before that boundary
+        enters n2->n3 at its old price; a label at n2 only 5e-10 s later and
+        dearer may not prune it."""
+        s = scn(scenario_doc(
+            nodes=[("n1", 0.0, 0.0), ("n2", 100.0, 0.0), ("n3", 200.0, 0.0)],
+            edges=[("e1", "n1", "n2", 100.0, 30.0), ("e2", "n1", "n2", 100.0, 29.9999999995),
+                   ("e3", "n2", "n3", 100.0, 30.0)],
+            events=[{"t_s": 30.0, "kind": "set_congestion", "target": "e3", "value": 2.0}],
+            queries=[{"vehicle": "v1", "start": "n1", "goal": "n3", "depart_s": 0.0,
+                      "weights": UNIT_W, "context": {}}],
+        ))
+        truth = TruthTimeline(s, 30.0)
+        res = offline_optimal(s, s.queries[0], truth)
+        assert res.optimal_realized_cost == 29.9999999995 + 30.0
+        assert res.optimal_path == ("n1", "n2", "n3")
+        for algo in ALGORITHMS:
+            sim = Simulation(s, SimConfig(), algo, truth)
+            sim.run()
+            (v,) = sim.vehicles
+            assert v.status == "arrived"
+            assert v.realized_cost == res.optimal_realized_cost
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "dominance pruning assumes FIFO costs: an earlier, cheaper label at m "
+        "prunes the later one that meets m->g after its congestion drops"))
+    def test_lower_bounds_a_trip_that_reaches_a_road_after_its_congestion_drops(self):
+        """s-a-m reaches m at t=10 for 20 (a costs h2 10), s-w-m at t=40 for
+        40; m->g costs 100 until t=30 and 10 after. dyn_astar, steered off a
+        by its comfort weight, drives s-w-m-g for 50; the oracle pruned that
+        label at m and reports 120 via a."""
+        s = scn(scenario_doc(
+            nodes=[("s", 0.0, 0.0), ("a", 50.0, 50.0), ("w", 50.0, -50.0),
+                   ("m", 100.0, 0.0), ("g", 200.0, 0.0)],
+            edges=[("e1", "s", "a", 100.0, 5.0), ("e2", "a", "m", 100.0, 5.0),
+                   ("e3", "s", "w", 100.0, 20.0), ("e4", "w", "m", 100.0, 20.0),
+                   ("e5", "m", "g", 100.0, 10.0)],
+            h2={"a": 10.0},
+            events=[{"t_s": 0.0, "kind": "set_congestion", "target": "e5", "value": 10.0},
+                    {"t_s": 30.0, "kind": "set_congestion", "target": "e5", "value": 1.0}],
+            queries=[{"vehicle": "v1", "start": "s", "goal": "g", "depart_s": 0.0,
+                      "weights": {"wg": 1, "w1": 1, "w2": 2, "w3": 0},
+                      "context": {"prefers_comfort": True, "rough_road": True}}],
+        ))
+        (v,) = run_simulation(s, SimConfig(), "dyn_astar").vehicles
+        if (v["path"], v["realized_cost_s"]) != (["s", "w", "m", "g"], 50.0):
+            pytest.fail(f"dyn_astar drove {v['path']} for {v['realized_cost_s']}, not "
+                        "s-w-m-g for 50: this case no longer shows the hole")
+        assert offline_optimal(s, s.queries[0]).optimal_realized_cost <= 50.0
 
 
 class TestScoring:

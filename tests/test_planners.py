@@ -12,7 +12,6 @@ from dynroute import (
     HeuristicField,
     HeuristicWeights,
     PlanResult,
-    RRTParams,
     SearchParams,
     apply_event,
     dijkstra_ucs,
@@ -213,19 +212,8 @@ class TestRrt:
 
     def test_unreachable_within_budget(self):
         snap = snap_of(diamond_graph())
-        res = rrt_plan(
-            snap, "d", "a",
-            SearchParams(rng_seed=0, rrt=RRTParams(max_iterations=50)),
-        )
+        res = rrt_plan(snap, "d", "a", SearchParams(rng_seed=0))
         assert res.status == UNREACHABLE
-
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            RRTParams(max_iterations=0)
-        with pytest.raises(ValueError):
-            RRTParams(goal_bias=1.5)
-        with pytest.raises(ValueError):
-            RRTParams(step_edges=0)
 
 
 class TestReplan:

@@ -4,6 +4,8 @@ on fresh and patched snapshots match the string-keyed reference exactly, node
 indices follow id order, and one index is shared by every copy, snapshot and
 ground-truth state of a scenario's graph."""
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +17,6 @@ from dynroute import (
     HeuristicWeights,
     NodeRecord,
     Query,
-    RRTParams,
     RoadGraph,
     SearchParams,
     Scenario,
@@ -30,6 +31,7 @@ from dynroute import (
     snapshot,
     static_a_star,
 )
+from dynroute import planners
 from dynroute.planners import cheapest_edge, validate_path
 from dynroute.simulate import TruthTimeline
 
@@ -95,10 +97,11 @@ def test_index_is_built_from_the_edge_records(graph):
 @st.composite
 def planning_cases(draw):
     """A snapshot patched after random changes, the id-keyed view of the state
-    it was taken from, its start and goal, and search parameters. Every graph
-    has two parallel edges of equal cost, one of them blocked; the changes set
-    congestion factors, block and unblock edges and set h2 values, and the
-    snapshot is patched from one taken before them."""
+    it was taken from, its start and goal, search parameters, and values for
+    the RRT constants in ``planners``. Every graph has two parallel edges of
+    equal cost, one of them blocked; the changes set congestion factors, block
+    and unblock edges and set h2 values, and the snapshot is patched from one
+    taken before them."""
     ids = draw(st.lists(st.text("abcnxz", min_size=1, max_size=3),
                         min_size=1, max_size=9, unique=True))
     # Insertion order is the drawn order, generally not sorted.
@@ -149,23 +152,24 @@ def planning_cases(draw):
         weights=HeuristicWeights(draw(st.sampled_from([0.5, 1.0, 2.0])),
                                  draw(weight), draw(weight), draw(weight)),
         rng_seed=draw(st.integers(0, 50)),
-        rrt=RRTParams(max_iterations=draw(st.integers(1, 40)),
-                      step_edges=draw(st.integers(1, 3)),
-                      goal_bias=draw(st.sampled_from([0.0, 0.1, 0.5]))),
     )
-    return patched, view, draw(st.sampled_from(ids)), draw(st.sampled_from(ids)), params
+    rrt = {"RRT_MAX_ITERATIONS": draw(st.integers(1, 40)),
+           "RRT_STEP_EDGES": draw(st.integers(1, 3)),
+           "RRT_GOAL_BIAS": draw(st.sampled_from([0.0, 0.1, 0.5]))}
+    return patched, view, draw(st.sampled_from(ids)), draw(st.sampled_from(ids)), params, rrt
 
 
 @settings(max_examples=400, deadline=None)
 @given(planning_cases())
 def test_planners_match_string_keyed_reference(case):
-    snap, view, start, goal, params = case
+    snap, view, start, goal, params, rrt = case
     assert dyn_a_star(snap, start, goal, params) == ref.dyn_a_star(view, start, goal, params)
     assert static_a_star(snap, start, goal) == ref.dyn_a_star(
         view, start, goal, SearchParams(weights=UNIT))
     assert dijkstra_ucs(snap, start, goal) == ref.dijkstra_ucs(view, start, goal)
     assert greedy_best_first(snap, start, goal) == ref.greedy_best_first(view, start, goal)
-    assert rrt_plan(snap, start, goal, params) == ref.rrt_plan(view, start, goal, params)
+    with mock.patch.multiple(planners, **rrt):  # the reference reads the same constants
+        assert rrt_plan(snap, start, goal, params) == ref.rrt_plan(view, start, goal, params)
     for u in snap.index.ids:
         for v in snap.index.ids:
             assert cheapest_edge(snap, u, v) == ref.cheapest_edge(view, u, v)
