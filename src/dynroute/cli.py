@@ -277,9 +277,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         try:
             load_scenario(Path(path).read_bytes())
             print(f"{path}: OK")
-        except OSError as exc:
-            errors.append({"file": path, "error": str(exc)})
-        except ScenarioError as exc:
+        except (OSError, ScenarioError) as exc:
             errors.append({"file": path, "error": str(exc)})
     if errors:
         print(json.dumps({"errors": errors}, sort_keys=True, indent=2))

@@ -39,6 +39,12 @@ class SearchParams:
     rng_seed: int = 0
 
 
+# The fixed weightings (w_g, w1, w2, w3) that make the weighted search
+# uniform-cost search and classical A*.
+UCS_PARAMS = SearchParams(HeuristicWeights(1.0, 0.0, 0.0, 0.0))
+ASTAR_PARAMS = SearchParams(HeuristicWeights(1.0, 1.0, 0.0, 0.0))
+
+
 @dataclass(frozen=True)
 class PlanResult:
     path: tuple[str, ...]
@@ -101,7 +107,7 @@ def validate_path(snap: GraphSnapshot, path: tuple[str, ...]) -> bool:
             and _travel_time(snap, path) is not None)
 
 
-def _path(ids: tuple[str, ...], parent: dict[int, int], node: int) -> tuple[str, ...]:
+def _path(ids: tuple[str, ...], parent: dict[int, int] | list[int], node: int) -> tuple[str, ...]:
     path = []
     while node >= 0:
         path.append(ids[node])
@@ -110,7 +116,7 @@ def _path(ids: tuple[str, ...], parent: dict[int, int], node: int) -> tuple[str,
     return tuple(path)
 
 
-def _found(snap: GraphSnapshot, parent: dict[int, int], order: list[int], goal: int,
+def _found(snap: GraphSnapshot, parent: dict[int, int] | list[int], order: list[int], goal: int,
            f: float, travel: float | None = None) -> PlanResult:
     """Result of a search that expanded ``order`` and reached ``goal``;
     ``travel`` defaults to the path's travel time."""
@@ -133,9 +139,10 @@ def dyn_a_star(
     """Best-first search with weighted time/comfort/safety heuristics.
 
     Priority of a node with accumulated travel time g is
-    ``w_g*g + w1*h1 + w2*h2 + w3*h3``. With weights (1,1,0,0) and the
-    consistent straight-line time heuristic this is classical A* and returns
-    optimal travel time; other weightings trade optimality for preference.
+    ``w_g*g + w1*h1 + w2*h2 + w3*h3``. With weights (1,0,0,0) this is
+    uniform-cost search; with (1,1,0,0) and the consistent straight-line time
+    heuristic it is classical A*. Both return optimal travel time; other
+    weightings trade optimality for preference.
     """
     s, t = _index_of(snap, start), _index_of(snap, goal)
     w = params.weights
@@ -148,10 +155,12 @@ def dyn_a_star(
 
     h = hypot(xs[s] - gx, ys[s] - gy) / v_max
     f = wg * 0.0 + w1 * h + w2 * h2_at[s] + w3 * h3_at[s]
-    g_best: dict[int, float] = {s: 0.0}
-    parent: dict[int, int] = {s: -1}
+    n = len(ids)
+    g_best = [_INF] * n
+    g_best[s] = 0.0
+    parent = [-1] * n
     open_heap: list[tuple[float, float, int]] = [(f, h, s)]
-    closed = bytearray(len(ids))
+    closed = bytearray(n)
     order: list[int] = []
     while open_heap:
         f, _, u = pop(open_heap)
@@ -166,7 +175,7 @@ def dyn_a_star(
             if closed[v]:
                 continue
             ng = g_u + eff
-            if ng < g_best.get(v, _INF):
+            if ng < g_best[v]:
                 g_best[v] = ng
                 parent[v] = u
                 # h1 and the priority repeat the float operations, in order,
@@ -177,39 +186,14 @@ def dyn_a_star(
 
 
 def dijkstra_ucs(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
-    """Uniform-cost search on effective travel time. Optimal by construction.
+    """Uniform-cost search on effective travel time: the weighted search with
+    every heuristic weight zero, so f = g. Optimal by construction."""
+    return dyn_a_star(snap, start, goal, UCS_PARAMS)
 
-    Kept as a hand-rolled loop, independent of the weighted planner, so the
-    two can be checked against each other.
-    """
-    s, t = _index_of(snap, start), _index_of(snap, goal)
-    index, arcs = snap.index, snap.arcs
-    ids, xs, ys = index.ids, index.xs, index.ys
-    gx, gy, v_max = xs[t], ys[t], index.v_max
-    hypot, push, pop = math.hypot, heapq.heappush, heapq.heappop
 
-    dist: dict[int, float] = {s: 0.0}
-    parent: dict[int, int] = {s: -1}
-    open_heap = [(0.0, hypot(xs[s] - gx, ys[s] - gy) / v_max, s)]
-    closed = bytearray(len(ids))
-    order: list[int] = []
-    while open_heap:
-        g, _, u = pop(open_heap)
-        if closed[u]:
-            continue
-        closed[u] = 1
-        order.append(u)
-        if u == t:
-            return _found(snap, parent, order, t, g, g)
-        for _eid, v, eff in arcs[u]:
-            if closed[v]:
-                continue
-            ng = g + eff
-            if ng < dist.get(v, _INF):
-                dist[v] = ng
-                parent[v] = u
-                push(open_heap, (ng, hypot(xs[v] - gx, ys[v] - gy) / v_max, v))
-    return _unreachable(snap, order)
+def static_a_star(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
+    """Classical A* with f = g + h1; no comfort/safety terms, no weighting."""
+    return dyn_a_star(snap, start, goal, ASTAR_PARAMS)
 
 
 def greedy_best_first(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
@@ -237,13 +221,6 @@ def greedy_best_first(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
             parent[v] = u
             push(open_heap, (hypot(xs[v] - gx, ys[v] - gy) / v_max, v))
     return _unreachable(snap, order)
-
-
-def static_a_star(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
-    """Classical A* with f = g + h1; no comfort/safety terms, no weighting."""
-    return dyn_a_star(
-        snap, start, goal, SearchParams(weights=HeuristicWeights(1.0, 1.0, 0.0, 0.0))
-    )
 
 
 def rrt_plan(

@@ -49,7 +49,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import groupby
 
 from .graph import (
@@ -399,20 +399,11 @@ class Simulation:
             }
             for v in self.vehicles
         )
-        cfg = self.config
         return SimulationTrace(
             scenario_name=self.scenario.name,
             algorithm=self.algorithm,
             seed=self.scenario.seed,
-            config={
-                "epoch_s": cfg.epoch_s,
-                "alpha": self.scenario.initial_field.smoothing_alpha,
-                "hysteresis": cfg.hysteresis,
-                "share_observations": cfg.share_observations,
-                "horizon_s": cfg.horizon_s,
-                "noise_sigma": cfg.noise_sigma,
-                "seed": cfg.seed,
-            },
+            config={**asdict(self.config), "alpha": self.scenario.initial_field.smoothing_alpha},
             vehicles=vehicles,
             epochs=tuple(self.epoch_log),
         )

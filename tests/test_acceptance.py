@@ -29,6 +29,7 @@ from dynroute import (
 from dynroute.cli import main as cli_main
 from dynroute.planners import path_travel_time
 
+import reference_planners as ref
 from conftest import (
     SCENARIO_DIR,
     enumerate_min_travel,
@@ -97,7 +98,8 @@ def test_03_zero_weight_reduction_to_uniform_cost():
     for _ in range(100):
         g, start, goal = random_congested_grid(rng)
         snap = snap_of(g)
-        ucs = dijkstra_ucs(snap, start, goal)
+        # The reference's own loop: dijkstra_ucs is dyn_a_star with these weights.
+        ucs = ref.dijkstra_ucs(ref.id_view(g, HeuristicField()), start, goal)
         dyn = dyn_a_star(snap, start, goal, params)
         if dyn.g_cost != ucs.g_cost or dyn.expansion_order != ucs.expansion_order:
             ok = False

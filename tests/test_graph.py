@@ -320,8 +320,8 @@ class TestNeighbors:
 
 def test_suite_generator_rewrites_the_committed_scenarios(scenario_dir, tmp_path):
     counts = write_suites(tmp_path)
-    written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*.scn"))
-    committed = sorted(p.relative_to(scenario_dir) for p in scenario_dir.rglob("*.scn"))
+    written = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    committed = sorted(p.relative_to(scenario_dir) for p in scenario_dir.rglob("*") if p.is_file())
     assert written == committed
     assert sum(counts.values()) == len(committed) == 124
     for rel in committed:

@@ -25,6 +25,7 @@ from dynroute import (
     validate_path,
 )
 from dynroute.planners import path_penalty, path_travel_time, weighted_path_cost
+import reference_planners as ref
 from conftest import (
     build_graph,
     diamond_graph,
@@ -120,7 +121,8 @@ class TestUcsReduction:
         for _ in range(40):
             g, start, goal = random_congested_grid(rng)
             snap = snap_of(g)
-            ucs = dijkstra_ucs(snap, start, goal)
+            # The reference's own loop: dijkstra_ucs is dyn_a_star with these weights.
+            ucs = ref.dijkstra_ucs(ref.id_view(g, HeuristicField()), start, goal)
             dyn = dyn_a_star(snap, start, goal, params)
             assert dyn.g_cost == pytest.approx(ucs.g_cost)
             assert dyn.expansion_order == ucs.expansion_order
