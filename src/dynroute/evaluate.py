@@ -61,8 +61,12 @@ def offline_optimal(
 
     Label-setting uniform-cost search over (node, time) states with dominance
     pruning: a label is dropped iff an existing label at the same node is no
-    later and no more expensive. ``truth`` is the scenario's ground truth;
-    ``None`` builds it with ``SimConfig``'s default epochs.
+    later and no more expensive. Each new label makes one pass over its
+    node's frontier bucket, which stops at the first label that dominates it;
+    only if none does is the label kept, appended after the bucket's labels
+    that it does not dominate (the bucket is rebuilt only if it dominates
+    one). ``truth`` is the scenario's ground truth; ``None`` builds it with
+    ``SimConfig``'s default epochs.
     """
     if truth is None:
         truth = TruthTimeline(scenario, SimConfig.epoch_s)
@@ -103,12 +107,18 @@ def offline_optimal(
             pen = truth.at_time(ntime).node_penalty(ids[v]) if v in varying else penalty[v]
             ncost = cost + eff + pen
             bucket = frontier[v]
-            if any(t <= ntime and c <= ncost for t, c in bucket):
-                continue
-            bucket[:] = [(t, c) for t, c in bucket if not (ntime <= t and ncost <= c)]
-            bucket.append((ntime, ncost))
-            labels.append((ncost, ntime, v, idx))
-            heapq.heappush(heap, (ncost, ntime, len(labels) - 1))
+            evicts = False
+            for t, c in bucket:
+                if t <= ntime and c <= ncost:
+                    break
+                if ntime <= t and ncost <= c:
+                    evicts = True
+            else:
+                if evicts:
+                    bucket[:] = [(t, c) for t, c in bucket if not (ntime <= t and ncost <= c)]
+                bucket.append((ntime, ncost))
+                labels.append((ncost, ntime, v, idx))
+                heapq.heappush(heap, (ncost, ntime, len(labels) - 1))
     return OracleResult(query.vehicle, math.inf, ())
 
 
@@ -133,7 +143,12 @@ class ScoreReport:
 
 def _scenario_correct(trace, oracles: dict[str, OracleResult], rho: float) -> tuple[bool, list[float], int]:
     """A scenario counts correct iff every queried vehicle arrived within
-    rho times its oracle cost. Returns (correct, cost ratios, strandings)."""
+    rho times its oracle cost. Returns (correct, cost ratios, strandings).
+
+    A ratio compares both costs at the trace's 9 decimals: the oracle cost is
+    rounded as ``Simulation._trace`` rounds ``realized_cost_s``, so a trip
+    that pays exactly the oracle cost reads 1.0, and an optimum that rounds
+    to 0 is never divided by."""
     ratios = []
     strandings = 0
     correct = True
@@ -144,7 +159,7 @@ def _scenario_correct(trace, oracles: dict[str, OracleResult], rho: float) -> tu
         if v["status"] != ARRIVED:
             correct = False
             continue
-        opt = oracle.optimal_realized_cost
+        opt = round(oracle.optimal_realized_cost, 9)
         if not math.isfinite(opt) or opt <= 0:
             ratio = 1.0 if v["realized_cost_s"] <= _EPS else math.inf
         else:

@@ -69,6 +69,20 @@ def _busy_grid(seed: int) -> Scenario:
     return load_scenario(serialize_scenario(s))  # the loader's checks hold
 
 
+def _parallel_edge_scenario() -> Scenario:
+    """Parallel n1->n2 edges of 30 s and 29.9999999995 s, then n2->n3 of
+    30 s, congested x2 from t=30: every algorithm pays 59.999999999500005,
+    which a trace writes as 60.0."""
+    return scn(scenario_doc(
+        nodes=[("n1", 0.0, 0.0), ("n2", 100.0, 0.0), ("n3", 200.0, 0.0)],
+        edges=[("e1", "n1", "n2", 100.0, 30.0), ("e2", "n1", "n2", 100.0, 29.9999999995),
+               ("e3", "n2", "n3", 100.0, 30.0)],
+        events=[{"t_s": 30.0, "kind": "set_congestion", "target": "e3", "value": 2.0}],
+        queries=[{"vehicle": "v1", "start": "n1", "goal": "n3", "depart_s": 0.0,
+                  "weights": UNIT_W, "context": {}}],
+    ))
+
+
 class TestOracle:
     def test_static_line(self):
         s = scn(scenario_doc(**LINE))
@@ -182,14 +196,7 @@ class TestOracle:
         congested x2 from t=30. Arriving at n2 5e-10 s before that boundary
         enters n2->n3 at its old price; a label at n2 only 5e-10 s later and
         dearer may not prune it."""
-        s = scn(scenario_doc(
-            nodes=[("n1", 0.0, 0.0), ("n2", 100.0, 0.0), ("n3", 200.0, 0.0)],
-            edges=[("e1", "n1", "n2", 100.0, 30.0), ("e2", "n1", "n2", 100.0, 29.9999999995),
-                   ("e3", "n2", "n3", 100.0, 30.0)],
-            events=[{"t_s": 30.0, "kind": "set_congestion", "target": "e3", "value": 2.0}],
-            queries=[{"vehicle": "v1", "start": "n1", "goal": "n3", "depart_s": 0.0,
-                      "weights": UNIT_W, "context": {}}],
-        ))
+        s = _parallel_edge_scenario()
         truth = TruthTimeline(s, 30.0)
         res = offline_optimal(s, s.queries[0], truth)
         assert res.optimal_realized_cost == 29.9999999995 + 30.0
@@ -265,6 +272,23 @@ class TestScoring:
         assert (dyn.passes, dyn.total, dyn.score) == (2, 2, 1.0)
         assert (astar.passes, astar.total, astar.score) == (1, 2, 0.5)
         assert astar.mean_cost_ratio > dyn.mean_cost_ratio
+
+    def test_a_trip_that_pays_the_oracle_cost_scores_exactly_one(self):
+        # The trace rounds 59.999999999500005 to 60.0; the oracle cost is
+        # rounded the same way before the division.
+        cells = evaluate_scenario(_parallel_edge_scenario())
+        for cell in cells.values():
+            assert cell["error"] is None
+            assert cell["ratios"] == [1.0]
+            assert cell["correct"] is True
+
+    def test_an_optimum_that_rounds_to_zero_is_not_divided_by(self):
+        # 4e-10 s rounds to 0.0: a trip is scored as it is against a zero optimum.
+        oracles = {"v1": evaluate.OracleResult("v1", 4e-10, ("a", "b"))}
+        for paid, ratio in ((0.0, 1.0), (1e-9, 1.0), (1e-6, math.inf)):
+            vehicle = {"vehicle": "v1", "status": "arrived", "realized_cost_s": paid}
+            trace = simulate.SimulationTrace("tiny", "ucs", 0, {}, (vehicle,), ())
+            assert evaluate._scenario_correct(trace, oracles, 1.15)[1] == [ratio]
 
     def test_multi_vehicle_scenario_requires_all_to_pass(self, scenario_dir):
         s = scn((scenario_dir / "sharing_fixture.scn").read_text())

@@ -4,6 +4,7 @@ on fresh and patched snapshots match the string-keyed reference exactly, node
 indices follow id order, and one index is shared by every copy, snapshot and
 ground-truth state of a scenario's graph."""
 
+import heapq
 from unittest import mock
 
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from dynroute import (
 from dynroute import planners
 from dynroute.planners import cheapest_edge, validate_path
 from dynroute.simulate import TruthTimeline
+from perfbench import gen
 
 UNIT = HeuristicWeights(1.0, 1.0, 0.0, 0.0)
 
@@ -267,6 +269,79 @@ def test_oracle_keeps_an_earlier_costlier_label():
     assert result == ref.offline_optimal(scn, query)
     assert result.optimal_path == ("s", "q", "m", "z")
     assert result.optimal_realized_cost == 160.0
+
+
+def _oracle_and_pushes(oracle, scn, query):
+    """``oracle``'s answer and every (cost, time, label index) it pushed."""
+    pushed = []
+    push = heapq.heappush
+
+    def record(heap, entry):
+        pushed.append(entry)
+        push(heap, entry)
+
+    with mock.patch("heapq.heappush", record):
+        result = oracle(scn, query)
+    return result, pushed
+
+
+def _assert_oracle_pushes(scn, expected):
+    """The oracle answers and pushes exactly as the reference does, and its
+    pushes are ``expected``."""
+    (query,) = scn.queries
+    got = _oracle_and_pushes(offline_optimal, scn, query)
+    assert got == _oracle_and_pushes(ref.offline_optimal, scn, query)
+    assert got[1] == expected
+    return got[0]
+
+
+def test_oracle_drops_a_label_that_an_existing_one_dominates():
+    # Three s->m edges: the first label at m, (15 s, 15), dominates the equal
+    # one over e2 and the later, dearer one over e3; neither is pushed.
+    scn = _diamond_scenario([("e1", "s", "m", 100.0, 15.0), ("e2", "s", "m", 100.0, 15.0),
+                             ("e3", "s", "m", 100.0, 30.0), ("e4", "m", "z", 100.0, 15.0)])
+    result = _assert_oracle_pushes(scn, [(15.0, 15.0, 1), (30.0, 30.0, 2)])
+    assert result.optimal_path == ("s", "m", "z")
+
+
+def test_oracle_keeps_labels_that_do_not_dominate_each_other_in_order():
+    # m is reached at (30 s, 30) over e1, then at (6 s, 56) through p, whose
+    # penalty is 50: earlier but dearer, so both are kept, and so are the two
+    # labels at z they lead to.
+    scn = _diamond_scenario([("e1", "s", "m", 100.0, 30.0), ("e2", "s", "p", 100.0, 1.0),
+                             ("e3", "p", "m", 100.0, 5.0), ("e4", "m", "z", 100.0, 100.0)],
+                            h2={"p": 50.0})
+    result = _assert_oracle_pushes(scn, [(30.0, 30.0, 1), (51.0, 1.0, 2), (130.0, 130.0, 3),
+                                         (56.0, 6.0, 4), (156.0, 106.0, 5)])
+    assert result.optimal_path == ("s", "m", "z")
+
+
+def test_oracle_label_evicts_only_the_labels_it_dominates():
+    # m's bucket holds (70 s, 70) over e2 and (46 s, 96) through p when
+    # (60 s, 60) arrives through a. It evicts the first, keeps the second,
+    # and that one still drops (50 s, 97), which arrives through q later.
+    scn = _diamond_scenario([("e1", "s", "p", 100.0, 1.0), ("e2", "s", "m", 100.0, 70.0),
+                             ("e3", "s", "a", 100.0, 55.0), ("e4", "s", "q", 100.0, 40.0),
+                             ("e5", "p", "m", 100.0, 45.0), ("e6", "a", "m", 100.0, 5.0),
+                             ("e7", "q", "m", 100.0, 10.0), ("e8", "m", "z", 100.0, 100.0)],
+                            h2={"p": 50.0, "q": 47.0})
+    result = _assert_oracle_pushes(scn, [(51.0, 1.0, 1), (70.0, 70.0, 2), (55.0, 55.0, 3),
+                                         (87.0, 40.0, 4), (96.0, 46.0, 5), (60.0, 60.0, 6),
+                                         (160.0, 160.0, 7), (196.0, 146.0, 8)])
+    assert result.optimal_path == ("s", "a", "m", "z")
+
+
+def test_oracle_matches_reference_on_eval_grid20():
+    # 160 queries on 400-node grids with 64 events each, where frontier
+    # buckets hold several labels: the evict branch runs 231 times.
+    for doc in gen.eval_grid20_docs(1):
+        scn = load_scenario(doc)
+        truth = TruthTimeline(scn, 30.0)
+        for query in scn.queries:
+            got = offline_optimal(scn, query, truth)
+            expected = ref.offline_optimal(scn, query, 30.0)
+            assert got.optimal_realized_cost.hex() == expected.optimal_realized_cost.hex()
+            assert got.optimal_path == expected.optimal_path
 
 
 def test_tie_break_follows_id_order_not_insertion_order():
