@@ -101,6 +101,9 @@ _EPS = 1e-9
 # The most epochs a run's horizon may span. Every epoch up to the horizon is
 # stepped, so one far too short would make a run that never ends.
 MAX_EPOCHS = 10**7
+# The last epoch the clock tells apart, far past any horizon: every later
+# instant, an infinite one too, belongs to it.
+_LAST_EPOCH = 2.0**62
 
 
 @dataclass(frozen=True)
@@ -145,37 +148,19 @@ class VehicleState:
 
 
 @dataclass(frozen=True)
-class EpochRecord:
-    t_s: float
-    events_applied: tuple[dict, ...]
-    observations_ingested: int
-
-
-@dataclass(frozen=True)
 class SimulationTrace:
-    scenario_name: str
+    """A run's record under the keys it is written with; each epoch is a
+    ``{"t_s", "events_applied", "observations_ingested"}`` dict."""
+    scenario: str
     algorithm: str
     seed: int
     config: dict
     vehicles: tuple[dict, ...]
-    epochs: tuple[EpochRecord, ...]
+    epochs: tuple[dict, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario_name,
-            "algorithm": self.algorithm,
-            "seed": self.seed,
-            "config": self.config,
-            "vehicles": list(self.vehicles),
-            "epochs": [
-                {
-                    "t_s": ep.t_s,
-                    "events_applied": list(ep.events_applied),
-                    "observations_ingested": ep.observations_ingested,
-                }
-                for ep in self.epochs
-            ],
-        }
+        """A deep copy as plain containers: changing it leaves the trace as it was."""
+        return asdict(self)
 
 
 class Simulation:
@@ -196,7 +181,7 @@ class Simulation:
         self.epoch_index = 0
         self.event_idx = 0
         self.obs_queue: list[Observation] = []
-        self.epoch_log: list[EpochRecord] = []
+        self.epoch_log: list[dict] = []
         self._noise_rng = random.Random(config.seed)
         # dyn_astar only: the nodes whose expansion reads a value changed
         # since the last snapshot, and for each node the nodes that read its
@@ -274,7 +259,8 @@ class Simulation:
         for v in moving:
             self._advance(v, k, truth)
 
-        self.epoch_log.append(EpochRecord(t, tuple(applied), ingested))
+        self.epoch_log.append({"t_s": t, "events_applied": tuple(applied),
+                               "observations_ingested": ingested})
         self.epoch_index += 1
 
     def run(self) -> SimulationTrace:
@@ -400,7 +386,7 @@ class Simulation:
             for v in self.vehicles
         )
         return SimulationTrace(
-            scenario_name=self.scenario.name,
+            scenario=self.scenario.name,
             algorithm=self.algorithm,
             seed=self.scenario.seed,
             config={**asdict(self.config), "alpha": self.scenario.initial_field.smoothing_alpha},
@@ -453,13 +439,14 @@ class TruthTimeline:
                 self._snaps.append(snap)
 
     def event_epoch(self, at_time: float) -> int:
-        """Index of the epoch whose opening boundary applies an event at ``at_time``."""
-        return max(0, math.ceil(at_time / self.epoch_s - 1e-12))
+        """Index of the epoch whose opening boundary applies an event at
+        ``at_time``; events past ``_LAST_EPOCH`` epochs share it, in file order."""
+        return max(0, math.ceil(min(at_time / self.epoch_s, _LAST_EPOCH) - 1e-12))
 
     def epoch_of(self, time: float) -> int:
         """Index of the epoch the instant ``time`` belongs to: the one clock
-        of every departure, edge entry and arrival."""
-        return max(0, math.floor(time / self.epoch_s + 1e-12))
+        of every departure, edge entry and arrival, up to ``_LAST_EPOCH``."""
+        return max(0, math.floor(min(time / self.epoch_s, _LAST_EPOCH) + 1e-12))
 
     def at_epoch(self, k: int) -> GraphSnapshot:
         i = bisect.bisect_right(self._starts, k) - 1

@@ -30,15 +30,10 @@ from .graph import load_scenario, make_grid, serialize_scenario
 EPOCH_S = 30.0  # suite scenarios are designed against the default epoch
 
 
-def _doc(name: str, seed: int, nodes, edges, queries, events=(), h2=None, h3=None, alpha=0.3):
-    return {
-        "meta": {"name": name, "seed": seed, "alpha": alpha},
-        "nodes": nodes,
-        "edges": edges,
-        "heuristics": {"h2": h2 or {}, "h3": h3 or {}},
-        "events": list(events),
-        "queries": queries,
-    }
+def _doc(name: str, seed: int, nodes, edges, queries, events=()):
+    """A document of the values that differ from the schema's defaults."""
+    return {"meta": {"name": name, "seed": seed}, "nodes": nodes, "edges": edges,
+            "events": list(events), "queries": queries}
 
 
 def _node(nid, x, y):
@@ -49,20 +44,11 @@ def _edge(eid, u, v, length, base_time):
     return {"id": eid, "from": u, "to": v, "length_m": length, "base_time_s": base_time}
 
 
-def _query(vehicle, start, goal, depart=0.0, weights=(1.0, 1.0, 1.0, 1.0), **context):
+def _query(vehicle, start, goal, weights, prefers_comfort=False):
     wg, w1, w2, w3 = weights
-    return {
-        "vehicle": vehicle,
-        "start": start,
-        "goal": goal,
-        "depart_s": depart,
-        "weights": {"wg": wg, "w1": w1, "w2": w2, "w3": w3},
-        "context": {
-            "prefers_comfort": context.get("prefers_comfort", False),
-            "rough_road": context.get("rough_road", False),
-            "heavy_traffic": context.get("heavy_traffic", False),
-        },
-    }
+    return {"vehicle": vehicle, "start": start, "goal": goal,
+            "weights": {"wg": wg, "w1": w1, "w2": w2, "w3": w3},
+            "context": {"prefers_comfort": prefers_comfort}}
 
 
 def _ladder(k: int):
@@ -87,7 +73,7 @@ def _ladder(k: int):
 
 def _onset_boundary(j: int) -> float:
     """Latest epoch boundary at or before the vehicle reaches main-road node j."""
-    return 30.0 * math.floor(50.0 * j / 30.0)
+    return EPOCH_S * math.floor(50.0 * j / EPOCH_S)
 
 
 def congestion_scenarios(seed: int):
@@ -98,7 +84,7 @@ def congestion_scenarios(seed: int):
         for j in (2, 3, 4)
         for f in (4.0, 6.0, 10.0)
         if j <= k - 2
-    ][:27]
+    ]
     for idx, (k, j, f) in enumerate(combos):
         nodes, edges = _ladder(k)
         t = _onset_boundary(j)
@@ -167,9 +153,8 @@ def comfort_scenarios(seed: int):
 
 def deceptive_scenarios(seed: int):
     docs = []
-    combos = [(m, slow) for m in (4, 5, 6) for slow in (2.0, 2.5, 3.0)][:15]
-    extra = [(m, slow) for m in (7, 8, 9) for slow in (2.0, 2.5)]
-    combos = (combos + extra)[:15]
+    combos = ([(m, slow) for m in (4, 5, 6) for slow in (2.0, 2.5, 3.0)]
+              + [(m, slow) for m in (7, 8, 9) for slow in (2.0, 2.5)])
     for idx, (m, slow) in enumerate(combos):
         span = 1000.0
         nodes = [_node("s", 0.0, 0.0), _node("t", span, 0.0),
@@ -193,7 +178,7 @@ def deceptive_scenarios(seed: int):
 
 
 def _crowdsense_doc(name: str, seed: int, factor: float, prefix: int,
-                    follower_extra: int = 0, follower_depart: float = 0.0):
+                    follower_extra: int = 0):
     """Leader is forced over a hidden congested edge and reports it; the
     follower reaches the junction after the report lands and can detour."""
     obs_t = 50.0 * prefix + 50.0 * factor
@@ -221,7 +206,7 @@ def _crowdsense_doc(name: str, seed: int, factor: float, prefix: int,
                "value": factor, "sensed_only": True}]
     queries = [
         _query("lead", "l0", "y", weights=(1, 1, 0, 0)),
-        _query("tail", "f0", "lg", depart=follower_depart, weights=(1, 1, 0, 0)),
+        _query("tail", "f0", "lg", weights=(1, 1, 0, 0)),
     ]
     return _doc(name, seed, nodes, edges, queries, events)
 
@@ -242,7 +227,7 @@ def crowdsense_scenarios(seed: int):
 
 def static_scenarios(seed: int):
     """Zero-event sub-suite: optimal planners must score exactly 1."""
-    docs = [d for d in deceptive_scenarios(seed + 500)]
+    docs = deceptive_scenarios(seed + 500)
     for d in docs:
         d["meta"]["name"] = "static_" + d["meta"]["name"]
     for idx, k in enumerate((5, 6, 7, 8, 9)):
@@ -251,7 +236,7 @@ def static_scenarios(seed: int):
             _doc(f"static_ladder_k{k}", seed + 600 + idx, nodes, edges,
                  [_query("v1", "a0", f"a{k}", weights=(1, 1, 1, 1))])
         )
-    return docs[:20]
+    return docs
 
 
 def grid10_doc(seed: int):
@@ -293,10 +278,6 @@ def sharing_fixture_doc(seed: int):
 def write_suites(root: Path, seed: int = 20240) -> dict[str, int]:
     """Write all bundled scenario files under ``root``. Returns file counts."""
     counts = {}
-    suite_dir = root / "suite"
-    static_dir = root / "static_suite"
-    suite_dir.mkdir(parents=True, exist_ok=True)
-    static_dir.mkdir(parents=True, exist_ok=True)
     suite_docs = (
         congestion_scenarios(seed)
         + blockage_scenarios(seed)
@@ -304,13 +285,11 @@ def write_suites(root: Path, seed: int = 20240) -> dict[str, int]:
         + deceptive_scenarios(seed)
         + crowdsense_scenarios(seed)
     )
-    for doc in suite_docs:
-        _write_doc(suite_dir / f"{doc['meta']['name']}.scn", doc)
-    counts["suite"] = len(suite_docs)
-    static_docs = static_scenarios(seed)
-    for doc in static_docs:
-        _write_doc(static_dir / f"{doc['meta']['name']}.scn", doc)
-    counts["static_suite"] = len(static_docs)
+    for sub, docs in (("suite", suite_docs), ("static_suite", static_scenarios(seed))):
+        (root / sub).mkdir(parents=True, exist_ok=True)
+        for doc in docs:
+            _write_doc(root / sub / f"{doc['meta']['name']}.scn", doc)
+        counts[sub] = len(docs)
     _write_doc(root / "grid10_congestion.scn", grid10_doc(seed))
     _write_doc(root / "sharing_fixture.scn", sharing_fixture_doc(seed))
     counts["fixtures"] = 2

@@ -7,10 +7,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dynroute import (
-    ALGORITHMS, SimConfig, Simulation, evaluate, load_scenario, serialize_scenario,
+    ALGORITHMS, ARRIVED, STRANDED, SimConfig, Simulation, evaluate, load_scenario,
+    run_simulation, serialize_scenario,
 )
 from dynroute import cli
 from dynroute.cli import CliError, _atomic_write, main
+from dynroute.simulate import replay_realized_cost
 
 from conftest import SCENARIO_DIR
 from test_sim import FORK, LINE, scenario_doc
@@ -356,6 +358,68 @@ class TestNonFiniteScenario:
         out = capsys.readouterr()
         assert "must be finite" in out.out + out.err
         assert "Traceback" not in out.out + out.err
+
+
+def _one_edge_doc(base_time_s, events=(), depart_s=0.0):
+    """Vehicle v1 from a to b over the one edge e1."""
+    return scenario_doc(
+        nodes=[("a", 0.0, 0.0), ("b", 100.0, 0.0)], edges=[("e1", "a", "b", 100.0, base_time_s)],
+        events=events,
+        queries=[{"vehicle": "v1", "start": "a", "goal": "b", "depart_s": depart_s,
+                  "weights": {"wg": 1, "w1": 1, "w2": 0, "w3": 0}, "context": {}}],
+    )
+
+
+class TestEpochBound:
+    """An instant too many epochs out for an index, an infinite one too,
+    belongs to one last epoch: a document that validates runs to an exit
+    code of the contract, not to a traceback."""
+
+    # case: (document, settings, v1's (status, cost, path), simulate's and plan's exit codes)
+    CASES = {
+        # An event 1e309 epochs out never takes effect.
+        "far-event": (
+            _one_edge_doc(20.0, [{"t_s": 1e308, "kind": "set_congestion", "target": "e1",
+                                  "value": 2.0}]),
+            SimConfig(epoch_s=0.1), (ARRIVED, 20.0, ["a", "b"]), 0, 0),
+        # A hidden x2 congestion prices e1 at infinity in the truth: v1 never
+        # reaches b, and plan, on that truth, finds no route.
+        "infinite-price": (
+            _one_edge_doc(1e308, [{"t_s": 0.0, "kind": "set_congestion", "target": "e1",
+                                   "value": 2.0, "sensed_only": True}]),
+            SimConfig(), (STRANDED, 0.0, ["a"]), 5, 4),
+        # A departure 1e309 epochs out: v1 never leaves. At the default
+        # horizon a run steps all 10**7 epochs, so only a short one is run.
+        "far-departure": (
+            _one_edge_doc(20.0, depart_s=1e308),
+            SimConfig(epoch_s=0.1, horizon_s=3.0), (STRANDED, 0.0, []), None, 0),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_every_algorithm_runs_replays_and_scores(self, case, tmp_path):
+        doc, cfg, outcome, _simulate, _plan = self.CASES[case]
+        scn = load_scenario(doc)
+        for algo in ALGORITHMS:
+            (v,) = run_simulation(scn, cfg, algo).vehicles
+            assert (v["status"], v["realized_cost_s"], v["path"]) == outcome
+            assert replay_realized_cost(scn, cfg, "v1", v["path"], scn.queries[0].depart_s) \
+                == v["realized_cost_s"]
+        (tmp_path / "s.scn").write_text(doc)
+        report = evaluate.compare_algorithms([tmp_path / "s.scn"], config=cfg)
+        assert [row.errors for row in report.rows] == [()] * len(ALGORITHMS)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_exit_codes(self, case, tmp_path, capsys):
+        doc, cfg, outcome, simulate, plan = self.CASES[case]
+        p = tmp_path / "s.scn"
+        p.write_text(doc)
+        epoch = ["--epoch-s", repr(cfg.epoch_s)]
+        assert main(["plan", "--scenario", str(p), *epoch]) == plan
+        if simulate is not None:
+            prefix = str(tmp_path / "run")
+            assert main(["simulate", "--scenario", str(p), *epoch, "--out", prefix]) == simulate
+            (v,) = json.loads((tmp_path / "run.trace.json").read_text())["vehicles"]
+            assert (v["status"], v["realized_cost_s"], v["path"]) == outcome
 
 
 class TestFileErrors:

@@ -5,7 +5,7 @@ from contextlib import ExitStack
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_planners as ref
@@ -29,7 +29,7 @@ from dynroute import (
     snapshot,
 )
 from dynroute import planners, simulate
-from dynroute.planners import PlanResult, dyn_a_star, validate_path
+from dynroute.planners import PlanResult, dyn_a_star, path_travel_time, validate_path
 from dynroute.simulate import MAX_EPOCHS, TruthTimeline, replay_realized_cost
 
 def scenario_doc(*, edges, nodes, events=(), queries=None, h2=None, h3=None, alpha=0.3):
@@ -178,7 +178,7 @@ class TestEventTiming:
             events=[{"t_s": 31.0, "kind": "set_congestion", "target": "e3", "value": 2.0}],
         )
         trace = run(doc)
-        by_epoch = {ep.t_s: ep.events_applied for ep in trace.epochs}
+        by_epoch = {ep["t_s"]: ep["events_applied"] for ep in trace.epochs}
         assert by_epoch[0.0] == ()
         assert by_epoch[30.0] == ()
         assert [e["target"] for e in by_epoch[60.0]] == ["e3"]
@@ -251,9 +251,9 @@ class TestObservationSharing:
     def test_ingestion_shows_up_in_epoch_log(self, scenario_dir):
         scn = self._fixture(scenario_dir)
         trace = run_simulation(scn, SimConfig(share_observations=True))
-        assert sum(ep.observations_ingested for ep in trace.epochs) > 0
+        assert sum(ep["observations_ingested"] for ep in trace.epochs) > 0
         off = run_simulation(scn, SimConfig(share_observations=False))
-        assert sum(ep.observations_ingested for ep in off.epochs) == 0
+        assert sum(ep["observations_ingested"] for ep in off.epochs) == 0
 
     def test_smoothing_alpha_survives_a_save_and_reload(self, scenario_dir):
         scn = self._fixture(scenario_dir)
@@ -281,6 +281,18 @@ class TestDeterminism:
         a = run_simulation(scn, cfg).to_dict()
         b = run_simulation(scn, cfg).to_dict()
         assert a == b
+
+    def test_changing_to_dict_leaves_the_trace_unchanged(self, scenario_dir):
+        scn = load_scenario((scenario_dir / "sharing_fixture.scn").read_text())
+        trace = run_simulation(scn, SimConfig())
+        before = json.dumps(trace.to_dict(), sort_keys=True)
+        d = trace.to_dict()
+        for v in d["vehicles"]:
+            del v["expanded"]
+            v["path"].clear()
+        d["config"]["alpha"] = 1.0
+        d["epochs"][0]["events_applied"][0]["value"] = 0.0
+        assert json.dumps(trace.to_dict(), sort_keys=True) == before
 
     def test_vehicle_output_sorted_by_id(self, scenario_dir):
         scn = load_scenario((scenario_dir / "sharing_fixture.scn").read_text())
@@ -638,13 +650,33 @@ def grid_fleet_docs(draw):
     )
 
 
+# A 2x4 grid on which a vehicle from n01 is handed n02-n03-n13 at n02, where
+# a new search returns n02-n12-n13: both take 90 s and weigh 90, so with h2 in
+# the priority a kept path need not be a new search's past its own origin.
+DIVERGING_HAND_ON = scenario_doc(
+    nodes=[(f"n{r}{c}", 300.0 * c, 300.0 * r) for r in range(2) for c in range(4)],
+    edges=[(f"e{k:02d}", "n" + hop[:2], "n" + hop[3:5], 300.0, float(hop[6:]))
+           for k, hop in enumerate((
+               "00>01:30 00>10:30 01>02:30 01>11:30 01>00:30 02>03:60 02>12:30 02>01:30 "
+               "03>13:30 03>02:30 10>11:30 10>00:30 11>12:90 11>10:30 11>01:30 12>13:60 "
+               "12>11:30 12>02:30 13>12:30 13>03:30").split())],
+    h2={"n02": 40.0},
+    queries=[{"vehicle": "v0", "start": "n01", "goal": "n13", "depart_s": 0.0,
+              "weights": {"wg": 1, "w1": 1, "w2": 2, "w3": 0}, "context": {}}],
+)
+
+
 def _checked_replan(handed: list[str]):
     """A stand-in for ``simulate.replan`` that checks every route it is
-    handed against a new search of the same snapshot, and records where.
+    handed against the search it comes from and a new search of the same
+    snapshot, and records where.
 
-    The route must be drivable, count no expansions and follow the new
-    search's path. At the origin of the search the route comes from, the
-    new search must equal that search in every field."""
+    The route must be the rest of the kept search's path from the vehicle's
+    node, drivable, and count no expansions. At the kept search's origin the
+    new search must equal it in every field. Further on the two may differ
+    (see ``DIVERGING_HAND_ON``); where the vehicle's weights make the
+    priority consistent (no h2 or h3 weight, w1 <= w_g) both are fastest
+    routes, so the route must take as long as the new search's."""
     real = simulate.replan
     searches: dict[int, PlanResult] = {}  # by vehicle: the last search it ran
 
@@ -654,10 +686,13 @@ def _checked_replan(handed: list[str]):
             searches[params.rng_seed] = new
         else:
             kept = searches[params.rng_seed]
+            assert fresh.path == kept.path[kept.path.index(current):]
+            assert fresh.expanded == 0 and validate_path(snap, fresh.path)
             if kept.path[0] == current:
                 assert new == kept
-            assert fresh.path == new.path
-            assert fresh.expanded == 0 and validate_path(snap, fresh.path)
+            w = params.weights
+            if w.w2 == w.w3 == 0 and w.w1 <= w.w_g:
+                assert path_travel_time(snap, fresh.path) == path_travel_time(snap, new.path)
             handed.append(current)
         return real(prior, snap, current, goal, params, hysteresis, fresh)
     return checked
@@ -680,6 +715,7 @@ class TestSearchReuse:
     @settings(max_examples=300, deadline=None)
     @given(doc=st.one_of(boundary_aligned_docs(), grid_fleet_docs()), share=st.booleans(),
            noise=st.sampled_from((0.0, 0.0, 3.0)))
+    @example(doc=DIVERGING_HAND_ON, share=False, noise=0.0)
     def test_every_reused_search_equals_a_new_one(self, doc, share, noise):
         scn = load_scenario(doc)
         cfg = SimConfig(share_observations=share, noise_sigma=noise, horizon_s=3000.0)
