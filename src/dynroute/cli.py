@@ -32,8 +32,9 @@ from pathlib import Path
 from .evaluate import RHO, compare_algorithms, report_csv, report_table
 from .graph import Scenario, ScenarioError, load_scenario
 from .heuristics import HeuristicWeights
-from .planners import FOUND, SearchParams
-from .simulate import ALGORITHMS, MAX_EPOCHS, PLANNERS, SimConfig, TruthTimeline, run_simulation
+from .planners import FOUND
+from .simulate import (ALGORITHMS, MAX_EPOCHS, PLANNERS, SimConfig, TruthTimeline,
+                       run_simulation, vehicle_params)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -177,10 +178,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
             EXIT_USAGE,
         )
     q = scn.queries[args.query]
-    weights = _parse_weights(args.weights) if args.weights else q.weights
+    weights = _parse_weights(args.weights) if args.weights else None
     snap = TruthTimeline(scn, _sim_config(args).epoch_s).at_time(q.depart_s)
-    params = SearchParams(weights=weights, rng_seed=scn.seed)
-    plan = PLANNERS[args.algo](snap, q.start, q.goal, params)
+    plan = PLANNERS[args.algo](snap, q.start, q.goal, vehicle_params(scn, weights)[q.vehicle])
     if plan.status != FOUND:
         print("Unreachable")
         return EXIT_UNREACHABLE

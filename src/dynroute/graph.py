@@ -423,10 +423,11 @@ def _record(obj, table: dict, where: str) -> list:
 
 def _fields(table: dict, values: Iterable, sparse: bool = False) -> dict:
     """The document form of a record: ``table``'s keys with ``values`` in
-    table order, leaving out each value at its default if ``sparse``."""
+    table order, each as the loader holds it (an int in a number field as
+    ``_value`` reads it), leaving out each value at its default if ``sparse``."""
     return {
-        key: v
-        for (key, (_kind, default)), v in zip(table.items(), values)
+        key: _value(v, kind, key, "") if kind is float and type(v) is int else v
+        for (key, (kind, default)), v in zip(table.items(), values)
         if not (sparse and v == default)
     }
 
@@ -537,8 +538,10 @@ def scenario_to_dict(scn: Scenario) -> dict:
             _fields(_EDGE, (e.id, e.from_node, e.to_node, e.length_m, e.base_time_s))
             for _eid, e in sorted(scn.graph.edges.items())
         ],
-        _fields(_HEURISTICS, (dict(sorted(fld.h2_by_node.items())),
-                              dict(sorted(fld.h3_by_node.items())))),
+        _fields(_HEURISTICS, tuple(
+            {nid: _value(v, float, nid, "") if type(v) is int else v
+             for nid, v in sorted(values.items())}
+            for values in (fld.h2_by_node, fld.h3_by_node))),
         [
             _fields(_EVENT, (ev.at_time, ev.kind, ev.target, ev.value, ev.sensed_only), True)
             for ev in scn.events

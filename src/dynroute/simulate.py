@@ -63,6 +63,7 @@ from .graph import (
 )
 from .heuristics import (
     HeuristicField,
+    HeuristicWeights,
     Observation,
     adapt_weights,
     ingest_observations,
@@ -98,8 +99,8 @@ ALGORITHMS = tuple(PLANNERS)
 
 _EPS = 1e-9
 
-# The most epochs a run's horizon may span. Every epoch up to the horizon is
-# stepped, so one far too short would make a run that never ends.
+# The most epochs a run's horizon may span. A run can step every epoch up to
+# the horizon, so one far too short would make a run that never ends.
 MAX_EPOCHS = 10**7
 # The last epoch the clock tells apart, far past any horizon: every later
 # instant, an infinite one too, belongs to it.
@@ -124,6 +125,21 @@ class SimConfig:
         if self.horizon_s > MAX_EPOCHS * self.epoch_s:
             raise ValueError(f"the {self.horizon_s:g} s horizon is more than {MAX_EPOCHS:,} "
                              f"epochs of {self.epoch_s:g} s")
+
+
+def vehicle_params(scenario: Scenario,
+                   weights: HeuristicWeights | None = None) -> dict[str, SearchParams]:
+    """What each vehicle searches with, by vehicle id: its query's weights,
+    or ``weights`` in their place, adapted to the query's context, and an RRT
+    seed from the scenario's seed and the vehicle's rank in id order."""
+    return {
+        q.vehicle: SearchParams(
+            weights=adapt_weights(q.weights if weights is None else weights,
+                                  q.prefers_comfort, q.rough_road, q.heavy_traffic),
+            rng_seed=scenario.seed * 1000 + rank,
+        )
+        for rank, q in enumerate(sorted(scenario.queries, key=lambda q: q.vehicle))
+    }
 
 
 @dataclass
@@ -197,28 +213,19 @@ class Simulation:
             self._h2_readers = {nid: [nid] for nid in scenario.graph.nodes}
             for e in scenario.graph.edges.values():
                 self._h2_readers[e.to_node].append(e.from_node)
-        self.vehicles: list[VehicleState] = []
-        for i, q in enumerate(sorted(scenario.queries, key=lambda q: q.vehicle)):
-            params = SearchParams(
-                weights=adapt_weights(
-                    q.weights, q.prefers_comfort, q.rough_road, q.heavy_traffic
-                ),
-                rng_seed=scenario.seed * 1000 + i,
-            )
-            self.vehicles.append(
-                VehicleState(id=q.vehicle, goal=q.goal, depart_s=q.depart_s,
-                             depart_epoch=self.truth.epoch_of(q.depart_s), params=params,
-                             at_node=q.start, t_s=q.depart_s)
-            )
+        params = vehicle_params(scenario)
+        self.vehicles: list[VehicleState] = [
+            VehicleState(id=q.vehicle, goal=q.goal, depart_s=q.depart_s,
+                         depart_epoch=self.truth.epoch_of(q.depart_s), params=params[q.vehicle],
+                         at_node=q.start, t_s=q.depart_s)
+            for q in sorted(scenario.queries, key=lambda q: q.vehicle)
+        ]
 
     # -- epoch machinery ----------------------------------------------------
 
     @property
     def now(self) -> float:
         return self.epoch_index * self.config.epoch_s
-
-    def done(self) -> bool:
-        return all(v.status != EN_ROUTE for v in self.vehicles)
 
     def step_epoch(self) -> None:
         k = self.epoch_index
@@ -265,7 +272,8 @@ class Simulation:
 
     def run(self) -> SimulationTrace:
         epochs = self.truth.event_epoch(self.config.horizon_s)  # opening before the horizon
-        while not self.done() and self.epoch_index < epochs:
+        while self.epoch_index < epochs and any(  # and one en route departs in them
+                v.status == EN_ROUTE and v.depart_epoch < epochs for v in self.vehicles):
             self.step_epoch()
         for v in self.vehicles:
             if v.status == EN_ROUTE:

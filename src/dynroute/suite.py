@@ -21,54 +21,51 @@ by ``python -m dynroute.suite``.
 
 from __future__ import annotations
 
-import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
-from .graph import load_scenario, make_grid, serialize_scenario
+from .graph import (
+    BLOCK_EDGE,
+    SET_COMFORT,
+    SET_CONGESTION,
+    SET_NODE_COMFORT_H,
+    UNBLOCK_EDGE,
+    EdgeRecord,
+    Event,
+    NodeRecord,
+    Query,
+    RoadGraph,
+    Scenario,
+    load_scenario,
+    make_grid,
+    serialize_scenario,
+)
+from .heuristics import HeuristicField, HeuristicWeights
 
 EPOCH_S = 30.0  # suite scenarios are designed against the default epoch
 
 
-def _doc(name: str, seed: int, nodes, edges, queries, events=()):
-    """A document of the values that differ from the schema's defaults."""
-    return {"meta": {"name": name, "seed": seed}, "nodes": nodes, "edges": edges,
-            "events": list(events), "queries": queries}
+def _doc(name: str, seed: int, graph: RoadGraph, queries, events=()) -> Scenario:
+    """A scenario with no initial heuristics, at the schema's smoothing alpha."""
+    return Scenario(graph, HeuristicField(), tuple(events), tuple(queries), name, seed)
 
 
-def _node(nid, x, y):
-    return {"id": nid, "x": x, "y": y}
+def _query(vehicle, start, goal, weights, prefers_comfort=False) -> Query:
+    return Query(vehicle, start, goal, 0.0, HeuristicWeights(*weights), prefers_comfort)
 
 
-def _edge(eid, u, v, length, base_time):
-    return {"id": eid, "from": u, "to": v, "length_m": length, "base_time_s": base_time}
-
-
-def _query(vehicle, start, goal, weights, prefers_comfort=False):
-    wg, w1, w2, w3 = weights
-    return {"vehicle": vehicle, "start": start, "goal": goal,
-            "weights": {"wg": wg, "w1": w1, "w2": w2, "w3": w3},
-            "context": {"prefers_comfort": prefers_comfort}}
-
-
-def _ladder(k: int):
+def _ladder(k: int) -> RoadGraph:
     """Main road a0..ak (50 s/edge) with a parallel service road (60 s/edge)
     reachable by short links from a1..a(k-1) and rejoining at ak."""
-    nodes = []
-    edges = []
-    for i in range(k + 1):
-        nodes.append(_node(f"a{i}", i * 500.0, 0.0))
-    for i in range(1, k):
-        nodes.append(_node(f"b{i}", i * 500.0, -300.0))
-    for i in range(k):
-        edges.append(_edge(f"e_a{i:02d}", f"a{i}", f"a{i+1}", 500.0, 50.0))
-    for i in range(1, k):
-        edges.append(_edge(f"e_r{i:02d}", f"a{i}", f"b{i}", 300.0, 30.0))
-    for i in range(1, k - 1):
-        edges.append(_edge(f"e_b{i:02d}", f"b{i}", f"b{i+1}", 500.0, 60.0))
+    nodes = [NodeRecord(f"a{i}", i * 500.0, 0.0) for i in range(k + 1)]
+    nodes += [NodeRecord(f"b{i}", i * 500.0, -300.0) for i in range(1, k)]
+    edges = [EdgeRecord(f"e_a{i:02d}", f"a{i}", f"a{i+1}", 500.0, 50.0) for i in range(k)]
+    edges += [EdgeRecord(f"e_r{i:02d}", f"a{i}", f"b{i}", 300.0, 30.0) for i in range(1, k)]
+    edges += [EdgeRecord(f"e_b{i:02d}", f"b{i}", f"b{i+1}", 500.0, 60.0) for i in range(1, k - 1)]
     exit_len = math.hypot(500.0, 300.0)
-    edges.append(_edge(f"e_x{k-1:02d}", f"b{k-1}", f"a{k}", exit_len, 60.0))
-    return nodes, edges
+    edges.append(EdgeRecord(f"e_x{k-1:02d}", f"b{k-1}", f"a{k}", exit_len, 60.0))
+    return RoadGraph(nodes, edges)
 
 
 def _onset_boundary(j: int) -> float:
@@ -86,15 +83,11 @@ def congestion_scenarios(seed: int):
         if j <= k - 2
     ]
     for idx, (k, j, f) in enumerate(combos):
-        nodes, edges = _ladder(k)
         t = _onset_boundary(j)
-        events = [
-            {"t_s": t, "kind": "set_congestion", "target": f"e_a{i:02d}", "value": f}
-            for i in range(j, k)
-        ]
+        events = [Event(t, SET_CONGESTION, f"e_a{i:02d}", f) for i in range(j, k)]
         name = f"congestion_k{k}_j{j}_f{int(f)}"
         docs.append(
-            _doc(name, seed + idx, nodes, edges,
+            _doc(name, seed + idx, _ladder(k),
                  [_query("v1", "a0", f"a{k}", weights=(1, 1, 1, 0))], events)
         )
     return docs
@@ -110,16 +103,13 @@ def blockage_scenarios(seed: int):
         if j <= k - 2
     ][:20]
     for idx, (k, j, reopen) in enumerate(combos):
-        nodes, edges = _ladder(k)
         t = _onset_boundary(j)
-        events = [{"t_s": t, "kind": "block_edge", "target": f"e_a{j:02d}"}]
+        events = [Event(t, BLOCK_EDGE, f"e_a{j:02d}")]
         if reopen:
-            events.append(
-                {"t_s": t + 900.0, "kind": "unblock_edge", "target": f"e_a{j:02d}"}
-            )
+            events.append(Event(t + 900.0, UNBLOCK_EDGE, f"e_a{j:02d}"))
         name = f"blockage_k{k}_j{j}_{'reopen' if reopen else 'closed'}"
         docs.append(
-            _doc(name, seed + 100 + idx, nodes, edges,
+            _doc(name, seed + 100 + idx, _ladder(k),
                  [_query("v1", "a0", f"a{k}", weights=(1, 1, 1, 0))], events)
         )
     return docs
@@ -136,15 +126,11 @@ def comfort_scenarios(seed: int):
     ][:20]
     # j <= k-3 keeps at least one penalized interior node ahead of the goal.
     for idx, (k, j, p) in enumerate(combos):
-        nodes, edges = _ladder(k)
         t = _onset_boundary(j)
-        events = [
-            {"t_s": t, "kind": "set_node_comfort_h", "target": f"a{i}", "value": p}
-            for i in range(j + 1, k)
-        ]
+        events = [Event(t, SET_NODE_COMFORT_H, f"a{i}", p) for i in range(j + 1, k)]
         name = f"comfort_k{k}_j{j}_p{int(p)}"
         docs.append(
-            _doc(name, seed + 200 + idx, nodes, edges,
+            _doc(name, seed + 200 + idx, _ladder(k),
                  [_query("v1", "a0", f"a{k}", weights=(1, 1, 1, 1),
                          prefers_comfort=True)], events)
         )
@@ -157,21 +143,19 @@ def deceptive_scenarios(seed: int):
               + [(m, slow) for m in (7, 8, 9) for slow in (2.0, 2.5)])
     for idx, (m, slow) in enumerate(combos):
         span = 1000.0
-        nodes = [_node("s", 0.0, 0.0), _node("t", span, 0.0),
-                 _node("u", span / 2.0, 800.0)]
+        nodes = [NodeRecord("s", 0.0, 0.0), NodeRecord("t", span, 0.0),
+                 NodeRecord("u", span / 2.0, 800.0)]
         step = span / m
-        for i in range(1, m):
-            nodes.append(_node(f"d{i}", i * step, 0.0))
+        nodes += [NodeRecord(f"d{i}", i * step, 0.0) for i in range(1, m)]
         chain = ["s"] + [f"d{i}" for i in range(1, m)] + ["t"]
-        edges = []
-        for i, (a, b) in enumerate(zip(chain, chain[1:])):
-            edges.append(_edge(f"e_d{i:02d}", a, b, step, step / slow))
+        edges = [EdgeRecord(f"e_d{i:02d}", a, b, step, step / slow)
+                 for i, (a, b) in enumerate(zip(chain, chain[1:]))]
         leg = math.hypot(span / 2.0, 800.0)
-        edges.append(_edge("e_u0", "s", "u", leg, 100.0))
-        edges.append(_edge("e_u1", "u", "t", leg, 100.0))
+        edges.append(EdgeRecord("e_u0", "s", "u", leg, 100.0))
+        edges.append(EdgeRecord("e_u1", "u", "t", leg, 100.0))
         name = f"deceptive_m{m}_s{int(slow * 10)}"
         docs.append(
-            _doc(name, seed + 300 + idx, nodes, edges,
+            _doc(name, seed + 300 + idx, RoadGraph(nodes, edges),
                  [_query("v1", "s", "t", weights=(1, 1, 1, 1))])
         )
     return docs
@@ -185,30 +169,29 @@ def _crowdsense_doc(name: str, seed: int, factor: float, prefix: int,
     ingest_b = math.ceil(obs_t / EPOCH_S) * EPOCH_S
     n = math.ceil((ingest_b + EPOCH_S) / 50.0) + follower_extra
 
-    nodes = [_node("x", 0.0, 0.0), _node("y", 500.0, 0.0),
-             _node("lg", 1000.0, 0.0), _node("z", 500.0, -400.0)]
+    nodes = [NodeRecord("x", 0.0, 0.0), NodeRecord("y", 500.0, 0.0),
+             NodeRecord("lg", 1000.0, 0.0), NodeRecord("z", 500.0, -400.0)]
     edges = [
-        _edge("e_h", "x", "y", 500.0, 50.0),
-        _edge("e_yg", "y", "lg", 500.0, 50.0),
-        _edge("e_z0", "x", "z", math.hypot(500.0, 400.0), 60.0),
-        _edge("e_z1", "z", "lg", math.hypot(500.0, 400.0), 60.0),
+        EdgeRecord("e_h", "x", "y", 500.0, 50.0),
+        EdgeRecord("e_yg", "y", "lg", 500.0, 50.0),
+        EdgeRecord("e_z0", "x", "z", math.hypot(500.0, 400.0), 60.0),
+        EdgeRecord("e_z1", "z", "lg", math.hypot(500.0, 400.0), 60.0),
     ]
     for i in range(prefix):
-        nodes.append(_node(f"l{i}", 0.0, 300.0 * (prefix - i)))
+        nodes.append(NodeRecord(f"l{i}", 0.0, 300.0 * (prefix - i)))
         dst = "x" if i == prefix - 1 else f"l{i+1}"
-        edges.append(_edge(f"e_l{i:02d}", f"l{i}", dst, 300.0, 50.0))
+        edges.append(EdgeRecord(f"e_l{i:02d}", f"l{i}", dst, 300.0, 50.0))
     for i in range(n):
-        nodes.append(_node(f"f{i}", -500.0 * (n - i), 0.0))
+        nodes.append(NodeRecord(f"f{i}", -500.0 * (n - i), 0.0))
         dst = "x" if i == n - 1 else f"f{i+1}"
-        edges.append(_edge(f"e_f{i:02d}", f"f{i}", dst, 500.0, 50.0))
+        edges.append(EdgeRecord(f"e_f{i:02d}", f"f{i}", dst, 500.0, 50.0))
 
-    events = [{"t_s": 0.0, "kind": "set_congestion", "target": "e_h",
-               "value": factor, "sensed_only": True}]
+    events = [Event(0.0, SET_CONGESTION, "e_h", factor, sensed_only=True)]
     queries = [
         _query("lead", "l0", "y", weights=(1, 1, 0, 0)),
         _query("tail", "f0", "lg", weights=(1, 1, 0, 0)),
     ]
-    return _doc(name, seed, nodes, edges, queries, events)
+    return _doc(name, seed, RoadGraph(nodes, edges), queries, events)
 
 
 def crowdsense_scenarios(seed: int):
@@ -227,13 +210,10 @@ def crowdsense_scenarios(seed: int):
 
 def static_scenarios(seed: int):
     """Zero-event sub-suite: optimal planners must score exactly 1."""
-    docs = deceptive_scenarios(seed + 500)
-    for d in docs:
-        d["meta"]["name"] = "static_" + d["meta"]["name"]
+    docs = [replace(d, name="static_" + d.name) for d in deceptive_scenarios(seed + 500)]
     for idx, k in enumerate((5, 6, 7, 8, 9)):
-        nodes, edges = _ladder(k)
         docs.append(
-            _doc(f"static_ladder_k{k}", seed + 600 + idx, nodes, edges,
+            _doc(f"static_ladder_k{k}", seed + 600 + idx, _ladder(k),
                  [_query("v1", "a0", f"a{k}", weights=(1, 1, 1, 1))])
         )
     return docs
@@ -242,32 +222,15 @@ def static_scenarios(seed: int):
 def grid10_doc(seed: int):
     """10x10 grid fixture: 100 nodes, 12 timed events, one crossing query."""
     g = make_grid(10, 10, 500.0, 10.0)
-    nodes = [_node(n.id, n.x, n.y) for n in sorted(g.nodes.values(), key=lambda n: n.id)]
-    edges = [
-        _edge(e.id, e.from_node, e.to_node, e.length_m, e.base_time_s)
-        for e in sorted(g.edges.values(), key=lambda e: e.id)
-    ]
+    ids = g.index.ids  # node ids in sorted order
     eids = sorted(g.edges)
-    events = []
-    for i in range(6):
-        events.append(
-            {"t_s": 60.0 + 60.0 * i, "kind": "set_congestion",
-             "target": eids[13 + 29 * i], "value": 3.0 + i}
-        )
-    for i in range(3):
-        events.append(
-            {"t_s": 480.0 + 60.0 * i, "kind": "set_comfort",
-             "target": eids[7 + 31 * i], "value": 2.0}
-        )
-    events.append({"t_s": 720.0, "kind": "block_edge", "target": eids[101]})
-    events.append({"t_s": 900.0, "kind": "unblock_edge", "target": eids[101]})
-    events.append(
-        {"t_s": 960.0, "kind": "set_node_comfort_h", "target": nodes[44]["id"], "value": 30.0}
-    )
-    first = nodes[0]["id"]
-    last = nodes[-1]["id"]
-    return _doc("grid10_congestion", seed, nodes, edges,
-                [_query("v1", first, last, weights=(1, 1, 1, 0))], events)
+    events = [Event(60.0 + 60.0 * i, SET_CONGESTION, eids[13 + 29 * i], 3.0 + i)
+              for i in range(6)]
+    events += [Event(480.0 + 60.0 * i, SET_COMFORT, eids[7 + 31 * i], 2.0) for i in range(3)]
+    events += [Event(720.0, BLOCK_EDGE, eids[101]), Event(900.0, UNBLOCK_EDGE, eids[101]),
+               Event(960.0, SET_NODE_COMFORT_H, ids[44], 30.0)]
+    return _doc("grid10_congestion", seed, g,
+                [_query("v1", ids[0], ids[-1], weights=(1, 1, 1, 0))], events)
 
 
 def sharing_fixture_doc(seed: int):
@@ -288,7 +251,7 @@ def write_suites(root: Path, seed: int = 20240) -> dict[str, int]:
     for sub, docs in (("suite", suite_docs), ("static_suite", static_scenarios(seed))):
         (root / sub).mkdir(parents=True, exist_ok=True)
         for doc in docs:
-            _write_doc(root / sub / f"{doc['meta']['name']}.scn", doc)
+            _write_doc(root / sub / f"{doc.name}.scn", doc)
         counts[sub] = len(docs)
     _write_doc(root / "grid10_congestion.scn", grid10_doc(seed))
     _write_doc(root / "sharing_fixture.scn", sharing_fixture_doc(seed))
@@ -296,9 +259,10 @@ def write_suites(root: Path, seed: int = 20240) -> dict[str, int]:
     return counts
 
 
-def _write_doc(path: Path, doc: dict) -> None:
-    scn = load_scenario(json.dumps(doc))  # validate before committing
-    path.write_text(serialize_scenario(scn))
+def _write_doc(path: Path, scn: Scenario) -> None:
+    text = serialize_scenario(scn)
+    load_scenario(text)  # validate before committing
+    path.write_text(text)
 
 
 def main() -> None:

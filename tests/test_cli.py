@@ -7,8 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dynroute import (
-    ALGORITHMS, ARRIVED, STRANDED, SimConfig, Simulation, evaluate, load_scenario,
-    run_simulation, serialize_scenario,
+    ALGORITHMS, ARRIVED, STRANDED, HeuristicField, HeuristicWeights, Query, Scenario, SimConfig,
+    Simulation, evaluate, load_scenario, make_grid, run_simulation, serialize_scenario,
 )
 from dynroute import cli
 from dynroute.cli import CliError, _atomic_write, main
@@ -104,6 +104,56 @@ class TestPlan:
         bad = tmp_path / "bad.scn"
         bad.write_text("{}")
         assert main(["plan", "--scenario", str(bad)]) == 3
+
+
+def _comfort_doc():
+    """v1, which prefers comfort, from s to g past m (50 s + 50 s, h2 30) or n
+    (75 s + 75 s). Its weights have w2 = 1, which would take m; its context
+    doubles w2 to 2, which takes n."""
+    return scenario_doc(
+        nodes=[("s", 0.0, 0.0), ("m", 500.0, 100.0), ("n", 500.0, -100.0), ("g", 1000.0, 0.0)],
+        edges=[("e1", "s", "m", 510.0, 50.0), ("e2", "m", "g", 510.0, 50.0),
+               ("e3", "s", "n", 510.0, 75.0), ("e4", "n", "g", 510.0, 75.0)],
+        h2={"m": 30.0},
+        queries=[{"vehicle": "v1", "start": "s", "goal": "g", "depart_s": 0.0,
+                  "weights": {"wg": 1, "w1": 1, "w2": 1, "w3": 0},
+                  "context": {"prefers_comfort": True}}],
+    )
+
+
+def _two_trip_grid_doc():
+    """Two vehicles across an event-free 6x6 grid, where RRT's route
+    depends on its seed."""
+    g = make_grid(6, 6, 100.0, 10.0)
+    ids, w = g.index.ids, HeuristicWeights(1.0, 1.0, 0.0, 0.0)
+    return serialize_scenario(Scenario(g, HeuristicField(), (), (
+        Query("v1", ids[0], ids[-1], 0.0, w), Query("v2", ids[5], ids[30], 0.0, w)), "grid", 5))
+
+
+class TestPlanAnswersTheVehiclesQuery:
+    """``plan`` searches with what the query's vehicle searches with in a
+    simulation: its weights adapted to its context, and its own RRT seed."""
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    @pytest.mark.parametrize("make_doc", [_comfort_doc, _two_trip_grid_doc])
+    def test_plan_is_the_simulated_route(self, make_doc, algo, tmp_path, capsys):
+        doc = make_doc()
+        p = tmp_path / "s.scn"
+        p.write_text(doc)
+        scn = load_scenario(doc)
+        routes = {v["vehicle"]: v["path"] for v in run_simulation(scn, SimConfig(), algo).vehicles}
+        for i, q in enumerate(scn.queries):
+            out = tmp_path / f"plan{i}.json"
+            assert main(["plan", "--scenario", str(p), "--algo", algo, "--query", str(i),
+                         "--out", str(out)]) == 0
+            assert json.loads(out.read_text())["path"] == routes[q.vehicle]
+
+    def test_weights_flag_replaces_only_the_base_weights(self, tmp_path, capsys):
+        p = tmp_path / "s.scn"
+        p.write_text(_comfort_doc())
+        for weights, path in (("1,1,1,0", "s -> n -> g"), ("1,1,0,0", "s -> m -> g")):
+            assert main(["plan", "--scenario", str(p), "--weights", weights]) == 0
+            assert f"path: {path}\n" in capsys.readouterr().out
 
 
 class TestSimulate:
@@ -388,11 +438,11 @@ class TestEpochBound:
             _one_edge_doc(1e308, [{"t_s": 0.0, "kind": "set_congestion", "target": "e1",
                                    "value": 2.0, "sensed_only": True}]),
             SimConfig(), (STRANDED, 0.0, ["a"]), 5, 4),
-        # A departure 1e309 epochs out: v1 never leaves. At the default
-        # horizon a run steps all 10**7 epochs, so only a short one is run.
+        # A departure 1e309 epochs out: v1 never leaves, and the run, with
+        # no vehicle to depart before the horizon, steps no epoch.
         "far-departure": (
             _one_edge_doc(20.0, depart_s=1e308),
-            SimConfig(epoch_s=0.1, horizon_s=3.0), (STRANDED, 0.0, []), None, 0),
+            SimConfig(epoch_s=0.1), (STRANDED, 0.0, []), 5, 0),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -415,11 +465,10 @@ class TestEpochBound:
         p.write_text(doc)
         epoch = ["--epoch-s", repr(cfg.epoch_s)]
         assert main(["plan", "--scenario", str(p), *epoch]) == plan
-        if simulate is not None:
-            prefix = str(tmp_path / "run")
-            assert main(["simulate", "--scenario", str(p), *epoch, "--out", prefix]) == simulate
-            (v,) = json.loads((tmp_path / "run.trace.json").read_text())["vehicles"]
-            assert (v["status"], v["realized_cost_s"], v["path"]) == outcome
+        prefix = str(tmp_path / "run")
+        assert main(["simulate", "--scenario", str(p), *epoch, "--out", prefix]) == simulate
+        (v,) = json.loads((tmp_path / "run.trace.json").read_text())["vehicles"]
+        assert (v["status"], v["realized_cost_s"], v["path"]) == outcome
 
 
 class TestFileErrors:

@@ -6,9 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dynroute import (
+    EdgeRecord,
     Event,
     HeuristicField,
+    HeuristicWeights,
+    NodeRecord,
     ParseError,
+    Query,
+    RoadGraph,
+    Scenario,
     ValidationError,
     apply_event,
     load_scenario,
@@ -16,6 +22,7 @@ from dynroute import (
     serialize_scenario,
     snapshot,
 )
+from dynroute.graph import SET_CONGESTION, scenario_to_dict
 from dynroute.suite import write_suites
 from reference_planners import assert_snapshot_of, id_view, neighbors
 
@@ -129,6 +136,23 @@ class TestLoadScenario:
         assert again.events == scn.events
         assert again.queries == scn.queries
         assert dict(again.initial_field.h3_by_node) == dict(scn.initial_field.h3_by_node)
+
+    def test_round_trip_of_a_scenario_built_in_python_is_stable(self):
+        # An int in a number field is written as the loader holds it, a float;
+        # a flag stays a boolean.
+        graph = RoadGraph([NodeRecord("a", 0, 0), NodeRecord("b", 100, 0)],
+                          [EdgeRecord("e1", "a", "b", 100, 10)])
+        scn = Scenario(graph, HeuristicField({"b": 3}), (Event(30, SET_CONGESTION, "e1", 2),),
+                       (Query("v1", "a", "b", 0, HeuristicWeights(1, 1, 0, 0), True),), "py", 1)
+        text = serialize_scenario(scn)
+        assert serialize_scenario(load_scenario(text)) == text
+        for written in ('"x": 0.0', '"base_time_s": 10.0', '"t_s": 30.0', '"value": 2.0',
+                        '"b": 3.0', '"wg": 1.0', '"depart_s": 0.0', '"prefers_comfort": true'):
+            assert written in text
+        # an int too large for a float is written as infinity, as it reads
+        far = Scenario(graph, HeuristicField(), (Event(30, SET_CONGESTION, "e1", 10**400),),
+                       scn.queries, "py", 1)
+        assert scenario_to_dict(far)["events"][0]["value"] == math.inf
 
 
 class TestApplyEvent:

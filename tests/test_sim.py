@@ -224,6 +224,20 @@ class TestReplanningAdvantage:
         assert v["status"] == STRANDED
         assert len(trace.epochs) == epochs
 
+    # A vehicle that departs at or after the horizon never moves, so the run
+    # ends with the last one that can: v1 arrives at d at 150 s, in epoch 4.
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    @pytest.mark.parametrize("depart_s", [3000.0, 1e308])
+    def test_run_ends_when_no_vehicle_en_route_departs_before_the_horizon(self, algo, depart_s):
+        queries = [{"vehicle": v, "start": "a", "goal": "d", "depart_s": t,
+                    "weights": {"wg": 1, "w1": 1, "w2": 0, "w3": 0}, "context": {}}
+                   for v, t in (("v1", 0.0), ("v2", depart_s))]
+        trace = run(scenario_doc(**LINE, queries=queries), algo, horizon_s=3000.0)
+        v1, v2 = trace.vehicles
+        assert (v1["status"], v1["arrival_s"]) == (ARRIVED, 150.0)
+        assert (v2["status"], v2["path"]) == (STRANDED, [])
+        assert [e["t_s"] for e in trace.epochs] == [0.0, 30.0, 60.0, 90.0, 120.0]
+
 
 class TestObservationSharing:
     def _fixture(self, scenario_dir):
