@@ -8,6 +8,9 @@ Exit codes are a stable contract:
   4  planner reported the goal unreachable
   5  a vehicle ended stranded (without --allow-stranded)
 
+A command whose standard output is closed by its reader ends quietly with the
+code it returned, or 0 if it was still writing.
+
 A bench cell that cannot be scored, including every cell of a scenario whose
 oracle raises, counts as a failure and is listed under "errors" (exit 0).
 
@@ -347,13 +350,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    code = EXIT_OK
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config_file(args, parser, argv)
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        try:
+            args = parser.parse_args(argv)
+            args = _apply_config_file(args, parser, argv)
+            code = args.func(args)
+        except CliError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = exc.code
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone: what is still buffered has no reader.
+        # Pointing fd 1 at devnull keeps the flush at exit from failing again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

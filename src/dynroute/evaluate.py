@@ -245,9 +245,10 @@ def compare_algorithms(
     config = config or SimConfig()
     paths = sorted(str(p) for p in scenario_paths)
     args = [(p, rho, config, algorithms) for p in paths]
-    if jobs > 1:
+    workers = min(jobs, len(paths))  # a pool may start every worker at its first task
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # its import takes ~2.5 MB of RSS
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             all_cells = list(pool.map(_evaluate_path, args))
     else:
         all_cells = [_evaluate_path(a) for a in args]

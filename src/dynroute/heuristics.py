@@ -58,9 +58,10 @@ class HeuristicWeights:
             raise ValueError("w_g must be > 0 (path cost must count)")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Observation:
-    """One vehicle's experienced traversal of one edge."""
+    """One vehicle's experienced traversal of one edge. Slotted rather than
+    frozen, since one is built per traversal and nothing assigns to one after."""
 
     edge_id: str
     observed_travel_time: float

@@ -45,8 +45,11 @@ UCS_PARAMS = SearchParams(HeuristicWeights(1.0, 0.0, 0.0, 0.0))
 ASTAR_PARAMS = SearchParams(HeuristicWeights(1.0, 1.0, 0.0, 0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PlanResult:
+    """A route and the search behind it. Slotted rather than frozen, since one
+    is built per plan call and nothing assigns to one after."""
+
     path: tuple[str, ...]
     g_cost: float
     f_cost_at_goal: float

@@ -154,7 +154,9 @@ class VehicleState:
     status: str = EN_ROUTE
     departed: bool = False
     edge: tuple[str, str, float, float] | None = None  # (id, head, price, comfort)
-    plan_nodes: list[str] = field(default_factory=list)  # empty: no route
+    # The route from at_node, or from edge's head while on an edge, as the
+    # planner returned it; a move drops its first node. Empty: no route.
+    plan_nodes: tuple[str, ...] = ()
     realized_cost: float = 0.0
     replans: int = 0
     expanded: int = 0
@@ -305,7 +307,7 @@ class Simulation:
             # The route held (empty before the first plan), and the rest of
             # the kept search's path from this origin if nothing it read has
             # changed since it ran.
-            prior = PlanResult(tuple(v.plan_nodes), 0.0, 0.0, 0, FOUND)
+            prior = PlanResult(v.plan_nodes, 0.0, 0.0, 0, FOUND)
             memo = v.memo
             fresh = None
             if memo is not None and origin in memo[0] and memo[1].isdisjoint(self._dirty):
@@ -318,7 +320,7 @@ class Simulation:
             result = PLANNERS[self.algorithm](snap, origin, v.goal, v.params)
 
         v.expanded += result.expanded
-        v.plan_nodes = list(result.path)  # an unreachable result's path is empty
+        v.plan_nodes = result.path  # an unreachable result's path is empty
 
     # -- movement through ground truth ---------------------------------------
 
@@ -360,7 +362,7 @@ class Simulation:
             eid, price = edge
             v.t_s += price
             v.edge = (eid, nxt, price, truth.comfort.get(eid, 0.0))
-            v.plan_nodes.pop(0)
+            v.plan_nodes = v.plan_nodes[1:]
 
     def _emit_observation(self, v: VehicleState, edge: tuple[str, str, float, float],
                           at_time: float) -> None:
@@ -397,7 +399,8 @@ class Simulation:
             scenario=self.scenario.name,
             algorithm=self.algorithm,
             seed=self.scenario.seed,
-            config={**asdict(self.config), "alpha": self.scenario.initial_field.smoothing_alpha},
+            # SimConfig's fields are all scalars: a shallow copy is a deep one.
+            config={**vars(self.config), "alpha": self.scenario.initial_field.smoothing_alpha},
             vehicles=vehicles,
             epochs=tuple(self.epoch_log),
         )

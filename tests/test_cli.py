@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -644,6 +645,22 @@ class TestEntryPoints:
         )
         assert proc.returncode == 0
         assert "path: a -> b -> c -> d" in proc.stdout
+
+    # The reader has closed the pipe before the command starts, so every write
+    # to stdout fails: the command still ends with its own code and no traceback.
+    @pytest.mark.parametrize("command", ["plan", "simulate"])
+    def test_closed_stdout_ends_quietly(self, command):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dynroute.cli", command,
+                 "--scenario", str(SCENARIO_DIR / "grid10_congestion.scn")],
+                stdout=write_end, stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, b"")
 
     def test_console_script_installed(self, line_scn):
         proc = subprocess.run(

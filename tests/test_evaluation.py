@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -307,6 +308,32 @@ class TestCompare:
         by = {r.algorithm: r for r in serial.rows}
         assert by["dyn_astar"].score == 1.0
         assert by["ucs"].score == 1.0
+
+    def test_jobs_are_capped_at_the_scenario_count(self, scenario_dir, monkeypatch):
+        # A pool starts all its workers at its first task, so a pool wider
+        # than the suite starts processes with nothing to do. The stand-in
+        # records the width asked for and runs the tasks here: no process starts.
+        widths = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                widths.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        paths = sorted((scenario_dir / "static_suite").glob("*.scn"))[:3]
+        report = compare_algorithms(paths, jobs=5000, algorithms=("ucs",))
+        compare_algorithms(paths[:1], jobs=5000, algorithms=("ucs",))
+        assert widths == [3]
+        assert report == compare_algorithms(paths, jobs=1, algorithms=("ucs",))
 
     def test_one_truth_timeline_per_scenario(self, scenario_dir, monkeypatch):
         built = []

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import tracemalloc
@@ -968,3 +969,39 @@ class TestLazySnapshot:
             (v,) = sim.run().vehicles
         assert v["replans"] == replans
         assert taken == ([0] if kind == "set_comfort" else [0, 2])
+
+
+class TestRecordsStayUnchanged:
+    """``PlanResult`` and ``Observation`` are slotted, not frozen: nothing may
+    assign to one once it is built."""
+
+    @pytest.mark.parametrize("name", ["grid10_congestion.scn", "sharing_fixture.scn"])
+    def test_a_run_leaves_every_plan_and_observation_as_built(self, scenario_dir, name):
+        seen = []  # (record, its fields when first seen)
+        kinds = {"prior": 0, "fresh": 0, "returned": 0, "observation": 0}
+
+        def keep(record, kind):
+            seen.append((record, dataclasses.astuple(record)))
+            kinds[kind] += 1
+
+        real_replan, real_ingest = simulate.replan, simulate.ingest_observations
+
+        def replan(prior, snap, current, goal, params, hysteresis, fresh=None):
+            keep(prior, "prior")
+            if fresh is not None:
+                keep(fresh, "fresh")
+            result = real_replan(prior, snap, current, goal, params, hysteresis, fresh)
+            keep(result, "returned")
+            return result
+
+        def ingest(graph, fld, batch):
+            for obs in batch:
+                keep(obs, "observation")
+            return real_ingest(graph, fld, batch)
+
+        scn = load_scenario((scenario_dir / name).read_text())
+        with patch.object(simulate, "replan", replan), \
+                patch.object(simulate, "ingest_observations", ingest):
+            run_simulation(scn, SimConfig())
+        assert all(kinds.values()), kinds
+        assert [dataclasses.astuple(r) for r, _ in seen] == [fields for _, fields in seen]
