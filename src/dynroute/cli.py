@@ -66,6 +66,12 @@ def _atomic_write(path: Path, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}", EXIT_USAGE) from exc
 
 
+def _check_out(out: str | None) -> None:
+    """Fail before any work if ``--out`` names a file, or a prefix of files, in no directory."""
+    if out and not os.path.isdir(os.path.dirname(out) or "."):
+        raise CliError(f"cannot write {out}: no directory {os.path.dirname(out)}", EXIT_USAGE)
+
+
 def _load(path: str) -> Scenario:
     try:
         return load_scenario(Path(path).read_bytes())
@@ -259,9 +265,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if jobs < 1:
         raise CliError("--jobs must be >= 1", EXIT_USAGE)
     config = _sim_config(args)
-    if args.out and not Path(args.out).parent.is_dir():  # before the suite is scored
-        raise CliError(f"cannot write {args.out}.csv: no directory {Path(args.out).parent}",
-                       EXIT_USAGE)
     try:
         report = compare_algorithms(paths, rho=rho, config=config, jobs=jobs)
     except ScenarioError as exc:
@@ -355,6 +358,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             args = parser.parse_args(argv)
             args = _apply_config_file(args, parser, argv)
+            _check_out(getattr(args, "out", None))
             code = args.func(args)
         except CliError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graph import SET_NODE_COMFORT_H, Query, Scenario, load_scenario
+from .graph import Query, Scenario, load_scenario
 from .simulate import (
     ALGORITHMS,
     ARRIVED,
@@ -73,11 +73,12 @@ def offline_optimal(
     index = scenario.graph.index
     ids = index.ids
     start, goal = index.pos[query.start], index.pos[query.goal]
-    # A node's arrival penalty changes only through set_node_comfort_h events;
-    # every other node's is priced once, not looked up per relaxed edge.
+    # Only the timeline's varying nodes have an arrival penalty that differs
+    # between its states; every other node's is priced once, from the first
+    # state, not looked up per relaxed edge.
     first = truth.at_epoch(0)
     penalty = [h2 + h3 for h2, h3 in zip(first.h2_at, first.h3_at)]
-    varying = {index.pos[ev.target] for ev in scenario.events if ev.kind == SET_NODE_COMFORT_H}
+    varying = {index.pos[nid] for nid in truth.varying_nodes}
 
     # labels[i] = (cost, time, node index, parent label index)
     labels: list[tuple[float, float, int, int]] = [(0.0, query.depart_s, start, -1)]

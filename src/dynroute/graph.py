@@ -13,8 +13,9 @@ penalty, blocked set) plus the per-node heuristic field. Planners never see
 the mutable state directly: they search an immutable :class:`GraphSnapshot`
 taken at an epoch boundary, which holds only the planning view, arrays keyed
 by node index: each node's unblocked out-edges with their effective times,
-and its h2 and h3 penalties. A snapshot can be patched from an earlier one of
-the same graph, rebuilding only the rows that changed and sharing the rest.
+and its h2 and h3 penalties. A snapshot is patched from an earlier one of the
+same graph, or from the free-flow view, rebuilding only the rows that changed
+and sharing the rest.
 Edge comfort, read when a vehicle enters an edge, is a read-only map of the
 values ``set_comfort`` events wrote, shared by snapshots until one changes.
 """
@@ -49,12 +50,10 @@ SET_NODE_COMFORT_H = "set_node_comfort_h"
 BLOCK_EDGE = "block_edge"
 UNBLOCK_EDGE = "unblock_edge"
 
-EVENT_KINDS = frozenset(
-    {SET_CONGESTION, SET_COMFORT, SET_NODE_COMFORT_H, BLOCK_EDGE, UNBLOCK_EDGE}
-)
-
-# Kinds whose value field must be present.
-_VALUED_KINDS = frozenset({SET_CONGESTION, SET_COMFORT, SET_NODE_COMFORT_H})
+# Each kind's least value, or None for a kind that takes no value.
+_LEAST_VALUE = {SET_CONGESTION: 1.0, SET_COMFORT: 0.0, SET_NODE_COMFORT_H: 0.0,
+                BLOCK_EDGE: None, UNBLOCK_EDGE: None}
+EVENT_KINDS = frozenset(_LEAST_VALUE)
 
 
 @dataclass(frozen=True)
@@ -213,33 +212,22 @@ class GraphSnapshot:
 def apply_event(graph: RoadGraph, field: HeuristicField, ev: Event) -> bool:
     """Apply one event to the live overlay; at most one attribute changes.
 
-    Returns whether a value a planner reads changed: an edge's congestion or
-    blocked flag, or a node's h2 (read with a 0.0 default). Comfort is read by
-    no planner, so ``set_comfort`` returns False, as does any no-op.
+    ``ev`` must be an event of a scenario :func:`load_scenario` returned for
+    this graph, which checked its kind, target and value once; nothing is
+    checked here. Returns whether a value a planner reads changed: an edge's
+    congestion or blocked flag, or a node's h2 (read with a 0.0 default).
+    Comfort is read by no planner, so ``set_comfort`` returns False, as does
+    any no-op.
     """
-    if ev.value is not None and not math.isfinite(ev.value):
-        raise ValidationError(f"event value must be finite, got {ev.value}")
     if ev.kind == SET_NODE_COMFORT_H:
-        if ev.target not in graph.nodes:
-            raise ValidationError(f"event targets unknown node {ev.target!r}")
-        if ev.value is None or ev.value < 0.0:
-            raise ValidationError(f"comfort heuristic must be >= 0, got {ev.value}")
         old = field.h2_by_node.get(ev.target, 0.0)
         field.h2_by_node[ev.target] = float(ev.value)
         return ev.value != old
-    if ev.kind not in EVENT_KINDS:
-        raise ValidationError(f"unknown event kind {ev.kind!r}")
-    if ev.target not in graph.edges:
-        raise ValidationError(f"event targets unknown edge {ev.target!r}")
     if ev.kind == SET_CONGESTION:
-        if ev.value is None or ev.value < 1.0:
-            raise ValidationError(f"congestion factor must be >= 1, got {ev.value}")
         old = graph.congestion[ev.target]
         graph.congestion[ev.target] = float(ev.value)
         return ev.value != old
     if ev.kind == SET_COMFORT:
-        if ev.value is None or ev.value < 0.0:
-            raise ValidationError(f"comfort penalty must be >= 0, got {ev.value}")
         if graph.comfort.get(ev.target, 0.0) != ev.value:
             graph.comfort = MappingProxyType({**graph.comfort, ev.target: float(ev.value)})
         return False
@@ -249,19 +237,6 @@ def apply_event(graph: RoadGraph, field: HeuristicField, ev: Event) -> bool:
         return not was_blocked
     graph.blocked.discard(ev.target)
     return was_blocked
-
-
-def _rows(graph: RoadGraph, rows: tuple, edges: Collection[str]) -> tuple:
-    """``arcs`` rows: ``rows`` with the row of each tail of ``edges`` rebuilt
-    from the graph's overlay, and every other row shared."""
-    if not edges:
-        return rows
-    index, congestion, blocked = graph.index, graph.congestion, graph.blocked
-    rows = list(rows)
-    for i in {index.pos[graph.edges[eid].from_node] for eid in edges}:
-        rows[i] = tuple([(eid, v, base * congestion[eid])
-                         for eid, v, base in index.out[i] if eid not in blocked])
-    return tuple(rows)
 
 
 def snapshot(graph: RoadGraph, field: HeuristicField, _time: float = 0.0, /, *,
@@ -274,29 +249,34 @@ def snapshot(graph: RoadGraph, field: HeuristicField, _time: float = 0.0, /, *,
     and every node whose h2, may have changed since it was taken. Only the
     ``arcs`` rows of those edges' tails and the ``h2_at`` entries of those
     nodes are rebuilt; every other row and entry is shared with ``base``.
-    Without ``base``, a row at free flow is the index's own row, since a base
-    time times 1.0 is itself. Either way the result equals a snapshot built
-    with every row rebuilt. The comfort map is the graph's own. A snapshot
-    records no instant: a third positional argument, once the time, is ignored.
+    Without ``base``, the base is the free-flow view (the index's own rows, no
+    h2, the field's h3), patched at every congested or blocked edge and every
+    node with an h2. Either way the result equals a snapshot built with every
+    row rebuilt. The comfort map is the graph's own. A snapshot records no
+    instant: a third positional argument, once the time, is ignored.
     """
     index = graph.index
     h2 = field.h2_by_node
     if base is None:
-        congested = [eid for eid, c in graph.congestion.items() if c != 1.0]
-        return GraphSnapshot(
-            index, _rows(graph, index.out, congested + [*graph.blocked]),
-            tuple([h2.get(nid, 0.0) for nid in index.ids]),
-            tuple([field.h3_by_node.get(nid, 0.0) for nid in index.ids]),
-            graph.comfort,
-        )
-    h2_at = base.h2_at
+        base = GraphSnapshot(index, index.out, (0.0,) * len(index.ids),
+                             tuple([field.h3_by_node.get(nid, 0.0) for nid in index.ids]),
+                             graph.comfort)
+        edges = [eid for eid, c in graph.congestion.items() if c != 1.0] + [*graph.blocked]
+        nodes = h2
+    arcs, h2_at = base.arcs, base.h2_at
+    if edges:
+        congestion, blocked = graph.congestion, graph.blocked
+        arcs = list(arcs)
+        for i in {index.pos[graph.edges[eid].from_node] for eid in edges}:
+            arcs[i] = tuple([(eid, v, t * congestion[eid])
+                             for eid, v, t in index.out[i] if eid not in blocked])
+        arcs = tuple(arcs)
     if nodes:
         values = list(h2_at)
         for nid in nodes:
             values[index.pos[nid]] = h2.get(nid, 0.0)
         h2_at = tuple(values)
-    return GraphSnapshot(index, _rows(graph, base.arcs, edges), h2_at, base.h3_at,
-                         graph.comfort)
+    return GraphSnapshot(index, arcs, h2_at, base.h3_at, graph.comfort)
 
 
 def make_grid(rows: int, cols: int, edge_length: float, speed: float) -> RoadGraph:
@@ -437,8 +417,10 @@ def load_scenario(text: str | bytes) -> Scenario:
 
     Raises :class:`ParseError` for malformed documents and
     :class:`ValidationError` for structurally sound documents that break a
-    scenario invariant (dangling or duplicate ids, unsorted events,
-    unreachable goals).
+    scenario invariant (dangling or duplicate ids, unsorted events, an event
+    value that is not finite or below its kind's least, an event on an
+    unknown edge or node, unreachable goals). Each event is checked here
+    once and applied nowhere: :func:`apply_event` relies on these checks.
     """
     try:
         doc = json.loads(text)
@@ -469,10 +451,9 @@ def load_scenario(text: str | bytes) -> Scenario:
 
     events = []
     prev_t = -math.inf
-    scratch = (graph.copy(), initial_field.copy())
     for i, ev in enumerate(event_docs):
         event = Event(*_record(ev, _EVENT, f"events[{i}]"))
-        t, kind = event.at_time, event.kind
+        t, kind, target, value = event.at_time, event.kind, event.target, event.value
         if kind not in EVENT_KINDS:
             raise ValidationError(f"events[{i}]: unknown kind {kind!r}")
         if not math.isfinite(t):
@@ -484,11 +465,16 @@ def load_scenario(text: str | bytes) -> Scenario:
                 f"events[{i}] at t={t} is out of order (previous t={prev_t})"
             )
         prev_t = t
-        valued = kind in _VALUED_KINDS
-        if valued != (event.value is not None):
-            raise ParseError(f"events[{i}]: {kind!r} takes {'a' if valued else 'no'} value")
-        # Validate targets and bounds by applying to a throwaway copy.
-        apply_event(*scratch, event)
+        least = _LEAST_VALUE[kind]
+        if (least is None) != (value is None):
+            raise ParseError(f"events[{i}]: {kind!r} takes {'no' if least is None else 'a'} value")
+        if value is not None and not (math.isfinite(value) and value >= least):
+            raise ValidationError(f"events[{i}]: {kind!r} value must be finite and >= {least:g}, "
+                                  f"got {value}")
+        on_node = kind == SET_NODE_COMFORT_H
+        if target not in (graph.nodes if on_node else graph.edges):
+            raise ValidationError(
+                f"events[{i}] targets unknown {'node' if on_node else 'edge'} {target!r}")
         events.append(event)
 
     queries = []

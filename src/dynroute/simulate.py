@@ -16,9 +16,11 @@ which is the control condition for measuring the value of sharing.
 
 The timeline is the one clock. An event takes effect at the first epoch
 boundary at or after its time (:meth:`TruthTimeline.event_epoch`), in the
-truth and the belief alike; a departure, an edge entry and an arrival belong
-to the epoch :meth:`TruthTimeline.epoch_of` gives their instant, as in replay
-and the oracle. Within an epoch every vehicle plans against one immutable
+truth and the belief alike: the timeline groups the events so once, and the
+simulation applies the timeline's batch for each epoch it steps
+(:meth:`TruthTimeline.events_at`). A departure, an edge entry and an arrival
+belong to the epoch :meth:`TruthTimeline.epoch_of` gives their instant, as in
+replay and the oracle. Within an epoch every vehicle plans against one immutable
 belief snapshot and advances through ground truth by replay's walk. An
 edge's price is fixed by the truth at entry, and the vehicle reaches the
 head that much later. On arrival it pays the price whole, then the head's
@@ -55,6 +57,7 @@ from itertools import groupby
 from .graph import (
     SET_COMFORT,
     SET_NODE_COMFORT_H,
+    Event,
     GraphSnapshot,
     RoadGraph,
     Scenario,
@@ -197,7 +200,6 @@ class Simulation:
         self.belief_graph: RoadGraph = scenario.graph.copy()
         self.belief_field: HeuristicField = scenario.initial_field.copy()
         self.epoch_index = 0
-        self.event_idx = 0
         self.obs_queue: list[Observation] = []
         self.epoch_log: list[dict] = []
         self._noise_rng = random.Random(config.seed)
@@ -231,21 +233,12 @@ class Simulation:
 
     def step_epoch(self) -> None:
         k = self.epoch_index
-        t = self.now
-        applied: list[dict] = []
-        events = self.scenario.events
-        while (self.event_idx < len(events)
-               and self.truth.event_epoch(events[self.event_idx].at_time) <= k):
-            ev = events[self.event_idx]
+        applied = self.truth.events_at(k)
+        for ev in applied:
             if not (ev.sensed_only or ev.kind == SET_COMFORT) \
                     and apply_event(self.belief_graph, self.belief_field, ev):
                 stale = self._stale_nodes if ev.kind == SET_NODE_COMFORT_H else self._stale_edges
                 stale.add(ev.target)
-            applied.append(
-                {"t_s": ev.at_time, "kind": ev.kind, "target": ev.target,
-                 "value": ev.value, "sensed_only": ev.sensed_only}
-            )
-            self.event_idx += 1
 
         ingested = 0
         if self.config.share_observations and self.obs_queue:
@@ -268,8 +261,10 @@ class Simulation:
         for v in moving:
             self._advance(v, k, truth)
 
-        self.epoch_log.append({"t_s": t, "events_applied": tuple(applied),
-                               "observations_ingested": ingested})
+        self.epoch_log.append({"t_s": self.now, "events_applied": tuple(
+            {"t_s": ev.at_time, "kind": ev.kind, "target": ev.target, "value": ev.value,
+             "sensed_only": ev.sensed_only} for ev in applied),
+            "observations_ingested": ingested})
         self.epoch_index += 1
 
     def run(self) -> SimulationTrace:
@@ -423,11 +418,15 @@ class TruthTimeline:
     """Piecewise-constant ground-truth state per simulation epoch.
 
     An event at time t takes effect at the first epoch boundary >= t
-    (:meth:`event_epoch`); the simulator applies events to its shared belief
-    by the same rule. One state is kept per epoch that has events. Each is
-    patched from the one before it with the targets whose congestion, blocked
-    flag or h2 the epoch's events changed, so it shares every row those
-    events left equal, and the comfort map unless one of them set a comfort.
+    (:meth:`event_epoch`). The timeline groups the scenario's events by that
+    rule once: one state is kept per epoch that has events, with the batch of
+    events that opened it (:meth:`events_at`; epoch 0's events open the first
+    state), and the simulator applies the same batches to its shared belief.
+    Each state is patched from the one before it with the targets whose
+    congestion, blocked flag or h2 its batch changed, so it shares every row
+    those events left equal, and the comfort map unless one of them set a
+    comfort. ``varying_nodes`` holds every node whose h2 some event changed:
+    every other node has the same penalty in every state.
     """
 
     def __init__(self, scenario: Scenario, epoch_s: float):
@@ -436,12 +435,16 @@ class TruthTimeline:
         fld = scenario.initial_field.copy()
         self._starts: list[int] = [0]
         self._snaps: list[GraphSnapshot] = [snapshot(graph, fld)]
+        self._batches: dict[int, tuple[Event, ...]] = {}
+        self.varying_nodes: set[str] = set()
         for k, group in groupby(scenario.events, lambda ev: self.event_epoch(ev.at_time)):
+            batch = self._batches[k] = tuple(group)
             edges: set[str] = set()
             nodes: set[str] = set()
-            for ev in group:
+            for ev in batch:
                 if apply_event(graph, fld, ev):
                     (nodes if ev.kind == SET_NODE_COMFORT_H else edges).add(ev.target)
+            self.varying_nodes |= nodes
             snap = snapshot(graph, fld, base=self._snaps[-1], edges=edges, nodes=nodes)
             if k == self._starts[-1]:
                 self._snaps[-1] = snap
@@ -458,6 +461,10 @@ class TruthTimeline:
         """Index of the epoch the instant ``time`` belongs to: the one clock
         of every departure, edge entry and arrival, up to ``_LAST_EPOCH``."""
         return max(0, math.floor(min(time / self.epoch_s, _LAST_EPOCH) + 1e-12))
+
+    def events_at(self, k: int) -> tuple[Event, ...]:
+        """The events epoch ``k``'s opening boundary applies, in file order."""
+        return self._batches.get(k, ())
 
     def at_epoch(self, k: int) -> GraphSnapshot:
         i = bisect.bisect_right(self._starts, k) - 1

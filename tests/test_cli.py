@@ -492,13 +492,15 @@ class TestFileErrors:
         assert main(["simulate", "--scenario", str(line_scn), "--config", str(cfg)]) == 2
         assert f"bad config file {cfg}" in capsys.readouterr().err
 
+    # --out is checked before any work: no plan, simulation or scoring runs.
     @pytest.mark.parametrize("command", ["plan", "simulate", "bench"])
     def test_out_into_missing_directory_is_usage_error(self, command, line_scn, tmp_path,
                                                        capsys, monkeypatch):
-        def no_scoring(*args, **kwargs):
-            pytest.fail("bench scored the suite before it checked --out")
+        def no_work(*args, **kwargs):
+            pytest.fail(f"{command} did work before it checked --out")
 
-        monkeypatch.setattr(cli, "compare_algorithms", no_scoring)
+        for work in ("TruthTimeline", "run_simulation", "compare_algorithms"):
+            monkeypatch.setattr(cli, work, no_work)
         target = tmp_path / "missing" / "x"
         argv = (["bench", "--suite", str(line_scn.parent)] if command == "bench"
                 else [command, "--scenario", str(line_scn)])

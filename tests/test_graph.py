@@ -103,6 +103,44 @@ class TestLoadScenario:
         with pytest.raises(ValidationError, match="finite"):
             load_scenario(text.replace(old, new))
 
+    # Each event is checked once, at load, and named by its index: a valid
+    # event comes first, so the bad one is events[1].
+    @pytest.mark.parametrize("kind, target", [
+        ("set_congestion", "e1"), ("set_comfort", "e1"), ("set_node_comfort_h", "a"),
+    ])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_event_value_rejected(self, kind, target, value):
+        self._assert_bad_event({"t_s": 0.0, "kind": kind, "target": target, "value": value},
+                               "finite")
+
+    @pytest.mark.parametrize("kind, target, message", [
+        ("set_congestion", "e9", "unknown edge 'e9'"),
+        ("block_edge", "e9", "unknown edge 'e9'"),
+        ("set_node_comfort_h", "n9", "unknown node 'n9'"),
+        ("set_congestion", "a", "unknown edge 'a'"),  # a node is no edge
+        ("set_node_comfort_h", "e1", "unknown node 'e1'"),  # nor an edge a node
+    ])
+    def test_unknown_event_target_rejected(self, kind, target, message):
+        ev = {"t_s": 0.0, "kind": kind, "target": target}
+        if kind != "block_edge":
+            ev["value"] = 2.0
+        self._assert_bad_event(ev, message)
+
+    @pytest.mark.parametrize("kind, target, value, least", [
+        ("set_congestion", "e1", 0.5, 1), ("set_comfort", "e1", -1.0, 0),
+        ("set_node_comfort_h", "a", -1.0, 0),
+    ])
+    def test_event_value_below_its_kinds_least_rejected(self, kind, target, value, least):
+        self._assert_bad_event({"t_s": 0.0, "kind": kind, "target": target, "value": value},
+                               f"{kind!r} value must be finite and >= {least}, got {value}")
+
+    @staticmethod
+    def _assert_bad_event(ev, message):
+        first = {"t_s": 0.0, "kind": "set_congestion", "target": "e1", "value": 1.0}
+        with pytest.raises(ValidationError, match=r"^events\[1\]") as info:
+            load_scenario(mini_doc(events=[first, ev]))
+        assert message in str(info.value)
+
     def test_bad_json_is_parse_error(self):
         with pytest.raises(ParseError):
             load_scenario("{not json")
@@ -161,14 +199,6 @@ class TestApplyEvent:
         self.graph = self.scn.graph
         self.field = self.scn.initial_field
 
-    @pytest.mark.parametrize("kind, target", [
-        ("set_congestion", "e1"), ("set_comfort", "e1"), ("set_node_comfort_h", "a"),
-    ])
-    @pytest.mark.parametrize("value", [math.inf, math.nan])
-    def test_non_finite_value_rejected(self, kind, target, value):
-        with pytest.raises(ValidationError, match="finite"):
-            apply_event(self.graph, self.field, Event(0, kind, target, value))
-
     def test_set_congestion_changes_only_target(self):
         before_comfort = dict(self.graph.comfort)
         apply_event(self.graph, self.field, Event(0, "set_congestion", "e1", 2.0))
@@ -187,14 +217,6 @@ class TestApplyEvent:
         apply_event(self.graph, self.field, Event(0, "set_node_comfort_h", "a", 4.0))
         assert self.field.h2_by_node["a"] == 4.0
         assert dict(self.field.h3_by_node) == {}
-
-    def test_unknown_target_rejected(self):
-        with pytest.raises(ValidationError, match="e9"):
-            apply_event(self.graph, self.field, Event(0, "set_congestion", "e9", 2.0))
-
-    def test_congestion_below_one_rejected(self):
-        with pytest.raises(ValidationError):
-            apply_event(self.graph, self.field, Event(0, "set_congestion", "e1", 0.5))
 
     def test_safety_field_not_assignable(self):
         with pytest.raises(TypeError):

@@ -857,6 +857,76 @@ class TestSearchReuse:
 PLANNER_LOOKUPS = ("dijkstra_ucs", "greedy_best_first", "static_a_star", "rrt_plan", "dyn_a_star")
 
 
+def _assert_events_logged_once(scn, truth, trace):
+    """Every event of ``scn`` is logged once, in file order, in the epoch
+    ``truth.event_epoch`` gives it, if the run stepped that epoch, and never
+    otherwise."""
+    assert [ep["t_s"] for ep in trace.epochs] == [
+        k * truth.epoch_s for k in range(len(trace.epochs))]
+    logged = [(k, ev) for k, ep in enumerate(trace.epochs) for ev in ep["events_applied"]]
+    expected = [
+        (truth.event_epoch(ev.at_time), {"t_s": ev.at_time, "kind": ev.kind, "target": ev.target,
+                                         "value": ev.value, "sensed_only": ev.sensed_only})
+        for ev in scn.events if truth.event_epoch(ev.at_time) < len(trace.epochs)
+    ]
+    assert logged == expected
+
+
+def _assert_only_varying_nodes_vary(scn, truth):
+    """A node outside ``truth.varying_nodes`` pays one penalty in every state,
+    and only a ``set_node_comfort_h`` event can put a node in that set."""
+    states = [truth.at_epoch(k) for k in truth._starts]
+    for nid in scn.graph.nodes:
+        if nid not in truth.varying_nodes:
+            assert {state.node_penalty(nid) for state in states} == {states[0].node_penalty(nid)}
+    assert truth.varying_nodes <= {ev.target for ev in scn.events
+                                   if ev.kind == "set_node_comfort_h"}
+
+
+class TestOneSchedule:
+    """The truth timeline groups the events by epoch once; each simulation
+    applies and logs its batches, and the oracle reads its varying nodes."""
+
+    def test_batches_on_a_line(self):
+        # one event at t=0, three opening epoch 2, one after the trip ends
+        doc = scenario_doc(**LINE, events=[
+            {"t_s": 0.0, "kind": "set_congestion", "target": "e1", "value": 2.0},
+            {"t_s": 31.0, "kind": "set_comfort", "target": "e2", "value": 5.0},
+            {"t_s": 45.0, "kind": "set_node_comfort_h", "target": "d", "value": 9.0},
+            {"t_s": 60.0, "kind": "block_edge", "target": "e1"},
+            {"t_s": 5000.0, "kind": "set_node_comfort_h", "target": "b", "value": 3.0},
+        ])
+        scn = load_scenario(doc)
+        truth = TruthTimeline(scn, 30.0)
+        assert truth.events_at(0) == scn.events[:1]
+        assert truth.events_at(1) == ()
+        assert truth.events_at(2) == scn.events[1:4]
+        assert truth.events_at(167) == scn.events[4:]
+        assert truth.varying_nodes == {"b", "d"}
+        trace = run_simulation(scn, SimConfig(), truth=truth)
+        assert [len(ep["events_applied"]) for ep in trace.epochs] == [1, 0, 3, 0, 0, 0, 0]
+        _assert_events_logged_once(scn, truth, trace)
+        _assert_only_varying_nodes_vary(scn, truth)
+
+    def test_committed_scenarios(self, scenario_dir):
+        for path in sorted(scenario_dir.glob("**/*.scn")):
+            scn = load_scenario(path.read_bytes())
+            truth = TruthTimeline(scn, SimConfig.epoch_s)
+            _assert_events_logged_once(scn, truth, run_simulation(scn, SimConfig(), truth=truth))
+            _assert_only_varying_nodes_vary(scn, truth)
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=st.one_of(boundary_aligned_docs(), grid_fleet_docs()),
+           algo=st.sampled_from(ALGORITHMS), epoch_s=st.sampled_from((15.0, 30.0, 45.0)),
+           horizon_s=st.sampled_from((60.0, 100.0, 3000.0)))
+    def test_generated_documents(self, doc, algo, epoch_s, horizon_s):
+        scn = load_scenario(doc)
+        truth = TruthTimeline(scn, epoch_s)
+        trace = run_simulation(scn, SimConfig(epoch_s=epoch_s, horizon_s=horizon_s), algo, truth)
+        _assert_events_logged_once(scn, truth, trace)
+        _assert_only_varying_nodes_vary(scn, truth)
+
+
 def _checked_snapshots(sim, seen: list):
     """Stand-ins for ``simulate``'s planner lookups and ``replan`` that check
     every snapshot a planner of ``sim`` is handed against one built from
