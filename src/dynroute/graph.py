@@ -8,16 +8,17 @@ and the network's top speed. Copies, snapshots and every ground-truth state
 share that one object. The graph keeps its id-keyed node and edge records
 for validation, serialization and the observation ratio.
 
-Time-varying state lives in a per-edge overlay (congestion factor, comfort
-penalty, blocked set) plus the per-node heuristic field. Planners never see
-the mutable state directly: they search an immutable :class:`GraphSnapshot`
-taken at an epoch boundary, which holds only the planning view, arrays keyed
-by node index: each node's unblocked out-edges with their effective times,
-and its h2 and h3 penalties. A snapshot is patched from an earlier one of the
-same graph, or from the free-flow view, rebuilding only the rows that changed
-and sharing the rest.
-Edge comfort, read when a vehicle enters an edge, is a read-only map of the
-values ``set_comfort`` events wrote, shared by snapshots until one changes.
+Time-varying state lives in a per-edge overlay (congestion factor, blocked
+set) plus the per-node heuristic field. Planners never see the mutable state
+directly: they search an immutable :class:`GraphSnapshot` taken at an epoch
+boundary, which holds only the planning view, arrays keyed by node index:
+each node's unblocked out-edges with their effective times, and its h2 and
+h3 penalties. A snapshot is patched from an earlier one of the same graph, or
+from the free-flow view, rebuilding only the rows that changed and sharing
+the rest.
+Comfort is a node penalty, h2, alone: a ``set_comfort`` event names an edge
+and is checked and logged, but nothing charges or reads edge comfort, so
+applying one changes nothing.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Collection, Iterable, Mapping
 
 from .heuristics import HeuristicField, HeuristicWeights
@@ -74,7 +74,7 @@ class EdgeRecord:
 
 @dataclass(frozen=True)
 class Event:
-    """A timed change to the world: congestion, comfort, blocking.
+    """A timed change to the world: congestion, node comfort, blocking.
 
     ``sensed_only`` events change the ground-truth state but are not
     broadcast to the shared planning state; other vehicles learn about them
@@ -153,10 +153,8 @@ class RoadGraph:
                 raise ValidationError(f"edge {e.id!r} has non-positive base time")
             self.edges[e.id] = e
         self.index = SearchIndex(self.nodes, self.edges)
-        # Dynamic overlay: defaults are free flow, no penalty, nothing blocked.
-        # Comfort holds only the values set and is replaced, never mutated.
+        # Dynamic overlay: defaults are free flow, nothing blocked.
         self.congestion: dict[str, float] = {eid: 1.0 for eid in self.edges}
-        self.comfort: Mapping[str, float] = MappingProxyType({})
         self.blocked: set[str] = set()
 
     def copy(self) -> "RoadGraph":
@@ -165,7 +163,6 @@ class RoadGraph:
         g.edges = self.edges
         g.index = self.index
         g.congestion = dict(self.congestion)
-        g.comfort = self.comfort
         g.blocked = set(self.blocked)
         return g
 
@@ -193,16 +190,12 @@ class GraphSnapshot:
       effective time is the base time times the congestion factor;
     * ``h2_at[i]`` and ``h3_at[i]``: the node's comfort and safety
       penalties, 0.0 where the field has none.
-
-    ``comfort`` is the graph's edge comfort map, shared, not copied: the values
-    ``set_comfort`` events wrote, read with a 0.0 default when a vehicle enters.
     """
 
     index: SearchIndex
     arcs: tuple[tuple[tuple[str, int, float], ...], ...]
     h2_at: tuple[float, ...]
     h3_at: tuple[float, ...]
-    comfort: Mapping[str, float]
 
     def node_penalty(self, node_id: str) -> float:
         i = self.index.pos[node_id]
@@ -216,8 +209,8 @@ def apply_event(graph: RoadGraph, field: HeuristicField, ev: Event) -> bool:
     this graph, which checked its kind, target and value once; nothing is
     checked here. Returns whether a value a planner reads changed: an edge's
     congestion or blocked flag, or a node's h2 (read with a 0.0 default).
-    Comfort is read by no planner, so ``set_comfort`` returns False, as does
-    any no-op.
+    Nothing holds edge comfort, so ``set_comfort`` writes nothing and returns
+    False, as does any no-op.
     """
     if ev.kind == SET_NODE_COMFORT_H:
         old = field.h2_by_node.get(ev.target, 0.0)
@@ -228,8 +221,6 @@ def apply_event(graph: RoadGraph, field: HeuristicField, ev: Event) -> bool:
         graph.congestion[ev.target] = float(ev.value)
         return ev.value != old
     if ev.kind == SET_COMFORT:
-        if graph.comfort.get(ev.target, 0.0) != ev.value:
-            graph.comfort = MappingProxyType({**graph.comfort, ev.target: float(ev.value)})
         return False
     was_blocked = ev.target in graph.blocked
     if ev.kind == BLOCK_EDGE:
@@ -252,15 +243,14 @@ def snapshot(graph: RoadGraph, field: HeuristicField, _time: float = 0.0, /, *,
     Without ``base``, the base is the free-flow view (the index's own rows, no
     h2, the field's h3), patched at every congested or blocked edge and every
     node with an h2. Either way the result equals a snapshot built with every
-    row rebuilt. The comfort map is the graph's own. A snapshot records no
-    instant: a third positional argument, once the time, is ignored.
+    row rebuilt. A snapshot records no instant: a third positional argument,
+    once the time, is ignored.
     """
     index = graph.index
     h2 = field.h2_by_node
     if base is None:
         base = GraphSnapshot(index, index.out, (0.0,) * len(index.ids),
-                             tuple([field.h3_by_node.get(nid, 0.0) for nid in index.ids]),
-                             graph.comfort)
+                             tuple([field.h3_by_node.get(nid, 0.0) for nid in index.ids]))
         edges = [eid for eid, c in graph.congestion.items() if c != 1.0] + [*graph.blocked]
         nodes = h2
     arcs, h2_at = base.arcs, base.h2_at
@@ -276,7 +266,7 @@ def snapshot(graph: RoadGraph, field: HeuristicField, _time: float = 0.0, /, *,
         for nid in nodes:
             values[index.pos[nid]] = h2.get(nid, 0.0)
         h2_at = tuple(values)
-    return GraphSnapshot(index, arcs, h2_at, base.h3_at, graph.comfort)
+    return GraphSnapshot(index, arcs, h2_at, base.h3_at)
 
 
 def make_grid(rows: int, cols: int, edge_length: float, speed: float) -> RoadGraph:

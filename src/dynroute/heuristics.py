@@ -5,7 +5,8 @@ Three heuristic channels feed the search:
 * h1 -- remaining travel time, straight-line distance over the network's
   free-flow top speed (admissible and consistent);
 * h2 -- comfort, a per-node seconds-equivalent penalty updated at runtime
-  from events and shared observations;
+  from events and from shared observations, each of which reports the h2 the
+  truth charged the reporter at the edge's head;
 * h3 -- safety, fixed at load time and never written afterwards.
 """
 
@@ -60,8 +61,10 @@ class HeuristicWeights:
 
 @dataclass(slots=True)
 class Observation:
-    """One vehicle's experienced traversal of one edge. Slotted rather than
-    frozen, since one is built per traversal and nothing assigns to one after."""
+    """One vehicle's experienced traversal of one edge: its travel time, and
+    as ``observed_comfort`` the h2 the truth charged it at the edge's head,
+    both with any report noise. Slotted rather than frozen, since one is
+    built per traversal and nothing assigns to one after."""
 
     edge_id: str
     observed_travel_time: float
@@ -74,10 +77,11 @@ def ingest_observations(
     graph, field: HeuristicField, batch: list[Observation]
 ) -> tuple[set[str], set[str]]:
     """Fuse shared traversal observations into edge congestion and the
-    comfort heuristic of each edge's head node.
+    comfort heuristic (h2) of each edge's head node.
 
     Exponential moving average with the field's alpha; congestion never drops
-    below free flow. Processing order is (at_time, edge_id, reporter) so the
+    below free flow and h2 never below 0. A report equal to the belief leaves
+    it as it is. Processing order is (at_time, edge_id, reporter) so the
     result is independent of queue arrival order. Only values that change are
     written. Returns the ids of the edges whose congestion changed and of the
     nodes whose h2 (read with a 0.0 default) changed; most observations
@@ -100,7 +104,9 @@ def ingest_observations(
             changed_edges.add(obs.edge_id)
         head = edge.to_node
         old_h2 = field.h2_by_node.get(head, 0.0)
-        h2 = (1 - alpha) * old_h2 + alpha * obs.observed_comfort
+        if obs.observed_comfort == old_h2:
+            continue  # the average would drift by an ulp, not stay put
+        h2 = max(0.0, (1 - alpha) * old_h2 + alpha * obs.observed_comfort)
         if h2 != old_h2:
             field.h2_by_node[head] = h2
             changed_nodes.add(head)

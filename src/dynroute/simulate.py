@@ -4,12 +4,12 @@ The world has one ground truth and one shared belief:
 
 * the ground truth is the :class:`TruthTimeline`, the state in force at each
   epoch. It prices every edge a vehicle enters and every node penalty it
-  pays, and gives the comfort of the edge, read with a 0.0 default. Trace
-  replay and the offline oracle read the same timeline;
+  pays. Trace replay and the offline oracle read the same timeline;
 * the shared belief, from which planning snapshots are taken. Broadcast
   events reach it directly; ``sensed_only`` events reach it only through
-  observations reported by vehicles that traversed the affected edges.
-  It holds only what planners read, so ``set_comfort`` events never reach it.
+  observations reported by vehicles that traversed the affected edges. An
+  observation reports the edge's price and the head's h2 that the vehicle
+  was charged. ``set_comfort`` events change neither truth nor belief.
 
 With observation sharing disabled the belief sees broadcast events only,
 which is the control condition for measuring the value of sharing.
@@ -55,7 +55,6 @@ from dataclasses import asdict, dataclass, field
 from itertools import groupby
 
 from .graph import (
-    SET_COMFORT,
     SET_NODE_COMFORT_H,
     Event,
     GraphSnapshot,
@@ -156,7 +155,7 @@ class VehicleState:
     t_s: float  # the instant it reaches ``edge``'s head, or reached ``at_node``
     status: str = EN_ROUTE
     departed: bool = False
-    edge: tuple[str, str, float, float] | None = None  # (id, head, price, comfort)
+    edge: tuple[str, str, float] | None = None  # (id, head, price)
     # The route from at_node, or from edge's head while on an edge, as the
     # planner returned it; a move drops its first node. Empty: no route.
     plan_nodes: tuple[str, ...] = ()
@@ -235,8 +234,7 @@ class Simulation:
         k = self.epoch_index
         applied = self.truth.events_at(k)
         for ev in applied:
-            if not (ev.sensed_only or ev.kind == SET_COMFORT) \
-                    and apply_event(self.belief_graph, self.belief_field, ev):
+            if not ev.sensed_only and apply_event(self.belief_graph, self.belief_field, ev):
                 stale = self._stale_nodes if ev.kind == SET_NODE_COMFORT_H else self._stale_edges
                 stale.add(ev.target)
 
@@ -324,7 +322,8 @@ class Simulation:
         epoch, whose ground truth is ``truth``, by replay's walk: it enters an
         edge at the instant it reached the tail, at the edge's price in
         ``truth``, and pays that price whole, then the head's penalty, on
-        arrival. At a node without a route it strands."""
+        arrival, and reports the price and the head's h2 it paid. At a node
+        without a route it strands."""
         if not v.departed:
             v.departed = True
             v.path_taken.append(v.at_node)
@@ -333,10 +332,10 @@ class Simulation:
             if v.edge is not None:
                 if self.truth.event_epoch(v.t_s) > k + 1:
                     return  # still on the edge when this epoch ends
-                self._emit_observation(v, v.edge, v.t_s)
-                _eid, head, price, _comfort = v.edge
+                eid, head, price = v.edge
                 reached = self.truth.epoch_of(v.t_s)
                 state = truth if reached == k else self.truth.at_epoch(reached)
+                self._emit_observation(v, eid, price, state.h2_at[state.index.pos[head]])
                 v.realized_cost += price
                 v.realized_cost += state.node_penalty(head)
                 v.at_node, v.edge = head, None
@@ -356,22 +355,23 @@ class Simulation:
                 return
             eid, price = edge
             v.t_s += price
-            v.edge = (eid, nxt, price, truth.comfort.get(eid, 0.0))
+            v.edge = (eid, nxt, price)
             v.plan_nodes = v.plan_nodes[1:]
 
-    def _emit_observation(self, v: VehicleState, edge: tuple[str, str, float, float],
-                          at_time: float) -> None:
-        eid, _head, observed_time, observed_comfort = edge
+    def _emit_observation(self, v: VehicleState, eid: str, observed_time: float,
+                          observed_comfort: float) -> None:
+        """Queue ``v``'s report of edge ``eid``, reached at ``v.t_s``. Noise
+        leaves a time positive; a comfort is clipped where it is fused."""
         if self.config.noise_sigma > 0:
             observed_time = max(_EPS, observed_time + self._noise_rng.gauss(0, self.config.noise_sigma))
-            observed_comfort = max(0.0, observed_comfort + self._noise_rng.gauss(0, self.config.noise_sigma))
+            observed_comfort += self._noise_rng.gauss(0, self.config.noise_sigma)
         self.obs_queue.append(
             Observation(
                 edge_id=eid,
                 observed_travel_time=observed_time,
                 observed_comfort=observed_comfort,
                 reporter=v.id,
-                at_time=at_time,
+                at_time=v.t_s,
             )
         )
 
@@ -424,9 +424,9 @@ class TruthTimeline:
     state), and the simulator applies the same batches to its shared belief.
     Each state is patched from the one before it with the targets whose
     congestion, blocked flag or h2 its batch changed, so it shares every row
-    those events left equal, and the comfort map unless one of them set a
-    comfort. ``varying_nodes`` holds every node whose h2 some event changed:
-    every other node has the same penalty in every state.
+    those events left equal; a batch of ``set_comfort`` events changes none.
+    ``varying_nodes`` holds every node whose h2 some event changed: every
+    other node has the same penalty in every state.
     """
 
     def __init__(self, scenario: Scenario, epoch_s: float):

@@ -7,7 +7,7 @@ snapshot's planning view. ``neighbors``, ``time_heuristic`` and
 search priority; ``node_penalty``, ``cheapest_edge``, ``path_travel_time``
 and ``path_penalty`` those of path costs. They speak in node ids, one call
 per node or edge. :func:`assert_snapshot_of` checks a snapshot's planning
-view and comfort against a view, id by id.
+view against a view, id by id.
 
 The planners here are the planners as first written: they expand nodes
 through ``neighbors()`` and price them with ``time_heuristic`` and
@@ -51,7 +51,6 @@ class IdView:
 
     index: SearchIndex
     congestion: Mapping[str, float]
-    comfort: Mapping[str, float]
     blocked: frozenset[str]
     h2: Mapping[str, float]
     h3: Mapping[str, float]
@@ -59,13 +58,13 @@ class IdView:
 
 def id_view(graph: RoadGraph, field: HeuristicField) -> IdView:
     """A copy of the state a snapshot of ``graph`` and ``field`` is taken from."""
-    return IdView(graph.index, dict(graph.congestion), dict(graph.comfort),
-                  frozenset(graph.blocked), dict(field.h2_by_node), dict(field.h3_by_node))
+    return IdView(graph.index, dict(graph.congestion), frozenset(graph.blocked),
+                  dict(field.h2_by_node), dict(field.h3_by_node))
 
 
 def assert_snapshot_of(snap: GraphSnapshot, view: IdView) -> None:
     """Assert that ``snap`` holds ``view``'s state: each node's ``arcs`` row,
-    ``h2_at`` and ``h3_at`` entry, and each edge's comfort, read id by id."""
+    ``h2_at`` and ``h3_at`` entry, read id by id."""
     ids, pos = view.index.ids, view.index.pos
     assert len(snap.arcs) == len(snap.h2_at) == len(snap.h3_at) == len(ids)
     for nid in ids:
@@ -74,8 +73,6 @@ def assert_snapshot_of(snap: GraphSnapshot, view: IdView) -> None:
                                      for succ, eid, eff in neighbors(view, nid))
         assert snap.h2_at[i] == view.h2.get(nid, 0.0)
         assert snap.h3_at[i] == view.h3.get(nid, 0.0)
-    for eid in view.congestion:
-        assert snap.comfort.get(eid, 0.0) == view.comfort.get(eid, 0.0)
 
 
 class IdTimeline:

@@ -200,10 +200,10 @@ class TestApplyEvent:
         self.field = self.scn.initial_field
 
     def test_set_congestion_changes_only_target(self):
-        before_comfort = dict(self.graph.comfort)
+        before = dict(self.graph.congestion), dict(self.field.h2_by_node)
         apply_event(self.graph, self.field, Event(0, "set_congestion", "e1", 2.0))
-        assert self.graph.congestion["e1"] == 2.0
-        assert self.graph.comfort == before_comfort
+        assert self.graph.congestion == {**before[0], "e1": 2.0}
+        assert self.field.h2_by_node == before[1]
         assert not self.graph.blocked
 
     def test_unblock_restores_preblock_factor(self):
@@ -226,7 +226,7 @@ class TestApplyEvent:
         ([Event(0, "set_congestion", "e1", 2.0)], True),
         ([Event(0, "set_congestion", "e1", 1.0)], False),  # already free flow
         ([Event(0, "set_congestion", "e1", 2.0), Event(1, "set_congestion", "e1", 2.0)], False),
-        ([Event(0, "set_comfort", "e1", 5.0)], False),  # no planner reads comfort
+        ([Event(0, "set_comfort", "e1", 5.0)], False),  # nothing holds edge comfort
         ([Event(0, "set_node_comfort_h", "a", 4.0)], True),
         ([Event(0, "set_node_comfort_h", "a", 0.0)], False),  # an absent h2 reads 0.0
         ([Event(0, "set_node_comfort_h", "a", 4.0),
@@ -293,10 +293,10 @@ class TestSnapshot:
         fld = HeuristicField(h3_by_node={"n00_00": 1.5})
         snap = snapshot(grid, fld)
         taken_from = id_view(grid, fld)
-        frozen = (snap.arcs, snap.h2_at, snap.h3_at, dict(snap.comfort))
+        frozen = (snap.arcs, snap.h2_at, snap.h3_at)
         for kind, idx, value in events:
             apply_event(grid, fld, _grid_event(kind, idx, value, grid))
-        assert (snap.arcs, snap.h2_at, snap.h3_at, dict(snap.comfort)) == frozen
+        assert (snap.arcs, snap.h2_at, snap.h3_at) == frozen
         assert_snapshot_of(snap, taken_from)
 
     @settings(max_examples=50, deadline=None)

@@ -138,9 +138,24 @@ class TestIngestObservations:
         g, fld = _line_graph(1.0)
         batch = [_obs(18.0, comfort=2.0)]
         ingest_observations(g, fld, batch)
-        state = (dict(g.congestion), dict(g.comfort), dict(fld.h2_by_node))
-        ingest_observations(g, fld, batch)
-        assert (dict(g.congestion), dict(g.comfort), dict(fld.h2_by_node)) == state
+        state = (dict(g.congestion), dict(fld.h2_by_node))
+        assert ingest_observations(g, fld, batch) == (set(), set())
+        assert (dict(g.congestion), dict(fld.h2_by_node)) == state
+
+    def test_report_equal_to_the_belief_changes_nothing(self):
+        # 0.7 * 49.802 + 0.3 * 49.802 is 49.80199999999999: averaging a report
+        # equal to the belief would move it by an ulp and dirty the node.
+        g, fld = _line_graph(0.3)
+        fld.h2_by_node["b"] = 49.802
+        assert ingest_observations(g, fld, [_obs(10.0, comfort=49.802)]) == (set(), set())
+        assert fld.h2_by_node["b"] == 49.802
+
+    def test_negative_report_clips_the_estimate_at_zero(self):
+        # A noisy report may be negative; the estimate it moves may not.
+        g, fld = _line_graph(0.3)
+        fld.h2_by_node["b"] = 1.0
+        assert ingest_observations(g, fld, [_obs(10.0, comfort=-10.0)]) == (set(), {"b"})
+        assert fld.h2_by_node["b"] == 0.0
 
     def test_order_independent_processing(self):
         batch = [_obs(20.0, t=5.0, reporter="b"), _obs(12.0, t=1.0, reporter="a")]

@@ -263,6 +263,46 @@ class TestObservationSharing:
         # hidden congestion
         assert "x" in follower["path"] and "y" in follower["path"]
 
+    @staticmethod
+    def _fork_doc(h2, events):
+        """lead departs at 0 and tail at 60, both from s to g with w2 = 1,
+        past m (50 s + 50 s) or n (75 s + 75 s); lead reaches m at t=50."""
+        return scenario_doc(
+            nodes=[("s", 0.0, 0.0), ("m", 500.0, 100.0), ("n", 500.0, -100.0),
+                   ("g", 1000.0, 0.0)],
+            edges=[("e1", "s", "m", 510.0, 50.0), ("e2", "m", "g", 510.0, 50.0),
+                   ("e3", "s", "n", 510.0, 75.0), ("e4", "n", "g", 510.0, 75.0)],
+            h2=h2, events=events,
+            queries=[{"vehicle": v, "start": "s", "goal": "g", "depart_s": t,
+                      "weights": {"wg": 1, "w1": 1, "w2": 1, "w3": 0}, "context": {}}
+                     for v, t in (("lead", 0.0), ("tail", 60.0))])
+
+    def test_sharing_reaches_a_hidden_node_penalty(self):
+        # lead pays m's hidden h2 of 200 and reports it; at alpha 0.3 the
+        # belief reads 60 there, which puts m behind the 150 s detour past n.
+        scn = load_scenario(self._fork_doc({}, [
+            {"t_s": 0.0, "kind": "set_node_comfort_h", "target": "m", "value": 200.0,
+             "sensed_only": True}]))
+        shared = {v["vehicle"]: v for v in run_simulation(scn, SimConfig()).vehicles}
+        alone = {v["vehicle"]: v for v in
+                 run_simulation(scn, SimConfig(share_observations=False)).vehicles}
+        assert shared["lead"]["path"] == alone["lead"]["path"] == ["s", "m", "g"]
+        assert alone["tail"]["path"] == ["s", "m", "g"]
+        assert alone["tail"]["realized_cost_s"] == 300.0
+        assert shared["tail"]["path"] == ["s", "n", "g"]
+        assert shared["tail"]["realized_cost_s"] == 150.0
+
+    @pytest.mark.parametrize("noise_sigma", [0.0, 2.0])
+    def test_set_comfort_changes_no_vehicle_record(self, noise_sigma):
+        # lead crosses e1 into m, whose h2 of 30 is what it pays and reports
+        # either way; tail would take n if the belief of m rose past 50.
+        cfg = SimConfig(noise_sigma=noise_sigma, seed=3)
+        comfort = [{"t_s": 0.0, "kind": "set_comfort", "target": "e1", "value": 100.0}]
+        with_event = run_simulation(load_scenario(self._fork_doc({"m": 30.0}, comfort)), cfg)
+        without = run_simulation(load_scenario(self._fork_doc({"m": 30.0}, [])), cfg)
+        assert with_event.vehicles == without.vehicles
+        assert len(with_event.epochs[0]["events_applied"]) == 1
+
     def test_ingestion_shows_up_in_epoch_log(self, scenario_dir):
         scn = self._fixture(scenario_dir)
         trace = run_simulation(scn, SimConfig(share_observations=True))
@@ -353,11 +393,10 @@ class TestTruthTimeline:
         assert _effective_time(blocked, "e1") is None and blocked.arcs[a] == ()
         assert blocked.arcs[1:] == congested.arcs[1:]
         assert all(x is y for x, y in zip(blocked.arcs[1:], congested.arcs[1:]))
-        # Congestion and blocking events leave comfort alone: one map, empty.
-        assert free.comfort is congested.comfort is blocked.comfort
-        assert dict(free.comfort) == {}
+        # Congestion and blocking events leave the penalties alone: one array each.
+        assert blocked.h2_at is free.h2_at and blocked.h3_at is free.h3_at
 
-    def test_a_comfort_state_holds_only_the_values_set(self):
+    def test_a_comfort_state_shares_every_row_with_the_one_before(self):
         doc = scenario_doc(
             **LINE,
             events=[{"t_s": 0.0, "kind": "set_congestion", "target": "e1", "value": 2.0},
@@ -368,20 +407,16 @@ class TestTruthTimeline:
         )
         tl = TruthTimeline(load_scenario(doc), 30.0)
         first, comfort, same, cleared = (tl.at_epoch(k) for k in range(4))
-        # e3's 0.0 and the repeated 25.0 change nothing, so make no new map.
-        assert dict(first.comfort) == {} and dict(comfort.comfort) == {"e2": 25.0}
-        assert same.comfort is comfort.comfort
-        assert dict(cleared.comfort) == {"e2": 0.0} and dict(comfort.comfort) == {"e2": 25.0}
-        # No planner reads comfort: these states share every row and entry.
+        # Nothing holds edge comfort: these states share every row and entry.
         for state in (comfort, same, cleared):
             assert all(x is y for x, y in zip(state.arcs, first.arcs))
             assert state.h2_at is first.h2_at and state.h3_at is first.h3_at
 
     def test_timeline_memory_is_what_its_events_changed(self):
         # 300 mixed events on a 30x30 grid (3,480 edges), in 139 states. Each
-        # state holds only the rows and the comfort map its epoch's events
-        # changed: 1.1 MB here, where states holding whole id-keyed
-        # congestion and comfort copies took 13.5 MB.
+        # state holds only the rows its epoch's events changed: 1.1 MB here,
+        # where states holding whole id-keyed congestion and comfort copies
+        # took 13.5 MB.
         rng = random.Random(5)
         graph = make_grid(30, 30, 100.0, 10.0)
         edges, nodes = sorted(graph.edges), sorted(graph.nodes)
@@ -1022,7 +1057,7 @@ class TestLazySnapshot:
 
     # The vehicle plans in every epoch of its trip; the belief changes at the
     # t=60 boundary only, and no observation is shared. A comfort change is no
-    # change of the belief, since no planner reads it.
+    # change of the belief, since nothing holds edge comfort.
     @pytest.mark.parametrize("kind, value, replans", [
         ("set_congestion", 2.0, 7), ("set_comfort", 25.0, 5)])
     def test_dyn_astar_reuses_the_snapshot_while_the_belief_is_unchanged(
