@@ -230,6 +230,14 @@ def apply_event(graph: RoadGraph, field: HeuristicField, ev: Event) -> bool:
     return was_blocked
 
 
+def apply_events(graph: RoadGraph, field: HeuristicField, events: Iterable[Event],
+                 edges: set[str], nodes: set[str]) -> None:
+    """Apply ``events`` in order; add each changed target to ``nodes`` (an h2) or ``edges``."""
+    for ev in events:
+        if apply_event(graph, field, ev):
+            (nodes if ev.kind == SET_NODE_COMFORT_H else edges).add(ev.target)
+
+
 def snapshot(graph: RoadGraph, field: HeuristicField, _time: float = 0.0, /, *,
              base: GraphSnapshot | None = None, edges: Collection[str] = (),
              nodes: Collection[str] = ()) -> GraphSnapshot:

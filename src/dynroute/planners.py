@@ -56,7 +56,6 @@ class PlanResult:
     expanded: int
     status: str
     expansion_order: tuple[str, ...] = ()
-    declined: tuple[str, ...] = ()  # replan's kept route: the path of the search it was kept over
 
 
 def _index_of(snap: GraphSnapshot, node: str) -> int:
@@ -313,11 +312,12 @@ def replan(
     """Re-search from the vehicle's position, keeping the old route unless
     the fresh plan beats the re-costed remainder by more than ``hysteresis``.
 
-    ``fresh`` is a route from ``current_node`` the caller holds, such as the
-    rest of an earlier search's path. Only its path and status are read; only
-    when it is None does this run :func:`dyn_a_star`. A fresh plan that
-    follows the kept remainder is returned as it is. A kept remainder carries
-    the expansions and, as ``declined``, the path of the search made here.
+    ``fresh`` is a route from ``current_node`` the caller holds in place of
+    a search, such as the route it drives while nothing that route or its
+    search read has changed. Only its path and status are read; only when it
+    is None does this run :func:`dyn_a_star`. A fresh plan that follows the
+    kept remainder is returned as it is; a kept remainder carries the
+    expansions of the search made here.
     """
     _index_of(snap, current_node)
     if current_node == goal:
@@ -350,5 +350,4 @@ def replan(
         expanded=fresh.expanded,
         status=FOUND,
         expansion_order=fresh.expansion_order,
-        declined=fresh.path,
     )

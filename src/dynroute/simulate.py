@@ -38,12 +38,12 @@ vehicle plans and the belief has changed since the last one; it is then
 patched from that one, rebuilding only what the collected changes touch.
 Otherwise vehicles plan on the last snapshot.
 
-A ``dyn_astar`` vehicle keeps its last search's path and expanded nodes. The
-same changes mark dirty the nodes whose expansion reads them; while none it
-expanded is dirty and its origin lies on that path, it hands :func:`replan`
-the rest of the path in place of a new search. That is exact at the search's
-own origin, not further on: with h2/h3 in the priority the heuristic is not
-consistent. A trace's ``expanded`` counts only the searches run.
+A ``dyn_astar`` vehicle holds its route and a read set: the nodes its last
+search expanded and those of the route it kept. The same changes mark dirty
+the nodes whose expansion reads them; while none it read is dirty, it hands
+:func:`replan` its route in place of a search, the route a new search keeps
+at that search's origin but not always further on: with h2/h3 in the
+priority the heuristic is not consistent. ``expanded`` counts searches run.
 """
 
 from __future__ import annotations
@@ -55,12 +55,11 @@ from dataclasses import asdict, dataclass, field
 from itertools import groupby
 
 from .graph import (
-    SET_NODE_COMFORT_H,
     Event,
     GraphSnapshot,
     RoadGraph,
     Scenario,
-    apply_event,
+    apply_events,
     snapshot,
 )
 from .heuristics import (
@@ -163,8 +162,8 @@ class VehicleState:
     replans: int = 0
     expanded: int = 0
     path_taken: list[str] = field(default_factory=list)
-    # dyn_astar only: its last search's path and expanded node set
-    memo: tuple[tuple[str, ...], frozenset[str]] | None = None
+    # dyn_astar only: its last search's expanded nodes and the route it kept
+    reads: frozenset[str] | None = None
 
 
 @dataclass(frozen=True)
@@ -233,10 +232,10 @@ class Simulation:
     def step_epoch(self) -> None:
         k = self.epoch_index
         applied = self.truth.events_at(k)
-        for ev in applied:
-            if not ev.sensed_only and apply_event(self.belief_graph, self.belief_field, ev):
-                stale = self._stale_nodes if ev.kind == SET_NODE_COMFORT_H else self._stale_edges
-                stale.add(ev.target)
+        if applied:
+            broadcast = [ev for ev in applied if not ev.sensed_only]
+            apply_events(self.belief_graph, self.belief_field, broadcast,
+                         self._stale_edges, self._stale_nodes)
 
         ingested = 0
         if self.config.share_observations and self.obs_queue:
@@ -297,18 +296,14 @@ class Simulation:
         origin = v.at_node if v.edge is None else v.edge[1]
 
         if self.algorithm == "dyn_astar":
-            # The route held (empty before the first plan), and the rest of
-            # the kept search's path from this origin if nothing it read has
-            # changed since it ran.
+            # The route held (empty before the first plan) is handed on in place
+            # of a search while nothing it or its search read has changed.
             prior = PlanResult(v.plan_nodes, 0.0, 0.0, 0, FOUND)
-            memo = v.memo
-            fresh = None
-            if memo is not None and origin in memo[0] and memo[1].isdisjoint(self._dirty):
-                fresh = PlanResult(memo[0][memo[0].index(origin):], 0.0, 0.0, 0, FOUND)
+            fresh = prior if v.reads is not None and v.reads.isdisjoint(self._dirty) else None
             result = replan(prior, snap, origin, v.goal, v.params, self.config.hysteresis, fresh)
             v.replans += 1
             if fresh is None:  # a search ran in this call, or replan answered at the goal
-                v.memo = (result.declined or result.path, frozenset(result.expansion_order))
+                v.reads = frozenset(result.expansion_order + result.path)
         else:
             result = PLANNERS[self.algorithm](snap, origin, v.goal, v.params)
 
@@ -439,11 +434,8 @@ class TruthTimeline:
         self.varying_nodes: set[str] = set()
         for k, group in groupby(scenario.events, lambda ev: self.event_epoch(ev.at_time)):
             batch = self._batches[k] = tuple(group)
-            edges: set[str] = set()
-            nodes: set[str] = set()
-            for ev in batch:
-                if apply_event(graph, fld, ev):
-                    (nodes if ev.kind == SET_NODE_COMFORT_H else edges).add(ev.target)
+            edges, nodes = set(), set()
+            apply_events(graph, fld, batch, edges, nodes)
             self.varying_nodes |= nodes
             snap = snapshot(graph, fld, base=self._snaps[-1], edges=edges, nodes=nodes)
             if k == self._starts[-1]:

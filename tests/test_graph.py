@@ -22,7 +22,8 @@ from dynroute import (
     serialize_scenario,
     snapshot,
 )
-from dynroute.graph import SET_CONGESTION, scenario_to_dict
+from dynroute import graph as graph_module
+from dynroute.graph import SET_CONGESTION, apply_events, scenario_to_dict
 from dynroute.suite import write_suites
 from reference_planners import assert_snapshot_of, id_view, neighbors
 
@@ -241,6 +242,21 @@ class TestApplyEvent:
         for ev in before:
             apply_event(self.graph, self.field, ev)
         assert apply_event(self.graph, self.field, last) is changed
+
+    def test_apply_events_collects_each_changed_target_by_kind(self, monkeypatch):
+        applied = []
+
+        def counted(graph, field, ev):
+            applied.append(ev)
+            return apply_event(graph, field, ev)
+
+        monkeypatch.setattr(graph_module, "apply_event", counted)
+        events = [Event(0, "set_congestion", "e1", 2.0), Event(0, "set_node_comfort_h", "b", 3.0),
+                  Event(0, "set_comfort", "e1", 5.0), Event(0, "set_node_comfort_h", "a", 0.0)]
+        edges, nodes = {"e0"}, set()
+        apply_events(self.graph, self.field, events, edges, nodes)
+        assert applied == events
+        assert (edges, nodes) == ({"e0", "e1"}, {"b"})
 
 
 _EVENT_STRATEGY = st.lists(

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -247,9 +248,10 @@ class TestReplan:
         res = replan(prior, snap, "a", "d", UNIT, hysteresis=0.05)
         assert res.path == ("a", "b", "d")
 
-    def test_a_kept_route_hands_back_the_search_it_was_kept_over(self):
+    def test_a_kept_route_carries_the_search_it_was_kept_over(self):
         # a-b-d slows to 4.1 s against a-c-d's 4.0 s: inside a 5% band, so the
-        # old route is kept, and the search it ran comes back with it.
+        # old route is kept with the expansions of the search it was kept
+        # over. Handed back as the fresh route, it is returned as it is.
         g = diamond_graph()
         fld = HeuristicField()
         prior = self._prior(snapshot(g, fld))
@@ -257,9 +259,11 @@ class TestReplan:
         snap = snapshot(g, fld)
         res = replan(prior, snap, "a", "d", UNIT, hysteresis=0.05)
         search = dyn_a_star(snap, "a", "d", UNIT)
-        assert res.path == ("a", "b", "d") and res.declined == search.path == ("a", "c", "d")
+        assert res.path == ("a", "b", "d") and search.path == ("a", "c", "d")
         assert (res.expanded, res.expansion_order) == (search.expanded, search.expansion_order)
-        assert search.declined == ()
+        assert replan(res, snap, "a", "d", UNIT, hysteresis=0.05, fresh=res) is res
+        assert [f.name for f in dataclasses.fields(PlanResult)] == [
+            "path", "g_cost", "f_cost_at_goal", "expanded", "status", "expansion_order"]
 
     def test_large_improvement_overcomes_hysteresis(self):
         g = diamond_graph()

@@ -659,8 +659,8 @@ class TestOneTruthModel:
 @st.composite
 def grid_fleet_docs(draw):
     """Boundary-aligned scenarios on a small two-way grid: several vehicles,
-    edges of one to three epochs and frequent changes, so a kept search's
-    reads often change just inside or just outside what it expanded."""
+    edges of one to three epochs and frequent changes, so a vehicle's reads
+    often change just inside or just outside what its search expanded."""
     rows, cols = draw(st.integers(2, 3)), draw(st.integers(3, 4))
     ids = [f"n{r}{c}" for r in range(rows) for c in range(cols)]
     pairs = [(f"n{r}{c}", f"n{r + dr}{c + dc}") for r in range(rows) for c in range(cols)
@@ -718,33 +718,38 @@ DIVERGING_HAND_ON = scenario_doc(
 
 def _checked_replan(handed: list[str]):
     """A stand-in for ``simulate.replan`` that checks every route it is
-    handed against the search it comes from and a new search of the same
-    snapshot, and records where.
+    handed against the plan call that last searched and a new search of the
+    same snapshot, and records where.
 
-    The route must be the rest of the kept search's path from the vehicle's
-    node, drivable, and count no expansions. At the kept search's origin the
-    new search must equal it in every field. Further on the two may differ
-    (see ``DIVERGING_HAND_ON``); where the vehicle's weights make the
-    priority consistent (no h2 or h3 weight, w1 <= w_g) both are fastest
-    routes, so the route must take as long as the new search's."""
+    The handed route must be the route held: the rest of the one that plan
+    call returned from the vehicle's node, drivable, and count no expansions.
+    At that search's origin a new search must equal it in every field, and
+    ``replan`` with it must return the handed route. Further on the two may
+    differ (see ``DIVERGING_HAND_ON``); where the vehicle's weights make the
+    priority consistent (no h2 or h3 weight, w1 <= w_g) and the route held is
+    the search's own path, both are fastest routes, so the handed route must
+    take as long as the new search's."""
     real = simulate.replan
-    searches: dict[int, PlanResult] = {}  # by vehicle: the last search it ran
+    # by vehicle: the last searching call's origin, its search and the route it returned
+    searches: dict[int, tuple[str, PlanResult, tuple[str, ...]]] = {}
 
     def checked(prior, snap, current, goal, params, hysteresis, fresh=None):
         new = dyn_a_star(snap, current, goal, params)
-        if fresh is None:
-            searches[params.rng_seed] = new
-        else:
-            kept = searches[params.rng_seed]
-            assert fresh.path == kept.path[kept.path.index(current):]
-            assert fresh.expanded == 0 and validate_path(snap, fresh.path)
-            if kept.path[0] == current:
-                assert new == kept
+        if fresh is not None:
+            origin, search, route = searches[params.rng_seed]
+            assert fresh.path == prior.path == (route[route.index(current):] if route else ())
+            assert fresh.expanded == 0 and (not route or validate_path(snap, fresh.path))
+            if current == origin:
+                assert new == search
+                assert real(prior, snap, current, goal, params, hysteresis, new).path == fresh.path
             w = params.weights
-            if w.w2 == w.w3 == 0 and w.w1 <= w.w_g:
+            if route == search.path and w.w2 == w.w3 == 0 and w.w1 <= w.w_g:
                 assert path_travel_time(snap, fresh.path) == path_travel_time(snap, new.path)
             handed.append(current)
-        return real(prior, snap, current, goal, params, hysteresis, fresh)
+        result = real(prior, snap, current, goal, params, hysteresis, fresh)
+        if fresh is None:
+            searches[params.rng_seed] = (current, new, result.path)
+        return result
     return checked
 
 
@@ -759,7 +764,7 @@ def _searches_from(starts: list[str]):
 
 
 class TestSearchReuse:
-    """A dyn_astar vehicle keeps its last search's path while nothing that
+    """A dyn_astar vehicle holds its route while nothing it or its last
     search read has changed, and drives on along it without searching."""
 
     @settings(max_examples=300, deadline=None)
@@ -846,16 +851,19 @@ class TestSearchReuse:
         assert v["path"] == ["a", "b", "c", "d"]
         assert starts == ["a", "c"]
 
-    def test_a_route_kept_by_hysteresis_keeps_its_search(self):
-        # From b the detour b-c-d (60 s) beats b-d (60.25 s after the t=30
-        # change) by less than the 1% hysteresis, so the vehicle, on a-b until
-        # t=100, keeps b-d. Nothing changes after t=30: the t=60 and t=90
-        # plans repeat the comparison with the t=30 search's path.
+    # b-d, or b-x-d, is 50 s against the detour b-c-d's 60 s until the t=30
+    # change makes it 60.25 s, which the detour beats by less than the 1%
+    # hysteresis. The vehicle is on the 100 s edge a-b until t=100.
+    KEPT = dict(nodes=[("a", 0.0, 0.0), ("b", 1000.0, 0.0), ("c", 1250.0, 100.0),
+                       ("x", 1250.0, 0.0), ("d", 1500.0, 0.0)],
+                edges=[("e1", "a", "b", 1000.0, 100.0), ("e3", "b", "c", 300.0, 30.0),
+                       ("e4", "c", "d", 300.0, 30.0)])
+
+    def test_a_route_kept_by_hysteresis_is_handed_on(self):
+        # From b at t=30 the search finds b-c-d, and the vehicle keeps b-d.
+        # Nothing changes after t=30: the t=60 and t=90 plans hand on b-d.
         doc = scenario_doc(
-            nodes=[("a", 0.0, 0.0), ("b", 1000.0, 0.0), ("c", 1250.0, 100.0),
-                   ("d", 1500.0, 0.0)],
-            edges=[("e1", "a", "b", 1000.0, 100.0), ("e2", "b", "d", 500.0, 50.0),
-                   ("e3", "b", "c", 300.0, 30.0), ("e4", "c", "d", 300.0, 30.0)],
+            nodes=self.KEPT["nodes"], edges=[*self.KEPT["edges"], ("e2", "b", "d", 500.0, 50.0)],
             events=[{"t_s": 30.0, "kind": "set_congestion", "target": "e2", "value": 1.205}])
         starts: list[str] = []
         handed: list[str] = []
@@ -863,6 +871,41 @@ class TestSearchReuse:
             (v,) = run(doc).vehicles
         assert v["path"] == ["a", "b", "d"] and v["replans"] == 6
         assert starts == ["a", "b"] and handed == ["b", "b", "d", "d"]
+
+    def test_a_kept_route_is_driven_off_the_declined_path_without_a_search(self):
+        # The kept route runs b-x-d, and x is not on the declined b-c-d. On
+        # b-x at t=120 the vehicle plans from x: nothing it read has changed,
+        # so it drives on along b-x-d without searching.
+        doc = scenario_doc(
+            nodes=self.KEPT["nodes"],
+            edges=[*self.KEPT["edges"], ("e5", "b", "x", 250.0, 25.0), ("e6", "x", "d", 250.0, 25.0)],
+            events=[{"t_s": 30.0, "kind": "set_congestion", "target": "e6", "value": 1.41}])
+        starts: list[str] = []
+        handed: list[str] = []
+        with _searches_from(starts), patch.object(simulate, "replan", _checked_replan(handed)):
+            (v,) = run(doc).vehicles
+        assert v["path"] == ["a", "b", "x", "d"] and v["replans"] == 6
+        assert starts == ["a", "b"] and handed == ["b", "b", "x", "d"]
+
+    def test_a_change_on_a_kept_node_the_search_never_expanded_makes_it_search(self):
+        # Congestion on b-x makes the kept route b-x-d 60.25 s. The search
+        # from b pops d at 60 before x, whose priority is 60.25, so it never
+        # expands x. At t=60 x-d slows, which only the kept route reads: the
+        # vehicle searches again and leaves it for b-c-d.
+        doc = scenario_doc(
+            nodes=self.KEPT["nodes"],
+            edges=[*self.KEPT["edges"], ("e5", "b", "x", 250.0, 25.0), ("e6", "x", "d", 250.0, 25.0)],
+            events=[{"t_s": 30.0, "kind": "set_congestion", "target": "e5", "value": 1.41},
+                    {"t_s": 60.0, "kind": "set_congestion", "target": "e6", "value": 3.0}])
+        scn = load_scenario(doc)
+        snap = TruthTimeline(scn, 30.0).at_epoch(1)
+        search = dyn_a_star(snap, "b", "d", SearchParams(weights=HeuristicWeights(1.0, 1.0, 0.0, 0.0)))
+        assert search.path == ("b", "c", "d") and "x" not in search.expansion_order
+        starts: list[str] = []
+        with _searches_from(starts), patch.object(simulate, "replan", _checked_replan([])):
+            (v,) = run_simulation(scn, SimConfig()).vehicles
+        assert starts == ["a", "b", "b"]
+        assert v["path"] == ["a", "b", "c", "d"]
 
     def test_a_later_node_drives_on_where_a_new_search_would_leave(self):
         # The documented inexactness. All nodes share one position, so the
