@@ -149,14 +149,13 @@ def _apply_config_file(
     return parser.parse_args(argv)
 
 
-def _sim_config(args: argparse.Namespace, seed: int | None = None) -> SimConfig:
+def _sim_config(args: argparse.Namespace) -> SimConfig:
     """The settings ``args`` gives; ``plan`` has only ``--epoch-s``."""
     try:
         return SimConfig(
             epoch_s=float(args.epoch_s),
             hysteresis=float(getattr(args, "hysteresis", SimConfig.hysteresis)),
             share_observations=not getattr(args, "no_share", False),
-            seed=0 if seed is None else seed,
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
@@ -236,7 +235,7 @@ def _trace_csv(trace) -> str:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     scn = _override_scenario(_load(args.scenario), args)
-    config = _sim_config(args, args.seed)
+    config = _sim_config(args)
     trace = run_simulation(scn, config, args.algo)
     if args.out:
         _atomic_write(

@@ -61,9 +61,9 @@ class HeuristicWeights:
 
 @dataclass(slots=True)
 class Observation:
-    """One vehicle's experienced traversal of one edge: its travel time, and
-    as ``observed_comfort`` the h2 the truth charged it at the edge's head,
-    both with any report noise. Slotted rather than frozen, since one is
+    """One vehicle's experienced traversal of one edge: the travel time and,
+    as ``observed_comfort``, the head's h2 that the truth charged it, each
+    plus any report noise, unclipped. Slotted rather than frozen, since one is
     built per traversal and nothing assigns to one after."""
 
     edge_id: str
@@ -73,19 +73,28 @@ class Observation:
     at_time: float
 
 
+def _fused(old: float, reported: float, least: float, alpha: float) -> float:
+    """``old`` moved toward ``reported`` by ``alpha``, at least ``least``; a
+    report equal to it changes nothing, where the average could drift an ulp."""
+    if reported == old:
+        return old
+    new = (1 - alpha) * old + alpha * reported
+    return new if new > least else least  # a comparison costs less than max()
+
+
 def ingest_observations(
     graph, field: HeuristicField, batch: list[Observation]
 ) -> tuple[set[str], set[str]]:
     """Fuse shared traversal observations into edge congestion and the
     comfort heuristic (h2) of each edge's head node.
 
-    Exponential moving average with the field's alpha; congestion never drops
-    below free flow and h2 never below 0. A report equal to the belief leaves
-    it as it is. Processing order is (at_time, edge_id, reporter) so the
-    result is independent of queue arrival order. Only values that change are
-    written. Returns the ids of the edges whose congestion changed and of the
-    nodes whose h2 (read with a 0.0 default) changed; most observations
-    change neither.
+    Both follow one rule, :func:`_fused`: an exponential moving average with
+    the field's alpha, clipped at free flow (congestion 1.0) and at h2 0; a
+    time is fused as its ratio to the edge's base time. Processing order is
+    (at_time, edge_id, reporter), so the result is independent of queue
+    arrival order. Only values that change are written, and returned as the
+    ids of the edges and of the nodes (h2 read with a 0.0 default) whose value
+    changed; most observations change neither.
     """
     alpha = field.smoothing_alpha
     changed_edges: set[str] = set()
@@ -96,19 +105,16 @@ def ingest_observations(
             raise KeyError(f"observation for unknown edge {obs.edge_id!r}")
         if not (math.isfinite(obs.observed_travel_time) and math.isfinite(obs.observed_comfort)):
             raise ValueError(f"observation of edge {obs.edge_id!r} is not finite")
-        ratio = obs.observed_travel_time / edge.base_time_s
-        old_factor = graph.congestion[obs.edge_id]
-        factor = max(1.0, (1 - alpha) * old_factor + alpha * ratio)
-        if factor != old_factor:
-            graph.congestion[obs.edge_id] = factor
+        old = graph.congestion[obs.edge_id]
+        new = _fused(old, obs.observed_travel_time / edge.base_time_s, 1.0, alpha)
+        if new != old:
+            graph.congestion[obs.edge_id] = new
             changed_edges.add(obs.edge_id)
         head = edge.to_node
-        old_h2 = field.h2_by_node.get(head, 0.0)
-        if obs.observed_comfort == old_h2:
-            continue  # the average would drift by an ulp, not stay put
-        h2 = max(0.0, (1 - alpha) * old_h2 + alpha * obs.observed_comfort)
-        if h2 != old_h2:
-            field.h2_by_node[head] = h2
+        old = field.h2_by_node.get(head, 0.0)
+        new = _fused(old, obs.observed_comfort, 0.0, alpha)
+        if new != old:
+            field.h2_by_node[head] = new
             changed_nodes.add(head)
     return changed_edges, changed_nodes
 

@@ -9,7 +9,8 @@ The world has one ground truth and one shared belief:
   events reach it directly; ``sensed_only`` events reach it only through
   observations reported by vehicles that traversed the affected edges. An
   observation reports the edge's price and the head's h2 that the vehicle
-  was charged. ``set_comfort`` events change neither truth nor belief.
+  was charged, plus any noise, drawn from the scenario seed's stream.
+  ``set_comfort`` events change neither truth nor belief.
 
 With observation sharing disabled the belief sees broadcast events only,
 which is the control condition for measuring the value of sharing.
@@ -98,8 +99,6 @@ PLANNERS = {
 }
 ALGORITHMS = tuple(PLANNERS)
 
-_EPS = 1e-9
-
 # The most epochs a run's horizon may span. A run can step every epoch up to
 # the horizon, so one far too short would make a run that never ends.
 MAX_EPOCHS = 10**7
@@ -115,7 +114,6 @@ class SimConfig:
     share_observations: bool = True
     horizon_s: float = 1e6
     noise_sigma: float = 0.0
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name, bound in (("epoch_s", "> 0"), ("hysteresis", ">= 0"),
@@ -200,7 +198,7 @@ class Simulation:
         self.epoch_index = 0
         self.obs_queue: list[Observation] = []
         self.epoch_log: list[dict] = []
-        self._noise_rng = random.Random(config.seed)
+        self._noise_rng = random.Random(scenario.seed)
         # dyn_astar only: the nodes whose expansion reads a value changed
         # since the last snapshot, and for each node the nodes that read its
         # h2: itself, as a search's start, and its predecessors, which push it.
@@ -330,9 +328,10 @@ class Simulation:
                 eid, head, price = v.edge
                 reached = self.truth.epoch_of(v.t_s)
                 state = truth if reached == k else self.truth.at_epoch(reached)
-                self._emit_observation(v, eid, price, state.h2_at[state.index.pos[head]])
+                i = state.index.pos[head]
+                self._emit_observation(v, eid, price, state.h2_at[i])
                 v.realized_cost += price
-                v.realized_cost += state.node_penalty(head)
+                v.realized_cost += state.h2_at[i] + state.h3_at[i]  # the head's penalty
                 v.at_node, v.edge = head, None
                 v.path_taken.append(head)
             if v.at_node == v.goal:
@@ -355,20 +354,13 @@ class Simulation:
 
     def _emit_observation(self, v: VehicleState, eid: str, observed_time: float,
                           observed_comfort: float) -> None:
-        """Queue ``v``'s report of edge ``eid``, reached at ``v.t_s``. Noise
-        leaves a time positive; a comfort is clipped where it is fused."""
+        """Queue ``v``'s report of edge ``eid``, reached at ``v.t_s``: what the
+        truth charged plus noise from the scenario seed's stream, unclipped;
+        :func:`ingest_observations` clips the estimates it moves."""
         if self.config.noise_sigma > 0:
-            observed_time = max(_EPS, observed_time + self._noise_rng.gauss(0, self.config.noise_sigma))
+            observed_time += self._noise_rng.gauss(0, self.config.noise_sigma)
             observed_comfort += self._noise_rng.gauss(0, self.config.noise_sigma)
-        self.obs_queue.append(
-            Observation(
-                edge_id=eid,
-                observed_travel_time=observed_time,
-                observed_comfort=observed_comfort,
-                reporter=v.id,
-                at_time=v.t_s,
-            )
-        )
+        self.obs_queue.append(Observation(eid, observed_time, observed_comfort, v.id, v.t_s))
 
     # -- output ---------------------------------------------------------------
 

@@ -180,6 +180,17 @@ class TestSimulate:
         trace = json.loads((tmp_path / "run.trace.json").read_text())
         assert trace["config"]["alpha"] == 0.5
 
+    def test_seed_flag_runs_the_document_with_that_seed(self, line_scn, tmp_path, capsys):
+        # --seed is the run's one seed: the trace's config records no other
+        prefix = str(tmp_path / "run")
+        assert main(["simulate", "--scenario", str(line_scn), "--seed", "5",
+                     "--out", prefix]) == 0
+        doc = json.loads(line_scn.read_text())
+        doc["meta"]["seed"] = 5
+        expected = run_simulation(load_scenario(json.dumps(doc)), SimConfig()).to_dict()
+        assert json.loads((tmp_path / "run.trace.json").read_text()) == json.loads(
+            json.dumps(expected))
+
     def test_stranded_exit_code(self, blocked_fork, capsys):
         assert main(["simulate", "--scenario", str(blocked_fork), "--algo", "astar"]) == 5
         assert "stranded" in capsys.readouterr().err

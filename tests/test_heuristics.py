@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dynroute import (
@@ -142,13 +142,21 @@ class TestIngestObservations:
         assert ingest_observations(g, fld, batch) == (set(), set())
         assert (dict(g.congestion), dict(fld.h2_by_node)) == state
 
-    def test_report_equal_to_the_belief_changes_nothing(self):
-        # 0.7 * 49.802 + 0.3 * 49.802 is 49.80199999999999: averaging a report
-        # equal to the belief would move it by an ulp and dirty the node.
-        g, fld = _line_graph(0.3)
-        fld.h2_by_node["b"] = 49.802
-        assert ingest_observations(g, fld, [_obs(10.0, comfort=49.802)]) == (set(), set())
-        assert fld.h2_by_node["b"] == 49.802
+    @given(congestion=st.floats(1.0, 1e6), base=st.floats(1e-3, 1e4), h2=st.floats(0.0, 1e6),
+           alpha=st.floats(0.0, 1.0, exclude_min=True))
+    @example(congestion=1.54, base=50.0, h2=49.802, alpha=0.3)
+    def test_report_equal_to_the_belief_changes_nothing(self, congestion, base, h2, alpha):
+        # At alpha 0.3, 1.54 and a 77 s report on a 50 s edge average to
+        # 1.5399999999999998, and 49.802 with itself to 49.80199999999999:
+        # averaging a report equal to the belief would move it by an ulp and
+        # dirty the edge or the node. Congestion compares as a ratio.
+        time = congestion * base
+        assume(time / base == congestion)
+        g = build_graph([("a", 0.0, 0.0), ("b", 100.0, 0.0)], [("e1", "a", "b", 100.0, base)])
+        g.congestion["e1"] = congestion
+        fld = HeuristicField(h2_by_node={"b": h2}, smoothing_alpha=alpha)
+        assert ingest_observations(g, fld, [_obs(time, comfort=h2)]) == (set(), set())
+        assert (g.congestion["e1"], fld.h2_by_node["b"]) == (congestion, h2)
 
     def test_negative_report_clips_the_estimate_at_zero(self):
         # A noisy report may be negative; the estimate it moves may not.

@@ -296,7 +296,7 @@ class TestObservationSharing:
     def test_set_comfort_changes_no_vehicle_record(self, noise_sigma):
         # lead crosses e1 into m, whose h2 of 30 is what it pays and reports
         # either way; tail would take n if the belief of m rose past 50.
-        cfg = SimConfig(noise_sigma=noise_sigma, seed=3)
+        cfg = SimConfig(noise_sigma=noise_sigma)
         comfort = [{"t_s": 0.0, "kind": "set_comfort", "target": "e1", "value": 100.0}]
         with_event = run_simulation(load_scenario(self._fork_doc({"m": 30.0}, comfort)), cfg)
         without = run_simulation(load_scenario(self._fork_doc({"m": 30.0}, [])), cfg)
@@ -322,6 +322,50 @@ class TestObservationSharing:
         assert run_simulation(again).to_dict() == trace
 
 
+def _sub_second_line(seed):
+    """One vehicle down ten 0.5 s edges, all of them crossed in epoch 0."""
+    ids = [f"n{i}" for i in range(11)]
+    doc = json.loads(scenario_doc(
+        nodes=[(n, 5.0 * i, 0.0) for i, n in enumerate(ids)],
+        edges=[(f"e{i}", u, v, 5.0, 0.5) for i, (u, v) in enumerate(zip(ids, ids[1:]))],
+        queries=[{"vehicle": "v1", "start": "n0", "goal": "n10", "depart_s": 0.0,
+                  "weights": {"wg": 1, "w1": 1, "w2": 0, "w3": 0}, "context": {}}]))
+    doc["meta"]["seed"] = seed
+    return load_scenario(json.dumps(doc))
+
+
+def _epoch_0_reports(scn, noise_sigma):
+    """Epoch 0's reports as (edge, time, comfort), and the simulation once
+    epoch 1 has ingested them."""
+    sim = Simulation(scn, SimConfig(noise_sigma=noise_sigma))
+    sim.step_epoch()
+    reports = [(o.edge_id, o.observed_travel_time, o.observed_comfort) for o in sim.obs_queue]
+    sim.step_epoch()
+    return reports, sim
+
+
+class TestReportNoise:
+    def test_a_noisy_report_is_the_price_plus_the_draw_unclipped(self):
+        reports, sim = _epoch_0_reports(_sub_second_line(7), 2.0)
+        draws = random.Random(7)  # the scenario's seed
+        assert reports == [(f"e{i}", 0.5 + draws.gauss(0, 2.0), 0.0 + draws.gauss(0, 2.0))
+                           for i in range(10)]
+        assert any(time < 0 for _, time, _ in reports)
+        # the estimates a report moves are clipped, at free flow and at h2 0
+        congestion = sim.belief_graph.congestion
+        assert all(congestion[eid] == 1.0 for eid, time, _ in reports if time < 0)
+        assert min(congestion.values()) == 1.0
+        assert min(sim.belief_field.h2_by_node.values(), default=0.0) >= 0.0
+
+    def test_report_noise_comes_from_the_scenario_seed(self):
+        assert "seed" not in {f.name for f in dataclasses.fields(SimConfig)}
+        seven, eight = (_epoch_0_reports(_sub_second_line(s), 2.0)[0] for s in (7, 8))
+        assert seven != eight
+        assert seven == _epoch_0_reports(_sub_second_line(7), 2.0)[0]
+        trace = run_simulation(_sub_second_line(7), SimConfig(noise_sigma=2.0))
+        assert trace.seed == 7 and "seed" not in trace.config
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_identical_traces_across_runs(self, algo, scenario_dir):
@@ -332,7 +376,7 @@ class TestDeterminism:
 
     def test_noisy_observations_still_deterministic(self, scenario_dir):
         scn = load_scenario((scenario_dir / "sharing_fixture.scn").read_text())
-        cfg = SimConfig(noise_sigma=2.0, seed=11)
+        cfg = SimConfig(noise_sigma=2.0)
         a = run_simulation(scn, cfg).to_dict()
         b = run_simulation(scn, cfg).to_dict()
         assert a == b
