@@ -266,6 +266,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     config = _sim_config(args)
     try:
         report = compare_algorithms(paths, rho=rho, config=config, jobs=jobs)
+    except OSError as exc:  # a *.scn that is a directory or a dangling link
+        raise CliError(f"cannot read {exc.filename}: {exc}", EXIT_USAGE) from exc
     except ScenarioError as exc:
         raise CliError(str(exc), EXIT_SCENARIO) from exc
     table = report_table(report)

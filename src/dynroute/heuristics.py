@@ -90,11 +90,12 @@ def ingest_observations(
 
     Both follow one rule, :func:`_fused`: an exponential moving average with
     the field's alpha, clipped at free flow (congestion 1.0) and at h2 0; a
-    time is fused as its ratio to the edge's base time. Processing order is
-    (at_time, edge_id, reporter), so the result is independent of queue
-    arrival order. Only values that change are written, and returned as the
-    ids of the edges and of the nodes (h2 read with a 0.0 default) whose value
-    changed; most observations change neither.
+    time is fused as its ratio to the edge's base time, and a time equal to
+    the base time times the belief's congestion changes nothing. Processing
+    order is (at_time, edge_id, reporter), so the result is independent of
+    queue arrival order. Only values that change are written, and returned as
+    the ids of the edges and of the nodes (h2 read with a 0.0 default) whose
+    value changed; most observations change neither.
     """
     alpha = field.smoothing_alpha
     changed_edges: set[str] = set()
@@ -106,10 +107,13 @@ def ingest_observations(
         if not (math.isfinite(obs.observed_travel_time) and math.isfinite(obs.observed_comfort)):
             raise ValueError(f"observation of edge {obs.edge_id!r} is not finite")
         old = graph.congestion[obs.edge_id]
-        new = _fused(old, obs.observed_travel_time / edge.base_time_s, 1.0, alpha)
-        if new != old:
-            graph.congestion[obs.edge_id] = new
-            changed_edges.add(obs.edge_id)
+        base = edge.base_time_s
+        # The belief's own price is no news, though its ratio may be an ulp off.
+        if obs.observed_travel_time != base * old:
+            new = _fused(old, obs.observed_travel_time / base, 1.0, alpha)
+            if new != old:
+                graph.congestion[obs.edge_id] = new
+                changed_edges.add(obs.edge_id)
         head = edge.to_node
         old = field.h2_by_node.get(head, 0.0)
         new = _fused(old, obs.observed_comfort, 0.0, alpha)

@@ -47,15 +47,22 @@ ASTAR_PARAMS = SearchParams(HeuristicWeights(1.0, 1.0, 0.0, 0.0))
 
 @dataclass(slots=True)
 class PlanResult:
-    """A route and the search behind it. Slotted rather than frozen, since one
-    is built per plan call and nothing assigns to one after."""
+    """A route and the nodes its search expanded, in order. Slotted rather than
+    frozen, since one is built per plan call and nothing assigns to one after."""
 
     path: tuple[str, ...]
     g_cost: float
     f_cost_at_goal: float
-    expanded: int
-    status: str
     expansion_order: tuple[str, ...] = ()
+
+    @property
+    def status(self) -> str:
+        """FOUND if there is a route, UNREACHABLE if the path is empty."""
+        return FOUND if self.path else UNREACHABLE
+
+    @property
+    def expanded(self) -> int:
+        return len(self.expansion_order)
 
 
 def _index_of(snap: GraphSnapshot, node: str) -> int:
@@ -118,21 +125,22 @@ def _path(ids: tuple[str, ...], parent: dict[int, int] | list[int], node: int) -
     return tuple(path)
 
 
-def _found(snap: GraphSnapshot, parent: dict[int, int] | list[int], order: list[int], goal: int,
-           f: float, travel: float | None = None) -> PlanResult:
-    """Result of a search that expanded ``order`` and reached ``goal``;
-    ``travel`` defaults to the path's travel time."""
+def _found(snap: GraphSnapshot, parent: dict[int, int] | list[int],
+           order: list[int] | dict[int, int], goal: int, f: float | None = None,
+           travel: float | None = None) -> PlanResult:
+    """Result of a search that expanded ``order`` (a dict's keys, in order) and
+    reached ``goal``; ``travel`` defaults to the path's travel time, ``f`` to ``travel``."""
     ids = snap.index.ids
     path = _path(ids, parent, goal)
     if travel is None:
         travel = path_travel_time(snap, path)
-    return PlanResult(path, travel + path_penalty(snap, path), f, len(order), FOUND,
+    return PlanResult(path, travel + path_penalty(snap, path), travel if f is None else f,
                       tuple([ids[i] for i in order]))
 
 
-def _unreachable(snap: GraphSnapshot, order: list[int]) -> PlanResult:
+def _unreachable(snap: GraphSnapshot, order: list[int] | dict[int, int]) -> PlanResult:
     ids = snap.index.ids
-    return PlanResult((), _INF, _INF, len(order), UNREACHABLE, tuple([ids[i] for i in order]))
+    return PlanResult((), _INF, _INF, tuple([ids[i] for i in order]))
 
 
 def dyn_a_star(
@@ -235,27 +243,16 @@ def rrt_plan(
     tree up to ``RRT_STEP_EDGES`` hops toward the sample along locally greedy
     unblocked edges, for at most ``RRT_MAX_ITERATIONS`` samples. Distance ties
     go to the lower node index, i.e. the lower node id. Deterministic for a
-    fixed seed.
+    fixed seed. Its expansion order is the tree's nodes in insertion order.
     """
     s, t = _index_of(snap, start), _index_of(snap, goal)
     rng = random.Random(params.rng_seed)
     index, arcs = snap.index, snap.arcs
     ids, xs, ys = index.ids, index.xs, index.ys
 
-    def finish() -> PlanResult:
-        path = _path(ids, tree, t)
-        travel = path_travel_time(snap, path)
-        return PlanResult(
-            path=path,
-            g_cost=travel + path_penalty(snap, path),
-            f_cost_at_goal=travel,
-            expanded=len(tree),
-            status=FOUND,
-        )
-
-    tree: dict[int, int] = {s: -1}
+    tree: dict[int, int] = {s: -1}  # node -> parent, in insertion order
     if s == t:
-        return finish()
+        return _found(snap, tree, tree, t)
     for _ in range(RRT_MAX_ITERATIONS):
         sample = t if rng.random() < RRT_GOAL_BIAS else rng.randrange(len(ids))
         sx, sy = xs[sample], ys[sample]
@@ -277,8 +274,8 @@ def rrt_plan(
             tree[step] = current
             current = step
             if current == t:
-                return finish()
-    return PlanResult((), _INF, _INF, len(tree), UNREACHABLE)
+                return _found(snap, tree, tree, t)
+    return _unreachable(snap, tree)
 
 
 def weighted_path_cost(
@@ -314,21 +311,18 @@ def replan(
 
     ``fresh`` is a route from ``current_node`` the caller holds in place of
     a search, such as the route it drives while nothing that route or its
-    search read has changed. Only its path and status are read; only when it
-    is None does this run :func:`dyn_a_star`. A fresh plan that follows the
-    kept remainder is returned as it is; a kept remainder carries the
-    expansions of the search made here.
+    search read has changed. Only its path is read; only when it is None
+    does this run :func:`dyn_a_star`. A fresh plan that follows the kept
+    remainder is returned as it is, so a route held at the goal comes back
+    with no expansions; a kept remainder carries the expansions of the
+    search made here.
     """
     _index_of(snap, current_node)
-    if current_node == goal:
-        return PlanResult((goal,), 0.0, 0.0, 1, FOUND, (goal,))
-
-    suffix = ()
-    if prior.status == FOUND and current_node in prior.path:
-        suffix = prior.path[prior.path.index(current_node):]
+    held = prior.path
+    suffix = held[held.index(current_node):] if current_node in held else ()
     if fresh is None:
         fresh = dyn_a_star(snap, current_node, goal, params)
-    if fresh.status != FOUND or fresh.path == suffix:
+    if not fresh.path or fresh.path == suffix:  # unreachable, or the kept route
         return fresh
 
     # The kept route's remainder is walked once: its travel time is None if
@@ -343,11 +337,5 @@ def replan(
     fresh_value = weighted_path_cost(snap, fresh.path, w)
     if fresh_value < suffix_value * (1.0 - hysteresis):
         return fresh
-    return PlanResult(
-        path=suffix,
-        g_cost=suffix_travel + path_penalty(snap, suffix),
-        f_cost_at_goal=suffix_value,
-        expanded=fresh.expanded,
-        status=FOUND,
-        expansion_order=fresh.expansion_order,
-    )
+    return PlanResult(suffix, suffix_travel + path_penalty(snap, suffix), suffix_value,
+                      fresh.expansion_order)

@@ -44,7 +44,9 @@ search expanded and those of the route it kept. The same changes mark dirty
 the nodes whose expansion reads them; while none it read is dirty, it hands
 :func:`replan` its route in place of a search, the route a new search keeps
 at that search's origin but not always further on: with h2/h3 in the
-priority the heuristic is not consistent. ``expanded`` counts searches run.
+priority the heuristic is not consistent. ``expanded`` counts the
+expansions of searches that ran, and ``replans`` counts plan calls, hand-ons
+included.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ from .heuristics import (
     ingest_observations,
 )
 from .planners import (
-    FOUND,
     PlanResult,
     SearchParams,
     cheapest_edge,
@@ -109,6 +110,9 @@ _LAST_EPOCH = 2.0**62
 
 @dataclass(frozen=True)
 class SimConfig:
+    """A run's settings. ``noise_sigma``, the report noise, is set through
+    the Python API only: the CLI has no flag or config key for it."""
+
     epoch_s: float = 30.0
     hysteresis: float = 0.01
     share_observations: bool = True
@@ -296,11 +300,11 @@ class Simulation:
         if self.algorithm == "dyn_astar":
             # The route held (empty before the first plan) is handed on in place
             # of a search while nothing it or its search read has changed.
-            prior = PlanResult(v.plan_nodes, 0.0, 0.0, 0, FOUND)
+            prior = PlanResult(v.plan_nodes, 0.0, 0.0)
             fresh = prior if v.reads is not None and v.reads.isdisjoint(self._dirty) else None
             result = replan(prior, snap, origin, v.goal, v.params, self.config.hysteresis, fresh)
             v.replans += 1
-            if fresh is None:  # a search ran in this call, or replan answered at the goal
+            if fresh is None:  # a search ran in this call
                 v.reads = frozenset(result.expansion_order + result.path)
         else:
             result = PLANNERS[self.algorithm](snap, origin, v.goal, v.params)

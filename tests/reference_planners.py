@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from dynroute import (
-    FOUND,
-    UNREACHABLE,
     GraphSnapshot,
     HeuristicField,
     HeuristicWeights,
@@ -208,8 +206,6 @@ def dyn_a_star(
                 path=path,
                 g_cost=g_best[goal] + path_penalty(view, path),
                 f_cost_at_goal=f,
-                expanded=len(closed),
-                status=FOUND,
                 expansion_order=tuple(order),
             )
         g_node = g_best[node]
@@ -221,7 +217,7 @@ def dyn_a_star(
                 g_best[succ] = ng
                 parent[succ] = node
                 heapq.heappush(open_heap, (priority(ng, succ), h1(succ), succ))
-    return PlanResult((), _INF, _INF, len(closed), UNREACHABLE, tuple(order))
+    return PlanResult((), _INF, _INF, tuple(order))
 
 
 def dijkstra_ucs(view: IdView, start: str, goal: str) -> PlanResult:
@@ -253,8 +249,6 @@ def dijkstra_ucs(view: IdView, start: str, goal: str) -> PlanResult:
                 path=path,
                 g_cost=g + path_penalty(view, path),
                 f_cost_at_goal=g,
-                expanded=len(closed),
-                status=FOUND,
                 expansion_order=tuple(order),
             )
         for succ, _eid, eff in neighbors(view, node):
@@ -265,7 +259,7 @@ def dijkstra_ucs(view: IdView, start: str, goal: str) -> PlanResult:
                 dist[succ] = ng
                 parent[succ] = node
                 heapq.heappush(open_heap, (ng, h1(succ), succ))
-    return PlanResult((), _INF, _INF, len(closed), UNREACHABLE, tuple(order))
+    return PlanResult((), _INF, _INF, tuple(order))
 
 
 def greedy_best_first(view: IdView, start: str, goal: str) -> PlanResult:
@@ -293,8 +287,6 @@ def greedy_best_first(view: IdView, start: str, goal: str) -> PlanResult:
                 path=path,
                 g_cost=travel + path_penalty(view, path),
                 f_cost_at_goal=hv,
-                expanded=len(closed),
-                status=FOUND,
                 expansion_order=tuple(order),
             )
         for succ, _eid, _eff in neighbors(view, node):
@@ -302,7 +294,7 @@ def greedy_best_first(view: IdView, start: str, goal: str) -> PlanResult:
                 continue
             parent[succ] = node
             heapq.heappush(open_heap, (h1(succ), succ))
-    return PlanResult((), _INF, _INF, len(closed), UNREACHABLE, tuple(order))
+    return PlanResult((), _INF, _INF, tuple(order))
 
 
 def rrt_plan(
@@ -336,8 +328,7 @@ def rrt_plan(
             path=path,
             g_cost=travel + path_penalty(view, path),
             f_cost_at_goal=travel,
-            expanded=len(tree),
-            status=FOUND,
+            expansion_order=tuple(tree),
         )
 
     tree: dict[str, str | None] = {start: None}
@@ -364,7 +355,7 @@ def rrt_plan(
             current = step
             if current == goal:
                 return finish(tree)
-    return PlanResult((), _INF, _INF, len(tree), UNREACHABLE)
+    return PlanResult((), _INF, _INF, tuple(tree))
 
 
 def offline_optimal(scenario: Scenario, query: Query, epoch_s: float = 30.0) -> OracleResult:

@@ -497,6 +497,21 @@ class TestFileErrors:
         assert "can't decode byte 0xff" in out.out + out.err
         assert "Traceback" not in out.out + out.err
 
+    @pytest.mark.parametrize("kind", ["directory", "dangling-link"])
+    def test_unreadable_suite_entry_is_usage_error(self, kind, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "a.scn").write_text(scenario_doc(**LINE))
+        bad = suite / "x.scn"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.symlink_to(tmp_path / "gone.scn")
+        assert main(["bench", "--suite", str(suite)]) == 2
+        out = capsys.readouterr()
+        assert f"error: cannot read {bad}" in out.err
+        assert "Traceback" not in out.out + out.err
+
     def test_non_utf8_config_is_usage_error(self, line_scn, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b'{"algo": "\xff"}')

@@ -217,6 +217,19 @@ class TestRrt:
         snap = snap_of(diamond_graph())
         res = rrt_plan(snap, "d", "a", SearchParams(rng_seed=0))
         assert res.status == UNREACHABLE
+        assert res.expansion_order == ("d",)
+
+    @pytest.mark.parametrize("start, goal", [("n00_00", "n04_04"), ("n02_03", "n02_03")])
+    def test_expansion_order_is_the_tree_in_insertion_order(self, start, goal):
+        # Every node enters the tree after its parent, so the path's nodes
+        # appear in the expansion order in path order.
+        snap = snap_of(make_grid(5, 5, 100.0, 10.0))
+        res = rrt_plan(snap, start, goal, SearchParams(rng_seed=42))
+        order = res.expansion_order
+        assert res.status == FOUND and order[0] == start
+        assert res.expanded == len(order) == len(set(order))
+        at = [order.index(n) for n in res.path]
+        assert at == sorted(at)
 
 
 class TestReplan:
@@ -263,7 +276,13 @@ class TestReplan:
         assert (res.expanded, res.expansion_order) == (search.expanded, search.expansion_order)
         assert replan(res, snap, "a", "d", UNIT, hysteresis=0.05, fresh=res) is res
         assert [f.name for f in dataclasses.fields(PlanResult)] == [
-            "path", "g_cost", "f_cost_at_goal", "expanded", "status", "expansion_order"]
+            "path", "g_cost", "f_cost_at_goal", "expansion_order"]
+
+    def test_status_and_expanded_follow_from_path_and_order(self):
+        unreachable = PlanResult((), math.inf, math.inf, ("a", "b"))
+        found = PlanResult(("a",), 0.0, 0.0)
+        assert (unreachable.status, unreachable.expanded) == (UNREACHABLE, 2)
+        assert (found.status, found.expanded) == (FOUND, 0)
 
     def test_large_improvement_overcomes_hysteresis(self):
         g = diamond_graph()
@@ -297,8 +316,13 @@ class TestReplan:
     def test_at_goal_returns_empty_remaining_plan(self):
         snap = snap_of(diamond_graph())
         res = replan(self._prior(snap), snap, "d", "d", UNIT)
-        assert res.path == ("d",)
-        assert res.g_cost == 0.0
+        assert (res.path, res.g_cost, res.expanded) == (("d",), 0.0, 1)
+
+    def test_a_route_held_at_the_goal_is_handed_on_without_a_search(self):
+        snap = snap_of(diamond_graph())
+        held = PlanResult(("d",), 0.0, 0.0)
+        res = replan(held, snap, "d", "d", UNIT, fresh=held)
+        assert res is held and res.expanded == 0
 
     def test_given_search_is_not_rerun(self, monkeypatch):
         g = diamond_graph()

@@ -884,6 +884,31 @@ class TestSearchReuse:
         assert v["path"] == ["a", "b", "c", "d"] and v["replans"] == 5
         assert starts == ["a"]
 
+    @pytest.mark.parametrize("events, at_goal", [
+        ([], [0] * 7),
+        ([{"t_s": 90.0, "kind": "set_node_comfort_h", "target": "d", "value": 5.0}],
+         [0, 1, 0, 0, 0, 0, 0]),
+    ], ids=["clean", "goal-h2-changes"])
+    def test_a_plan_on_the_last_edge_expands_only_when_a_read_changed(self, events, at_goal):
+        # On b-d from t=50 to 250 the vehicle plans from its goal in seven
+        # epochs. Each hands on the route held, expanding nothing, unless a
+        # value it read changed: then the search from the goal expands it.
+        doc = scenario_doc(nodes=[("a", 0.0, 0.0), ("b", 500.0, 0.0), ("d", 2500.0, 0.0)],
+                           edges=[("e1", "a", "b", 500.0, 50.0), ("e2", "b", "d", 2000.0, 200.0)],
+                           events=events)
+        calls = []
+        real = simulate.replan
+
+        def recorded(prior, snap, current, *args):
+            result = real(prior, snap, current, *args)
+            calls.append((current, result.path, result.expanded))
+            return result
+        with patch.object(simulate, "replan", recorded):
+            (v,) = run(doc).vehicles
+        assert calls == ([("a", ("a", "b", "d"), 3), ("b", ("b", "d"), 0)]
+                         + [("d", ("d",), n) for n in at_goal])
+        assert (v["status"], v["replans"], v["expanded"]) == (ARRIVED, 9, 3 + sum(at_goal))
+
     def test_a_change_ahead_of_a_moved_vehicle_forces_a_new_search(self):
         # The vehicle plans from b at t=30 and from c at t=60 on its first
         # search. c-d, whose tail c that search expanded, slows at t=90,
