@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .graph import Query, Scenario, load_scenario
+from .graph import Query, Scenario, ScenarioError, load_scenario
 from .simulate import (
     ALGORITHMS,
     ARRIVED,
@@ -213,7 +213,10 @@ def evaluate_scenario(
 
 def _evaluate_path(args: tuple[str, float, SimConfig, tuple[str, ...]]) -> dict[str, dict]:
     path, rho, config, algorithms = args
-    scenario = load_scenario(Path(path).read_bytes())
+    try:
+        scenario = load_scenario(Path(path).read_bytes())
+    except ScenarioError as exc:  # name the file here: a worker's error reaches bench without it
+        raise type(exc)(f"{path}: {exc}") from None
     return evaluate_scenario(scenario, rho, config, algorithms)
 
 

@@ -26,7 +26,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping
+from operator import itemgetter
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .heuristics import HeuristicField, HeuristicWeights
 
@@ -56,15 +57,22 @@ _LEAST_VALUE = {SET_CONGESTION: 1.0, SET_COMFORT: 0.0, SET_NODE_COMFORT_H: 0.0,
 EVENT_KINDS = frozenset(_LEAST_VALUE)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class NodeRecord:
+    """A node's id and coordinates. Slotted rather than frozen, since one is
+    built per node record a document holds and nothing assigns to one after."""
+
     id: str
     x: float
     y: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class EdgeRecord:
+    """A directed edge's id, tail, head, length and free-flow time. Slotted
+    rather than frozen, since one is built per edge record a document holds
+    and nothing assigns to one after."""
+
     id: str
     from_node: str
     to_node: str
@@ -311,7 +319,46 @@ def make_grid(rows: int, cols: int, edge_length: float, speed: float) -> RoadGra
     return RoadGraph(nodes, edges)
 
 
+def components(index: SearchIndex) -> list[int]:
+    """Each node index's strongly connected component label, from one
+    iterative Tarjan pass over ``index.out`` ("Depth-first search and linear
+    graph algorithms", SIAM J. Comput. 1972). Two nodes share a label exactly
+    when each reaches the other; blocked edges count, as in :func:`reachable`."""
+    out = index.out
+    order, low = [0] * len(out), [0] * len(out)  # discovery number from 1; 0 while unvisited
+    label, stack, found = [-1] * len(out), [], 0  # label -1 while unvisited or stacked
+    for root in range(len(out)):
+        if order[root]:
+            continue
+        found += 1
+        order[root] = low[root] = found
+        stack.append(root)
+        walk = [(root, iter(out[root]))]
+        while walk:
+            u, arcs = walk[-1]
+            for _eid, v, _base in arcs:
+                if not order[v]:
+                    found += 1
+                    order[v] = low[v] = found
+                    stack.append(v)
+                    walk.append((v, iter(out[v])))
+                    break
+                if label[v] < 0 and order[v] < low[u]:
+                    low[u] = order[v]
+            else:
+                walk.pop()
+                if low[u] == order[u]:  # u roots a component: the stack down to u
+                    while label[u] < 0:
+                        label[stack.pop()] = u
+                elif low[u] < low[walk[-1][0]]:
+                    low[walk[-1][0]] = low[u]
+    return label
+
+
 def reachable(graph: RoadGraph, start: str, goal: str) -> bool:
+    """Whether ``goal`` is reachable from ``start`` along any edges, blocked
+    ones included: a depth-first search that stops at the goal. The loader
+    runs it only for a goal outside its start's component (:func:`components`)."""
     index = graph.index
     goal_i = index.pos[goal]
     stack = [index.pos[start]]
@@ -343,20 +390,37 @@ def reachable(graph: RoadGraph, start: str, goal: str) -> bool:
 
 _REQUIRED = object()
 
-_DOCUMENT = {"meta": (dict, _REQUIRED), "nodes": (list, _REQUIRED), "edges": (list, _REQUIRED),
-             "heuristics": (dict, {}), "events": (list, []), "queries": (list, _REQUIRED)}
-_META = {"name": (str, _REQUIRED), "seed": (int, 0), "alpha": (float, 0.3)}
-_NODE = {"id": (str, _REQUIRED), "x": (float, _REQUIRED), "y": (float, _REQUIRED)}
-_EDGE = {"id": (str, _REQUIRED), "from": (str, _REQUIRED), "to": (str, _REQUIRED),
-         "length_m": (float, _REQUIRED), "base_time_s": (float, _REQUIRED)}
-_HEURISTICS = {"h2": (dict, {}), "h3": (dict, {})}
-_EVENT = {"t_s": (float, _REQUIRED), "kind": (str, _REQUIRED), "target": (str, _REQUIRED),
-          "value": (float, None), "sensed_only": (bool, False)}
-_QUERY = {"vehicle": (str, _REQUIRED), "start": (str, _REQUIRED), "goal": (str, _REQUIRED),
-          "depart_s": (float, 0.0), "weights": (dict, {}), "context": (dict, {})}
-_WEIGHTS = {"wg": (float, 1.0), "w1": (float, 1.0), "w2": (float, 1.0), "w3": (float, 1.0)}
-_CONTEXT = {"prefers_comfort": (bool, False), "rough_road": (bool, False),
-            "heavy_traffic": (bool, False)}
+
+class _Table(dict):
+    """A record's field table, with its one-step read: ``getter`` fetches
+    every key in table order (as a tuple, since a table has two keys or
+    more) and ``kinds`` holds each key's exact type."""
+
+    __slots__ = ("getter", "kinds")
+
+    def __init__(self, fields: dict):
+        super().__init__(fields)
+        self.getter = itemgetter(*fields)
+        self.kinds = tuple(kind for kind, _default in fields.values())
+
+
+_DOCUMENT = _Table({"meta": (dict, _REQUIRED), "nodes": (list, _REQUIRED),
+                    "edges": (list, _REQUIRED), "heuristics": (dict, {}), "events": (list, []),
+                    "queries": (list, _REQUIRED)})
+_META = _Table({"name": (str, _REQUIRED), "seed": (int, 0), "alpha": (float, 0.3)})
+_NODE = _Table({"id": (str, _REQUIRED), "x": (float, _REQUIRED), "y": (float, _REQUIRED)})
+_EDGE = _Table({"id": (str, _REQUIRED), "from": (str, _REQUIRED), "to": (str, _REQUIRED),
+                "length_m": (float, _REQUIRED), "base_time_s": (float, _REQUIRED)})
+_HEURISTICS = _Table({"h2": (dict, {}), "h3": (dict, {})})
+_EVENT = _Table({"t_s": (float, _REQUIRED), "kind": (str, _REQUIRED),
+                 "target": (str, _REQUIRED), "value": (float, None), "sensed_only": (bool, False)})
+_QUERY = _Table({"vehicle": (str, _REQUIRED), "start": (str, _REQUIRED),
+                 "goal": (str, _REQUIRED), "depart_s": (float, 0.0), "weights": (dict, {}),
+                 "context": (dict, {})})
+_WEIGHTS = _Table({"wg": (float, 1.0), "w1": (float, 1.0), "w2": (float, 1.0),
+                   "w3": (float, 1.0)})
+_CONTEXT = _Table({"prefers_comfort": (bool, False), "rough_road": (bool, False),
+                   "heavy_traffic": (bool, False)})
 
 _TYPE_NAMES = {str: "a string", float: "a number", int: "an integer", bool: "a boolean",
                list: "a list", dict: "an object"}
@@ -377,12 +441,23 @@ def _value(v, kind: type, key: str, where: str):
     raise ParseError(f"{where}: {key!r} must be {_TYPE_NAMES[kind]}")
 
 
-def _record(obj, table: dict, where: str) -> list:
+def _record(obj, table: _Table, where: str) -> Sequence:
     """The values of record ``obj`` in ``table`` order, with defaults filled in.
 
     Raises :class:`ParseError` if ``obj`` is not an object, has a key the
     table lacks, misses a required key or holds a value of the wrong type.
+    A record holding exactly the table's keys, each of its exact type, is
+    read in one step; every other goes through the per-key walk, the only
+    code that fills a default, reads an int as a number or names an error.
     """
+    if type(obj) is dict and len(obj) == len(table):
+        try:
+            values = table.getter(obj)
+        except KeyError:  # an unknown key in place of one of the table's
+            pass
+        else:
+            if tuple(map(type, values)) == table.kinds:
+                return values
     if type(obj) is not dict:
         raise ParseError(f"{where} must be an object")
     if not obj.keys() <= table.keys():
@@ -419,6 +494,10 @@ def load_scenario(text: str | bytes) -> Scenario:
     value that is not finite or below its kind's least, an event on an
     unknown edge or node, unreachable goals). Each event is checked here
     once and applied nowhere: :func:`apply_event` relies on these checks.
+    Reachability takes one component labelling, made at the first query
+    that needs it, plus a search (:func:`reachable`) only for a goal outside
+    its start's component. Queries are checked in order, each fully before
+    the next, so an error names the first query that fails any check.
     """
     try:
         doc = json.loads(text)
@@ -477,6 +556,7 @@ def load_scenario(text: str | bytes) -> Scenario:
 
     queries = []
     vehicles = set()
+    pos, labels = graph.index.pos, None  # component labels, made at the first reachability check
     for i, q in enumerate(query_docs):
         where = f"queries[{i}]"
         vehicle, start, goal, depart_s, w, ctx = _record(q, _QUERY, where)
@@ -494,7 +574,9 @@ def load_scenario(text: str | bytes) -> Scenario:
                 raise ValidationError(f"{where}: {label} names unknown node {endpoint!r}")
         if not (math.isfinite(depart_s) and depart_s >= 0):
             raise ValidationError(f"{where}: depart_s must be finite and >= 0")
-        if not reachable(graph, start, goal):
+        if labels is None:
+            labels = components(graph.index)
+        if labels[pos[start]] != labels[pos[goal]] and not reachable(graph, start, goal):
             raise ValidationError(f"{where}: goal {goal!r} unreachable from {start!r}")
         queries.append(query)
 

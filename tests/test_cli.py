@@ -512,6 +512,19 @@ class TestFileErrors:
         assert f"error: cannot read {bad}" in out.err
         assert "Traceback" not in out.out + out.err
 
+    # The suite file is named whether it was loaded here or in a worker process.
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_malformed_suite_entry_is_named(self, jobs, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "a.scn").write_text(scenario_doc(**LINE))
+        bad = suite / "y.scn"
+        bad.write_text('{"meta": {}}')
+        assert main(["bench", "--suite", str(suite), "--jobs", jobs]) == 3
+        out = capsys.readouterr()
+        assert f"error: {bad}: document: missing required key 'nodes'" in out.err
+        assert "Traceback" not in out.out + out.err
+
     def test_non_utf8_config_is_usage_error(self, line_scn, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(b'{"algo": "\xff"}')
@@ -572,10 +585,17 @@ class TestValidate:
          "unknown key(s) ['w4'] in queries[0].weights"),
         (lambda d: d["queries"][0]["context"].update(raining=True),
          "unknown key(s) ['raining'] in queries[0].context"),
+        # Records the one-step read must hand to the per-key walk, which names the error.
+        (lambda d: d["edges"][0].update(length=d["edges"][0].pop("length_m")),
+         "unknown key(s) ['length'] in edges[0]"),
+        (lambda d: d["nodes"][0].update(x=True), "nodes[0]: 'x' must be a number"),
+        (lambda d: d["edges"][2].update(length_m="500"), "edges[2]: 'length_m' must be a number"),
+        (lambda d: d["edges"][1].update(lanes=2), "unknown key(s) ['lanes'] in edges[1]"),
     ], ids=["nodes-int", "h2-text", "h2-list", "flag-text", "alpha-text", "wg-text",
             "events-object", "block-value-null", "congestion-value-null",
             "sensed-only-null", "seed-bool", "seed-float", "node-x-missing",
-            "query-vehicle-missing", "weights-unknown-key", "context-unknown-key"])
+            "query-vehicle-missing", "weights-unknown-key", "context-unknown-key",
+            "edge-key-renamed", "node-x-bool", "edge-length-text", "edge-extra-key"])
     def test_mistyped_value_is_a_scenario_error(self, mutate, message, tmp_path, capsys):
         doc = json.loads(scenario_doc(**LINE))
         mutate(doc)

@@ -23,7 +23,7 @@ from dynroute import (
     snapshot,
 )
 from dynroute import graph as graph_module
-from dynroute.graph import SET_CONGESTION, apply_events, scenario_to_dict
+from dynroute.graph import SET_CONGESTION, apply_events, components, reachable, scenario_to_dict
 from dynroute.suite import write_suites
 from reference_planners import assert_snapshot_of, id_view, neighbors
 
@@ -87,6 +87,27 @@ class TestLoadScenario:
         doc["queries"][0]["goal"] = "a"
         with pytest.raises(ValidationError, match="unreachable"):
             load_scenario(json.dumps(doc))
+
+    def test_first_failing_query_is_named(self):
+        # Checks run query by query: queries[1]'s unknown goal is never reached.
+        doc = json.loads(mini_doc())
+        first = dict(doc["queries"][0], start="b", goal="a")
+        doc["queries"] = [first, dict(first, vehicle="v2", goal="n9")]
+        with pytest.raises(ValidationError) as info:
+            load_scenario(json.dumps(doc))
+        assert str(info.value) == "queries[0]: goal 'a' unreachable from 'b'"
+
+    def test_int_number_fields_load_as_floats(self):
+        # An int is no float, so such a record takes the per-key walk, which
+        # reads the int as a number; the document round-trips with floats.
+        doc = json.loads(mini_doc())
+        doc["nodes"][1]["x"] = 100
+        doc["edges"][0]["length_m"] = 100
+        scn = load_scenario(json.dumps(doc))
+        assert type(scn.graph.nodes["b"].x) is type(scn.graph.edges["e1"].length_m) is float
+        text = serialize_scenario(scn)
+        assert '"x": 100.0' in text and '"length_m": 100.0' in text
+        assert serialize_scenario(load_scenario(text)) == text
 
     @pytest.mark.parametrize("old, new", [
         ('"t_s": 5.0', '"t_s": 1e400'),
@@ -192,6 +213,80 @@ class TestLoadScenario:
         far = Scenario(graph, HeuristicField(), (Event(30, SET_CONGESTION, "e1", 10**400),),
                        scn.queries, "py", 1)
         assert scenario_to_dict(far)["events"][0]["value"] == math.inf
+
+
+def _digraph(n: int, arcs) -> RoadGraph:
+    """Nodes n0..n{n-1} and one unit edge per (tail, head) pair of ``arcs``."""
+    return RoadGraph([NodeRecord(f"n{i}", float(i), 0.0) for i in range(n)],
+                     [EdgeRecord(f"e{k:03d}", f"n{u}", f"n{v}", 1.0, 1.0)
+                      for k, (u, v) in enumerate(arcs)])
+
+
+def _assert_labels_match_mutual_reachability(n: int, arcs) -> None:
+    graph = _digraph(n, arcs)
+    labels = components(graph.index)
+    for s in graph.nodes:
+        for t in graph.nodes:
+            both = reachable(graph, s, t) and reachable(graph, t, s)
+            assert (labels[graph.index.pos[s]] == labels[graph.index.pos[t]]) == both
+
+
+def _assert_load_agrees_with_a_search_per_query(n: int, arcs, queries) -> None:
+    """The reference searches every query in order and names the first whose
+    goal it cannot reach; the loader must accept or reject alike."""
+    graph = _digraph(n, arcs)
+    built = tuple(Query(f"v{i}", f"n{s}", f"n{g}", 0.0, HeuristicWeights(1, 1, 0, 0))
+                  for i, (s, g) in enumerate(queries))
+    text = serialize_scenario(Scenario(graph, HeuristicField(), (), built, "reach", 1))
+    expected = next((f"queries[{i}]: goal {q.goal!r} unreachable from {q.start!r}"
+                     for i, q in enumerate(built) if not reachable(graph, q.start, q.goal)), None)
+    if expected is None:
+        assert load_scenario(text).queries == built
+    else:
+        with pytest.raises(ValidationError) as info:
+            load_scenario(text)
+        assert str(info.value) == expected
+
+
+@st.composite
+def _digraphs(draw):
+    """Up to 8 nodes and arcs between any two, so self-loops, parallel edges,
+    isolated nodes and several components all occur."""
+    n = draw(st.integers(1, 8))
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=3 * n))
+
+
+class TestComponents:
+    """Component labels against their definition, mutual reachability by search."""
+
+    @pytest.mark.parametrize("n, arcs", [
+        (5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+        (6, [(0, 1), (1, 0), (3, 4), (4, 5), (5, 3)]),
+        (3, [(0, 0), (0, 1), (0, 1), (1, 2), (2, 1), (2, 2)]),
+        (1, []),
+    ], ids=["one-way-chain", "two-cycles-and-an-isolated-node", "self-loops-and-parallel-edges",
+            "one-node"])
+    def test_pinned_graphs(self, n, arcs):
+        _assert_labels_match_mutual_reachability(n, arcs)
+        _assert_load_agrees_with_a_search_per_query(n, arcs, [(0, n - 1), (n - 1, 0)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=_digraphs())
+    def test_labels_match_mutual_reachability(self, graph):
+        _assert_labels_match_mutual_reachability(*graph)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=_digraphs(), data=st.data())
+    def test_load_agrees_with_a_search_per_query(self, graph, data):
+        node = st.integers(0, graph[0] - 1)
+        queries = data.draw(st.lists(st.tuples(node, node), min_size=1, max_size=4))
+        _assert_load_agrees_with_a_search_per_query(*graph, queries)
+
+    def test_long_cycle_needs_no_recursion(self):
+        n = 20_000  # far deeper than the interpreter's recursion limit
+        labels = components(_digraph(n, [(i, (i + 1) % n) for i in range(n)]).index)
+        assert len(set(labels)) == 1
 
 
 class TestApplyEvent:
