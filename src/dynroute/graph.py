@@ -4,9 +4,11 @@ The static topology never changes after a scenario is loaded. It is compiled
 once, when a :class:`RoadGraph` is built, into a :class:`SearchIndex`, the
 one adjacency structure: nodes numbered in sorted-id order, their
 coordinates, each node's outgoing edges as (edge id, head index, base time)
-and the network's top speed. Copies, snapshots and every ground-truth state
-share that one object. The graph keeps its id-keyed node and edge records
-for validation, serialization and the observation ratio.
+and the network's top speed; its landmark table, the free-flow times behind
+A*'s landmark bound, is built by the first search that reads it. Copies,
+snapshots and every ground-truth state share that one object. The graph
+keeps its id-keyed node and edge records for validation, serialization and
+the observation ratio.
 
 Time-varying state lives in a per-edge overlay (congestion factor, blocked
 set) plus the per-node heuristic field. Planners never see the mutable state
@@ -23,10 +25,11 @@ applying one changes nothing.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import itemgetter, neg
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .heuristics import HeuristicField, HeuristicWeights
@@ -116,9 +119,11 @@ class SearchIndex:
     node's outgoing edges as (edge id, head index, base time) in ascending
     edge-id order, blocked edges included. ``v_max`` is the free-flow
     network top speed, the divisor of the time heuristic.
+    :meth:`landmark_rows` is the table behind the landmark lower bound,
+    built at its first call.
     """
 
-    __slots__ = ("ids", "pos", "xs", "ys", "out", "v_max")
+    __slots__ = ("ids", "pos", "xs", "ys", "out", "v_max", "_landmark_rows")
 
     def __init__(self, nodes: Mapping[str, NodeRecord], edges: Mapping[str, EdgeRecord]):
         self.ids: tuple[str, ...] = tuple(sorted(nodes))
@@ -133,6 +138,71 @@ class SearchIndex:
         self.v_max: float = max(
             (e.length_m / e.base_time_s for e in edges.values()), default=1.0
         )
+        self._landmark_rows: tuple[tuple[float, ...], ...] | None = None
+
+    def landmark_rows(self) -> tuple[tuple[float, ...], ...]:
+        """Each node's row of free-flow times to and from the landmarks,
+        built at the first call.
+
+        Node ``v``'s row is ``(0.0, d(v, L1), ..., d(v, Lk), -d(L1, v), ...,
+        -d(Lk, v))``: times on base times along ``out``, blocked edges
+        included, infinite where there is no route (or the sum overflows).
+        Up to :data:`LANDMARKS` landmarks are picked by farthest selection
+        (Goldberg & Harrelson, SODA 2005): each is the node with the longest
+        time to the landmarks picked before it, a node with no route counting
+        as farthest and ties going to the lowest index, so the first is node 0.
+
+        ``max(map(sub, rows[v], rows[t]))`` is then the landmark bound on the
+        time from ``v`` to ``t``: the largest of 0.0 and the triangle terms
+        ``d(v, L) - d(t, L)`` and ``d(L, t) - d(L, v)`` (negation is exact).
+        A term that reads inf - inf is NaN, which ``max`` never picks over
+        the leading 0.0; one that reads inf - d proves ``v`` cannot reach
+        ``t``. The bound is consistent, and it holds on every snapshot,
+        since congestion is at least 1 and blocking only removes arcs
+        (Delling & Wagner, WEA 2007).
+        """
+        if self._landmark_rows is None:
+            self._landmark_rows = _landmark_rows(self.out)
+        return self._landmark_rows
+
+
+# Landmarks in :meth:`SearchIndex.landmark_rows`, or every node of a smaller graph.
+LANDMARKS = 4
+
+
+def _times(arcs, source: int) -> list[float]:
+    """Dijkstra's free-flow times from ``source`` along ``arcs``' (edge id,
+    node, base time) rows: ``SearchIndex.out``, or the same arcs reversed."""
+    dist = [math.inf] * len(arcs)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    push, pop = heapq.heappush, heapq.heappop
+    while heap:
+        d, u = pop(heap)
+        if d > dist[u]:  # a stale entry: u was reached cheaper since
+            continue
+        for _eid, v, base in arcs[u]:
+            nd = d + base
+            if nd < dist[v]:
+                dist[v] = nd
+                push(heap, (nd, v))
+    return dist
+
+
+def _landmark_rows(out) -> tuple[tuple[float, ...], ...]:
+    """The rows of :meth:`SearchIndex.landmark_rows` for the arcs ``out``."""
+    into: list[list[tuple[str, int, float]]] = [[] for _ in out]
+    for u, arcs in enumerate(out):
+        for eid, v, base in arcs:
+            into[v].append((eid, u, base))
+    far = [math.inf] * len(out)  # each node's time to the nearest landmark so far
+    to_landmarks, from_landmarks = [], []
+    for _ in range(min(LANDMARKS, len(out))):
+        landmark = far.index(max(far))
+        to_landmarks.append(_times(into, landmark))
+        from_landmarks.append(list(map(neg, _times(out, landmark))))
+        far = list(map(min, far, to_landmarks[-1]))
+    return tuple(zip([0.0] * len(out), *to_landmarks, *from_landmarks))
 
 
 class RoadGraph:
@@ -441,7 +511,7 @@ def _value(v, kind: type, key: str, where: str):
     raise ParseError(f"{where}: {key!r} must be {_TYPE_NAMES[kind]}")
 
 
-def _record(obj, table: _Table, where: str) -> Sequence:
+def _record(obj, table: _Table, where: str, index: int | None = None) -> Sequence:
     """The values of record ``obj`` in ``table`` order, with defaults filled in.
 
     Raises :class:`ParseError` if ``obj`` is not an object, has a key the
@@ -449,6 +519,8 @@ def _record(obj, table: _Table, where: str) -> Sequence:
     A record holding exactly the table's keys, each of its exact type, is
     read in one step; every other goes through the per-key walk, the only
     code that fills a default, reads an int as a number or names an error.
+    An error names the record ``where``, or ``where[index]`` given an
+    ``index``, formatted only on the walk.
     """
     if type(obj) is dict and len(obj) == len(table):
         try:
@@ -458,6 +530,8 @@ def _record(obj, table: _Table, where: str) -> Sequence:
         else:
             if tuple(map(type, values)) == table.kinds:
                 return values
+    if index is not None:
+        where = f"{where}[{index}]"
     if type(obj) is not dict:
         raise ParseError(f"{where} must be an object")
     if not obj.keys() <= table.keys():
@@ -506,8 +580,8 @@ def load_scenario(text: str | bytes) -> Scenario:
     meta, node_docs, edge_docs, heur, event_docs, query_docs = _record(doc, _DOCUMENT, "document")
     name, seed, alpha = _record(meta, _META, "meta")
 
-    nodes = [NodeRecord(*_record(n, _NODE, f"nodes[{i}]")) for i, n in enumerate(node_docs)]
-    edges = [EdgeRecord(*_record(e, _EDGE, f"edges[{i}]")) for i, e in enumerate(edge_docs)]
+    nodes = [NodeRecord(*_record(n, _NODE, "nodes", i)) for i, n in enumerate(node_docs)]
+    edges = [EdgeRecord(*_record(e, _EDGE, "edges", i)) for i, e in enumerate(edge_docs)]
     graph = RoadGraph(nodes, edges)
 
     maps = []
@@ -529,7 +603,7 @@ def load_scenario(text: str | bytes) -> Scenario:
     events = []
     prev_t = -math.inf
     for i, ev in enumerate(event_docs):
-        event = Event(*_record(ev, _EVENT, f"events[{i}]"))
+        event = Event(*_record(ev, _EVENT, "events", i))
         t, kind, target, value = event.at_time, event.kind, event.target, event.value
         if kind not in EVENT_KINDS:
             raise ValidationError(f"events[{i}]: unknown kind {kind!r}")

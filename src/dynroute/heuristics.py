@@ -3,7 +3,8 @@
 Three heuristic channels feed the search:
 
 * h1 -- remaining travel time, straight-line distance over the network's
-  free-flow top speed (admissible and consistent);
+  free-flow top speed (admissible and consistent), raised on larger graphs
+  to a landmark bound (see :mod:`dynroute.planners`);
 * h2 -- comfort, a per-node seconds-equivalent penalty updated at runtime
   from events and from shared observations, each of which reports the h2 the
   truth charged the reporter at the edge's head;

@@ -9,6 +9,16 @@ heuristic, then by node index, which is the order of node ids. The weighted
 dynamic planner treats comfort/safety as priority-shaping heuristic terms
 only; reported costs additionally charge the per-node comfort/safety
 penalties actually traversed, so routed comfort shows up in evaluation.
+
+The time heuristic h1 is a lower bound on the free-flow time to the goal:
+the straight-line distance over the network's top speed. On a graph of at
+least ``LANDMARK_MIN_NODES`` nodes, A* and the dynamic planner (any weighted
+search with w1 > 0) take the larger of that and the landmark bound read
+from the index's table (:meth:`~dynroute.graph.SearchIndex.landmark_rows`),
+which the first such search builds. Congestion is at least 1 and blocking
+only removes arcs, so both bounds hold on every snapshot. UCS (w1 = 0) reads
+only the straight-line time, as its tie-break, and greedy best-first and RRT
+use the straight line alone.
 """
 
 from __future__ import annotations
@@ -17,6 +27,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
+from operator import sub
 
 from .graph import GraphSnapshot
 from .heuristics import HeuristicWeights
@@ -31,6 +42,12 @@ _INF = math.inf
 RRT_MAX_ITERATIONS = 2000
 RRT_STEP_EDGES = 3
 RRT_GOAL_BIAS = 0.1
+
+# The fewest nodes a graph needs for A* and the dynamic planner to read the
+# landmark bound. Each push then costs a row evaluation, which on random
+# queries over congested grids repays itself in fewer expansions only from
+# about this size on; on smaller graphs h1 is the straight-line time alone.
+LANDMARK_MIN_NODES = 500
 
 
 @dataclass(frozen=True)
@@ -149,10 +166,15 @@ def dyn_a_star(
     """Best-first search with weighted time/comfort/safety heuristics.
 
     Priority of a node with accumulated travel time g is
-    ``w_g*g + w1*h1 + w2*h2 + w3*h3``. With weights (1,0,0,0) this is
-    uniform-cost search; with (1,1,0,0) and the consistent straight-line time
-    heuristic it is classical A*. Both return optimal travel time; other
-    weightings trade optimality for preference.
+    ``w_g*g + w1*h1 + w2*h2 + w3*h3``. h1 is the straight-line time or,
+    where w1 is not zero on a graph of at least ``LANDMARK_MIN_NODES``
+    nodes, the larger of that and the landmark bound, evaluated at each push
+    as ``max(map(sub, rows[v], rows[goal]))`` over the index's landmark
+    rows. Both are consistent, so with weights (1,1,0,0) this is classical
+    A*; with weights (1,0,0,0) it is uniform-cost search, and h1 only breaks
+    ties. Both return optimal travel time; other weightings trade optimality
+    for preference. An h1 of infinity, a landmark's proof that the node
+    cannot reach the goal, puts the node last but still in the search.
     """
     s, t = _index_of(snap, start), _index_of(snap, goal)
     w = params.weights
@@ -162,28 +184,30 @@ def dyn_a_star(
     arcs, h2_at, h3_at = snap.arcs, snap.h2_at, snap.h3_at
     gx, gy, v_max = xs[t], ys[t], index.v_max
     hypot, push, pop = math.hypot, heapq.heappush, heapq.heappop
+    n = len(ids)
+    landmarks = w1 and n >= LANDMARK_MIN_NODES
+    rows = index.landmark_rows() if landmarks else None
+    goal_row = rows[t] if landmarks else None
 
     h = hypot(xs[s] - gx, ys[s] - gy) / v_max
+    if landmarks:
+        h = max(h, max(map(sub, rows[s], goal_row)))
     f = wg * 0.0 + w1 * h + w2 * h2_at[s] + w3 * h3_at[s]
-    n = len(ids)
     g_best = [_INF] * n
     g_best[s] = 0.0
     parent = [-1] * n
     open_heap: list[tuple[float, float, int]] = [(f, h, s)]
-    closed = bytearray(n)
     order: list[int] = []
     while open_heap:
         f, _, u = pop(open_heap)
-        if closed[u]:
+        g_u = g_best[u]
+        if g_u < 0.0:  # closed: expanded already
             continue
-        closed[u] = 1
+        g_best[u] = -1.0  # below any g, so no arc reopens a closed node
         order.append(u)
         if u == t:
-            return _found(snap, parent, order, t, f, g_best[t])
-        g_u = g_best[u]
+            return _found(snap, parent, order, t, f, g_u)
         for _eid, v, eff in arcs[u]:
-            if closed[v]:
-                continue
             ng = g_u + eff
             if ng < g_best[v]:
                 g_best[v] = ng
@@ -191,6 +215,10 @@ def dyn_a_star(
                 # h1 and the priority repeat the float operations, in order,
                 # of the reference definitions the differential tests hold.
                 h = hypot(xs[v] - gx, ys[v] - gy) / v_max
+                if landmarks:
+                    bound = max(map(sub, rows[v], goal_row))
+                    if bound > h:
+                        h = bound
                 push(open_heap, (wg * ng + w1 * h + w2 * h2_at[v] + w3 * h3_at[v], h, v))
     return _unreachable(snap, order)
 

@@ -2,20 +2,22 @@
 
 They read an :class:`IdView`, the id-keyed state a snapshot is taken from,
 copied by :func:`id_view` from a ``RoadGraph`` and ``HeuristicField``, never a
-snapshot's planning view. ``neighbors``, ``time_heuristic`` and
-``combined_f`` are the reference definitions of successors, h1 and the
-search priority; ``node_penalty``, ``cheapest_edge``, ``path_travel_time``
-and ``path_penalty`` those of path costs. They speak in node ids, one call
-per node or edge. :func:`assert_snapshot_of` checks a snapshot's planning
-view against a view, id by id.
+snapshot's planning view. ``neighbors``, ``time_heuristic``,
+``landmark_times`` with ``landmark_bound``, and ``combined_f`` are the
+reference definitions of successors, the two parts of h1 and the search
+priority; ``node_penalty``, ``cheapest_edge``, ``path_travel_time`` and
+``path_penalty`` those of path costs. They speak in node ids, one call per
+node or edge. :func:`assert_snapshot_of` checks a snapshot's planning view
+against a view, id by id.
 
 The planners here are the planners as first written: they expand nodes
-through ``neighbors()`` and price them with ``time_heuristic`` and
-``combined_f``. The planners in ``dynroute.planners`` inline those
-definitions in tight loops over node indices and must return exactly the
-same results. ``offline_optimal`` is the oracle as first written, keyed by
-node id and reading its own ground truth, :class:`IdTimeline`; the oracle in
-``dynroute.evaluate`` searches on node indices and must match it bit for bit.
+through ``neighbors()`` and price them with ``time_heuristic``,
+``landmark_bound`` and ``combined_f``. The planners in ``dynroute.planners``
+inline those definitions in tight loops over node indices and must return
+exactly the same results. ``offline_optimal`` is the oracle as first
+written, keyed by node id and reading its own ground truth,
+:class:`IdTimeline`; the oracle in ``dynroute.evaluate`` searches on node
+indices and must match it bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dynroute import (
     SearchParams,
     apply_event,
 )
-from dynroute import planners
+from dynroute import graph, planners
 from dynroute.evaluate import OracleResult
 from dynroute.graph import Query, Scenario
 
@@ -124,6 +126,61 @@ def time_heuristic(view: IdView, node: str, goal: str) -> float:
     return math.hypot(index.xs[n] - index.xs[g], index.ys[n] - index.ys[g]) / index.v_max
 
 
+def _times(edges: list[tuple[str, str, float]], ids, source: str) -> dict[str, float]:
+    """Free-flow time from ``source`` to every node along ``edges`` (tail,
+    head, base time), relaxed until nothing changes (Bellman-Ford), not by a
+    priority queue; infinite where there is no route."""
+    times = dict.fromkeys(ids, _INF)
+    times[source] = 0.0
+    changed = True
+    while changed:
+        changed = False
+        for u, v, base in edges:
+            if times[u] + base < times[v]:
+                times[v] = times[u] + base
+                changed = True
+    return times
+
+
+def landmark_times(view: IdView) -> dict[str, tuple[dict[str, float], dict[str, float]]]:
+    """Each landmark's free-flow times, keyed by id: from every node to it,
+    and from it to every node.
+
+    The landmarks are picked by farthest selection: each next one is the node
+    whose least time to the landmarks so far is greatest, a node with no
+    route counting as infinitely far and ties going to the lowest id, up to
+    ``graph.LANDMARKS`` of them. Times are on base times over every edge,
+    blocked or not.
+    """
+    ids = view.index.ids
+    edges = [(ids[u], ids[v], base) for u, arcs in enumerate(view.index.out)
+             for _eid, v, base in arcs]
+    reverse = [(v, u, base) for u, v, base in edges]
+    far = dict.fromkeys(ids, _INF)
+    times = {}
+    for _ in range(min(graph.LANDMARKS, len(ids))):
+        landmark = min(ids, key=lambda n: (-far[n], n))
+        to = _times(reverse, ids, landmark)
+        times[landmark] = (to, _times(edges, ids, landmark))
+        far = {n: min(far[n], to[n]) for n in ids}
+    return times
+
+
+def landmark_bound(times: dict[str, tuple[dict[str, float], dict[str, float]]],
+                   node: str, goal: str) -> float:
+    """Lower bound on free-flow time from ``node`` to ``goal`` by the triangle
+    inequality: the largest of 0 and, for each landmark L, d(node, L) -
+    d(goal, L) and d(L, goal) - d(L, node). A term whose two times are both
+    infinite says nothing and is skipped."""
+    terms = [0.0]
+    for a, b in [(to[node], to[goal]) for to, _ in times.values()] + [
+            (frm[goal], frm[node]) for _, frm in times.values()]:
+        if a == b == _INF:
+            continue
+        terms.append(a - b)
+    return max(terms)
+
+
 def node_penalty(view: IdView, node: str) -> float:
     return view.h2.get(node, 0.0) + view.h3.get(node, 0.0)
 
@@ -155,9 +212,13 @@ def path_penalty(view: IdView, path: tuple[str, ...]) -> float:
 
 
 def combined_f(g: float, h1: float, h2: float, h3: float, w: HeuristicWeights) -> float:
-    for name, v in (("g", g), ("h1", h1), ("h2", h2), ("h3", h3)):
+    """The search priority. h1 may be infinite, a landmark's proof that the
+    node cannot reach the goal, but never NaN; the other terms are finite."""
+    for name, v in (("g", g), ("h2", h2), ("h3", h3)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
+    if not h1 >= 0.0:
+        raise ValueError(f"h1 must be >= 0, got {h1}")
     return w.w_g * g + w.w1 * h1 + w.w2 * h2 + w.w3 * h3
 
 
@@ -175,16 +236,22 @@ def dyn_a_star(
     """Best-first search with weighted time/comfort/safety heuristics.
 
     Priority of a node with accumulated travel time g is
-    ``w_g*g + w1*h1 + w2*h2 + w3*h3``. With weights (1,1,0,0) and the
-    consistent straight-line time heuristic this is classical A* and returns
-    optimal travel time; other weightings trade optimality for preference.
+    ``w_g*g + w1*h1 + w2*h2 + w3*h3``. Where w1 is not zero on a graph of
+    at least ``planners.LANDMARK_MIN_NODES`` nodes (read when called, so a
+    test that patches it changes both planners alike), h1 is the larger of
+    the straight-line time and the landmark bound, both consistent; with
+    weights (1,1,0,0) this is classical A* and returns optimal travel time.
+    Otherwise h1 is the straight-line time, which w1 = 0 reads only as the
+    tie-break. Other weightings trade optimality for preference.
     """
     _check_node(view, start)
     _check_node(view, goal)
     w = params.weights
+    landmarks = w.w1 and len(view.index.ids) >= planners.LANDMARK_MIN_NODES
+    times = landmark_times(view) if landmarks else {}
 
     def h1(n: str) -> float:
-        return time_heuristic(view, n, goal)
+        return max(time_heuristic(view, n, goal), landmark_bound(times, n, goal))
 
     def priority(g: float, n: str) -> float:
         return combined_f(g, h1(n), view.h2.get(n, 0.0), view.h3.get(n, 0.0), w)

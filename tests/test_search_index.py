@@ -100,7 +100,7 @@ def test_index_is_built_from_the_edge_records(graph):
 def planning_cases(draw):
     """A snapshot patched after random changes, the id-keyed view of the state
     it was taken from, its start and goal, search parameters, and values for
-    the RRT constants in ``planners``. Every graph has two parallel edges of
+    the RRT and landmark constants in ``planners``. Every graph has two parallel edges of
     equal cost, one of them blocked; the changes set congestion factors, block
     and unblock edges and set h2 values, and the snapshot is patched from one
     taken before them."""
@@ -155,22 +155,24 @@ def planning_cases(draw):
                                  draw(weight), draw(weight), draw(weight)),
         rng_seed=draw(st.integers(0, 50)),
     )
-    rrt = {"RRT_MAX_ITERATIONS": draw(st.integers(1, 40)),
-           "RRT_STEP_EDGES": draw(st.integers(1, 3)),
-           "RRT_GOAL_BIAS": draw(st.sampled_from([0.0, 0.1, 0.5]))}
-    return patched, view, draw(st.sampled_from(ids)), draw(st.sampled_from(ids)), params, rrt
+    constants = {"RRT_MAX_ITERATIONS": draw(st.integers(1, 40)),
+                 "RRT_STEP_EDGES": draw(st.integers(1, 3)),
+                 "RRT_GOAL_BIAS": draw(st.sampled_from([0.0, 0.1, 0.5])),
+                 # Mostly 0, so these small graphs read the landmark bound.
+                 "LANDMARK_MIN_NODES": draw(st.sampled_from([0, 0, planners.LANDMARK_MIN_NODES]))}
+    return patched, view, draw(st.sampled_from(ids)), draw(st.sampled_from(ids)), params, constants
 
 
 @settings(max_examples=400, deadline=None)
 @given(planning_cases())
 def test_planners_match_string_keyed_reference(case):
-    snap, view, start, goal, params, rrt = case
-    assert dyn_a_star(snap, start, goal, params) == ref.dyn_a_star(view, start, goal, params)
-    assert static_a_star(snap, start, goal) == ref.dyn_a_star(
-        view, start, goal, SearchParams(weights=UNIT))
-    assert dijkstra_ucs(snap, start, goal) == ref.dijkstra_ucs(view, start, goal)
-    assert greedy_best_first(snap, start, goal) == ref.greedy_best_first(view, start, goal)
-    with mock.patch.multiple(planners, **rrt):  # the reference reads the same constants
+    snap, view, start, goal, params, constants = case
+    with mock.patch.multiple(planners, **constants):  # the reference reads the same constants
+        assert dyn_a_star(snap, start, goal, params) == ref.dyn_a_star(view, start, goal, params)
+        assert static_a_star(snap, start, goal) == ref.dyn_a_star(
+            view, start, goal, SearchParams(weights=UNIT))
+        assert dijkstra_ucs(snap, start, goal) == ref.dijkstra_ucs(view, start, goal)
+        assert greedy_best_first(snap, start, goal) == ref.greedy_best_first(view, start, goal)
         assert rrt_plan(snap, start, goal, params) == ref.rrt_plan(view, start, goal, params)
     for u in snap.index.ids:
         for v in snap.index.ids:
