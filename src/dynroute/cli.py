@@ -154,7 +154,6 @@ def _sim_config(args: argparse.Namespace) -> SimConfig:
     try:
         return SimConfig(
             epoch_s=float(args.epoch_s),
-            hysteresis=float(getattr(args, "hysteresis", SimConfig.hysteresis)),
             share_observations=not getattr(args, "no_share", False),
         )
     except ValueError as exc:
@@ -303,8 +302,6 @@ def _add_shared(p: argparse.ArgumentParser, simulates: bool) -> None:
                         f"{SimConfig.epoch_s:g}); the {SimConfig.horizon_s:g} s horizon "
                         f"spans at most {MAX_EPOCHS:,} epochs")
     if simulates:
-        p.add_argument("--hysteresis", type=float, default=SimConfig.hysteresis,
-                       help="minimum relative improvement before switching plans, >= 0")
         p.add_argument("--no-share", action="store_true",
                        help="disable observation sharing between vehicles")
     p.add_argument("--out", default=None, help="output path or prefix")

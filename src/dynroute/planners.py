@@ -306,64 +306,19 @@ def rrt_plan(
     return _unreachable(snap, tree)
 
 
-def weighted_path_cost(
-    snap: GraphSnapshot, path: tuple[str, ...], w: HeuristicWeights,
-    travel: float | None = None,
-) -> float:
-    """Route quality for plan comparison: weighted travel time plus weighted
-    comfort/safety penalties of the nodes the route passes through.
-
-    ``travel`` is the path's travel time, when the caller already has it.
-    """
-    if travel is None:
-        travel = path_travel_time(snap, path)
-    pos, h2_at, h3_at = snap.index.pos, snap.h2_at, snap.h3_at
-    total = w.w_g * travel
-    for n in path[1:]:
-        i = pos[n]
-        total += w.w2 * h2_at[i] + w.w3 * h3_at[i]
-    return total
-
-
 def replan(
     prior: PlanResult,
     snap: GraphSnapshot,
     current_node: str,
     goal: str,
     params: SearchParams,
-    hysteresis: float = 0.01,
-    fresh: PlanResult | None = None,
+    keep: bool = False,
 ) -> PlanResult:
-    """Re-search from the vehicle's position, keeping the old route unless
-    the fresh plan beats the re-costed remainder by more than ``hysteresis``.
+    """The plan of a vehicle at ``current_node``: ``prior``, the route it
+    holds, when ``keep``, and otherwise a new :func:`dyn_a_star` search's
+    result as it is.
 
-    ``fresh`` is a route from ``current_node`` the caller holds in place of
-    a search, such as the route it drives while nothing that route or its
-    search read has changed. Only its path is read; only when it is None
-    does this run :func:`dyn_a_star`. A fresh plan that follows the kept
-    remainder is returned as it is, so a route held at the goal comes back
-    with no expansions; a kept remainder carries the expansions of the
-    search made here.
+    The simulator keeps the route while nothing its search read has changed,
+    and gets ``prior`` back as it is, with no expansions, at the goal too.
     """
-    _index_of(snap, current_node)
-    held = prior.path
-    suffix = held[held.index(current_node):] if current_node in held else ()
-    if fresh is None:
-        fresh = dyn_a_star(snap, current_node, goal, params)
-    if not fresh.path or fresh.path == suffix:  # unreachable, or the kept route
-        return fresh
-
-    # The kept route's remainder is walked once: its travel time is None if
-    # the remainder is no longer drivable, and otherwise serves both the
-    # comparison and the returned cost.
-    suffix_travel = _travel_time(snap, suffix) if suffix else None
-    if suffix_travel is None:
-        return fresh
-
-    w = params.weights
-    suffix_value = weighted_path_cost(snap, suffix, w, suffix_travel)
-    fresh_value = weighted_path_cost(snap, fresh.path, w)
-    if fresh_value < suffix_value * (1.0 - hysteresis):
-        return fresh
-    return PlanResult(suffix, suffix_travel + path_penalty(snap, suffix), suffix_value,
-                      fresh.expansion_order)
+    return prior if keep else dyn_a_star(snap, current_node, goal, params)

@@ -40,13 +40,13 @@ patched from that one, rebuilding only what the collected changes touch.
 Otherwise vehicles plan on the last snapshot.
 
 A ``dyn_astar`` vehicle holds its route and a read set: the nodes its last
-search expanded and those of the route it kept. The same changes mark dirty
-the nodes whose expansion reads them; while none it read is dirty, it hands
-:func:`replan` its route in place of a search, the route a new search keeps
-at that search's origin but not always further on: with h2/h3 in the
-priority the heuristic is not consistent. ``expanded`` counts the
-expansions of searches that ran, and ``replans`` counts plan calls, hand-ons
-included.
+search expanded, which hold that search's path. The same changes mark dirty
+the nodes whose expansion reads them. While none it read is dirty,
+:func:`replan` hands on its route, which a new search would return at the
+last search's origin but not always further on: with h2/h3 in the priority
+the heuristic is not consistent. Otherwise it searches and takes the
+search's route. ``expanded`` counts the expansions of searches that ran, and
+``replans`` counts plan calls, hand-ons included.
 """
 
 from __future__ import annotations
@@ -114,14 +114,12 @@ class SimConfig:
     the Python API only: the CLI has no flag or config key for it."""
 
     epoch_s: float = 30.0
-    hysteresis: float = 0.01
     share_observations: bool = True
     horizon_s: float = 1e6
     noise_sigma: float = 0.0
 
     def __post_init__(self) -> None:
-        for name, bound in (("epoch_s", "> 0"), ("hysteresis", ">= 0"),
-                            ("horizon_s", "> 0"), ("noise_sigma", ">= 0")):
+        for name, bound in (("epoch_s", "> 0"), ("horizon_s", "> 0"), ("noise_sigma", ">= 0")):
             value = getattr(self, name)
             if not (math.isfinite(value) and (value > 0 or bound == ">= 0" and value == 0)):
                 raise ValueError(f"{name} must be finite and {bound}")
@@ -164,7 +162,7 @@ class VehicleState:
     replans: int = 0
     expanded: int = 0
     path_taken: list[str] = field(default_factory=list)
-    # dyn_astar only: its last search's expanded nodes and the route it kept
+    # dyn_astar only: its last search's expanded nodes, its path among them
     reads: frozenset[str] | None = None
 
 
@@ -299,13 +297,13 @@ class Simulation:
 
         if self.algorithm == "dyn_astar":
             # The route held (empty before the first plan) is handed on in place
-            # of a search while nothing it or its search read has changed.
+            # of a search while nothing its search read has changed.
+            keep = v.reads is not None and v.reads.isdisjoint(self._dirty)
             prior = PlanResult(v.plan_nodes, 0.0, 0.0)
-            fresh = prior if v.reads is not None and v.reads.isdisjoint(self._dirty) else None
-            result = replan(prior, snap, origin, v.goal, v.params, self.config.hysteresis, fresh)
+            result = replan(prior, snap, origin, v.goal, v.params, keep)
             v.replans += 1
-            if fresh is None:  # a search ran in this call
-                v.reads = frozenset(result.expansion_order + result.path)
+            if not keep:  # a search ran in this call
+                v.reads = frozenset(result.expansion_order)
         else:
             result = PLANNERS[self.algorithm](snap, origin, v.goal, v.params)
 

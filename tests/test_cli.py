@@ -382,8 +382,7 @@ class TestBench:
         assert option in capsys.readouterr().err
 
     # plan answers one query on the truth: it neither simulates nor smooths.
-    @pytest.mark.parametrize("option, value",
-                             [("hysteresis", 0.5), ("no-share", True), ("alpha", 0.5)])
+    @pytest.mark.parametrize("option, value", [("no-share", True), ("alpha", 0.5)])
     @pytest.mark.parametrize("form", ["flag", "config"])
     def test_simulation_settings_are_not_plan_options(self, option, value, form, line_scn,
                                                       tmp_path, capsys):
@@ -393,7 +392,6 @@ class TestBench:
 
     @pytest.mark.parametrize("flag, value", [
         ("--rho", "nan"), ("--epoch-s", "nan"), ("--epoch-s", "inf"),
-        ("--hysteresis", "nan"), ("--hysteresis", "-1"),
     ])
     def test_non_finite_or_negative_flag_is_usage_error(self, flag, value, tmp_path, capsys):
         suite = tmp_path / "suite"
@@ -401,6 +399,21 @@ class TestBench:
         (suite / "s1.scn").write_text(scenario_doc(**LINE))
         assert main(["bench", "--suite", str(suite), flag, value]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    # A dyn_astar vehicle takes each new search's route: no command has a
+    # threshold for keeping the route it holds.
+    @pytest.mark.parametrize("command", ["plan", "simulate", "bench"])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_hysteresis_is_no_option(self, command, form, line_scn, tmp_path, capsys):
+        if command == "bench":
+            suite = tmp_path / "suite"
+            suite.mkdir()
+            (suite / "s1.scn").write_text(scenario_doc(**LINE))
+            argv = ["bench", "--suite", str(suite)]
+        else:
+            argv = [command, "--scenario", str(line_scn)]
+        assert self._exit_code(argv, "hysteresis", 0.01, form, tmp_path) == 2
+        assert "hysteresis" in capsys.readouterr().err
 
 
 class TestNonFiniteScenario:

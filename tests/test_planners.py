@@ -25,7 +25,7 @@ from dynroute import (
     static_a_star,
     validate_path,
 )
-from dynroute.planners import path_penalty, path_travel_time, weighted_path_cost
+from dynroute.planners import path_penalty, path_travel_time
 import reference_planners as ref
 from conftest import (
     build_graph,
@@ -250,68 +250,13 @@ class TestReplan:
         res = replan(prior, snapshot(g, fld), "a", "d", UNIT)
         assert res.path == ("a", "c", "d")
 
-    def test_hysteresis_retains_marginally_worse_route(self):
-        g = diamond_graph()
-        fld = HeuristicField()
-        prior = self._prior(snapshot(g, fld))
-        # old route becomes 2.02s vs fresh 2.0s: inside a 5% band, keep it
-        apply_event(g, fld, Event(0, "set_congestion", "e2", 1.02))
-        apply_event(g, fld, Event(0, "set_congestion", "e4", 1.0))
-        snap = snapshot(g, fld)
-        res = replan(prior, snap, "a", "d", UNIT, hysteresis=0.05)
-        assert res.path == ("a", "b", "d")
-
-    def test_a_kept_route_carries_the_search_it_was_kept_over(self):
-        # a-b-d slows to 4.1 s against a-c-d's 4.0 s: inside a 5% band, so the
-        # old route is kept with the expansions of the search it was kept
-        # over. Handed back as the fresh route, it is returned as it is.
-        g = diamond_graph()
-        fld = HeuristicField()
-        prior = self._prior(snapshot(g, fld))
-        apply_event(g, fld, Event(0, "set_congestion", "e2", 3.1))
-        snap = snapshot(g, fld)
-        res = replan(prior, snap, "a", "d", UNIT, hysteresis=0.05)
-        search = dyn_a_star(snap, "a", "d", UNIT)
-        assert res.path == ("a", "b", "d") and search.path == ("a", "c", "d")
-        assert (res.expanded, res.expansion_order) == (search.expanded, search.expansion_order)
-        assert replan(res, snap, "a", "d", UNIT, hysteresis=0.05, fresh=res) is res
-        assert [f.name for f in dataclasses.fields(PlanResult)] == [
-            "path", "g_cost", "f_cost_at_goal", "expansion_order"]
-
     def test_status_and_expanded_follow_from_path_and_order(self):
         unreachable = PlanResult((), math.inf, math.inf, ("a", "b"))
         found = PlanResult(("a",), 0.0, 0.0)
         assert (unreachable.status, unreachable.expanded) == (UNREACHABLE, 2)
         assert (found.status, found.expanded) == (FOUND, 0)
-
-    def test_large_improvement_overcomes_hysteresis(self):
-        g = diamond_graph()
-        fld = HeuristicField()
-        prior = self._prior(snapshot(g, fld))
-        apply_event(g, fld, Event(0, "set_congestion", "e2", 9.0))
-        snap = snapshot(g, fld)
-        res = replan(prior, snap, "a", "d", UNIT, hysteresis=0.05)
-        assert res.path == ("a", "c", "d")
-
-    def test_comparison_includes_node_penalties(self):
-        # travel times tie at 2.0 but b picks up a large comfort penalty,
-        # so the weighted comparison must divert through c
-        g = build_graph(
-            [(n, 0.0, 0.0) for n in "abcd"],
-            [
-                ("e1", "a", "b", 1.0, 1.0),
-                ("e2", "b", "d", 1.0, 1.0),
-                ("e3", "a", "c", 1.0, 1.0),
-                ("e4", "c", "d", 1.0, 1.0),
-            ],
-        )
-        fld = HeuristicField()
-        params = SearchParams(weights=HeuristicWeights(1.0, 1.0, 1.0, 0.0))
-        prior = dyn_a_star(snapshot(g, fld), "a", "d", params)
-        apply_event(g, fld, Event(0, "set_node_comfort_h", prior.path[1], 50.0))
-        snap = snapshot(g, fld)
-        res = replan(prior, snap, "a", "d", params)
-        assert prior.path[1] not in res.path
+        assert [f.name for f in dataclasses.fields(PlanResult)] == [
+            "path", "g_cost", "f_cost_at_goal", "expansion_order"]
 
     def test_at_goal_returns_empty_remaining_plan(self):
         snap = snap_of(diamond_graph())
@@ -321,49 +266,43 @@ class TestReplan:
     def test_a_route_held_at_the_goal_is_handed_on_without_a_search(self):
         snap = snap_of(diamond_graph())
         held = PlanResult(("d",), 0.0, 0.0)
-        res = replan(held, snap, "d", "d", UNIT, fresh=held)
+        res = replan(held, snap, "d", "d", UNIT, keep=True)
         assert res is held and res.expanded == 0
 
-    def test_given_search_is_not_rerun(self, monkeypatch):
+    def test_a_kept_route_is_returned_without_a_search(self, monkeypatch):
+        # Whether the route is still good is the caller's question: kept, it
+        # comes back as it is, even over a blocked edge.
         g = diamond_graph()
         fld = HeuristicField()
         prior = self._prior(snapshot(g, fld))
         apply_event(g, fld, Event(0, "block_edge", "e1"))
         snap = snapshot(g, fld)
-        fresh = dyn_a_star(snap, "a", "d", UNIT)
-        expected = replan(prior, snap, "a", "d", UNIT)
 
         def no_search(*args):
-            raise AssertionError("replan searched although it was handed a search")
+            raise AssertionError("replan searched although it was told to keep the route")
 
         monkeypatch.setattr("dynroute.planners.dyn_a_star", no_search)
-        assert replan(prior, snap, "a", "d", UNIT, fresh=fresh) == expected
-        kept = snap_of(diamond_graph())
-        fresh = dyn_a_star(kept, "b", "d", UNIT)
-        assert replan(self._prior(kept), kept, "b", "d", UNIT, fresh=fresh) is fresh
+        assert replan(prior, snap, "a", "d", UNIT, keep=True) is prior
 
-    def test_search_along_the_remainder_costs_the_kept_route(self):
-        # Returned as it is, the search must carry exactly the path, cost and
-        # expansions of the kept route that replan would otherwise rebuild.
+    def test_a_new_search_is_taken_as_it_is(self):
+        # Not kept, the plan is the search's result in every field, from any
+        # node of the held route, however near the held route's cost is.
         rng = random.Random(11)
         for _ in range(200):
             g, start, goal = random_connected_graph(rng)
             h2 = {n: rng.choice((0.0, 0.5, 3.0)) for n in g.nodes if rng.random() < 0.4}
-            snap = snap_of(g, h2=h2)
             params = SearchParams(weights=HeuristicWeights(1.0, 1.0, rng.choice((0.0, 1.0)), 0.0))
-            prior = dyn_a_star(snap, start, goal, params)
-            res = replan(prior, snap, start, goal, params)
-            assert res == prior  # the search itself, not a rebuilt kept route
+            prior = dyn_a_star(snap_of(g, h2=h2), start, goal, params)
+            for eid in rng.sample(sorted(g.edges), min(3, len(g.edges))):
+                g.congestion[eid] *= rng.choice((1.0, 1.005, 1.5))
+            snap = snap_of(g, h2=h2)
+            current = rng.choice(prior.path)
+            res = replan(prior, snap, current, goal, params)
+            assert res == dyn_a_star(snap, current, goal, params)
             assert res.g_cost == path_travel_time(snap, res.path) + path_penalty(snap, res.path)
 
 
-class TestWeightedPathCost:
-    def test_matches_manual_sum(self):
-        snap = snap_of(diamond_graph(), h2={"b": 2.0}, h3={"d": 1.0})
-        w = HeuristicWeights(2.0, 1.0, 3.0, 4.0)
-        got = weighted_path_cost(snap, ("a", "b", "d"), w)
-        assert got == pytest.approx(2.0 * 2.0 + 3.0 * 2.0 + 4.0 * 1.0)
-
+class TestValidatePath:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_validate_path_accepts_planner_output(self, seed):

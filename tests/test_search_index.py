@@ -179,6 +179,18 @@ def test_planners_match_string_keyed_reference(case):
             assert cheapest_edge(snap, u, v) == ref.cheapest_edge(view, u, v)
 
 
+@settings(max_examples=300, deadline=None)
+@given(planning_cases())
+def test_every_found_path_lies_in_its_expansion_order(case):
+    # A path's nodes are each popped before the goal is, so a dyn_astar
+    # vehicle's read set, its search's expansion order, holds its route.
+    snap, _view, start, goal, params, constants = case
+    with mock.patch.multiple(planners, **constants):
+        for weights in (params.weights, UNIT, HeuristicWeights(1.0, 0.0, 0.0, 0.0)):
+            result = dyn_a_star(snap, start, goal, SearchParams(weights=weights))
+            assert set(result.path) <= set(result.expansion_order)
+
+
 EVENT_KINDS = ("set_congestion", "set_comfort", "set_node_comfort_h",
                "block_edge", "unblock_edge")
 

@@ -136,6 +136,14 @@ class TestBasicRuns:
         with pytest.raises(ValueError, match="noise_sigma must be finite"):
             SimConfig(noise_sigma=float("nan"))
 
+    def test_no_setting_weighs_a_held_route_against_a_new_one(self):
+        # A dyn_astar vehicle takes each new search's route: no margin is set.
+        with pytest.raises(TypeError):
+            SimConfig(hysteresis=0.01)
+        trace = run_simulation(load_scenario(scenario_doc(**LINE)), SimConfig())
+        assert sorted(trace.config) == [
+            "alpha", "epoch_s", "horizon_s", "noise_sigma", "share_observations"]
+
     def test_epoch_count_is_capped(self):
         # A 1e-300 s epoch would step 1e306 times and never end.
         with pytest.raises(ValueError, match="more than 10,000,000 epochs of 1e-300 s"):
@@ -761,38 +769,38 @@ DIVERGING_HAND_ON = scenario_doc(
 
 
 def _checked_replan(handed: list[str]):
-    """A stand-in for ``simulate.replan`` that checks every route it is
-    handed against the plan call that last searched and a new search of the
-    same snapshot, and records where.
+    """A stand-in for ``simulate.replan`` that checks every plan call against
+    a new search of the same snapshot, and records where a route was handed on.
 
-    The handed route must be the route held: the rest of the one that plan
-    call returned from the vehicle's node, drivable, and count no expansions.
-    At that search's origin a new search must equal it in every field, and
-    ``replan`` with it must return the handed route. Further on the two may
-    differ (see ``DIVERGING_HAND_ON``); where the vehicle's weights make the
-    priority consistent (no h2 or h3 weight, w1 <= w_g) and the route held is
-    the search's own path, both are fastest routes, so the handed route must
-    take as long as the new search's."""
+    A call that searches must return that search's result in every field. A
+    handed route must be the route held: the rest of the last search's path
+    from the vehicle's node, drivable, and count no expansions. At that
+    search's origin a new search must equal the last one in every field.
+    Further on the two may differ (see ``DIVERGING_HAND_ON``); where the
+    vehicle's weights make the priority consistent (no h2 or h3 weight,
+    w1 <= w_g), both are fastest routes, so the handed route must take as
+    long as the new search's."""
     real = simulate.replan
-    # by vehicle: the last searching call's origin, its search and the route it returned
-    searches: dict[int, tuple[str, PlanResult, tuple[str, ...]]] = {}
+    # by vehicle: the last search's origin and result
+    searches: dict[int, tuple[str, PlanResult]] = {}
 
-    def checked(prior, snap, current, goal, params, hysteresis, fresh=None):
+    def checked(prior, snap, current, goal, params, keep=False):
         new = dyn_a_star(snap, current, goal, params)
-        if fresh is not None:
-            origin, search, route = searches[params.rng_seed]
-            assert fresh.path == prior.path == (route[route.index(current):] if route else ())
-            assert fresh.expanded == 0 and (not route or validate_path(snap, fresh.path))
-            if current == origin:
-                assert new == search
-                assert real(prior, snap, current, goal, params, hysteresis, new).path == fresh.path
-            w = params.weights
-            if route == search.path and w.w2 == w.w3 == 0 and w.w1 <= w.w_g:
-                assert path_travel_time(snap, fresh.path) == path_travel_time(snap, new.path)
-            handed.append(current)
-        result = real(prior, snap, current, goal, params, hysteresis, fresh)
-        if fresh is None:
-            searches[params.rng_seed] = (current, new, result.path)
+        result = real(prior, snap, current, goal, params, keep)
+        if not keep:
+            assert result == new
+            searches[params.rng_seed] = (current, result)
+            return result
+        origin, search = searches[params.rng_seed]
+        route = search.path
+        assert result is prior and prior.path == (route[route.index(current):] if route else ())
+        assert prior.expanded == 0 and (not route or validate_path(snap, prior.path))
+        if current == origin:
+            assert new == search
+        w = params.weights
+        if w.w2 == w.w3 == 0 and w.w1 <= w.w_g:
+            assert path_travel_time(snap, prior.path) == path_travel_time(snap, new.path)
+        handed.append(current)
         return result
     return checked
 
@@ -808,8 +816,8 @@ def _searches_from(starts: list[str]):
 
 
 class TestSearchReuse:
-    """A dyn_astar vehicle holds its route while nothing it or its last
-    search read has changed, and drives on along it without searching."""
+    """A dyn_astar vehicle holds its route while nothing its last search read
+    has changed, and drives on along it without searching."""
 
     @settings(max_examples=300, deadline=None)
     @given(doc=st.one_of(boundary_aligned_docs(), grid_fleet_docs()), share=st.booleans(),
@@ -820,6 +828,20 @@ class TestSearchReuse:
         cfg = SimConfig(share_observations=share, noise_sigma=noise, horizon_s=3000.0)
         with patch.object(simulate, "replan", _checked_replan([])):
             run_simulation(scn, cfg)
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=st.one_of(boundary_aligned_docs(), grid_fleet_docs()), share=st.booleans())
+    def test_the_read_set_holds_the_route_held(self, doc, share):
+        # So a change on any node of the route a vehicle drives makes it search.
+        real = Simulation._plan_vehicle
+
+        def checked(sim, v, snap):
+            real(sim, v, snap)
+            assert v.reads is not None and set(v.plan_nodes) <= v.reads
+
+        with patch.object(Simulation, "_plan_vehicle", checked):
+            run_simulation(load_scenario(doc), SimConfig(share_observations=share,
+                                                         horizon_s=3000.0))
 
     # a-b is a 90 s edge, so the vehicle plans from b in the two epochs after
     # the one it departs in. The route runs a-b-c-d (80 s from b); the side
@@ -921,49 +943,38 @@ class TestSearchReuse:
         assert starts == ["a", "c"]
 
     # b-d, or b-x-d, is 50 s against the detour b-c-d's 60 s until the t=30
-    # change makes it 60.25 s, which the detour beats by less than the 1%
-    # hysteresis. The vehicle is on the 100 s edge a-b until t=100.
-    KEPT = dict(nodes=[("a", 0.0, 0.0), ("b", 1000.0, 0.0), ("c", 1250.0, 100.0),
+    # change makes it 60.25 s. The vehicle is on the 100 s edge a-b until t=100.
+    NEAR_TIE = dict(nodes=[("a", 0.0, 0.0), ("b", 1000.0, 0.0), ("c", 1250.0, 100.0),
                        ("x", 1250.0, 0.0), ("d", 1500.0, 0.0)],
                 edges=[("e1", "a", "b", 1000.0, 100.0), ("e3", "b", "c", 300.0, 30.0),
                        ("e4", "c", "d", 300.0, 30.0)])
+    VIA_X = [("e5", "b", "x", 250.0, 25.0), ("e6", "x", "d", 250.0, 25.0)]
 
-    def test_a_route_kept_by_hysteresis_is_handed_on(self):
-        # From b at t=30 the search finds b-c-d, and the vehicle keeps b-d.
-        # Nothing changes after t=30: the t=60 and t=90 plans hand on b-d.
+    @pytest.mark.parametrize("edges, target, value", [
+        ([("e2", "b", "d", 500.0, 50.0)], "e2", 1.205),
+        (VIA_X, "e6", 1.41),
+    ], ids=["b-d", "b-x-d"])
+    def test_the_new_search_route_is_taken_however_near_the_held_one(self, edges, target, value):
+        # From b at t=30 the search finds b-c-d, 0.25 s quicker than the
+        # route held, and the vehicle takes it. Nothing changes after t=30:
+        # the plans from b at t=60 and t=90, from c and from d hand it on.
         doc = scenario_doc(
-            nodes=self.KEPT["nodes"], edges=[*self.KEPT["edges"], ("e2", "b", "d", 500.0, 50.0)],
-            events=[{"t_s": 30.0, "kind": "set_congestion", "target": "e2", "value": 1.205}])
+            nodes=self.NEAR_TIE["nodes"], edges=[*self.NEAR_TIE["edges"], *edges],
+            events=[{"t_s": 30.0, "kind": "set_congestion", "target": target, "value": value}])
         starts: list[str] = []
         handed: list[str] = []
         with _searches_from(starts), patch.object(simulate, "replan", _checked_replan(handed)):
             (v,) = run(doc).vehicles
-        assert v["path"] == ["a", "b", "d"] and v["replans"] == 6
-        assert starts == ["a", "b"] and handed == ["b", "b", "d", "d"]
+        assert v["path"] == ["a", "b", "c", "d"] and v["replans"] == 6
+        assert starts == ["a", "b"] and handed == ["b", "b", "c", "d"]
 
-    def test_a_kept_route_is_driven_off_the_declined_path_without_a_search(self):
-        # The kept route runs b-x-d, and x is not on the declined b-c-d. On
-        # b-x at t=120 the vehicle plans from x: nothing it read has changed,
-        # so it drives on along b-x-d without searching.
+    def test_a_change_on_a_node_the_search_never_expanded_is_not_read(self):
+        # Congestion on b-x makes b-x-d 60.25 s. The search from b at t=30
+        # pops d at 60 before x, whose priority is 60.25, so it never expands
+        # x, and the vehicle takes b-c-d. At t=60 x-d slows: the vehicle read
+        # nothing it changed, so it drives on along b-c-d without searching.
         doc = scenario_doc(
-            nodes=self.KEPT["nodes"],
-            edges=[*self.KEPT["edges"], ("e5", "b", "x", 250.0, 25.0), ("e6", "x", "d", 250.0, 25.0)],
-            events=[{"t_s": 30.0, "kind": "set_congestion", "target": "e6", "value": 1.41}])
-        starts: list[str] = []
-        handed: list[str] = []
-        with _searches_from(starts), patch.object(simulate, "replan", _checked_replan(handed)):
-            (v,) = run(doc).vehicles
-        assert v["path"] == ["a", "b", "x", "d"] and v["replans"] == 6
-        assert starts == ["a", "b"] and handed == ["b", "b", "x", "d"]
-
-    def test_a_change_on_a_kept_node_the_search_never_expanded_makes_it_search(self):
-        # Congestion on b-x makes the kept route b-x-d 60.25 s. The search
-        # from b pops d at 60 before x, whose priority is 60.25, so it never
-        # expands x. At t=60 x-d slows, which only the kept route reads: the
-        # vehicle searches again and leaves it for b-c-d.
-        doc = scenario_doc(
-            nodes=self.KEPT["nodes"],
-            edges=[*self.KEPT["edges"], ("e5", "b", "x", 250.0, 25.0), ("e6", "x", "d", 250.0, 25.0)],
+            nodes=self.NEAR_TIE["nodes"], edges=[*self.NEAR_TIE["edges"], *self.VIA_X],
             events=[{"t_s": 30.0, "kind": "set_congestion", "target": "e5", "value": 1.41},
                     {"t_s": 60.0, "kind": "set_congestion", "target": "e6", "value": 3.0}])
         scn = load_scenario(doc)
@@ -973,7 +984,7 @@ class TestSearchReuse:
         starts: list[str] = []
         with _searches_from(starts), patch.object(simulate, "replan", _checked_replan([])):
             (v,) = run_simulation(scn, SimConfig()).vehicles
-        assert starts == ["a", "b", "b"]
+        assert starts == ["a", "b"]
         assert v["path"] == ["a", "b", "c", "d"]
 
     def test_a_later_node_drives_on_where_a_new_search_would_leave(self):
@@ -1195,7 +1206,7 @@ class TestRecordsStayUnchanged:
     @pytest.mark.parametrize("name", ["grid10_congestion.scn", "sharing_fixture.scn"])
     def test_a_run_leaves_every_plan_and_observation_as_built(self, scenario_dir, name):
         seen = []  # (record, its fields when first seen)
-        kinds = {"prior": 0, "fresh": 0, "returned": 0, "observation": 0}
+        kinds = {"prior": 0, "returned": 0, "observation": 0}
 
         def keep(record, kind):
             seen.append((record, dataclasses.astuple(record)))
@@ -1203,11 +1214,9 @@ class TestRecordsStayUnchanged:
 
         real_replan, real_ingest = simulate.replan, simulate.ingest_observations
 
-        def replan(prior, snap, current, goal, params, hysteresis, fresh=None):
+        def replan(prior, snap, current, goal, params, keep_route=False):
             keep(prior, "prior")
-            if fresh is not None:
-                keep(fresh, "fresh")
-            result = real_replan(prior, snap, current, goal, params, hysteresis, fresh)
+            result = real_replan(prior, snap, current, goal, params, keep_route)
             keep(result, "returned")
             return result
 
