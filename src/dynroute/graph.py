@@ -119,11 +119,11 @@ class SearchIndex:
     node's outgoing edges as (edge id, head index, base time) in ascending
     edge-id order, blocked edges included. ``v_max`` is the free-flow
     network top speed, the divisor of the time heuristic.
-    :meth:`landmark_rows` is the table behind the landmark lower bound,
+    :meth:`landmark_columns` is the table behind the landmark lower bound,
     built at its first call.
     """
 
-    __slots__ = ("ids", "pos", "xs", "ys", "out", "v_max", "_landmark_rows")
+    __slots__ = ("ids", "pos", "xs", "ys", "out", "v_max", "_landmark_columns")
 
     def __init__(self, nodes: Mapping[str, NodeRecord], edges: Mapping[str, EdgeRecord]):
         self.ids: tuple[str, ...] = tuple(sorted(nodes))
@@ -138,35 +138,36 @@ class SearchIndex:
         self.v_max: float = max(
             (e.length_m / e.base_time_s for e in edges.values()), default=1.0
         )
-        self._landmark_rows: tuple[tuple[float, ...], ...] | None = None
+        self._landmark_columns: tuple[tuple[float, ...], ...] | None = None
 
-    def landmark_rows(self) -> tuple[tuple[float, ...], ...]:
-        """Each node's row of free-flow times to and from the landmarks,
-        built at the first call.
+    def landmark_columns(self) -> tuple[tuple[float, ...], ...]:
+        """The free-flow times to and from the landmarks, one column per
+        triangle term, each indexed by node, built at the first call.
 
-        Node ``v``'s row is ``(0.0, d(v, L1), ..., d(v, Lk), -d(L1, v), ...,
-        -d(Lk, v))``: times on base times along ``out``, blocked edges
-        included, infinite where there is no route (or the sum overflows).
-        Up to :data:`LANDMARKS` landmarks are picked by farthest selection
+        With ``k`` landmarks ``L0, ..., Lk-1``, column ``j < k`` holds
+        ``d(v, Lj)`` and column ``k + j`` holds ``-d(Lj, v)`` for every node
+        ``v``: times on base times along ``out``, blocked edges included,
+        infinite where there is no route (or the sum overflows). Up to
+        :data:`LANDMARKS` landmarks are picked by farthest selection
         (Goldberg & Harrelson, SODA 2005): each is the node with the longest
         time to the landmarks picked before it, a node with no route counting
         as farthest and ties going to the lowest index, so the first is node 0.
 
-        ``max(map(sub, rows[v], rows[t]))`` is then the landmark bound on the
-        time from ``v`` to ``t``: the largest of 0.0 and the triangle terms
-        ``d(v, L) - d(t, L)`` and ``d(L, t) - d(L, v)`` (negation is exact).
-        A term that reads inf - inf is NaN, which ``max`` never picks over
-        the leading 0.0; one that reads inf - d proves ``v`` cannot reach
-        ``t``. The bound is consistent, and it holds on every snapshot,
-        since congestion is at least 1 and blocking only removes arcs
-        (Delling & Wagner, WEA 2007).
+        For any column ``c``, ``c[v] - c[t]`` is a triangle term, ``d(v, L) -
+        d(t, L)`` or ``d(L, t) - d(L, v)`` (negation is exact), and a lower
+        bound on the time from ``v`` to ``t``; the largest of any of them and
+        0.0 is the landmark bound. A term that reads inf - inf is NaN and
+        says nothing; one that reads inf - d proves ``v`` cannot reach ``t``.
+        Each term is consistent, and it holds on every snapshot, since
+        congestion is at least 1 and blocking only removes arcs (Delling &
+        Wagner, WEA 2007).
         """
-        if self._landmark_rows is None:
-            self._landmark_rows = _landmark_rows(self.out)
-        return self._landmark_rows
+        if self._landmark_columns is None:
+            self._landmark_columns = _landmark_columns(self.out)
+        return self._landmark_columns
 
 
-# Landmarks in :meth:`SearchIndex.landmark_rows`, or every node of a smaller graph.
+# Landmarks in :meth:`SearchIndex.landmark_columns`, or every node of a smaller graph.
 LANDMARKS = 4
 
 
@@ -189,8 +190,8 @@ def _times(arcs, source: int) -> list[float]:
     return dist
 
 
-def _landmark_rows(out) -> tuple[tuple[float, ...], ...]:
-    """The rows of :meth:`SearchIndex.landmark_rows` for the arcs ``out``."""
+def _landmark_columns(out) -> tuple[tuple[float, ...], ...]:
+    """The columns of :meth:`SearchIndex.landmark_columns` for the arcs ``out``."""
     into: list[list[tuple[str, int, float]]] = [[] for _ in out]
     for u, arcs in enumerate(out):
         for eid, v, base in arcs:
@@ -199,10 +200,10 @@ def _landmark_rows(out) -> tuple[tuple[float, ...], ...]:
     to_landmarks, from_landmarks = [], []
     for _ in range(min(LANDMARKS, len(out))):
         landmark = far.index(max(far))
-        to_landmarks.append(_times(into, landmark))
-        from_landmarks.append(list(map(neg, _times(out, landmark))))
+        to_landmarks.append(tuple(_times(into, landmark)))
+        from_landmarks.append(tuple(map(neg, _times(out, landmark))))
         far = list(map(min, far, to_landmarks[-1]))
-    return tuple(zip([0.0] * len(out), *to_landmarks, *from_landmarks))
+    return (*to_landmarks, *from_landmarks)
 
 
 class RoadGraph:

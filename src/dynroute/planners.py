@@ -13,12 +13,13 @@ penalties actually traversed, so routed comfort shows up in evaluation.
 The time heuristic h1 is a lower bound on the free-flow time to the goal:
 the straight-line distance over the network's top speed. On a graph of at
 least ``LANDMARK_MIN_NODES`` nodes, A* and the dynamic planner (any weighted
-search with w1 > 0) take the larger of that and the landmark bound read
-from the index's table (:meth:`~dynroute.graph.SearchIndex.landmark_rows`),
-which the first such search builds. Congestion is at least 1 and blocking
-only removes arcs, so both bounds hold on every snapshot. UCS (w1 = 0) reads
-only the straight-line time, as its tie-break, and greedy best-first and RRT
-use the straight line alone.
+search with w1 > 0) take the largest of that and two landmark terms read
+from the index's table (:meth:`~dynroute.graph.SearchIndex.landmark_columns`),
+which the first such search builds: the two that bound the start best
+("active landmarks", Goldberg & Harrelson, SODA 2005). Congestion is at least
+1 and blocking only removes arcs, so every term holds on every snapshot. UCS
+(w1 = 0) reads only the straight-line time, as its tie-break, and greedy
+best-first and RRT use the straight line alone.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from operator import sub
 
 from .graph import GraphSnapshot
 from .heuristics import HeuristicWeights
@@ -44,9 +44,10 @@ RRT_STEP_EDGES = 3
 RRT_GOAL_BIAS = 0.1
 
 # The fewest nodes a graph needs for A* and the dynamic planner to read the
-# landmark bound. Each push then costs a row evaluation, which on random
-# queries over congested grids repays itself in fewer expansions only from
-# about this size on; on smaller graphs h1 is the straight-line time alone.
+# landmark bound; on smaller graphs h1 is the straight-line time alone. Read
+# two terms per push, the bound repays its term choice from about 100 nodes
+# on (random queries over congested grids); the threshold stays where a full
+# row per push repaid itself, so routes on smaller graphs are as they were.
 LANDMARK_MIN_NODES = 500
 
 
@@ -168,13 +169,14 @@ def dyn_a_star(
     Priority of a node with accumulated travel time g is
     ``w_g*g + w1*h1 + w2*h2 + w3*h3``. h1 is the straight-line time or,
     where w1 is not zero on a graph of at least ``LANDMARK_MIN_NODES``
-    nodes, the larger of that and the landmark bound, evaluated at each push
-    as ``max(map(sub, rows[v], rows[goal]))`` over the index's landmark
-    rows. Both are consistent, so with weights (1,1,0,0) this is classical
-    A*; with weights (1,0,0,0) it is uniform-cost search, and h1 only breaks
-    ties. Both return optimal travel time; other weightings trade optimality
-    for preference. An h1 of infinity, a landmark's proof that the node
-    cannot reach the goal, puts the node last but still in the search.
+    nodes, the largest of that and two landmark terms ``c[v] - c[goal]``:
+    the two columns of the index's table whose terms bound the start best
+    (:func:`_active_columns`), chosen once per search. Each is consistent,
+    so with weights (1,1,0,0) this is classical A*; with weights (1,0,0,0)
+    it is uniform-cost search, and h1 only breaks ties. Both return optimal
+    travel time; other weightings trade optimality for preference. An h1 of
+    infinity, a landmark's proof that the node cannot reach the goal, puts
+    the node last but still in the search.
     """
     s, t = _index_of(snap, start), _index_of(snap, goal)
     w = params.weights
@@ -186,12 +188,13 @@ def dyn_a_star(
     hypot, push, pop = math.hypot, heapq.heappush, heapq.heappop
     n = len(ids)
     landmarks = w1 and n >= LANDMARK_MIN_NODES
-    rows = index.landmark_rows() if landmarks else None
-    goal_row = rows[t] if landmarks else None
 
     h = hypot(xs[s] - gx, ys[s] - gy) / v_max
     if landmarks:
-        h = max(h, max(map(sub, rows[s], goal_row)))
+        ca, cb = _active_columns(index.landmark_columns(), s, t)
+        ka, kb = ca[t], cb[t]
+        # max() skips a NaN after its first argument, as the > tests below do.
+        h = max(h, ca[s] - ka, cb[s] - kb)
     f = wg * 0.0 + w1 * h + w2 * h2_at[s] + w3 * h3_at[s]
     g_best = [_INF] * n
     g_best[s] = 0.0
@@ -214,13 +217,30 @@ def dyn_a_star(
                 parent[v] = u
                 # h1 and the priority repeat the float operations, in order,
                 # of the reference definitions the differential tests hold.
+                # A NaN term (inf - inf) fails the > test and is skipped.
                 h = hypot(xs[v] - gx, ys[v] - gy) / v_max
                 if landmarks:
-                    bound = max(map(sub, rows[v], goal_row))
-                    if bound > h:
-                        h = bound
+                    a = ca[v] - ka
+                    if a > h:
+                        h = a
+                    a = cb[v] - kb
+                    if a > h:
+                        h = a
                 push(open_heap, (wg * ng + w1 * h + w2 * h2_at[v] + w3 * h3_at[v], h, v))
     return _unreachable(snap, order)
+
+
+def _active_columns(columns: tuple[tuple[float, ...], ...], s: int,
+                    t: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The two landmark columns whose terms ``c[s] - c[t]`` bound the time
+    from node ``s`` to node ``t`` best ("active landmarks"): the two largest
+    terms, a tie going to the lower column and a NaN term ranking below
+    every other. A table has at least two columns, one each way per landmark."""
+    terms = [c[s] - c[t] for c in columns]
+    rank = [(x == x, x if x == x else 0.0) for x in terms]
+    # sorted() is stable with reverse=True too: equal ranks keep column order.
+    first, second = sorted(range(len(columns)), key=rank.__getitem__, reverse=True)[:2]
+    return columns[first], columns[second]
 
 
 def dijkstra_ucs(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:

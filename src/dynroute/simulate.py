@@ -56,6 +56,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from itertools import groupby
+from operator import attrgetter
 
 from .graph import (
     Event,
@@ -154,7 +155,11 @@ class VehicleState:
     t_s: float  # the instant it reaches ``edge``'s head, or reached ``at_node``
     status: str = EN_ROUTE
     departed: bool = False
-    edge: tuple[str, str, float] | None = None  # (id, head, price)
+    # On an edge: (id, head, price, crosses, reached), the last two fixed at
+    # entry: the epoch whose opening boundary would apply an event at the
+    # arrival instant (the arrival is handled in the epoch before it), and
+    # the epoch the arrival belongs to.
+    edge: tuple[str, str, float, int, int] | None = None
     # The route from at_node, or from edge's head while on an edge, as the
     # planner returned it; a move drops its first node. Empty: no route.
     plan_nodes: tuple[str, ...] = ()
@@ -222,6 +227,12 @@ class Simulation:
                          at_node=q.start, t_s=q.depart_s)
             for q in sorted(scenario.queries, key=lambda q: q.vehicle)
         ]
+        # The vehicles by (departure epoch, id), of which the first
+        # ``_departed`` have joined ``_moving``: those en route that have
+        # departed or depart in this epoch, in id order, as they plan and move.
+        self._departures = sorted(self.vehicles, key=lambda v: v.depart_epoch)
+        self._departed = 0
+        self._moving: list[VehicleState] = []
 
     # -- epoch machinery ----------------------------------------------------
 
@@ -247,7 +258,10 @@ class Simulation:
 
         # The vehicles en route that have departed or depart in this epoch:
         # all of them replan under dyn_astar, the rest only to depart.
-        moving = [v for v in self.vehicles if v.status == EN_ROUTE and v.depart_epoch <= k]
+        moving, departures = self._moving, self._departures
+        while self._departed < len(departures) and departures[self._departed].depart_epoch <= k:
+            bisect.insort(moving, departures[self._departed], key=attrgetter("id"))
+            self._departed += 1
         planning = (moving if self.algorithm == "dyn_astar"
                     else [v for v in moving if not v.departed])
         if planning:
@@ -257,6 +271,7 @@ class Simulation:
         truth = self.truth.at_epoch(k)
         for v in moving:
             self._advance(v, k, truth)
+        self._moving = [v for v in moving if v.status == EN_ROUTE]
 
         self.epoch_log.append({"t_s": self.now, "events_applied": tuple(
             {"t_s": ev.at_time, "kind": ev.kind, "target": ev.target, "value": ev.value,
@@ -266,8 +281,10 @@ class Simulation:
 
     def run(self) -> SimulationTrace:
         epochs = self.truth.event_epoch(self.config.horizon_s)  # opening before the horizon
-        while self.epoch_index < epochs and any(  # and one en route departs in them
-                v.status == EN_ROUTE and v.depart_epoch < epochs for v in self.vehicles):
+        departures = self._departures
+        while self.epoch_index < epochs and (  # and one en route departs in them
+                self._moving or self._departed < len(departures)
+                and departures[self._departed].depart_epoch < epochs):
             self.step_epoch()
         for v in self.vehicles:
             if v.status == EN_ROUTE:
@@ -325,10 +342,9 @@ class Simulation:
         reached = k  # the epoch of the instant it reached at_node
         while True:
             if v.edge is not None:
-                if self.truth.event_epoch(v.t_s) > k + 1:
+                eid, head, price, crosses, reached = v.edge
+                if crosses > k + 1:
                     return  # still on the edge when this epoch ends
-                eid, head, price = v.edge
-                reached = self.truth.epoch_of(v.t_s)
                 state = truth if reached == k else self.truth.at_epoch(reached)
                 i = state.index.pos[head]
                 self._emit_observation(v, eid, price, state.h2_at[i])
@@ -351,7 +367,7 @@ class Simulation:
                 return
             eid, price = edge
             v.t_s += price
-            v.edge = (eid, nxt, price)
+            v.edge = (eid, nxt, price, self.truth.event_epoch(v.t_s), self.truth.epoch_of(v.t_s))
             v.plan_nodes = v.plan_nodes[1:]
 
     def _emit_observation(self, v: VehicleState, eid: str, observed_time: float,

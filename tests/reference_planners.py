@@ -3,10 +3,10 @@
 They read an :class:`IdView`, the id-keyed state a snapshot is taken from,
 copied by :func:`id_view` from a ``RoadGraph`` and ``HeuristicField``, never a
 snapshot's planning view. ``neighbors``, ``time_heuristic``,
-``landmark_times`` with ``landmark_bound``, and ``combined_f`` are the
-reference definitions of successors, the two parts of h1 and the search
-priority; ``node_penalty``, ``cheapest_edge``, ``path_travel_time`` and
-``path_penalty`` those of path costs. They speak in node ids, one call per
+``landmark_times`` with ``active_terms`` and ``landmark_bound``, and
+``combined_f`` are the reference definitions of successors, the two parts of
+h1 and the search priority; ``node_penalty``, ``cheapest_edge``,
+``path_travel_time`` and ``path_penalty`` those of path costs. They speak in node ids, one call per
 node or edge. :func:`assert_snapshot_of` checks a snapshot's planning view
 against a view, id by id.
 
@@ -166,19 +166,49 @@ def landmark_times(view: IdView) -> dict[str, tuple[dict[str, float], dict[str, 
     return times
 
 
-def landmark_bound(times: dict[str, tuple[dict[str, float], dict[str, float]]],
-                   node: str, goal: str) -> float:
-    """Lower bound on free-flow time from ``node`` to ``goal`` by the triangle
-    inequality: the largest of 0 and, for each landmark L, d(node, L) -
-    d(goal, L) and d(L, goal) - d(L, node). A term whose two times are both
-    infinite says nothing and is skipped."""
-    terms = [0.0]
-    for a, b in [(to[node], to[goal]) for to, _ in times.values()] + [
-            (frm[goal], frm[node]) for _, frm in times.values()]:
-        if a == b == _INF:
-            continue
-        terms.append(a - b)
-    return max(terms)
+LandmarkTimes = dict[str, tuple[dict[str, float], dict[str, float]]]
+# A triangle term: a landmark and "to" for d(node, L) - d(goal, L), or "from"
+# for d(L, goal) - d(L, node).
+Term = tuple[str, str]
+
+
+def landmark_terms(times: LandmarkTimes) -> list[Term]:
+    """Every triangle term, the "to" term of each landmark in the order they
+    were picked, then the "from" term of each."""
+    return [(landmark, "to") for landmark in times] + [(landmark, "from") for landmark in times]
+
+
+def term_value(times: LandmarkTimes, term: Term, node: str, goal: str) -> float | None:
+    """The lower bound ``term`` gives on the free-flow time from ``node`` to
+    ``goal``, by the triangle inequality; None if its two times are both
+    infinite, when it says nothing."""
+    to, frm = times[term[0]]
+    a, b = (to[node], to[goal]) if term[1] == "to" else (frm[goal], frm[node])
+    return None if a == b == _INF else a - b
+
+
+def active_terms(times: LandmarkTimes, start: str, goal: str) -> list[Term]:
+    """The two terms that bound the time from ``start`` to ``goal`` best: the
+    two largest values, a tie going to the term listed first by
+    :func:`landmark_terms` and a term that says nothing ranking below every
+    other. A search from ``start`` to ``goal`` reads these two alone."""
+    terms = landmark_terms(times)
+
+    def rank(i: int) -> tuple[bool, float, int]:
+        value = term_value(times, terms[i], start, goal)
+        return (value is not None, 0.0 if value is None else value, -i)
+
+    return [terms[i] for i in sorted(range(len(terms)), key=rank, reverse=True)[:2]]
+
+
+def landmark_bound(times: LandmarkTimes, node: str, goal: str,
+                   terms: list[Term] | None = None) -> float:
+    """Lower bound on free-flow time from ``node`` to ``goal``: the largest
+    of 0 and the values of ``terms`` (by default every term) that say
+    something."""
+    values = [term_value(times, term, node, goal)
+              for term in (landmark_terms(times) if terms is None else terms)]
+    return max([0.0] + [v for v in values if v is not None])
 
 
 def node_penalty(view: IdView, node: str) -> float:
@@ -239,7 +269,8 @@ def dyn_a_star(
     ``w_g*g + w1*h1 + w2*h2 + w3*h3``. Where w1 is not zero on a graph of
     at least ``planners.LANDMARK_MIN_NODES`` nodes (read when called, so a
     test that patches it changes both planners alike), h1 is the larger of
-    the straight-line time and the landmark bound, both consistent; with
+    the straight-line time and the landmark bound over the two
+    :func:`active_terms` of ``start`` and ``goal``, both consistent; with
     weights (1,1,0,0) this is classical A* and returns optimal travel time.
     Otherwise h1 is the straight-line time, which w1 = 0 reads only as the
     tie-break. Other weightings trade optimality for preference.
@@ -249,9 +280,10 @@ def dyn_a_star(
     w = params.weights
     landmarks = w.w1 and len(view.index.ids) >= planners.LANDMARK_MIN_NODES
     times = landmark_times(view) if landmarks else {}
+    terms = active_terms(times, start, goal) if landmarks else []
 
     def h1(n: str) -> float:
-        return max(time_heuristic(view, n, goal), landmark_bound(times, n, goal))
+        return max(time_heuristic(view, n, goal), landmark_bound(times, n, goal, terms))
 
     def priority(g: float, n: str) -> float:
         return combined_f(g, h1(n), view.h2.get(n, 0.0), view.h3.get(n, 0.0), w)

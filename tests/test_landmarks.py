@@ -1,16 +1,18 @@
 """The landmark lower bound behind astar's and dyn_astar's h1.
 
-``SearchIndex.landmark_rows`` picks the landmarks and times each node to and
-from them exactly as the id-keyed reference does; the bound it gives is
+``SearchIndex.landmark_columns`` picks the landmarks and times each node to
+and from them exactly as the id-keyed reference does; the bound it gives is
 admissible and consistent on every snapshot, congested and blocked edges
-included; graphs that are not strongly connected give no NaN; and the table
-is built by the first search that reads it, never by loading or
-snapshotting, nor by a search on a graph below ``LANDMARK_MIN_NODES``. The
-planner tests on small graphs lower that threshold to 0.
+included; graphs that are not strongly connected give no NaN; a search reads
+the two terms the reference's ``active_terms`` picks for its start and goal,
+which can bound a node less than the full table does; and the table is built
+by the first search that reads it, never by loading or snapshotting, nor by
+a search on a graph below ``LANDMARK_MIN_NODES``. The planner tests on small
+graphs lower that threshold to 0.
 """
 
 import math
-from operator import sub
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -46,10 +48,20 @@ def landmarks_everywhere(monkeypatch):
     monkeypatch.setattr(planners, "LANDMARK_MIN_NODES", 0)
 
 
-def bound(index, node: str, goal: str) -> float:
-    """The landmark bound on the time from ``node`` to ``goal``, as the planner reads it."""
-    rows = index.landmark_rows()
-    return max(map(sub, rows[index.pos[node]], rows[index.pos[goal]]))
+def bound(index, node: str, goal: str, columns=None) -> float:
+    """The landmark bound on the time from ``node`` to ``goal`` over
+    ``columns`` (by default the whole table): the largest of 0.0 and their
+    terms, a NaN term skipped, as the planner skips one."""
+    v, t = index.pos[node], index.pos[goal]
+    terms = [c[v] - c[t] for c in columns or index.landmark_columns()]
+    return max([0.0] + [x for x in terms if x == x])
+
+
+def active_bound(index, node: str, start: str, goal: str) -> float:
+    """The bound a search from ``start`` to ``goal`` reads at ``node``."""
+    columns = planners._active_columns(index.landmark_columns(), index.pos[start],
+                                       index.pos[goal])
+    return bound(index, node, goal, columns)
 
 
 def at_most(a: float, b: float) -> bool:
@@ -59,17 +71,18 @@ def at_most(a: float, b: float) -> bool:
 
 @settings(max_examples=300, deadline=None)
 @given(topologies())
-def test_rows_match_the_reference_selection_and_times(graph):
+def test_columns_match_the_reference_selection_and_times(graph):
     index = graph.index
     times = ref.landmark_times(ref.id_view(graph, HeuristicField()))
-    rows = index.landmark_rows()
+    columns = index.landmark_columns()
     assert len(times) == min(LANDMARKS, len(index.ids))
     k = len(times)
-    assert all(len(row) == 1 + 2 * k and row[0] == 0.0 for row in rows)
-    for j, (landmark, (to, frm)) in enumerate(times.items(), start=1):
-        assert rows[index.pos[landmark]][j] == rows[index.pos[landmark]][k + j] == 0.0
-        assert [row[j] for row in rows] == [to[nid] for nid in index.ids]
-        assert [row[k + j] for row in rows] == [-frm[nid] for nid in index.ids]
+    assert len(columns) == 2 * k
+    assert all(len(column) == len(index.ids) for column in columns)
+    for j, (landmark, (to, frm)) in enumerate(times.items()):
+        assert columns[j][index.pos[landmark]] == columns[k + j][index.pos[landmark]] == 0.0
+        assert list(columns[j]) == [to[nid] for nid in index.ids]
+        assert list(columns[k + j]) == [-frm[nid] for nid in index.ids]
 
 
 @settings(max_examples=300, deadline=None)
@@ -92,6 +105,27 @@ def test_bound_is_admissible_and_consistent_on_the_snapshot(graph):
                 assert at_most(b, eff + bound(index, index.ids[v], goal))
 
 
+@settings(max_examples=200, deadline=None)
+@given(topologies())
+def test_a_search_reads_the_reference_active_terms(graph):
+    index = graph.index
+    times = ref.landmark_times(ref.id_view(graph, HeuristicField()))
+    columns = index.landmark_columns()
+    column_of = {term: j for j, term in enumerate(ref.landmark_terms(times))}
+    for start in index.ids:
+        for goal in index.ids:
+            chosen = planners._active_columns(columns, index.pos[start], index.pos[goal])
+            terms = ref.active_terms(times, start, goal)
+            assert len(chosen) == len(terms) == 2
+            assert all(column is columns[column_of[term]]
+                       for column, term in zip(chosen, terms))
+            for node in index.ids:
+                # A subset of the terms: a bound, and no more than the full one.
+                b = active_bound(index, node, start, goal)
+                assert b == ref.landmark_bound(times, node, goal, terms)
+                assert b <= bound(index, node, goal)
+
+
 def chain(n: int):
     """A one-way chain c0 -> c1 -> ... of 10 s edges, 100 m apart."""
     return build_graph([(f"c{i}", 100.0 * i, 0.0) for i in range(n)],
@@ -102,11 +136,14 @@ def test_one_way_chain(landmarks_everywhere):
     graph = chain(10)
     index = graph.index
     # Only c0 reaches c0, so c1, then c2 and c3 are the nodes with no route
-    # to the landmarks picked before them.
+    # to the landmarks picked before them: landmark j is cj, each reached
+    # from the nodes before it and reaching the nodes after it.
     inf = math.inf
-    rows = index.landmark_rows()
-    assert rows[index.pos["c5"]] == (0.0, inf, inf, inf, inf, -50.0, -40.0, -30.0, -20.0)
-    assert rows[index.pos["c1"]] == (0.0, inf, 0.0, 10.0, 20.0, -10.0, -0.0, -inf, -inf)
+    columns = index.landmark_columns()
+    assert len(columns) == 8
+    for j in range(4):
+        assert columns[j] == tuple(10.0 * (j - i) if i <= j else inf for i in range(10))
+        assert columns[4 + j] == tuple(-10.0 * (i - j) if i >= j else -inf for i in range(10))
     # Every time to a landmark is infinite from c9, so those terms are
     # skipped, and c0's time from c0 gives the bound exactly.
     assert bound(index, "c0", "c9") == 90.0
@@ -126,12 +163,17 @@ def test_two_components(landmarks_everywhere):
                         [("e1", "a", "b", 1.0, 5.0), ("e2", "b", "a", 1.0, 7.0),
                          ("e3", "c", "d", 1.0, 3.0), ("e4", "d", "c", 1.0, 4.0)])
     index = graph.index
-    # a, then c (no route to a), then b (7 s to a) and d (4 s to c).
+    # a, then c (no route to a), then b (7 s to a) and d (4 s to c). Each
+    # column lists nodes a, b, c, d.
     inf = math.inf
-    assert index.landmark_rows() == ((0.0, 0.0, inf, 5.0, inf, -0.0, -inf, -7.0, -inf),
-                                     (0.0, 7.0, inf, 0.0, inf, -5.0, -inf, -0.0, -inf),
-                                     (0.0, inf, 0.0, inf, 3.0, -inf, -0.0, -inf, -4.0),
-                                     (0.0, inf, 4.0, inf, 0.0, -inf, -3.0, -inf, -0.0))
+    assert index.landmark_columns() == ((0.0, 7.0, inf, inf),  # to a
+                                        (inf, inf, 0.0, 4.0),  # to c
+                                        (5.0, 0.0, inf, inf),  # to b
+                                        (inf, inf, 3.0, 0.0),  # to d
+                                        (-0.0, -5.0, -inf, -inf),  # from a
+                                        (-inf, -inf, -0.0, -3.0),  # from c
+                                        (-7.0, -0.0, -inf, -inf),  # from b
+                                        (-inf, -inf, -4.0, -0.0))  # from d
     assert (bound(index, "a", "b"), bound(index, "b", "a")) == (5.0, 7.0)
     assert (bound(index, "c", "d"), bound(index, "d", "c")) == (3.0, 4.0)
     for node, goal in (("a", "c"), ("c", "b"), ("d", "a")):
@@ -143,7 +185,7 @@ def test_two_components(landmarks_everywhere):
 
 def test_single_node(landmarks_everywhere):
     graph = build_graph([("a", 0.0, 0.0)], [])
-    assert graph.index.landmark_rows() == ((0.0, 0.0, -0.0),)
+    assert graph.index.landmark_columns() == ((0.0,), (-0.0,))
     plan = static_a_star(snap_of(graph), "a", "a")
     assert (plan.path, plan.g_cost, plan.expanded) == (("a",), 0.0, 1)
 
@@ -153,10 +195,11 @@ def test_fewer_nodes_than_landmarks_makes_every_node_one():
                         [("e1", "a", "b", 1.0, 2.0), ("e2", "b", "c", 1.0, 3.0),
                          ("e3", "c", "a", 1.0, 4.0)])
     assert LANDMARKS > 3
-    # a, then b (7 s to a), then c (4 s to a, 6 s to b).
-    assert graph.index.landmark_rows() == ((0.0, 0.0, 2.0, 5.0, -0.0, -7.0, -4.0),
-                                           (0.0, 7.0, 0.0, 3.0, -2.0, -0.0, -6.0),
-                                           (0.0, 4.0, 6.0, 0.0, -5.0, -3.0, -0.0))
+    # a, then b (7 s to a), then c (4 s to a, 6 s to b). Each column lists
+    # nodes a, b, c.
+    assert graph.index.landmark_columns() == ((0.0, 7.0, 4.0), (2.0, 0.0, 6.0),
+                                              (5.0, 3.0, 0.0), (-0.0, -2.0, -5.0),
+                                              (-7.0, -0.0, -3.0), (-4.0, -6.0, -0.0))
     assert bound(graph.index, "a", "c") == 5.0
 
 
@@ -164,8 +207,8 @@ def test_parallel_edges_count_the_cheaper(landmarks_everywhere):
     graph = build_graph([("a", 0.0, 0.0), ("b", 0.0, 0.0)],
                         [("e1", "a", "b", 1.0, 10.0), ("e2", "a", "b", 1.0, 4.0),
                          ("e3", "b", "a", 1.0, 7.0), ("e4", "b", "a", 1.0, 9.0)])
-    assert graph.index.landmark_rows() == ((0.0, 0.0, 4.0, -0.0, -7.0),
-                                           (0.0, 7.0, 0.0, -4.0, -0.0))
+    assert graph.index.landmark_columns() == ((0.0, 7.0), (4.0, 0.0),
+                                              (-0.0, -4.0), (-7.0, -0.0))
     assert (bound(graph.index, "a", "b"), bound(graph.index, "b", "a")) == (4.0, 7.0)
     # Blocking the cheaper edge keeps the bound a bound.
     graph.blocked.add("e2")
@@ -173,16 +216,69 @@ def test_parallel_edges_count_the_cheaper(landmarks_everywhere):
 
 
 def test_bound_is_exact_on_a_free_flow_grid():
-    # Three of the landmarks are corners, each read both ways, so on a
-    # uniform grid the bound is the free-flow time itself and A* expands
-    # only the route it returns.
+    # Three of the landmarks are corners. For a start and goal on a uniform
+    # grid, the corner beyond the goal, read from the start (d(s, L) - d(t,
+    # L)) or the one behind the start, read to the goal (d(L, t) - d(L, s)),
+    # gives the free-flow time exactly, so it is among the two terms the
+    # search reads; and it stays exact at every node of a monotone route, so
+    # A* expands only the route it returns.
     graph = make_grid(23, 23, 100.0, 10.0)
-    assert len(graph.index.ids) >= planners.LANDMARK_MIN_NODES
+    ids = graph.index.ids
+    assert len(ids) >= planners.LANDMARK_MIN_NODES
     snap = snap_of(graph)
-    for start, goal in (("n00_00", "n22_22"), ("n03_19", "n20_02"), ("n22_00", "n05_05")):
+    rng = random.Random(23)
+    pairs = [("n00_00", "n22_22"), ("n03_19", "n20_02"), ("n22_00", "n05_05")]
+    pairs += [tuple(rng.sample(ids, 2)) for _ in range(200)]
+    for start, goal in pairs:
         plan = static_a_star(snap, start, goal)
         assert plan.expanded == len(plan.path)
         assert plan.g_cost == dijkstra_ucs(snap, start, goal).g_cost
+
+
+def two_term_graph():
+    """Five nodes at one point, so the straight-line time is 0 and h1 is the
+    landmark bound alone: a -> b (5 s), b -> c (1 s), b -> e (1 s), e -> b
+    (3 s), and d on no road. The landmarks are a, b, c and d: a first (node
+    0), then b, c and d, each the lowest-id node with no route to those
+    before it. Between nodes other than d, both of d's terms read inf - inf,
+    and so does a's "to" term between nodes other than a."""
+    return build_graph([(n, 0.0, 0.0) for n in "abcde"],
+                       [("e1", "a", "b", 1.0, 5.0), ("e2", "b", "c", 1.0, 1.0),
+                        ("e3", "b", "e", 1.0, 1.0), ("e4", "e", "b", 1.0, 3.0)])
+
+
+def test_two_terms_can_bound_an_expanded_node_below_the_full_table(landmarks_everywhere):
+    graph = two_term_graph()
+    index, snap = graph.index, snap_of(graph)
+    # From b to e, a's and b's "from" terms read 1, the best, and are the two
+    # a search reads. At c, a dead end, both read 0, while c's own "from"
+    # term, d(c, e) - d(c, c) = inf, proves c cannot reach e: read at c, the
+    # full table would give inf, and A* would never expand c.
+    assert (active_bound(index, "b", "b", "e"), bound(index, "b", "e")) == (1.0, 1.0)
+    assert (active_bound(index, "c", "b", "e"), bound(index, "c", "e")) == (0.0, math.inf)
+    plan = static_a_star(snap, "b", "e")
+    assert (plan.path, plan.expansion_order) == (("b", "e"), ("b", "c", "e"))
+    # Read at the goal, every term is 0 or NaN, and the first two columns
+    # that are not NaN, the "to" terms of b and c, would be picked: b's
+    # reads inf at c.
+    assert active_bound(index, "c", "e", "e") == math.inf
+    # From a to e, a's "from" term reads 6, then b's and c's "to" terms tie
+    # at 2: the tie goes to b's, the lower column, which reads inf at c (c
+    # cannot reach b). Had it gone to c's, which reads -4 at c, c's bound
+    # would be a's 0 and A* would expand c before e.
+    assert active_bound(index, "c", "a", "e") == math.inf
+    plan = static_a_star(snap, "a", "e")
+    assert (plan.path, plan.expansion_order) == (("a", "b", "e"), ("a", "b", "e"))
+    # From b to a, a's "to" and b's "from" terms both prove b cannot reach a,
+    # and they prove it at c and e too. The terms that read NaN from b, d's
+    # and c's "from" term, rank below them: picked, they would prove it at c
+    # alone, and A* would expand e before c.
+    plan = static_a_star(snap, "b", "a")
+    assert (plan.status, plan.expansion_order) == (UNREACHABLE, ("b", "c", "e"))
+    view = ref.id_view(graph, HeuristicField())
+    for start, goal in ("be", "ae", "ba"):
+        assert static_a_star(snap, start, goal) == ref.dyn_a_star(
+            view, start, goal, SearchParams(HeuristicWeights(1.0, 1.0, 0.0, 0.0)))
 
 
 def test_table_is_built_by_the_first_search_that_reads_it(scenario_dir, monkeypatch):
@@ -199,9 +295,9 @@ def test_table_is_built_by_the_first_search_that_reads_it(scenario_dir, monkeypa
     dyn_a_star(snap, start, goal, SearchParams(HeuristicWeights(1.0, 0.0, 1.0, 1.0)))
     greedy_best_first(snap, start, goal)
     rrt_plan(snap, start, goal, SearchParams())
-    assert index._landmark_rows is None
+    assert index._landmark_columns is None
     assert static_a_star(snap, start, goal).status == FOUND
-    rows = index._landmark_rows  # built by that search
-    assert rows is not None and index.landmark_rows() is rows
-    assert scn.graph.copy().index.landmark_rows() is rows
-    assert all(truth.at_epoch(k).index.landmark_rows() is rows for k in truth._starts)
+    columns = index._landmark_columns  # built by that search
+    assert columns is not None and index.landmark_columns() is columns
+    assert scn.graph.copy().index.landmark_columns() is columns
+    assert all(truth.at_epoch(k).index.landmark_columns() is columns for k in truth._starts)
