@@ -12,14 +12,16 @@ penalties actually traversed, so routed comfort shows up in evaluation.
 
 The time heuristic h1 is a lower bound on the free-flow time to the goal:
 the straight-line distance over the network's top speed. On a graph of at
-least ``LANDMARK_MIN_NODES`` nodes, A* and the dynamic planner (any weighted
-search with w1 > 0) take the largest of that and two landmark terms read
-from the index's table (:meth:`~dynroute.graph.SearchIndex.landmark_columns`),
-which the first such search builds: the two that bound the start best
-("active landmarks", Goldberg & Harrelson, SODA 2005). Congestion is at least
-1 and blocking only removes arcs, so every term holds on every snapshot. UCS
-(w1 = 0) reads only the straight-line time, as its tie-break, and greedy
-best-first and RRT use the straight line alone.
+least ``LANDMARK_MIN_NODES`` (150) nodes, about where the bound starts to
+save more search time than its term choice costs, A* and the dynamic
+planner (any weighted search with w1 > 0) take the largest of that and two
+landmark terms read from the index's table
+(:meth:`~dynroute.graph.SearchIndex.landmark_columns`), which the first such
+search builds: the two that bound the start best ("active landmarks",
+Goldberg & Harrelson, SODA 2005). Congestion is at least 1 and blocking
+only removes arcs, so every term holds on every snapshot. UCS (w1 = 0)
+reads only the straight-line time, as its tie-break, and greedy best-first
+and RRT use the straight line alone.
 """
 
 from __future__ import annotations
@@ -44,11 +46,13 @@ RRT_STEP_EDGES = 3
 RRT_GOAL_BIAS = 0.1
 
 # The fewest nodes a graph needs for A* and the dynamic planner to read the
-# landmark bound; on smaller graphs h1 is the straight-line time alone. Read
-# two terms per push, the bound repays its term choice from about 100 nodes
-# on (random queries over congested grids); the threshold stays where a full
-# row per push repaid itself, so routes on smaller graphs are as they were.
-LANDMARK_MIN_NODES = 500
+# landmark bound; on smaller graphs h1 is the straight-line time alone. Per
+# search on random queries over congested n x n grids, time with the bound
+# over without reads about 1.0 up to 11 x 11 (121 nodes), 0.93-0.98 at
+# 12 x 12, 0.73-0.88 at 13 x 13 and 0.65-0.75 at 20 x 20: the bound repays
+# its term choice from about 150 nodes on, and below that routes stay as
+# they were.
+LANDMARK_MIN_NODES = 150
 
 
 @dataclass(frozen=True)
@@ -168,7 +172,7 @@ def dyn_a_star(
 
     Priority of a node with accumulated travel time g is
     ``w_g*g + w1*h1 + w2*h2 + w3*h3``. h1 is the straight-line time or,
-    where w1 is not zero on a graph of at least ``LANDMARK_MIN_NODES``
+    where w1 is not zero on a graph of at least ``LANDMARK_MIN_NODES`` (150)
     nodes, the largest of that and two landmark terms ``c[v] - c[goal]``:
     the two columns of the index's table whose terms bound the start best
     (:func:`_active_columns`), chosen once per search. Each is consistent,

@@ -7,8 +7,10 @@ included; graphs that are not strongly connected give no NaN; a search reads
 the two terms the reference's ``active_terms`` picks for its start and goal,
 which can bound a node less than the full table does; and the table is built
 by the first search that reads it, never by loading or snapshotting, nor by
-a search on a graph below ``LANDMARK_MIN_NODES``. The planner tests on small
-graphs lower that threshold to 0.
+a search on a graph below ``LANDMARK_MIN_NODES``, and once per graph across
+every algorithm of an evaluation and its oracle. The planner tests on small
+graphs lower that threshold to 0; on congested grids between the threshold
+and 500 nodes, both planners match the reference at the default threshold.
 """
 
 import math
@@ -20,10 +22,12 @@ from hypothesis import given, settings
 import reference_planners as ref
 from conftest import build_graph, snap_of
 from dynroute import (
+    ALGORITHMS,
     FOUND,
     UNREACHABLE,
     HeuristicField,
     HeuristicWeights,
+    RoadGraph,
     SearchParams,
     dijkstra_ucs,
     dyn_a_star,
@@ -35,8 +39,10 @@ from dynroute import (
     static_a_star,
 )
 from dynroute import planners
-from dynroute.graph import LANDMARKS
+from dynroute.evaluate import evaluate_scenario
+from dynroute.graph import LANDMARKS, _landmark_columns
 from dynroute.simulate import TruthTimeline
+from perfbench import gen
 from test_search_index import topologies
 
 WEIGHTED = SearchParams(HeuristicWeights(1.0, 1.0, 0.5, 0.5))
@@ -301,3 +307,63 @@ def test_table_is_built_by_the_first_search_that_reads_it(scenario_dir, monkeypa
     assert columns is not None and index.landmark_columns() is columns
     assert scn.graph.copy().index.landmark_columns() is columns
     assert all(truth.at_epoch(k).index.landmark_columns() is columns for k in truth._starts)
+
+
+def congested_grid(rows: int, cols: int, seed: int, dead_end: bool):
+    """A rows x cols grid of 50 s edges with a fifth of them congested 1.5-6x,
+    five blocked, and h2 and h3 on 5% of the nodes each, up to 60 s. With
+    ``dead_end``, no edge leaves the middle node: the landmarks include it,
+    and its "from" terms read NaN between any two other nodes."""
+    rng = random.Random(seed)
+    grid = make_grid(rows, cols, 500.0, 10.0)
+    ids = grid.index.ids
+    sink = ids[len(ids) // 2] if dead_end else None
+    graph = RoadGraph(grid.nodes.values(),
+                      [e for e in grid.edges.values() if e.from_node != sink])
+    edge_ids = sorted(graph.edges)
+    for eid in rng.sample(edge_ids, len(edge_ids) // 5):
+        graph.congestion[eid] = round(rng.uniform(1.5, 6.0), 2)
+    graph.blocked.update(rng.sample(edge_ids, 5))
+    field = HeuristicField(
+        h2_by_node={n: round(rng.uniform(0.0, 60.0), 3) for n in rng.sample(ids, len(ids) // 20)},
+        h3_by_node={n: round(rng.uniform(0.0, 60.0), 3) for n in rng.sample(ids, len(ids) // 20)})
+    return graph, field
+
+
+@pytest.mark.parametrize("rows, cols, seed, dead_end",
+                         [(13, 12, 1, False), (15, 15, 2, True), (18, 21, 3, False),
+                          (20, 20, 4, True)])
+def test_mid_size_congested_grids_match_the_reference(rows, cols, seed, dead_end):
+    # No threshold patched: graphs of these sizes read the landmark bound, and
+    # a search's term choice decides which nodes it expands.
+    graph, field = congested_grid(rows, cols, seed, dead_end)
+    ids = graph.index.ids
+    assert planners.LANDMARK_MIN_NODES <= len(ids) < 500
+    snap, view = snapshot(graph, field), ref.id_view(graph, field)
+    full = SearchParams(HeuristicWeights(1.0, 1.0, 1.0, 1.0))
+    rng = random.Random(seed)
+    for _ in range(20):
+        start, goal = rng.sample(ids, 2)
+        assert static_a_star(snap, start, goal) == ref.dyn_a_star(view, start, goal,
+                                                                  planners.ASTAR_PARAMS)
+        for params in (full, WEIGHTED):
+            assert dyn_a_star(snap, start, goal, params) == ref.dyn_a_star(view, start, goal,
+                                                                           params)
+
+
+def test_an_evaluation_builds_one_table(monkeypatch):
+    # Every algorithm's simulation, its belief copies and truth states, and
+    # the oracle share the scenario's index, so the table is built once.
+    builds = []
+
+    def counted(out):
+        builds.append(out is scn.graph.index.out)
+        return _landmark_columns(out)
+
+    monkeypatch.setattr("dynroute.graph._landmark_columns", counted)
+    scn = load_scenario(gen.eval_grid20_docs(1)[0])
+    assert len(scn.graph.index.ids) >= planners.LANDMARK_MIN_NODES
+    cells = evaluate_scenario(scn)
+    assert list(cells) == list(ALGORITHMS)
+    assert not any(cell["error"] for cell in cells.values())
+    assert builds == [True]
