@@ -105,7 +105,11 @@ def offline_optimal(
             return OracleResult(query.vehicle, cost, tuple(path))
         for _eid, v, eff in truth.at_time(time).arcs[u]:
             ntime = time + eff
-            pen = truth.at_time(ntime).node_penalty(ids[v]) if v in varying else penalty[v]
+            if v in varying:
+                state = truth.at_time(ntime)
+                pen = state.h2_at[v] + state.h3_at[v]
+            else:
+                pen = penalty[v]
             ncost = cost + eff + pen
             bucket = frontier[v]
             evicts = False

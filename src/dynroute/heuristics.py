@@ -35,11 +35,7 @@ class HeuristicField:
         self.h3_by_node = MappingProxyType(dict(self.h3_by_node))
 
     def copy(self) -> "HeuristicField":
-        return HeuristicField(
-            h2_by_node=dict(self.h2_by_node),
-            h3_by_node=dict(self.h3_by_node),
-            smoothing_alpha=self.smoothing_alpha,
-        )
+        return replace(self, h2_by_node=dict(self.h2_by_node))
 
 
 @dataclass(frozen=True)

@@ -73,68 +73,48 @@ def _onset_boundary(j: int) -> float:
     return EPOCH_S * math.floor(50.0 * j / EPOCH_S)
 
 
-def congestion_scenarios(seed: int):
-    docs = []
-    combos = [
-        (k, j, f)
-        for k in (6, 7, 8)
-        for j in (2, 3, 4)
-        for f in (4.0, 6.0, 10.0)
-        if j <= k - 2
+def _ladder_family(family: str, offset: int, seed: int, combos, events, weights,
+                   prefers_comfort: bool = False) -> list[Scenario]:
+    """One scenario per ``(k, j, x, label)`` combo, named
+    ``{family}_k{k}_j{j}_{label}``: a vehicle drives ``_ladder(k)`` from a0 to
+    ak under ``events(t, k, j, x)``, where ``t`` is the onset boundary of j."""
+    return [
+        _doc(f"{family}_k{k}_j{j}_{label}", seed + offset + idx, _ladder(k),
+             [_query("v1", "a0", f"a{k}", weights, prefers_comfort)],
+             events(_onset_boundary(j), k, j, x))
+        for idx, (k, j, x, label) in enumerate(combos)
     ]
-    for idx, (k, j, f) in enumerate(combos):
-        t = _onset_boundary(j)
-        events = [Event(t, SET_CONGESTION, f"e_a{i:02d}", f) for i in range(j, k)]
-        name = f"congestion_k{k}_j{j}_f{int(f)}"
-        docs.append(
-            _doc(name, seed + idx, _ladder(k),
-                 [_query("v1", "a0", f"a{k}", weights=(1, 1, 1, 0))], events)
-        )
-    return docs
+
+
+def congestion_scenarios(seed: int):
+    combos = [(k, j, f, f"f{int(f)}") for k in (6, 7, 8) for j in (2, 3, 4)
+              for f in (4.0, 6.0, 10.0) if j <= k - 2]
+    return _ladder_family(
+        "congestion", 0, seed, combos,
+        lambda t, k, j, f: [Event(t, SET_CONGESTION, f"e_a{i:02d}", f) for i in range(j, k)],
+        weights=(1, 1, 1, 0))
 
 
 def blockage_scenarios(seed: int):
-    docs = []
-    combos = [
-        (k, j, reopen)
-        for k in (6, 7, 8, 9)
-        for j in (2, 3, 4)
-        for reopen in (False, True)
-        if j <= k - 2
-    ][:20]
-    for idx, (k, j, reopen) in enumerate(combos):
-        t = _onset_boundary(j)
-        events = [Event(t, BLOCK_EDGE, f"e_a{j:02d}")]
-        if reopen:
-            events.append(Event(t + 900.0, UNBLOCK_EDGE, f"e_a{j:02d}"))
-        name = f"blockage_k{k}_j{j}_{'reopen' if reopen else 'closed'}"
-        docs.append(
-            _doc(name, seed + 100 + idx, _ladder(k),
-                 [_query("v1", "a0", f"a{k}", weights=(1, 1, 1, 0))], events)
-        )
-    return docs
+    closed = ((0.0, BLOCK_EDGE),)
+    reopen = closed + ((900.0, UNBLOCK_EDGE),)
+    combos = [(k, j, schedule, label) for k in (6, 7, 8, 9) for j in (2, 3, 4)
+              for schedule, label in ((closed, "closed"), (reopen, "reopen"))
+              if j <= k - 2][:20]
+    return _ladder_family(
+        "blockage", 100, seed, combos,
+        lambda t, k, j, schedule: [Event(t + dt, kind, f"e_a{j:02d}") for dt, kind in schedule],
+        weights=(1, 1, 1, 0))
 
 
 def comfort_scenarios(seed: int):
-    docs = []
-    combos = [
-        (k, j, p)
-        for k in (6, 7, 8)
-        for j in (2, 3, 4)
-        for p in (300.0, 500.0, 700.0)
-        if j <= k - 3
-    ][:20]
     # j <= k-3 keeps at least one penalized interior node ahead of the goal.
-    for idx, (k, j, p) in enumerate(combos):
-        t = _onset_boundary(j)
-        events = [Event(t, SET_NODE_COMFORT_H, f"a{i}", p) for i in range(j + 1, k)]
-        name = f"comfort_k{k}_j{j}_p{int(p)}"
-        docs.append(
-            _doc(name, seed + 200 + idx, _ladder(k),
-                 [_query("v1", "a0", f"a{k}", weights=(1, 1, 1, 1),
-                         prefers_comfort=True)], events)
-        )
-    return docs
+    combos = [(k, j, p, f"p{int(p)}") for k in (6, 7, 8) for j in (2, 3, 4)
+              for p in (300.0, 500.0, 700.0) if j <= k - 3][:20]
+    return _ladder_family(
+        "comfort", 200, seed, combos,
+        lambda t, k, j, p: [Event(t, SET_NODE_COMFORT_H, f"a{i}", p) for i in range(j + 1, k)],
+        weights=(1, 1, 1, 1), prefers_comfort=True)
 
 
 def deceptive_scenarios(seed: int):

@@ -22,6 +22,7 @@ indices and must match it bit for bit.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import random
@@ -54,6 +55,12 @@ class IdView:
     blocked: frozenset[str]
     h2: Mapping[str, float]
     h3: Mapping[str, float]
+
+    @functools.cached_property
+    def landmarks(self) -> LandmarkTimes:
+        """:func:`landmark_times` of this view, built at the first read, so
+        searches on one view share one table: it reads only the index."""
+        return landmark_times(self)
 
 
 def id_view(graph: RoadGraph, field: HeuristicField) -> IdView:
@@ -279,7 +286,7 @@ def dyn_a_star(
     _check_node(view, goal)
     w = params.weights
     landmarks = w.w1 and len(view.index.ids) >= planners.LANDMARK_MIN_NODES
-    times = landmark_times(view) if landmarks else {}
+    times = view.landmarks if landmarks else {}
     terms = active_terms(times, start, goal) if landmarks else []
 
     def h1(n: str) -> float:

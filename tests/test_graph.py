@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -483,3 +484,19 @@ def test_suite_generator_rewrites_the_committed_scenarios(scenario_dir, tmp_path
     assert sum(counts.values()) == len(committed) == 124
     for rel in committed:
         assert (tmp_path / rel).read_bytes() == (scenario_dir / rel).read_bytes(), rel
+
+
+# What `write_suites(root, 1)` writes: one sha256 over a "path sha256" line per
+# file, in path order.
+SEED_1_SUITE = "c76448a5758d3d5ebd343a037b2abea79ae22652cf3696534ef736bed84cc93e"
+
+
+def test_suite_generator_output_for_another_seed_is_pinned(tmp_path):
+    # The benchmark's suite run regenerates the suite with its own seed, so a
+    # family's seed offset must hold at seeds other than the committed one.
+    counts = write_suites(tmp_path, 1)
+    files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+    assert sum(counts.values()) == len(files) == 124
+    manifest = "".join(f"{p.relative_to(tmp_path).as_posix()} "
+                       f"{hashlib.sha256(p.read_bytes()).hexdigest()}\n" for p in files)
+    assert hashlib.sha256(manifest.encode()).hexdigest() == SEED_1_SUITE
