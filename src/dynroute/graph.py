@@ -117,13 +117,14 @@ class SearchIndex:
     Node ``i`` is ``ids[i]``, with ids in sorted order, so comparing indices
     orders nodes exactly as comparing their ids does. ``out[i]`` lists the
     node's outgoing edges as (edge id, head index, base time) in ascending
-    edge-id order, blocked edges included. ``v_max`` is the free-flow
-    network top speed, the divisor of the time heuristic.
+    edge-id order, blocked edges included; ``into[i]`` lists its incoming
+    edges as (edge id, tail index, base time), also by edge id. ``v_max`` is
+    the free-flow network top speed, the divisor of the time heuristic.
     :meth:`landmark_columns` is the table behind the landmark lower bound,
     built at its first call.
     """
 
-    __slots__ = ("ids", "pos", "xs", "ys", "out", "v_max", "_landmark_columns")
+    __slots__ = ("ids", "pos", "xs", "ys", "out", "into", "v_max", "_landmark_columns")
 
     def __init__(self, nodes: Mapping[str, NodeRecord], edges: Mapping[str, EdgeRecord]):
         self.ids: tuple[str, ...] = tuple(sorted(nodes))
@@ -131,10 +132,14 @@ class SearchIndex:
         self.xs: list[float] = [nodes[nid].x for nid in self.ids]
         self.ys: list[float] = [nodes[nid].y for nid in self.ids]
         out: list[list[tuple[str, int, float]]] = [[] for _ in self.ids]
+        into: list[list[tuple[str, int, float]]] = [[] for _ in self.ids]
         for eid in sorted(edges):
             e = edges[eid]
-            out[self.pos[e.from_node]].append((eid, self.pos[e.to_node], e.base_time_s))
+            u, v = self.pos[e.from_node], self.pos[e.to_node]
+            out[u].append((eid, v, e.base_time_s))
+            into[v].append((eid, u, e.base_time_s))
         self.out: tuple[tuple[tuple[str, int, float], ...], ...] = tuple(map(tuple, out))
+        self.into: tuple[tuple[tuple[str, int, float], ...], ...] = tuple(map(tuple, into))
         self.v_max: float = max(
             (e.length_m / e.base_time_s for e in edges.values()), default=1.0
         )
@@ -163,7 +168,7 @@ class SearchIndex:
         Wagner, WEA 2007).
         """
         if self._landmark_columns is None:
-            self._landmark_columns = _landmark_columns(self.out)
+            self._landmark_columns = _landmark_columns(self)
         return self._landmark_columns
 
 
@@ -173,7 +178,7 @@ LANDMARKS = 4
 
 def _times(arcs, source: int) -> list[float]:
     """Dijkstra's free-flow times from ``source`` along ``arcs``' (edge id,
-    node, base time) rows: ``SearchIndex.out``, or the same arcs reversed."""
+    node, base time) rows: ``SearchIndex.out`` or ``SearchIndex.into``."""
     dist = [math.inf] * len(arcs)
     dist[source] = 0.0
     heap = [(0.0, source)]
@@ -190,18 +195,14 @@ def _times(arcs, source: int) -> list[float]:
     return dist
 
 
-def _landmark_columns(out) -> tuple[tuple[float, ...], ...]:
-    """The columns of :meth:`SearchIndex.landmark_columns` for the arcs ``out``."""
-    into: list[list[tuple[str, int, float]]] = [[] for _ in out]
-    for u, arcs in enumerate(out):
-        for eid, v, base in arcs:
-            into[v].append((eid, u, base))
-    far = [math.inf] * len(out)  # each node's time to the nearest landmark so far
+def _landmark_columns(index: SearchIndex) -> tuple[tuple[float, ...], ...]:
+    """The columns of :meth:`SearchIndex.landmark_columns` for ``index``."""
+    far = [math.inf] * len(index.ids)  # each node's time to the nearest landmark so far
     to_landmarks, from_landmarks = [], []
-    for _ in range(min(LANDMARKS, len(out))):
+    for _ in range(min(LANDMARKS, len(index.ids))):
         landmark = far.index(max(far))
-        to_landmarks.append(tuple(_times(into, landmark)))
-        from_landmarks.append(tuple(map(neg, _times(out, landmark))))
+        to_landmarks.append(tuple(_times(index.into, landmark)))
+        from_landmarks.append(tuple(map(neg, _times(index.out, landmark))))
         far = list(map(min, far, to_landmarks[-1]))
     return (*to_landmarks, *from_landmarks)
 

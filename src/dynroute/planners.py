@@ -138,31 +138,30 @@ def validate_path(snap: GraphSnapshot, path: tuple[str, ...]) -> bool:
             and _travel_time(snap, path) is not None)
 
 
-def _path(ids: tuple[str, ...], parent: dict[int, int] | list[int], node: int) -> tuple[str, ...]:
-    path = []
-    while node >= 0:
-        path.append(ids[node])
-        node = parent[node]
-    path.reverse()
-    return tuple(path)
-
-
-def _found(snap: GraphSnapshot, parent: dict[int, int] | list[int],
-           order: list[int] | dict[int, int], goal: int, f: float | None = None,
-           travel: float | None = None) -> PlanResult:
+def _result(snap: GraphSnapshot, parent: dict[int, int] | list[int],
+            order: list[int] | dict[int, int], goal: int = -1, f: float | None = None,
+            travel: float | None = None) -> PlanResult:
     """Result of a search that expanded ``order`` (a dict's keys, in order) and
-    reached ``goal``; ``travel`` defaults to the path's travel time, ``f`` to ``travel``."""
+    reached ``goal`` along ``parent``, or found no route (``goal`` -1). The
+    route's travel time is ``travel`` or else the cheapest arc of each hop; its
+    g cost adds the h2 + h3 of every node after the first; ``f`` defaults to ``travel``."""
     ids = snap.index.ids
-    path = _path(ids, parent, goal)
+    expanded = tuple([ids[i] for i in order])
+    if goal < 0:
+        return PlanResult((), _INF, _INF, expanded)
+    route = []
+    while goal >= 0:
+        route.append(goal)
+        goal = parent[goal]
+    route.reverse()
     if travel is None:
-        travel = path_travel_time(snap, path)
-    return PlanResult(path, travel + path_penalty(snap, path), travel if f is None else f,
-                      tuple([ids[i] for i in order]))
-
-
-def _unreachable(snap: GraphSnapshot, order: list[int] | dict[int, int]) -> PlanResult:
-    ids = snap.index.ids
-    return PlanResult((), _INF, _INF, tuple([ids[i] for i in order]))
+        travel = 0.0
+        for u, v in zip(route, route[1:]):
+            travel += min(eff for _eid, head, eff in snap.arcs[u] if head == v)
+    h2_at, h3_at = snap.h2_at, snap.h3_at
+    return PlanResult(tuple([ids[i] for i in route]),
+                      travel + sum(h2_at[i] + h3_at[i] for i in route[1:]),
+                      travel if f is None else f, expanded)
 
 
 def dyn_a_star(
@@ -213,7 +212,7 @@ def dyn_a_star(
         g_best[u] = -1.0  # below any g, so no arc reopens a closed node
         order.append(u)
         if u == t:
-            return _found(snap, parent, order, t, f, g_u)
+            return _result(snap, parent, order, t, f, g_u)
         for _eid, v, eff in arcs[u]:
             ng = g_u + eff
             if ng < g_best[v]:
@@ -231,7 +230,7 @@ def dyn_a_star(
                     if a > h:
                         h = a
                 push(open_heap, (wg * ng + w1 * h + w2 * h2_at[v] + w3 * h3_at[v], h, v))
-    return _unreachable(snap, order)
+    return _result(snap, parent, order)
 
 
 def _active_columns(columns: tuple[tuple[float, ...], ...], s: int,
@@ -276,13 +275,13 @@ def greedy_best_first(snap: GraphSnapshot, start: str, goal: str) -> PlanResult:
         hv, u = pop(open_heap)
         order.append(u)
         if u == t:
-            return _found(snap, parent, order, t, hv)
+            return _result(snap, parent, order, t, hv)
         for _eid, v, _eff in arcs[u]:
             if v in parent:
                 continue
             parent[v] = u
             push(open_heap, (hypot(xs[v] - gx, ys[v] - gy) / v_max, v))
-    return _unreachable(snap, order)
+    return _result(snap, parent, order)
 
 
 def rrt_plan(
@@ -304,7 +303,7 @@ def rrt_plan(
 
     tree: dict[int, int] = {s: -1}  # node -> parent, in insertion order
     if s == t:
-        return _found(snap, tree, tree, t)
+        return _result(snap, tree, tree, t)
     for _ in range(RRT_MAX_ITERATIONS):
         sample = t if rng.random() < RRT_GOAL_BIAS else rng.randrange(len(ids))
         sx, sy = xs[sample], ys[sample]
@@ -326,8 +325,8 @@ def rrt_plan(
             tree[step] = current
             current = step
             if current == t:
-                return _found(snap, tree, tree, t)
-    return _unreachable(snap, tree)
+                return _result(snap, tree, tree, t)
+    return _result(snap, tree, tree)
 
 
 def replan(

@@ -207,19 +207,13 @@ class Simulation:
         self.epoch_log: list[dict] = []
         self._noise_rng = random.Random(scenario.seed)
         # dyn_astar only: the nodes whose expansion reads a value changed
-        # since the last snapshot, and for each node the nodes that read its
-        # h2: itself, as a search's start, and its predecessors, which push it.
+        # since the last snapshot.
         self._dirty: set[str] = set()
         # The belief snapshot last taken, and the edges and nodes whose
         # planner-read belief values changed since: the patch the next needs.
         self._snap: GraphSnapshot | None = None
         self._stale_edges: set[str] = set()
         self._stale_nodes: set[str] = set()
-        self._h2_readers: dict[str, list[str]] | None = None
-        if algorithm == "dyn_astar":
-            self._h2_readers = {nid: [nid] for nid in scenario.graph.nodes}
-            for e in scenario.graph.edges.values():
-                self._h2_readers[e.to_node].append(e.from_node)
         params = vehicle_params(scenario)
         self.vehicles: list[VehicleState] = [
             VehicleState(id=q.vehicle, goal=q.goal, depart_s=q.depart_s,
@@ -298,10 +292,12 @@ class Simulation:
         from it if the belief has changed since. ``_dirty`` becomes the nodes
         whose expansion reads one of those changes."""
         edges, nodes = self._stale_edges, self._stale_nodes
-        if self._h2_readers is not None:
-            graph_edges = self.scenario.graph.edges
+        if self.algorithm == "dyn_astar":
+            # An edge's change is read by its tail; a node's h2 by the node,
+            # as a search's start, and by its predecessors, which push it.
+            index, graph_edges = self.scenario.graph.index, self.scenario.graph.edges
             self._dirty = {graph_edges[eid].from_node for eid in edges}.union(
-                *(self._h2_readers[n] for n in nodes))
+                nodes, (index.ids[u] for n in nodes for _e, u, _b in index.into[index.pos[n]]))
         if self._snap is None or edges or nodes:
             self._snap = snapshot(self.belief_graph, self.belief_field, base=self._snap,
                                   edges=edges, nodes=nodes)

@@ -95,6 +95,15 @@ class TestPlan:
         capsys.readouterr()
         assert main(["plan", "--scenario", str(line_scn), "--weights", "1,2"]) == 2
 
+    @pytest.mark.parametrize("weights, message", [
+        ("1,x,0,0", "bad --weights: could not convert string to float: 'x'"),
+        ("1,-1,0,0", "bad --weights: w1 must be finite and >= 0, got -1.0"),
+        ("0,1,0,0", "bad --weights: w_g must be > 0 (path cost must count)"),
+    ])
+    def test_malformed_weights_are_a_usage_error(self, weights, message, line_scn, capsys):
+        assert main(["plan", "--scenario", str(line_scn), "--weights", weights]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_query_index(self, line_scn, capsys):
         assert main(["plan", "--scenario", str(line_scn), "--query", "5"]) == 2
 

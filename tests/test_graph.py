@@ -182,6 +182,33 @@ class TestLoadScenario:
         with pytest.raises(ValidationError):
             load_scenario(json.dumps(doc))
 
+    # Each rejection names its fault in a message no other check gives.
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: d["nodes"].append(dict(d["nodes"][0], x=5.0)), "duplicate node id 'a'"),
+        (lambda d: d["nodes"][1].update(x=math.inf), "node 'b' has non-finite coordinates"),
+        (lambda d: d["nodes"][1].update(y=math.nan), "node 'b' has non-finite coordinates"),
+        (lambda d: d["edges"].append(dict(d["edges"][0], to="a", **{"from": "b"})),
+         "duplicate edge id 'e1'"),
+        (lambda d: d["heuristics"]["h2"].update(z=1.0), "heuristics.h2 names unknown node 'z'"),
+        (lambda d: d["heuristics"]["h3"].update(b=-1.0), "heuristics.h3['b'] must be finite >= 0"),
+        (lambda d: d["heuristics"]["h2"].update(b=math.inf),
+         "heuristics.h2['b'] must be finite >= 0"),
+        (lambda d: d["events"].append({"t_s": 0.0, "kind": "teleport", "target": "e1"}),
+         "events[0]: unknown kind 'teleport'"),
+        (lambda d: d["events"].append({"t_s": -1.0, "kind": "block_edge", "target": "e1"}),
+         "events[0]: negative time -1.0"),
+        (lambda d: d["queries"][0].update(start="z"), "queries[0]: start names unknown node 'z'"),
+        (lambda d: d["queries"][0].update(goal="z"), "queries[0]: goal names unknown node 'z'"),
+    ], ids=["duplicate-node", "infinite-x", "nan-y", "duplicate-edge", "heuristic-unknown-node",
+            "heuristic-negative", "heuristic-infinite", "unknown-event-kind",
+            "negative-event-time", "unknown-start", "unknown-goal"])
+    def test_rejection_names_its_fault(self, mutate, message):
+        doc = json.loads(mini_doc())
+        mutate(doc)
+        with pytest.raises(ValidationError) as info:
+            load_scenario(json.dumps(doc))
+        assert str(info.value) == message
+
     def test_bundled_grid_fixture(self, scenario_dir):
         scn = load_scenario((scenario_dir / "grid10_congestion.scn").read_text())
         assert len(scn.graph.nodes) == 100
@@ -440,6 +467,12 @@ class TestMakeGrid:
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
             make_grid(0, 3, 100.0, 10.0)
+
+    @pytest.mark.parametrize("length, speed", [(0.0, 10.0), (-1.0, 10.0), (100.0, 0.0),
+                                               (100.0, -5.0)])
+    def test_nonpositive_length_or_speed_rejected(self, length, speed):
+        with pytest.raises(ValueError, match=r"^edge_length and speed must be > 0$"):
+            make_grid(1, 2, length, speed)
 
 
 class TestNeighbors:

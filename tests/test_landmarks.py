@@ -356,9 +356,9 @@ def test_an_evaluation_builds_one_table(monkeypatch):
     # the oracle share the scenario's index, so the table is built once.
     builds = []
 
-    def counted(out):
-        builds.append(out is scn.graph.index.out)
-        return _landmark_columns(out)
+    def counted(index):
+        builds.append(index is scn.graph.index)
+        return _landmark_columns(index)
 
     monkeypatch.setattr("dynroute.graph._landmark_columns", counted)
     scn = load_scenario(gen.eval_grid20_docs(1)[0])

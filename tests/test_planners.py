@@ -158,6 +158,14 @@ class TestWeightedSearch:
         assert res.path == ("a", "b", "d")
         assert res.g_cost == pytest.approx(2.0 + 0.5 + 0.25)
 
+    @pytest.mark.parametrize("name", ["ucs", "greedy", "astar", "rrt", "dyn_astar"])
+    def test_g_cost_charges_every_node_after_the_start(self, name):
+        # The start's own penalty is not paid: the vehicle is already there.
+        snap = snap_of(diamond_graph(), h2={"a": 8.0, "b": 0.5}, h3={"a": 4.0, "d": 0.25})
+        res = all_planners(snap, "a", "d")[name]
+        assert res.path in (("a", "b", "d"), ("a", "c", "d"))
+        assert res.g_cost == path_travel_time(snap, res.path) + path_penalty(snap, res.path)
+
     def test_expanded_counts_are_positive_and_consistent(self):
         snap = snap_of(make_grid(4, 4, 100.0, 10.0))
         res = dyn_a_star(snap, "n00_00", "n03_03", UNIT)
@@ -300,6 +308,25 @@ class TestReplan:
             res = replan(prior, snap, current, goal, params)
             assert res == dyn_a_star(snap, current, goal, params)
             assert res.g_cost == path_travel_time(snap, res.path) + path_penalty(snap, res.path)
+
+
+class TestRejectedInput:
+    @pytest.mark.parametrize("planner", [dijkstra_ucs, greedy_best_first, static_a_star])
+    @pytest.mark.parametrize("start, goal", [("z", "d"), ("a", "z")])
+    def test_an_unknown_node_is_a_key_error(self, planner, start, goal):
+        with pytest.raises(KeyError, match="unknown node 'z'"):
+            planner(snap_of(diamond_graph()), start, goal)
+
+    def test_path_travel_time_rejects_a_hop_with_no_unblocked_edge(self):
+        g = diamond_graph()
+        fld = HeuristicField()
+        apply_event(g, fld, Event(0, "block_edge", "e2"))  # b -> d
+        snap = snapshot(g, fld)
+        assert path_travel_time(snap, ("a", "c", "d")) == 4.0
+        for path in (("a", "b", "d"), ("a", "d")):
+            with pytest.raises(ValueError) as info:
+                path_travel_time(snap, path)
+            assert str(info.value) == f"no unblocked edge along {path!r}"
 
 
 class TestValidatePath:

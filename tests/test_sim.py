@@ -506,6 +506,12 @@ class TestTruthTimeline:
             replay_realized_cost(scn, SimConfig(epoch_s=15.0), "v1", ["a", "b"], 0.0,
                                  TruthTimeline(scn, 30.0))
 
+    def test_replay_rejects_a_path_it_cannot_walk(self):
+        scn = load_scenario(scenario_doc(**LINE))
+        for path, hop in ((["a", "b", "a"], "'b' -> 'a'"), (["a", "c"], "'a' -> 'c'")):
+            with pytest.raises(ValueError, match=rf"^replay: no unblocked edge {hop} at t="):
+                replay_realized_cost(scn, SimConfig(), "v1", path, 0.0)
+
     def test_replay_matches_simulated_cost(self, scenario_dir):
         for name in ("sharing_fixture.scn", "grid10_congestion.scn"):
             scn = load_scenario((scenario_dir / name).read_text())
