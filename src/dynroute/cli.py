@@ -36,7 +36,7 @@ from .evaluate import RHO, compare_algorithms, report_csv, report_table
 from .graph import Scenario, ScenarioError, load_scenario
 from .heuristics import HeuristicWeights
 from .planners import FOUND
-from .simulate import (ALGORITHMS, MAX_EPOCHS, PLANNERS, SimConfig, TruthTimeline,
+from .simulate import (ALGORITHMS, MAX_EPOCHS, PLANNERS, STRANDED, SimConfig, TruthTimeline,
                        run_simulation, vehicle_params)
 
 EXIT_OK = 0
@@ -244,7 +244,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _atomic_write(Path(args.out + ".csv"), _trace_csv(trace))
     else:
         sys.stdout.write(_trace_csv(trace))
-    stranded = [v["vehicle"] for v in trace.vehicles if v["status"] == "stranded"]
+    stranded = [v["vehicle"] for v in trace.vehicles if v["status"] == STRANDED]
     if stranded and not args.allow_stranded:
         print(f"stranded vehicles: {', '.join(stranded)}", file=sys.stderr)
         return EXIT_STRANDED

@@ -30,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 from operator import itemgetter, neg
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .heuristics import HeuristicField, HeuristicWeights
 
@@ -391,60 +391,42 @@ def make_grid(rows: int, cols: int, edge_length: float, speed: float) -> RoadGra
     return RoadGraph(nodes, edges)
 
 
-def components(index: SearchIndex) -> list[int]:
-    """Each node index's strongly connected component label, from one
-    iterative Tarjan pass over ``index.out`` ("Depth-first search and linear
-    graph algorithms", SIAM J. Comput. 1972). Two nodes share a label exactly
-    when each reaches the other; blocked edges count, as in :func:`reachable`."""
-    out = index.out
-    order, low = [0] * len(out), [0] * len(out)  # discovery number from 1; 0 while unvisited
-    label, stack, found = [-1] * len(out), [], 0  # label -1 while unvisited or stacked
-    for root in range(len(out)):
-        if order[root]:
-            continue
-        found += 1
-        order[root] = low[root] = found
-        stack.append(root)
-        walk = [(root, iter(out[root]))]
-        while walk:
-            u, arcs = walk[-1]
-            for _eid, v, _base in arcs:
-                if not order[v]:
-                    found += 1
-                    order[v] = low[v] = found
-                    stack.append(v)
-                    walk.append((v, iter(out[v])))
-                    break
-                if label[v] < 0 and order[v] < low[u]:
-                    low[u] = order[v]
-            else:
-                walk.pop()
-                if low[u] == order[u]:  # u roots a component: the stack down to u
-                    while label[u] < 0:
-                        label[stack.pop()] = u
-                elif low[u] < low[walk[-1][0]]:
-                    low[walk[-1][0]] = low[u]
-    return label
-
-
-def reachable(graph: RoadGraph, start: str, goal: str) -> bool:
-    """Whether ``goal`` is reachable from ``start`` along any edges, blocked
-    ones included: a depth-first search that stops at the goal. The loader
-    runs it only for a goal outside its start's component (:func:`components`)."""
-    index = graph.index
-    goal_i = index.pos[goal]
-    stack = [index.pos[start]]
-    seen = bytearray(len(index.ids))
-    seen[stack[0]] = 1
-    while stack:
-        u = stack.pop()
-        if u == goal_i:
-            return True
-        for _eid, v, _base in index.out[u]:
+def _finished(rows, root: int, seen: bytearray) -> Iterator[int]:
+    """``root``, not yet ``seen``, and the nodes not yet seen that a
+    depth-first search from it along ``rows`` (``SearchIndex.out`` or
+    ``SearchIndex.into``) reaches, in the order their searches finish; each
+    is marked seen as it is reached. The stack is explicit, so depth has no
+    limit."""
+    seen[root] = 1
+    walk = [(root, iter(rows[root]))]
+    while walk:
+        u, arcs = walk[-1]
+        for _eid, v, _base in arcs:
             if not seen[v]:
                 seen[v] = 1
-                stack.append(v)
-    return False
+                walk.append((v, iter(rows[v])))
+                break
+        else:
+            walk.pop()
+            yield u
+
+
+def components(index: SearchIndex) -> list[int]:
+    """Each node index's strongly connected component label, from two walks
+    (Kosaraju-Sharir; Sharir, Comput. Math. Appl. 1981): one along
+    ``index.out`` for the order in which nodes finish, then one along
+    ``index.into`` from each node not yet labelled, the last to finish
+    first, whose nodes take that root as their label. Two nodes share a
+    label exactly when each reaches the other; blocked edges count."""
+    n = len(index.ids)
+    seen = bytearray(n)
+    finish = [u for root in range(n) if not seen[root] for u in _finished(index.out, root, seen)]
+    label, seen = [-1] * n, bytearray(n)
+    for root in reversed(finish):
+        if not seen[root]:
+            for u in _finished(index.into, root, seen):
+                label[u] = root
+    return label
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +552,11 @@ def load_scenario(text: str | bytes) -> Scenario:
     value that is not finite or below its kind's least, an event on an
     unknown edge or node, unreachable goals). Each event is checked here
     once and applied nowhere: :func:`apply_event` relies on these checks.
-    Reachability takes one component labelling, made at the first query
-    that needs it, plus a search (:func:`reachable`) only for a goal outside
-    its start's component. Queries are checked in order, each fully before
-    the next, so an error names the first query that fails any check.
+    Reachability takes one component labelling (:func:`components`), made
+    at the first query that needs it, plus a walk from the start only for a
+    goal outside its start's component. Queries are checked in order, each
+    fully before the next, so an error names the first query that fails any
+    check.
     """
     try:
         doc = json.loads(text)
@@ -632,7 +615,7 @@ def load_scenario(text: str | bytes) -> Scenario:
 
     queries = []
     vehicles = set()
-    pos, labels = graph.index.pos, None  # component labels, made at the first reachability check
+    index, labels = graph.index, None  # component labels, made at the first reachability check
     for i, q in enumerate(query_docs):
         where = f"queries[{i}]"
         vehicle, start, goal, depart_s, w, ctx = _record(q, _QUERY, where)
@@ -651,8 +634,9 @@ def load_scenario(text: str | bytes) -> Scenario:
         if not (math.isfinite(depart_s) and depart_s >= 0):
             raise ValidationError(f"{where}: depart_s must be finite and >= 0")
         if labels is None:
-            labels = components(graph.index)
-        if labels[pos[start]] != labels[pos[goal]] and not reachable(graph, start, goal):
+            labels = components(index)
+        s, g = index.pos[start], index.pos[goal]
+        if labels[s] != labels[g] and g not in _finished(index.out, s, bytearray(len(labels))):
             raise ValidationError(f"{where}: goal {goal!r} unreachable from {start!r}")
         queries.append(query)
 

@@ -110,21 +110,15 @@ def cheapest_edge(snap: GraphSnapshot, u: str, v: str) -> tuple[str, float] | No
     return best
 
 
-def _travel_time(snap: GraphSnapshot, path: tuple[str, ...]) -> float | None:
-    """Travel time along ``path`` on cheapest unblocked edges; None if a hop has none."""
+def path_travel_time(snap: GraphSnapshot, path: tuple[str, ...]) -> float:
+    """Travel time along ``path`` on cheapest unblocked edges; a ValueError
+    at the first hop that has none."""
     total = 0.0
     for u, v in zip(path, path[1:]):
         edge = cheapest_edge(snap, u, v)
         if edge is None:
-            return None
+            raise ValueError(f"no unblocked edge along {path!r}")
         total += edge[1]
-    return total
-
-
-def path_travel_time(snap: GraphSnapshot, path: tuple[str, ...]) -> float:
-    total = _travel_time(snap, path)
-    if total is None:
-        raise ValueError(f"no unblocked edge along {path!r}")
     return total
 
 
@@ -135,7 +129,7 @@ def path_penalty(snap: GraphSnapshot, path: tuple[str, ...]) -> float:
 def validate_path(snap: GraphSnapshot, path: tuple[str, ...]) -> bool:
     """Independent check that consecutive nodes are joined by unblocked edges."""
     return (bool(path) and all(n in snap.index.pos for n in path)
-            and _travel_time(snap, path) is not None)
+            and all(cheapest_edge(snap, u, v) for u, v in zip(path, path[1:])))
 
 
 def _result(snap: GraphSnapshot, parent: dict[int, int] | list[int],

@@ -54,6 +54,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from itertools import groupby
 from operator import attrgetter
@@ -221,11 +222,10 @@ class Simulation:
                          at_node=q.start, t_s=q.depart_s)
             for q in sorted(scenario.queries, key=lambda q: q.vehicle)
         ]
-        # The vehicles by (departure epoch, id), of which the first
-        # ``_departed`` have joined ``_moving``: those en route that have
-        # departed or depart in this epoch, in id order, as they plan and move.
-        self._departures = sorted(self.vehicles, key=lambda v: v.depart_epoch)
-        self._departed = 0
+        # The vehicles yet to join ``_moving``, by (departure epoch, id), and
+        # those en route that have departed or depart in this epoch, in id
+        # order, as they plan and move.
+        self._departures = deque(sorted(self.vehicles, key=lambda v: v.depart_epoch))
         self._moving: list[VehicleState] = []
 
     # -- epoch machinery ----------------------------------------------------
@@ -252,12 +252,11 @@ class Simulation:
 
         # The vehicles en route that have departed or depart in this epoch:
         # all of them replan under dyn_astar, the rest only to depart.
-        moving, departures = self._moving, self._departures
-        while self._departed < len(departures) and departures[self._departed].depart_epoch <= k:
-            bisect.insort(moving, departures[self._departed], key=attrgetter("id"))
-            self._departed += 1
-        planning = (moving if self.algorithm == "dyn_astar"
-                    else [v for v in moving if not v.departed])
+        moving, departures, joined = self._moving, self._departures, []
+        while departures and departures[0].depart_epoch <= k:
+            joined.append(departures.popleft())
+            bisect.insort(moving, joined[-1], key=attrgetter("id"))
+        planning = moving if self.algorithm == "dyn_astar" else joined
         if planning:
             snap = self._belief_snapshot()
             for v in planning:
@@ -277,8 +276,7 @@ class Simulation:
         epochs = self.truth.event_epoch(self.config.horizon_s)  # opening before the horizon
         departures = self._departures
         while self.epoch_index < epochs and (  # and one en route departs in them
-                self._moving or self._departed < len(departures)
-                and departures[self._departed].depart_epoch < epochs):
+                self._moving or departures and departures[0].depart_epoch < epochs):
             self.step_epoch()
         for v in self.vehicles:
             if v.status == EN_ROUTE:

@@ -46,6 +46,9 @@ def _rejection(name, file, check, test):
 
 _LOAD = "tests/test_graph.py::TestLoadScenario::test_rejection_names_its_fault"
 _GRID_LANDMARKS = ("tests/test_landmarks.py::test_mid_size_congested_grids_match_the_reference",)
+_COMPONENTS = "tests/test_graph.py::TestComponents::"
+_LABELS = (f"{_COMPONENTS}test_pinned_graphs",
+           f"{_COMPONENTS}test_labels_match_mutual_reachability")
 
 MUTANTS = (
     _rejection("duplicate-node", "graph.py", """\
@@ -100,8 +103,8 @@ MUTANTS = (
         raise KeyError(f"unknown node {node!r}")
 """, "tests/test_planners.py::TestRejectedInput::test_an_unknown_node_is_a_key_error"),
     _rejection("travel-time-no-edge", "planners.py", """\
-    if total is None:
-        raise ValueError(f"no unblocked edge along {path!r}")
+        if edge is None:
+            raise ValueError(f"no unblocked edge along {path!r}")
 """, "tests/test_planners.py::TestRejectedInput::"
      "test_path_travel_time_rejects_a_hop_with_no_unblocked_edge"),
     _rejection("replay-no-edge", "simulate.py", """\
@@ -126,6 +129,27 @@ MUTANTS = (
     # RRT's step toward a sample breaking a distance tie to the higher node.
     Mutant("rrt-step-tie-to-higher-node", "planners.py", "(d == step_d and v < step)",
            "(d == step_d and v > step)", ("tests/test_golden.py",)),
+    # RRT's nearest tree node to a sample breaking a distance tie to the higher node.
+    Mutant("rrt-nearest-tie-to-higher-node", "planners.py", "(d == best_d and i < current)",
+           "(d == best_d and i > current)",
+           ("tests/test_planners.py::TestRrt::test_a_nearest_node_tie_goes_to_the_lower_index",)),
+    # The search's tie-break on equal priority scaled by w1, which UCS sets to 0.
+    Mutant("ucs-tie-break-zeroed", "planners.py", "w3 * h3_at[v], h, v))",
+           "w3 * h3_at[v], w1 * h, v))",
+           ("tests/test_golden.py",
+            "tests/test_planners.py::TestUcsReduction::test_zero_heuristic_weights_reduce_to_ucs")),
+    # Component labelling's second walk along out-edges, or from its roots in
+    # finish order rather than reversed, and the loader refusing every goal
+    # outside its start's component without the walk that may still reach it.
+    Mutant("components-second-walk-along-out", "graph.py", "_finished(index.into, root, seen)",
+           "_finished(index.out, root, seen)", _LABELS),
+    Mutant("components-roots-in-finish-order", "graph.py", "for root in reversed(finish):",
+           "for root in finish:", _LABELS),
+    Mutant("load-without-cross-component-walk", "graph.py",
+           " and g not in _finished(index.out, s, bytearray(len(labels)))", "",
+           (f"{_COMPONENTS}test_pinned_graphs",
+            f"{_COMPONENTS}test_load_agrees_with_a_search_per_query",
+            f"{_COMPONENTS}test_long_one_way_chain_needs_no_recursion")),
     # The landmark table built with the index rather than by the first search
     # that reads it.
     Mutant("landmark-build-at-load", "graph.py",

@@ -24,7 +24,7 @@ from dynroute import (
     snapshot,
 )
 from dynroute import graph as graph_module
-from dynroute.graph import SET_CONGESTION, apply_events, components, reachable, scenario_to_dict
+from dynroute.graph import SET_CONGESTION, apply_events, components, scenario_to_dict
 from dynroute.suite import write_suites
 from reference_planners import assert_snapshot_of, id_view, neighbors
 
@@ -250,24 +250,40 @@ def _digraph(n: int, arcs) -> RoadGraph:
                       for k, (u, v) in enumerate(arcs)])
 
 
+def _closure(n: int, arcs) -> list[list[bool]]:
+    """Warshall's transitive closure of nodes 0..n-1 and ``arcs``:
+    ``reach[s][t]`` says whether zero or more arcs lead from s to t."""
+    reach = [[s == t for t in range(n)] for s in range(n)]
+    for u, v in arcs:
+        reach[u][v] = True
+    for k in range(n):
+        for s in range(n):
+            if reach[s][k]:
+                reach[s] = [a or b for a, b in zip(reach[s], reach[k])]
+    return reach
+
+
 def _assert_labels_match_mutual_reachability(n: int, arcs) -> None:
-    graph = _digraph(n, arcs)
-    labels = components(graph.index)
-    for s in graph.nodes:
-        for t in graph.nodes:
-            both = reachable(graph, s, t) and reachable(graph, t, s)
-            assert (labels[graph.index.pos[s]] == labels[graph.index.pos[t]]) == both
+    reach = _closure(n, arcs)
+    index = _digraph(n, arcs).index
+    by_index = components(index)
+    labels = [by_index[index.pos[f"n{i}"]] for i in range(n)]
+    for s in range(n):
+        for t in range(n):
+            assert (labels[s] == labels[t]) == (reach[s][t] and reach[t][s])
 
 
 def _assert_load_agrees_with_a_search_per_query(n: int, arcs, queries) -> None:
-    """The reference searches every query in order and names the first whose
-    goal it cannot reach; the loader must accept or reject alike."""
-    graph = _digraph(n, arcs)
+    """The reference reads every query in order off the transitive closure
+    and names the first whose goal its start cannot reach; the loader must
+    accept or reject alike."""
+    reach = _closure(n, arcs)
     built = tuple(Query(f"v{i}", f"n{s}", f"n{g}", 0.0, HeuristicWeights(1, 1, 0, 0))
                   for i, (s, g) in enumerate(queries))
-    text = serialize_scenario(Scenario(graph, HeuristicField(), (), built, "reach", 1))
+    text = serialize_scenario(Scenario(_digraph(n, arcs), HeuristicField(), (), built, "reach", 1))
     expected = next((f"queries[{i}]: goal {q.goal!r} unreachable from {q.start!r}"
-                     for i, q in enumerate(built) if not reachable(graph, q.start, q.goal)), None)
+                     for i, (q, (s, g)) in enumerate(zip(built, queries)) if not reach[s][g]),
+                    None)
     if expected is None:
         assert load_scenario(text).queries == built
     else:
@@ -286,7 +302,8 @@ def _digraphs(draw):
 
 
 class TestComponents:
-    """Component labels against their definition, mutual reachability by search."""
+    """Component labels and the loader against their definition, mutual
+    reachability read off a transitive closure."""
 
     @pytest.mark.parametrize("n, arcs", [
         (5, [(0, 1), (1, 2), (2, 3), (3, 4)]),
@@ -315,6 +332,21 @@ class TestComponents:
         n = 20_000  # far deeper than the interpreter's recursion limit
         labels = components(_digraph(n, [(i, (i + 1) % n) for i in range(n)]).index)
         assert len(set(labels)) == 1
+
+    def test_long_one_way_chain_needs_no_recursion(self):
+        # Every node is its own component, so the downstream query takes the
+        # walk from its start, 20,000 nodes deep; the upstream one is refused.
+        n = 20_000  # far deeper than the interpreter's recursion limit
+        graph = _digraph(n, [(i, i + 1) for i in range(n - 1)])
+
+        def document(start, goal):
+            query = Query("v0", start, goal, 0.0, HeuristicWeights(1, 1, 0, 0))
+            return serialize_scenario(Scenario(graph, HeuristicField(), (), (query,), "chain", 1))
+
+        assert load_scenario(document("n0", "n19999")).queries[0].goal == "n19999"
+        with pytest.raises(ValidationError) as info:
+            load_scenario(document("n19999", "n0"))
+        assert str(info.value) == "queries[0]: goal 'n0' unreachable from 'n19999'"
 
 
 class TestApplyEvent:

@@ -227,6 +227,17 @@ class TestRrt:
         assert res.status == UNREACHABLE
         assert res.expansion_order == ("d",)
 
+    def test_a_nearest_node_tie_goes_to_the_lower_index(self):
+        # On a 2 x 3 grid, seed 0's first sample, n01_00, grows the tree from
+        # n00_02 through n00_01 and n00_00 to n01_00. Its second, the goal
+        # n01_01, is one edge from both n00_01 and n01_00; the tie goes to
+        # n00_01, the lower index, which steps to the goal. The higher,
+        # n01_00, would reach it too, as the goal's parent.
+        snap = snap_of(make_grid(2, 3, 100.0, 10.0))
+        res = rrt_plan(snap, "n00_02", "n01_01", SearchParams(rng_seed=0))
+        assert res.path == ("n00_02", "n00_01", "n01_01")
+        assert res.expansion_order == ("n00_02", "n00_01", "n00_00", "n01_00", "n01_01")
+
     @pytest.mark.parametrize("start, goal", [("n00_00", "n04_04"), ("n02_03", "n02_03")])
     def test_expansion_order_is_the_tree_in_insertion_order(self, start, goal):
         # Every node enters the tree after its parent, so the path's nodes
