@@ -80,8 +80,8 @@ def offline_optimal(
     penalty = [h2 + h3 for h2, h3 in zip(first.h2_at, first.h3_at)]
     varying = {index.pos[nid] for nid in truth.varying_nodes}
 
-    # labels[i] = (cost, time, node index, parent label index)
-    labels: list[tuple[float, float, int, int]] = [(0.0, query.depart_s, start, -1)]
+    # labels[i] = (node index, parent label index); its cost and time are in its heap entry
+    labels: list[tuple[int, int]] = [(start, -1)]
     # frontier[u]: the (time, cost) of every undominated label at node u
     frontier: list[list[tuple[float, float]]] = [[] for _ in ids]
     frontier[start].append((query.depart_s, 0.0))
@@ -90,7 +90,7 @@ def offline_optimal(
     pops = 0
     while heap:
         cost, time, idx = heapq.heappop(heap)
-        u = labels[idx][2]
+        u = labels[idx][0]
         pops += 1
         if pops > ORACLE_MAX_POPS:
             raise OracleBoundsError(
@@ -99,8 +99,8 @@ def offline_optimal(
         if u == goal:
             path = []
             while idx != -1:
-                path.append(ids[labels[idx][2]])
-                idx = labels[idx][3]
+                u, idx = labels[idx]
+                path.append(ids[u])
             path.reverse()
             return OracleResult(query.vehicle, cost, tuple(path))
         for _eid, v, eff in truth.at_time(time).arcs[u]:
@@ -122,7 +122,7 @@ def offline_optimal(
                 if evicts:
                     bucket[:] = [(t, c) for t, c in bucket if not (ntime <= t and ncost <= c)]
                 bucket.append((ntime, ncost))
-                labels.append((ncost, ntime, v, idx))
+                labels.append((v, idx))
                 heapq.heappush(heap, (ncost, ntime, len(labels) - 1))
     return OracleResult(query.vehicle, math.inf, ())
 
@@ -146,9 +146,11 @@ class ScoreReport:
     rows: tuple[AlgorithmScore, ...]
 
 
-def _scenario_correct(trace, oracles: dict[str, OracleResult], rho: float) -> tuple[bool, list[float], int]:
-    """A scenario counts correct iff every queried vehicle arrived within
-    rho times its oracle cost. Returns (correct, cost ratios, strandings).
+def _scored_cell(trace, oracles: dict[str, OracleResult], rho: float) -> dict:
+    """One algorithm's result cell on one scenario, from its trace. The
+    scenario counts correct iff every queried vehicle arrived within rho
+    times its oracle cost; the cell also lists each arrival's cost ratio,
+    the strandings and each vehicle's expansions.
 
     A ratio compares both costs at the trace's 9 decimals: the oracle cost is
     rounded as ``Simulation._trace`` rounds ``realized_cost_s``, so a trip
@@ -158,13 +160,12 @@ def _scenario_correct(trace, oracles: dict[str, OracleResult], rho: float) -> tu
     strandings = 0
     correct = True
     for v in trace.vehicles:
-        oracle = oracles[v["vehicle"]]
         if v["status"] == STRANDED:
             strandings += 1
         if v["status"] != ARRIVED:
             correct = False
             continue
-        opt = round(oracle.optimal_realized_cost, 9)
+        opt = round(oracles[v["vehicle"]].optimal_realized_cost, 9)
         if not math.isfinite(opt) or opt <= 0:
             ratio = 1.0 if v["realized_cost_s"] <= _EPS else math.inf
         else:
@@ -172,7 +173,8 @@ def _scenario_correct(trace, oracles: dict[str, OracleResult], rho: float) -> tu
         ratios.append(ratio)
         if ratio > rho + _EPS:
             correct = False
-    return correct, ratios, strandings
+    return {"correct": correct, "ratios": ratios, "strandings": strandings,
+            "expanded": [v["expanded"] for v in trace.vehicles], "error": None}
 
 
 def _failed_cell(scenario: Scenario, exc: Exception) -> dict:
@@ -201,16 +203,8 @@ def evaluate_scenario(
     cells: dict[str, dict] = {}
     for algo in algorithms:
         try:
-            trace = run_simulation(scenario, config, algo, truth)
-            correct, ratios, strandings = _scenario_correct(trace, oracles, rho)
-            cells[algo] = {
-                "correct": correct,
-                "ratios": ratios,
-                "strandings": strandings,
-                "expanded": [v["expanded"] for v in trace.vehicles],
-                "error": None,
-            }
-        except Exception as exc:  # pragma: no cover - per-cell fault isolation
+            cells[algo] = _scored_cell(run_simulation(scenario, config, algo, truth), oracles, rho)
+        except Exception as exc:  # a cell that raises fails alone
             cells[algo] = _failed_cell(scenario, exc)
     return cells
 
@@ -281,23 +275,15 @@ def report_table(report: ScoreReport) -> str:
         f"Algorithm comparison over {report.total_scenarios} scenarios "
         f"(pass = arrived within {report.rho:g} x offline optimum)\n"
     )
-    widths = (12, 18, 12, 12, 14)
-    cols = ("algorithm", "score (pass/total)", "mean ratio", "strandings", "mean expanded")
-    sep = "  "
-    lines = [header, sep.join(c.ljust(w) for c, w in zip(cols, widths))]
-    lines.append(sep.join("-" * w for w in widths))
-    for row in report.rows:
-        lines.append(
-            sep.join(
-                (
-                    row.algorithm.ljust(widths[0]),
-                    f"{row.score:.2f} ({row.passes}/{row.total})".ljust(widths[1]),
-                    f"{row.mean_cost_ratio:.3f}".ljust(widths[2]),
-                    str(row.strandings).ljust(widths[3]),
-                    f"{row.mean_expanded:.1f}".ljust(widths[4]),
-                )
-            )
-        )
+    columns = (("algorithm", 12), ("score (pass/total)", 18), ("mean ratio", 12),
+               ("strandings", 12), ("mean expanded", 14))
+    grid = [[title for title, _ in columns], ["-" * width for _, width in columns]]
+    grid += [[row.algorithm, f"{row.score:.2f} ({row.passes}/{row.total})",
+              f"{row.mean_cost_ratio:.3f}", str(row.strandings), f"{row.mean_expanded:.1f}"]
+             for row in report.rows]
+    lines = [header]
+    for cells in grid:
+        lines.append("  ".join(text.ljust(width) for text, (_, width) in zip(cells, columns)))
     errors = [f"  {row.algorithm}: {err}" for row in report.rows for err in row.errors]
     if errors:
         lines += ["", "errors (cells that raised, counted as failures):", *errors]

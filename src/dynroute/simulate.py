@@ -250,12 +250,16 @@ class Simulation:
             ingested = len(self.obs_queue)
         self.obs_queue.clear()
 
-        # The vehicles en route that have departed or depart in this epoch:
-        # all of them replan under dyn_astar, the rest only to depart.
+        # The vehicles en route that have departed or depart in this epoch, a
+        # vehicle departing as it joins them, its start the first node of its
+        # path: all of them replan under dyn_astar, the rest only to depart.
         moving, departures, joined = self._moving, self._departures, []
         while departures and departures[0].depart_epoch <= k:
-            joined.append(departures.popleft())
-            bisect.insort(moving, joined[-1], key=attrgetter("id"))
+            v = departures.popleft()
+            v.departed = True
+            v.path_taken.append(v.at_node)
+            joined.append(v)
+            bisect.insort(moving, v, key=attrgetter("id"))
         planning = moving if self.algorithm == "dyn_astar" else joined
         if planning:
             snap = self._belief_snapshot()
@@ -330,9 +334,6 @@ class Simulation:
         ``truth``, and pays that price whole, then the head's penalty, on
         arrival, and reports the price and the head's h2 it paid. At a node
         without a route it strands."""
-        if not v.departed:
-            v.departed = True
-            v.path_taken.append(v.at_node)
         reached = k  # the epoch of the instant it reached at_node
         while True:
             if v.edge is not None:
@@ -341,7 +342,13 @@ class Simulation:
                     return  # still on the edge when this epoch ends
                 state = truth if reached == k else self.truth.at_epoch(reached)
                 i = state.index.pos[head]
-                self._emit_observation(v, eid, price, state.h2_at[i])
+                # The report: what the truth charged plus noise from the scenario seed's
+                # stream, unclipped; ingest_observations clips the estimates it moves.
+                observed_time, observed_h2 = price, state.h2_at[i]
+                if self.config.noise_sigma > 0:
+                    observed_time += self._noise_rng.gauss(0, self.config.noise_sigma)
+                    observed_h2 += self._noise_rng.gauss(0, self.config.noise_sigma)
+                self.obs_queue.append(Observation(eid, observed_time, observed_h2, v.id, v.t_s))
                 v.realized_cost += price
                 v.realized_cost += state.h2_at[i] + state.h3_at[i]  # the head's penalty
                 v.at_node, v.edge = head, None
@@ -363,16 +370,6 @@ class Simulation:
             v.t_s += price
             v.edge = (eid, nxt, price, self.truth.event_epoch(v.t_s), self.truth.epoch_of(v.t_s))
             v.plan_nodes = v.plan_nodes[1:]
-
-    def _emit_observation(self, v: VehicleState, eid: str, observed_time: float,
-                          observed_comfort: float) -> None:
-        """Queue ``v``'s report of edge ``eid``, reached at ``v.t_s``: what the
-        truth charged plus noise from the scenario seed's stream, unclipped;
-        :func:`ingest_observations` clips the estimates it moves."""
-        if self.config.noise_sigma > 0:
-            observed_time += self._noise_rng.gauss(0, self.config.noise_sigma)
-            observed_comfort += self._noise_rng.gauss(0, self.config.noise_sigma)
-        self.obs_queue.append(Observation(eid, observed_time, observed_comfort, v.id, v.t_s))
 
     # -- output ---------------------------------------------------------------
 

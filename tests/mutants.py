@@ -49,6 +49,12 @@ _GRID_LANDMARKS = ("tests/test_landmarks.py::test_mid_size_congested_grids_match
 _COMPONENTS = "tests/test_graph.py::TestComponents::"
 _LABELS = (f"{_COMPONENTS}test_pinned_graphs",
            f"{_COMPONENTS}test_labels_match_mutual_reachability")
+_ONE_TRUTH = "tests/test_sim.py::TestOneTruthModel::"
+_BEFORE_A_BOUNDARY = (f"{_ONE_TRUTH}"
+                      "test_an_instant_just_before_a_boundary_is_priced_in_its_own_epoch")
+_SCORING = "tests/test_evaluation.py::TestScoring::"
+_EQUAL_REPORT = ("tests/test_heuristics.py::TestIngestObservations::"
+                 "test_report_equal_to_the_belief_changes_nothing",)
 
 MUTANTS = (
     _rejection("duplicate-node", "graph.py", """\
@@ -184,6 +190,64 @@ MUTANTS = (
            "sorted(range(len(columns)), key=rank.__getitem__, reverse=True)",
            "sorted(reversed(range(len(columns))), key=rank.__getitem__, reverse=True)",
            _GRID_LANDMARKS),
+    # The one clock: an event at an epoch boundary applied an epoch late, and
+    # an instant a rounding error short of a boundary belonging to the epoch
+    # before it.
+    Mutant("event-epoch-tolerance-flipped", "simulate.py", "_LAST_EPOCH) - 1e-12))",
+           "_LAST_EPOCH) + 1e-12))",
+           ("tests/test_sim.py::TestTruthTimeline::test_boundary_event_is_immediate",
+            f"{_ONE_TRUTH}test_boundary_arrival_pays_the_later_epochs_penalty")),
+    Mutant("epoch-of-tolerance-dropped", "simulate.py",
+           "min(time / self.epoch_s, _LAST_EPOCH) + 1e-12))",
+           "min(time / self.epoch_s, _LAST_EPOCH)))", (_BEFORE_A_BOUNDARY,)),
+    # A vehicle entering its next edge in the epoch being stepped, not in the
+    # later one its arrival belongs to.
+    Mutant("entry-in-the-arrival-epoch", "simulate.py", """\
+            if reached != k:
+                return  # it enters its next edge in the epoch it reached this node
+""", "", (_BEFORE_A_BOUNDARY, f"{_ONE_TRUTH}test_simulator_replay_and_oracle_agree")),
+    # A run stepping an epoch for a vehicle that departs at the horizon.
+    Mutant("departure-at-the-horizon-steps", "simulate.py",
+           "departures[0].depart_epoch < epochs)", "departures[0].depart_epoch <= epochs)",
+           ("tests/test_sim.py::TestReplanningAdvantage::"
+            "test_run_ends_when_no_vehicle_en_route_departs_before_the_horizon",)),
+    # A report equal to the belief fused anyway, where the average may drift
+    # an ulp: in the fusing rule, and in the belief-price guard before it.
+    Mutant("fused-without-the-equal-report-shortcut", "heuristics.py", """\
+    if reported == old:
+        return old
+""", "", _EQUAL_REPORT),
+    Mutant("ingest-fuses-the-belief-price", "heuristics.py",
+           "        if obs.observed_travel_time != base * old:", "        if True:",
+           _EQUAL_REPORT),
+    # A snapshot whose arcs keep the blocked edges.
+    Mutant("snapshot-keeps-blocked-arcs", "graph.py",
+           "for eid, v, t in index.out[i] if eid not in blocked])",
+           "for eid, v, t in index.out[i]])",
+           ("tests/test_search_index.py::test_index_is_built_from_the_edge_records",)),
+    # The oracle pricing every arrival's penalty from the first truth state.
+    Mutant("oracle-penalties-from-the-first-state", "evaluate.py", "            if v in varying:",
+           "            if False:",
+           ("tests/test_golden.py::test_committed_scenarios_match_the_routes_digest",
+            f"{_ONE_TRUTH}test_boundary_arrival_pays_the_later_epochs_penalty")),
+    # The scored cell: the oracle cost divided by unrounded, a vehicle that
+    # did not arrive passing its scenario, and a trip over rho times the
+    # optimum by less than the tolerance failing.
+    Mutant("oracle-cost-unrounded", "evaluate.py",
+           'round(oracles[v["vehicle"]].optimal_realized_cost, 9)',
+           'oracles[v["vehicle"]].optimal_realized_cost',
+           (f"{_SCORING}test_a_trip_that_pays_the_oracle_cost_scores_exactly_one",
+            f"{_SCORING}test_an_optimum_that_rounds_to_zero_is_not_divided_by")),
+    Mutant("unarrived-vehicle-ignored", "evaluate.py", """\
+        if v["status"] != ARRIVED:
+            correct = False
+            continue
+""", """\
+        if v["status"] != ARRIVED:
+            continue
+""", (f"{_SCORING}test_stranding_counts_and_fails",)),
+    Mutant("pass-bound-without-tolerance", "evaluate.py", "if ratio > rho + _EPS:",
+           "if ratio > rho:", (f"{_SCORING}test_a_trip_passes_up_to_rho_times_the_optimum",)),
 )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -325,6 +326,21 @@ class TestBench:
         table = (tmp_path / "bench.txt").read_text()
         assert "2 scenarios" in table
         assert capsys.readouterr().out == table
+
+    @pytest.mark.parametrize("suite, table_sha256, csv_sha256", [
+        ("suite", "bccb1704235474222ac25960d819ef9b09705d1b9bd71c9fccb1e7ada7a17dbd",
+         "34f2704d7764e1e2ae565390ebd414dc74ba46b93d834bbc425a498e4aa56415"),
+        ("static_suite", "1f58ef4cf1b577b9fdb4382e8e56b6abccb5d5a68fbaa055909b3b7d89f89527",
+         "34c15afab1c4317dd0701c720efc5cb6282f4c75872b88ae2ebf350abedb1ff4"),
+    ], ids=["suite", "static_suite"])
+    def test_committed_suite_renders_its_pinned_table_and_csv(
+            self, suite, table_sha256, csv_sha256, tmp_path, capsys):
+        # The scorer's output byte for byte: every cell, score, ratio and column.
+        out = tmp_path / "bench"
+        assert main(["bench", "--suite", str(SCENARIO_DIR / suite), "--out", str(out)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == table_sha256
+        assert hashlib.sha256((tmp_path / "bench.txt").read_bytes()).hexdigest() == table_sha256
+        assert hashlib.sha256((tmp_path / "bench.csv").read_bytes()).hexdigest() == csv_sha256
 
     def test_empty_suite_is_usage_error(self, tmp_path, capsys):
         suite = tmp_path / "empty"

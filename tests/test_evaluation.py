@@ -283,13 +283,27 @@ class TestScoring:
             assert cell["ratios"] == [1.0]
             assert cell["correct"] is True
 
+    @staticmethod
+    def _cell(optimum: float, paid: float, rho: float = 1.15) -> dict:
+        """The cell of one trip ``v1`` that arrived having paid ``paid``,
+        against an oracle cost of ``optimum``."""
+        oracles = {"v1": evaluate.OracleResult("v1", optimum, ("a", "b"))}
+        vehicle = {"vehicle": "v1", "status": "arrived", "realized_cost_s": paid, "expanded": 0}
+        trace = simulate.SimulationTrace("tiny", "ucs", 0, {}, (vehicle,), ())
+        return evaluate._scored_cell(trace, oracles, rho)
+
     def test_an_optimum_that_rounds_to_zero_is_not_divided_by(self):
         # 4e-10 s rounds to 0.0: a trip is scored as it is against a zero optimum.
-        oracles = {"v1": evaluate.OracleResult("v1", 4e-10, ("a", "b"))}
         for paid, ratio in ((0.0, 1.0), (1e-9, 1.0), (1e-6, math.inf)):
-            vehicle = {"vehicle": "v1", "status": "arrived", "realized_cost_s": paid}
-            trace = simulate.SimulationTrace("tiny", "ucs", 0, {}, (vehicle,), ())
-            assert evaluate._scenario_correct(trace, oracles, 1.15)[1] == [ratio]
+            assert self._cell(4e-10, paid)["ratios"] == [ratio]
+
+    @pytest.mark.parametrize("paid, passes", [
+        (115.0, True),  # exactly rho x the optimum
+        (115.00000005, True),  # over it by less than the tolerance
+        (115.001, False),
+    ])
+    def test_a_trip_passes_up_to_rho_times_the_optimum(self, paid, passes):
+        assert self._cell(100.0, paid, rho=1.15)["correct"] is passes
 
     def test_multi_vehicle_scenario_requires_all_to_pass(self, scenario_dir):
         s = scn((scenario_dir / "sharing_fixture.scn").read_text())
