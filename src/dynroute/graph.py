@@ -122,9 +122,17 @@ class SearchIndex:
     the free-flow network top speed, the divisor of the time heuristic.
     :meth:`landmark_columns` is the table behind the landmark lower bound,
     built at its first call.
+
+    ``_free_states`` is the weighted search's stack of free states: (g,
+    parent) list pairs of one entry per node, every g infinite. A search
+    takes one off it, or builds one if none is free, and puts it back reset
+    over the nodes it wrote, so only an index's first search pays set-up
+    that grows with the graph. Popping and appending are atomic under the
+    GIL, so threads searching one index each hold their own pair.
     """
 
-    __slots__ = ("ids", "pos", "xs", "ys", "out", "into", "v_max", "_landmark_columns")
+    __slots__ = ("ids", "pos", "xs", "ys", "out", "into", "v_max", "_landmark_columns",
+                 "_free_states")
 
     def __init__(self, nodes: Mapping[str, NodeRecord], edges: Mapping[str, EdgeRecord]):
         self.ids: tuple[str, ...] = tuple(sorted(nodes))
@@ -144,6 +152,7 @@ class SearchIndex:
             (e.length_m / e.base_time_s for e in edges.values()), default=1.0
         )
         self._landmark_columns: tuple[tuple[float, ...], ...] | None = None
+        self._free_states: list[tuple[list[float], list[int]]] = []
 
     def landmark_columns(self) -> tuple[tuple[float, ...], ...]:
         """The free-flow times to and from the landmarks, one column per

@@ -174,6 +174,11 @@ def dyn_a_star(
     travel time; other weightings trade optimality for preference. An h1 of
     infinity, a landmark's proof that the node cannot reach the goal, puts
     the node last but still in the search.
+
+    Its g and parent lists are a pair off the index's stack of free pairs,
+    put back reset over the nodes it expanded or left queued, so its set-up
+    costs nothing that grows with the graph once the index has a free pair.
+    Concurrent searches on one index each hold their own pair.
     """
     s, t = _index_of(snap, start), _index_of(snap, goal)
     w = params.weights
@@ -193,9 +198,13 @@ def dyn_a_star(
         # max() skips a NaN after its first argument, as the > tests below do.
         h = max(h, ca[s] - ka, cb[s] - kb)
     f = wg * 0.0 + w1 * h + w2 * h2_at[s] + w3 * h3_at[s]
-    g_best = [_INF] * n
+    free = index._free_states
+    try:
+        g_best, parent = free.pop()
+    except IndexError:  # none free: this search builds its own
+        g_best, parent = [_INF] * n, [-1] * n
     g_best[s] = 0.0
-    parent = [-1] * n
+    parent[s] = -1
     open_heap: list[tuple[float, float, int]] = [(f, h, s)]
     order: list[int] = []
     while open_heap:
@@ -206,7 +215,8 @@ def dyn_a_star(
         g_best[u] = -1.0  # below any g, so no arc reopens a closed node
         order.append(u)
         if u == t:
-            return _result(snap, parent, order, t, f, g_u)
+            result = _result(snap, parent, order, t, f, g_u)
+            break
         for _eid, v, eff in arcs[u]:
             ng = g_u + eff
             if ng < g_best[v]:
@@ -224,7 +234,16 @@ def dyn_a_star(
                     if a > h:
                         h = a
                 push(open_heap, (wg * ng + w1 * h + w2 * h2_at[v] + w3 * h3_at[v], h, v))
-    return _result(snap, parent, order)
+    else:
+        result = _result(snap, parent, order)
+    # Every g this search wrote is at a node it expanded or left queued;
+    # parents are read only along a route the search wrote itself.
+    for u in order:
+        g_best[u] = _INF
+    for _f, _h, v in open_heap:
+        g_best[v] = _INF
+    free.append((g_best, parent))
+    return result
 
 
 def _active_columns(columns: tuple[tuple[float, ...], ...], s: int,

@@ -11,8 +11,8 @@ the mutant's old text, which must occur exactly once in its file, with its
 new text, and runs only the mutant's tests with ``PYTHONPATH`` set to the
 copy. A mutant is caught when those tests fail (pytest exit status 1). The
 runner exits 1 if any mutant survives, or if its old text is missing or not
-unique, or its tests cannot be run. Code that moves under a mutant must take
-the table's entry with it.
+unique, or its tests cannot be run or are still running after ``TIMEOUT_S``
+seconds. Code that moves under a mutant must take the table's entry with it.
 
 The file name keeps pytest from collecting it. See DeMillo, Lipton & Sayward,
 "Hints on test data selection", IEEE Computer 1978.
@@ -29,6 +29,10 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# The longest one mutant's tests may run before the mutant is an error: a
+# fault can loop forever, as a route walk does on a cycle of parents.
+TIMEOUT_S = 120
 
 
 class Mutant(NamedTuple):
@@ -53,6 +57,8 @@ _ONE_TRUTH = "tests/test_sim.py::TestOneTruthModel::"
 _BEFORE_A_BOUNDARY = (f"{_ONE_TRUTH}"
                       "test_an_instant_just_before_a_boundary_is_priced_in_its_own_epoch")
 _SCORING = "tests/test_evaluation.py::TestScoring::"
+_NO_LEAK = "tests/test_search_index.py::test_no_search_state_leaks_between_searches_on_one_index"
+_KEEPS_ROUTE = "tests/test_planners.py::TestReplan::test_keeps_route_when_nothing_changed"
 _EQUAL_REPORT = ("tests/test_heuristics.py::TestIngestObservations::"
                  "test_report_equal_to_the_belief_changes_nothing",)
 
@@ -190,6 +196,19 @@ MUTANTS = (
            "sorted(range(len(columns)), key=rank.__getitem__, reverse=True)",
            "sorted(reversed(range(len(columns))), key=rank.__getitem__, reverse=True)",
            _GRID_LANDMARKS),
+    # A search putting its state back with the g of its queued or of its
+    # expanded nodes left as written, or reading a route's start's parent
+    # from the search before. The last sends most tests' route walks round
+    # a cycle of parents for good, so it names one that fails without one.
+    Mutant("state-reset-skips-queued", "planners.py", """\
+    for _f, _h, v in open_heap:
+        g_best[v] = _INF
+""", "", (*_GRID_LANDMARKS, _NO_LEAK)),
+    Mutant("state-reset-skips-expanded", "planners.py", """\
+    for u in order:
+        g_best[u] = _INF
+""", "", (_KEEPS_ROUTE, *_GRID_LANDMARKS, _NO_LEAK)),
+    Mutant("start-parent-not-reset", "planners.py", "    parent[s] = -1\n", "", (_KEEPS_ROUTE,)),
     # The one clock: an event at an epoch boundary applied an epoch late, and
     # an instant a rounding error short of a boundary belonging to the epoch
     # before it.
@@ -272,8 +291,14 @@ def caught(mutant: Mutant) -> bool:
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         apply(mutant, src)
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
-        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                              *mutant.tests], env=env, cwd=ROOT, capture_output=True, text=True)
+        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                   *mutant.tests]
+        try:
+            run = subprocess.run(command, env=env, cwd=ROOT, capture_output=True, text=True,
+                                 timeout=TIMEOUT_S)
+        except subprocess.TimeoutExpired as exc:
+            raise MutantError(f"tests still running after {TIMEOUT_S} s: they hang "
+                              "on this mutant") from exc
     if run.returncode not in (0, 1):
         raise MutantError(f"pytest exited {run.returncode}\n{run.stdout}{run.stderr}")
     return run.returncode == 1

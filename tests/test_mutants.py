@@ -1,6 +1,8 @@
 """The committed mutant table stays applicable, and its runner refuses a
-mutant whose old text is gone. Running the mutants themselves is a separate
-step: ``python3 tests/mutants.py``."""
+mutant whose old text is gone or whose tests hang. Running the mutants
+themselves is a separate step: ``python3 tests/mutants.py``."""
+
+import subprocess
 
 import pytest
 
@@ -30,3 +32,13 @@ def test_a_mutant_whose_old_text_is_missing_fails_the_run(monkeypatch, capsys):
 def test_an_unknown_mutant_name_is_a_usage_error(capsys):
     assert mutants.main(["no-such-mutant"]) == 2
     assert "unknown mutant(s): no-such-mutant" in capsys.readouterr().err
+
+
+def test_a_mutant_whose_tests_hang_fails_the_run(monkeypatch, capsys):
+    def hang(command, **kwargs):
+        raise subprocess.TimeoutExpired(command, kwargs["timeout"])
+
+    monkeypatch.setattr(mutants.subprocess, "run", hang)
+    assert mutants.main(["start-parent-not-reset"]) == 1
+    assert (f"start-parent-not-reset: ERROR tests still running after {mutants.TIMEOUT_S} s: "
+            "they hang on this mutant") in capsys.readouterr().out

@@ -2,11 +2,18 @@
 built exactly from the graph's edge records, planners and the offline oracle
 on fresh and patched snapshots match the string-keyed reference exactly, node
 indices follow id order, and one index is shared by every copy, snapshot and
-ground-truth state of a scenario's graph."""
+ground-truth state of a scenario's graph. The search state an index keeps for
+reuse carries nothing from one search to the next, in sequence or from two
+threads, and a short search on a large graph allocates nothing that grows with
+it."""
 
 import heapq
+import sys
+import threading
+import tracemalloc
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,13 +34,14 @@ from dynroute import (
     dyn_a_star,
     greedy_best_first,
     load_scenario,
+    make_grid,
     offline_optimal,
     rrt_plan,
     snapshot,
     static_a_star,
 )
 from dynroute import planners
-from dynroute.planners import cheapest_edge, validate_path
+from dynroute.planners import ASTAR_PARAMS, UCS_PARAMS, cheapest_edge, validate_path
 from dynroute.simulate import TruthTimeline
 from perfbench import gen
 
@@ -392,3 +400,108 @@ def test_one_index_shared_by_copies_snapshots_and_truth(scenario_dir):
     sim = Simulation(scn, SimConfig())
     sim.step_epoch()
     assert sim.belief_graph.index is index
+
+
+def _belief_and_truth():
+    """Two snapshots of one new 13 x 13 grid (169 nodes, so A* and the dynamic
+    planner read the landmark bound), sharing its index: a congested belief
+    with h2 penalties, and a truth with other congestion and blocked edges.
+    Node ``zz`` has one edge out into the grid and none in, so no grid node
+    reaches it."""
+    grid = make_grid(13, 13, 100.0, 10.0)
+    graph = RoadGraph([*grid.nodes.values(), NodeRecord("zz", -100.0, 0.0)],
+                      [*grid.edges.values(), EdgeRecord("ezz", "zz", "n00_00", 100.0, 10.0)])
+    eids = sorted(grid.edges)
+    for k, eid in enumerate(eids):
+        graph.congestion[eid] = 1.0 + (k * 7 % 5) / 2
+    belief = snapshot(graph, HeuristicField(
+        h2_by_node={f"n{r:02d}_{c:02d}": 5.0 * (r % 3) for r in range(13) for c in range(13)}))
+    truth_graph = graph.copy()
+    for k, eid in enumerate(eids):
+        truth_graph.congestion[eid] = 1.0 + (k * 3 % 4) / 2
+    truth_graph.blocked.update(eids[::17])
+    truth = snapshot(truth_graph, HeuristicField())
+    assert belief.index is truth.index
+    return belief, truth
+
+
+DYN_PARAMS = SearchParams(HeuristicWeights(1.0, 1.0, 0.5, 0.5))
+
+# (snapshot: 0 belief, 1 truth; start; goal; parameters): found routes that
+# leave nodes queued, unreachable goals (all the start reaches expanded), and
+# a start that is the goal, under each weighting on each snapshot.
+SEARCHES = [
+    (0, "n00_00", "n12_12", UCS_PARAMS),
+    (1, "n03_04", "zz", ASTAR_PARAMS),
+    (0, "n12_12", "n00_00", DYN_PARAMS),
+    (1, "n06_06", "n06_06", UCS_PARAMS),
+    (1, "n12_00", "n00_12", ASTAR_PARAMS),
+    (0, "n05_05", "zz", DYN_PARAMS),
+    (0, "zz", "n07_09", ASTAR_PARAMS),
+    (1, "n02_10", "n11_01", DYN_PARAMS),
+    (0, "n09_03", "n09_03", DYN_PARAMS),
+    (1, "n12_12", "n00_00", UCS_PARAMS),
+    (0, "n04_08", "n10_02", ASTAR_PARAMS),
+    (1, "n00_12", "n12_00", DYN_PARAMS),
+]
+
+
+def _on_fresh_indexes(searches):
+    """Each search's result on a newly built graph, index and snapshots."""
+    return [dyn_a_star(_belief_and_truth()[k], s, t, p) for k, s, t, p in searches]
+
+
+def test_no_search_state_leaks_between_searches_on_one_index():
+    expected = _on_fresh_indexes(SEARCHES)
+    assert any(r.path and r.path[0] != r.path[-1] for r in expected)
+    assert any(not r.path for r in expected)
+    assert any(len(r.path) == 1 for r in expected)
+    snaps = _belief_and_truth()
+    for _round in range(2):  # the second round starts on state the first left
+        for (k, s, t, p), want in zip(SEARCHES, expected):
+            assert dyn_a_star(snaps[k], s, t, p) == want
+            with pytest.raises(KeyError):
+                dyn_a_star(snaps[1 - k], s, "no-such-node", p)
+    assert len(snaps[0].index._free_states) == 1
+
+
+def test_threads_searching_one_snapshot_get_the_serial_results():
+    # Four threads switching every microsecond overlap their searches on the
+    # one index, so each must hold a pair no other search writes.
+    searches = [(1, s, t, p) for k, s, t, p in SEARCHES if k == 1]
+    expected = _on_fresh_indexes(searches)
+    truth = _belief_and_truth()[1]
+    got = [[] for _thread in range(4)]
+
+    def search(results):
+        for _round in range(15):
+            results.append([dyn_a_star(truth, s, t, p) for _k, s, t, p in searches])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=search, args=(results,)) for results in got]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[expected] * 15] * 4
+
+
+def test_a_short_search_on_a_large_graph_allocates_nothing_that_grows_with_it():
+    grid = make_grid(100, 100, 100.0, 10.0)
+    snap = snapshot(grid, HeuristicField())
+    n = len(snap.index.ids)
+    dyn_a_star(snap, "n50_50", "n99_99", DYN_PARAMS)  # builds the landmark table and a state
+    tracemalloc.start()
+    try:
+        result = dyn_a_star(snap, "n50_50", "n50_52", DYN_PARAMS)
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.path == ("n50_50", "n50_51", "n50_52")
+    # One list of n entries holds 8n bytes of pointers.
+    assert peak < n, f"{peak} B allocated by a 2-hop search on {n} nodes"
