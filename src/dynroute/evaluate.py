@@ -9,6 +9,15 @@ not yet a lower bound on every simulated realized cost: its dominance pruning
 assumes that arriving earlier never costs more later, which fails when
 congestion drops, because a vehicle cannot wait (``TestOracle`` pins a case).
 
+The search is A* on the time-expanded graph (Hart, Nilsson & Raphael, IEEE
+TSSC 1968), bounded by the planners' landmark terms (Goldberg & Harrelson,
+SODA 2005). They are free-flow times with blocked edges included, truth
+congestion is at least 1 and penalties at least 0, so they are admissible
+and consistent for the oracle's cost, and wherever costs are FIFO the first
+goal label popped is the cheapest. No straight-line term joins them: the
+loader lets an edge be shorter than the distance between its endpoints, so
+that term can overestimate.
+
 :func:`evaluate_scenario` builds the timeline once per scenario and hands the
 same object to every oracle query and every simulation of that scenario; its
 states are immutable snapshots, so sharing is safe. The oracle searches on
@@ -26,6 +35,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import planners
 from .graph import Query, Scenario, ScenarioError, load_scenario
 from .simulate import (
     ALGORITHMS,
@@ -59,13 +69,21 @@ def offline_optimal(
 ) -> OracleResult:
     """Minimum realized cost with full event foreknowledge.
 
-    Label-setting uniform-cost search over (node, time) states with dominance
-    pruning: a label is dropped iff an existing label at the same node is no
-    later and no more expensive. Each new label makes one pass over its
-    node's frontier bucket, which stops at the first label that dominates it;
-    only if none does is the label kept, appended after the bucket's labels
-    that it does not dominate (the bucket is rebuilt only if it dominates
-    one). ``truth`` is the scenario's ground truth; ``None`` builds it with
+    Label-setting A* over (node, time) states with dominance pruning: a label
+    is dropped iff an existing label at the same node is no later and no more
+    expensive. Each new label makes one pass over its node's frontier bucket,
+    which stops at the first label that dominates it; only if none does is
+    the label kept, appended after the bucket's labels that it does not
+    dominate (the bucket is rebuilt only if it dominates one).
+
+    Labels pop by cost plus ``h(v)``, then cost, then time, so
+    ``ORACLE_MAX_POPS`` counts goal-directed pops. On a graph of at least
+    ``planners.LANDMARK_MIN_NODES`` nodes ``h(v)`` is the largest of 0 and
+    the two landmark terms ``c[v] - c[goal]`` that ``dyn_a_star`` reads
+    (``planners._active_columns``); below that it is 0 and no table is built.
+    A NaN term is skipped; an infinite one, a proof that ``v`` cannot reach
+    the goal, puts its labels after every finite key.
+    ``truth`` is the scenario's ground truth; ``None`` builds it with
     ``SimConfig``'s default epochs.
     """
     if truth is None:
@@ -79,17 +97,22 @@ def offline_optimal(
     first = truth.at_epoch(0)
     penalty = [h2 + h3 for h2, h3 in zip(first.h2_at, first.h3_at)]
     varying = {index.pos[nid] for nid in truth.varying_nodes}
+    bounded = len(ids) >= planners.LANDMARK_MIN_NODES
+    if bounded:
+        ca, cb = planners._active_columns(index.landmark_columns(), start, goal)
+        ka, kb = ca[goal], cb[goal]
 
     # labels[i] = (node index, parent label index); its cost and time are in its heap entry
     labels: list[tuple[int, int]] = [(start, -1)]
     # frontier[u]: the (time, cost) of every undominated label at node u
     frontier: list[list[tuple[float, float]]] = [[] for _ in ids]
     frontier[start].append((query.depart_s, 0.0))
-    heap: list[tuple[float, float, int]] = [(0.0, query.depart_s, 0)]
+    # (cost + h, cost, time, label index); the start's key is never compared
+    heap: list[tuple[float, float, float, int]] = [(0.0, 0.0, query.depart_s, 0)]
 
     pops = 0
     while heap:
-        cost, time, idx = heapq.heappop(heap)
+        _key, cost, time, idx = heapq.heappop(heap)
         u = labels[idx][0]
         pops += 1
         if pops > ORACLE_MAX_POPS:
@@ -123,7 +146,15 @@ def offline_optimal(
                     bucket[:] = [(t, c) for t, c in bucket if not (ntime <= t and ncost <= c)]
                 bucket.append((ntime, ncost))
                 labels.append((v, idx))
-                heapq.heappush(heap, (ncost, ntime, len(labels) - 1))
+                h = 0.0
+                if bounded:  # a NaN term fails the > test and is skipped
+                    a = ca[v] - ka
+                    if a > h:
+                        h = a
+                    a = cb[v] - kb
+                    if a > h:
+                        h = a
+                heapq.heappush(heap, (ncost + h, ncost, ntime, len(labels) - 1))
     return OracleResult(query.vehicle, math.inf, ())
 
 

@@ -59,6 +59,9 @@ _BEFORE_A_BOUNDARY = (f"{_ONE_TRUTH}"
 _SCORING = "tests/test_evaluation.py::TestScoring::"
 _NO_LEAK = "tests/test_search_index.py::test_no_search_state_leaks_between_searches_on_one_index"
 _KEEPS_ROUTE = "tests/test_planners.py::TestReplan::test_keeps_route_when_nothing_changed"
+_ORACLE_ORDER = "tests/test_search_index.py::"
+_SPUR = f"{_ORACLE_ORDER}test_oracle_skips_a_dead_end_spur_the_landmark_terms_rule_out"
+_FEWER_POPS = f"{_ORACLE_ORDER}test_goal_directed_oracle_pops_fewer_labels_than_plain_order"
 _EQUAL_REPORT = ("tests/test_heuristics.py::TestIngestObservations::"
                  "test_report_equal_to_the_belief_changes_nothing",)
 
@@ -249,6 +252,17 @@ MUTANTS = (
            "            if False:",
            ("tests/test_golden.py::test_committed_scenarios_match_the_routes_digest",
             f"{_ONE_TRUTH}test_boundary_arrival_pays_the_later_epochs_penalty")),
+    # The oracle's labels ordered by cost alone, with the landmark bound read
+    # and then left out of every key; and the bound taken from one node above
+    # the planners' threshold, not from it on.
+    Mutant("oracle-bound-zeroed", "evaluate.py",
+           "heapq.heappush(heap, (ncost + h, ncost, ntime,",
+           "heapq.heappush(heap, (ncost + 0.0, ncost, ntime,", (_SPUR, _FEWER_POPS)),
+    Mutant("oracle-threshold-exclusive", "evaluate.py",
+           "bounded = len(ids) >= planners.LANDMARK_MIN_NODES",
+           "bounded = len(ids) > planners.LANDMARK_MIN_NODES",
+           ("tests/test_landmarks.py::"
+            "test_the_oracle_reads_the_table_from_the_planners_threshold_on",)),
     # The scored cell: the oracle cost divided by unrounded, a vehicle that
     # did not arrive passing its scenario, and a trip over rho times the
     # optimum by less than the tolerance failing.

@@ -16,8 +16,9 @@ through ``neighbors()`` and price them with ``time_heuristic``,
 inline those definitions in tight loops over node indices and must return
 exactly the same results. ``offline_optimal`` is the oracle as first
 written, keyed by node id and reading its own ground truth,
-:class:`IdTimeline`; the oracle in ``dynroute.evaluate`` searches on node
-indices and must match it bit for bit.
+:class:`IdTimeline`, and ordered by ``landmark_bound`` like the reference
+A*; the oracle in ``dynroute.evaluate`` searches on node indices and must
+match it bit for bit.
 """
 
 from __future__ import annotations
@@ -55,12 +56,6 @@ class IdView:
     blocked: frozenset[str]
     h2: Mapping[str, float]
     h3: Mapping[str, float]
-
-    @functools.cached_property
-    def landmarks(self) -> LandmarkTimes:
-        """:func:`landmark_times` of this view, built at the first read, so
-        searches on one view share one table: it reads only the index."""
-        return landmark_times(self)
 
 
 def id_view(graph: RoadGraph, field: HeuristicField) -> IdView:
@@ -157,10 +152,16 @@ def landmark_times(view: IdView) -> dict[str, tuple[dict[str, float], dict[str, 
     whose least time to the landmarks so far is greatest, a node with no
     route counting as infinitely far and ties going to the lowest id, up to
     ``graph.LANDMARKS`` of them. Times are on base times over every edge,
-    blocked or not.
+    blocked or not. The table reads only the view's index, so the views and
+    truth states of one graph share one, built at the first call.
     """
-    ids = view.index.ids
-    edges = [(ids[u], ids[v], base) for u, arcs in enumerate(view.index.out)
+    return _landmark_times(view.index)
+
+
+@functools.lru_cache(maxsize=8)
+def _landmark_times(index: SearchIndex) -> dict[str, tuple[dict[str, float], dict[str, float]]]:
+    ids = index.ids
+    edges = [(ids[u], ids[v], base) for u, arcs in enumerate(index.out)
              for _eid, v, base in arcs]
     reverse = [(v, u, base) for u, v, base in edges]
     far = dict.fromkeys(ids, _INF)
@@ -286,7 +287,7 @@ def dyn_a_star(
     _check_node(view, goal)
     w = params.weights
     landmarks = w.w1 and len(view.index.ids) >= planners.LANDMARK_MIN_NODES
-    times = view.landmarks if landmarks else {}
+    times = landmark_times(view) if landmarks else {}
     terms = active_terms(times, start, goal) if landmarks else []
 
     def h1(n: str) -> float:
@@ -464,19 +465,29 @@ def rrt_plan(
     return PlanResult((), _INF, _INF, tuple(tree))
 
 
-def offline_optimal(scenario: Scenario, query: Query, epoch_s: float = 30.0) -> OracleResult:
+def offline_optimal(scenario: Scenario, query: Query, epoch_s: float = 30.0,
+                    goal_directed: bool = True) -> OracleResult:
     """Minimum realized cost with full event foreknowledge.
 
-    Label-setting uniform-cost search over (node, time) states with dominance
-    pruning: a label is dropped iff an existing label at the same node is no
-    later and no more expensive.
+    Label-setting A* over (node, time) states with dominance pruning: a label
+    is dropped iff an existing label at the same node is no later and no more
+    expensive. Labels pop in order of cost plus ``h``, then cost, then time.
+    ``h`` is the :func:`landmark_bound` over the two :func:`active_terms` of
+    the query's start and goal on a graph of at least
+    ``planners.LANDMARK_MIN_NODES`` nodes (read when called), and 0 below
+    that. ``goal_directed`` false makes ``h`` 0 on every graph: the plain
+    cost order, whose costs the goal-directed order must keep.
     """
     timeline = IdTimeline(scenario, epoch_s)
+    bounded = (goal_directed
+               and len(scenario.graph.index.ids) >= planners.LANDMARK_MIN_NODES)
+    times = landmark_times(timeline.at_epoch(0)) if bounded else {}
+    terms = active_terms(times, query.start, query.goal) if bounded else []
 
     # labels[i] = (cost, time, node, parent_label_index)
     labels: list[tuple[float, float, str, int]] = [(0.0, query.depart_s, query.start, -1)]
     frontier: dict[str, list[tuple[float, float]]] = {query.start: [(query.depart_s, 0.0)]}
-    heap: list[tuple[float, float, int]] = [(0.0, query.depart_s, 0)]
+    heap: list[tuple[float, float, float, int]] = [(0.0, 0.0, query.depart_s, 0)]
     max_pops = 2_000_000
 
     def dominated(node: str, time: float, cost: float) -> bool:
@@ -487,7 +498,7 @@ def offline_optimal(scenario: Scenario, query: Query, epoch_s: float = 30.0) -> 
 
     pops = 0
     while heap:
-        cost, time, idx = heapq.heappop(heap)
+        _key, cost, time, idx = heapq.heappop(heap)
         _, _, node, _ = labels[idx]
         pops += 1
         if pops > max_pops:
@@ -511,5 +522,6 @@ def offline_optimal(scenario: Scenario, query: Query, epoch_s: float = 30.0) -> 
             ]
             bucket.append((ntime, ncost))
             labels.append((ncost, ntime, succ, idx))
-            heapq.heappush(heap, (ncost, ntime, len(labels) - 1))
+            key = ncost + landmark_bound(times, succ, query.goal, terms)
+            heapq.heappush(heap, (key, ncost, ntime, len(labels) - 1))
     return OracleResult(query.vehicle, math.inf, ())

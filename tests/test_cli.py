@@ -17,6 +17,7 @@ from dynroute.cli import CliError, _atomic_write, main
 from dynroute.simulate import replay_realized_cost
 
 from conftest import SCENARIO_DIR
+from perfbench import gen
 from test_sim import FORK, LINE, scenario_doc
 
 
@@ -336,8 +337,24 @@ class TestBench:
     def test_committed_suite_renders_its_pinned_table_and_csv(
             self, suite, table_sha256, csv_sha256, tmp_path, capsys):
         # The scorer's output byte for byte: every cell, score, ratio and column.
+        self._assert_bench_pins(SCENARIO_DIR / suite, table_sha256, csv_sha256, tmp_path, capsys)
+
+    def test_eval_grid20_documents_render_their_pinned_table_and_csv(self, tmp_path, capsys):
+        # The committed suites' graphs are too small for the oracle to read the
+        # landmark bound. These 400-node grids read it, and their pins were
+        # taken with the oracle in plain cost order.
+        suite = tmp_path / "eval_grid20"
+        suite.mkdir()
+        for k, doc in enumerate(gen.eval_grid20_docs(1)):
+            (suite / f"grid20_1_{k}.scn").write_text(doc)
+        self._assert_bench_pins(
+            suite, "b65c96f9c627d925c839d4a283ba0c720b4d2efb3ca2b5acf7dfa46295c0bece",
+            "ae1ef75bc26bbf5e8a179604a6c9bd04455ca53dd7748b15c8e5de29530451e4", tmp_path, capsys)
+
+    @staticmethod
+    def _assert_bench_pins(suite, table_sha256, csv_sha256, tmp_path, capsys):
         out = tmp_path / "bench"
-        assert main(["bench", "--suite", str(SCENARIO_DIR / suite), "--out", str(out)]) == 0
+        assert main(["bench", "--suite", str(suite), "--out", str(out)]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == table_sha256
         assert hashlib.sha256((tmp_path / "bench.txt").read_bytes()).hexdigest() == table_sha256
         assert hashlib.sha256((tmp_path / "bench.csv").read_bytes()).hexdigest() == csv_sha256

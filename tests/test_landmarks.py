@@ -7,10 +7,11 @@ included; graphs that are not strongly connected give no NaN; a search reads
 the two terms the reference's ``active_terms`` picks for its start and goal,
 which can bound a node less than the full table does; and the table is built
 by the first search that reads it, never by loading or snapshotting, nor by
-a search on a graph below ``LANDMARK_MIN_NODES``, and once per graph across
-every algorithm of an evaluation and its oracle. The planner tests on small
-graphs lower that threshold to 0; on congested grids between the threshold
-and 500 nodes, both planners match the reference at the default threshold.
+a search or an oracle query on a graph below ``LANDMARK_MIN_NODES``, and once
+per graph across every algorithm of an evaluation and its oracle. The
+planner tests on small graphs lower that threshold to 0; on congested grids
+between the threshold and 500 nodes, both planners match the reference at
+the default threshold.
 """
 
 import math
@@ -27,13 +28,16 @@ from dynroute import (
     UNREACHABLE,
     HeuristicField,
     HeuristicWeights,
+    Query,
     RoadGraph,
+    Scenario,
     SearchParams,
     dijkstra_ucs,
     dyn_a_star,
     greedy_best_first,
     load_scenario,
     make_grid,
+    offline_optimal,
     rrt_plan,
     snapshot,
     static_a_star,
@@ -309,6 +313,19 @@ def test_table_is_built_by_the_first_search_that_reads_it(scenario_dir, monkeypa
     assert all(truth.at_epoch(k).index.landmark_columns() is columns for k in truth._starts)
 
 
+@pytest.mark.parametrize("cols", [planners.LANDMARK_MIN_NODES - 1, planners.LANDMARK_MIN_NODES])
+def test_the_oracle_reads_the_table_from_the_planners_threshold_on(cols):
+    # One row of nodes, just below and at the threshold. Below it the oracle
+    # orders labels by cost alone and builds no table, so scoring the
+    # committed suites, whose graphs are far smaller, builds none either.
+    grid = make_grid(1, cols, 100.0, 10.0)
+    ids = grid.index.ids
+    query = Query("v1", ids[0], ids[-1], 0.0, HeuristicWeights())
+    scn = Scenario(grid, HeuristicField(), (), (query,), "row", 0)
+    assert offline_optimal(scn, query).optimal_path == ids
+    assert (grid.index._landmark_columns is not None) == (cols >= planners.LANDMARK_MIN_NODES)
+
+
 def congested_grid(rows: int, cols: int, seed: int, dead_end: bool):
     """A rows x cols grid of 50 s edges with a fifth of them congested 1.5-6x,
     five blocked, and h2 and h3 on 5% of the nodes each, up to 60 s. With
@@ -352,8 +369,9 @@ def test_mid_size_congested_grids_match_the_reference(rows, cols, seed, dead_end
 
 
 def test_an_evaluation_builds_one_table(monkeypatch):
-    # Every algorithm's simulation, its belief copies and truth states, and
-    # the oracle share the scenario's index, so the table is built once.
+    # The oracle's first query builds the table; every algorithm's
+    # simulation, its belief copies and truth states share the scenario's
+    # index and reuse it.
     builds = []
 
     def counted(index):

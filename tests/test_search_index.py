@@ -2,12 +2,15 @@
 built exactly from the graph's edge records, planners and the offline oracle
 on fresh and patched snapshots match the string-keyed reference exactly, node
 indices follow id order, and one index is shared by every copy, snapshot and
-ground-truth state of a scenario's graph. The search state an index keeps for
-reuse carries nothing from one search to the next, in sequence or from two
-threads, and a short search on a large graph allocates nothing that grows with
-it."""
+ground-truth state of a scenario's graph. The oracle's goal-directed order
+pops fewer labels than plain cost order and finds the same costs, and labels
+a landmark term proves cannot reach the goal are never popped before it. The
+search state an index keeps for reuse carries nothing from one search to the
+next, in sequence or from two threads, and a short search on a large graph
+allocates nothing that grows with it."""
 
 import heapq
+import math
 import sys
 import threading
 import tracemalloc
@@ -242,20 +245,23 @@ def oracle_cases(draw):
     scn = Scenario(RoadGraph([NodeRecord(nid, 0.0, 0.0) for nid in ids], edges),
                    HeuristicField(h2_by_node=draw(penalty), h3_by_node=draw(penalty)),
                    tuple(events), (query,), "oracle", 0)
-    return scn, query, draw(st.sampled_from([15.0, 30.0, 45.0]))
+    # Mostly 0, so these small graphs order labels by the landmark bound.
+    min_nodes = draw(st.sampled_from([0, 0, planners.LANDMARK_MIN_NODES]))
+    return scn, query, draw(st.sampled_from([15.0, 30.0, 45.0])), min_nodes
 
 
 @settings(max_examples=400, deadline=None)
 @given(oracle_cases())
 def test_oracle_matches_string_keyed_reference(case):
-    scn, query, epoch_s = case
-    expected = ref.offline_optimal(scn, query, epoch_s)
-    got = offline_optimal(scn, query, TruthTimeline(scn, epoch_s))
-    assert got.optimal_realized_cost.hex() == expected.optimal_realized_cost.hex()
-    assert got.optimal_path == expected.optimal_path
-    assert got.vehicle == expected.vehicle
-    if epoch_s == 30.0:
-        assert offline_optimal(scn, query) == got
+    scn, query, epoch_s, min_nodes = case
+    with mock.patch.object(planners, "LANDMARK_MIN_NODES", min_nodes):
+        expected = ref.offline_optimal(scn, query, epoch_s)
+        got = offline_optimal(scn, query, TruthTimeline(scn, epoch_s))
+        assert got.optimal_realized_cost.hex() == expected.optimal_realized_cost.hex()
+        assert got.optimal_path == expected.optimal_path
+        assert got.vehicle == expected.vehicle
+        if epoch_s == 30.0:
+            assert offline_optimal(scn, query) == got
 
 
 def _diamond_scenario(edges, events=(), h2=None):
@@ -293,26 +299,33 @@ def test_oracle_keeps_an_earlier_costlier_label():
     assert result.optimal_realized_cost == 160.0
 
 
-def _oracle_and_pushes(oracle, scn, query):
-    """``oracle``'s answer and every (cost, time, label index) it pushed."""
-    pushed = []
-    push = heapq.heappush
+def _oracle_heap(oracle, scn, query):
+    """``oracle``'s answer, every (key, cost, time, label index) entry it
+    pushed and every one it popped; below ``LANDMARK_MIN_NODES`` nodes a key
+    is the cost. A landmark table's build uses a heap too, so a caller that
+    counts on a larger graph builds the table first."""
+    pushed, popped = [], []
+    push, pop = heapq.heappush, heapq.heappop
 
-    def record(heap, entry):
+    def record_push(heap, entry):
         pushed.append(entry)
         push(heap, entry)
 
-    with mock.patch("heapq.heappush", record):
+    def record_pop(heap):
+        popped.append(pop(heap))
+        return popped[-1]
+
+    with mock.patch("heapq.heappush", record_push), mock.patch("heapq.heappop", record_pop):
         result = oracle(scn, query)
-    return result, pushed
+    return result, pushed, popped
 
 
 def _assert_oracle_pushes(scn, expected):
-    """The oracle answers and pushes exactly as the reference does, and its
-    pushes are ``expected``."""
+    """The oracle answers, pushes and pops exactly as the reference does, and
+    its pushes are ``expected``."""
     (query,) = scn.queries
-    got = _oracle_and_pushes(offline_optimal, scn, query)
-    assert got == _oracle_and_pushes(ref.offline_optimal, scn, query)
+    got = _oracle_heap(offline_optimal, scn, query)
+    assert got == _oracle_heap(ref.offline_optimal, scn, query)
     assert got[1] == expected
     return got[0]
 
@@ -322,7 +335,7 @@ def test_oracle_drops_a_label_that_an_existing_one_dominates():
     # one over e2 and the later, dearer one over e3; neither is pushed.
     scn = _diamond_scenario([("e1", "s", "m", 100.0, 15.0), ("e2", "s", "m", 100.0, 15.0),
                              ("e3", "s", "m", 100.0, 30.0), ("e4", "m", "z", 100.0, 15.0)])
-    result = _assert_oracle_pushes(scn, [(15.0, 15.0, 1), (30.0, 30.0, 2)])
+    result = _assert_oracle_pushes(scn, [(15.0, 15.0, 15.0, 1), (30.0, 30.0, 30.0, 2)])
     assert result.optimal_path == ("s", "m", "z")
 
 
@@ -333,8 +346,9 @@ def test_oracle_keeps_labels_that_do_not_dominate_each_other_in_order():
     scn = _diamond_scenario([("e1", "s", "m", 100.0, 30.0), ("e2", "s", "p", 100.0, 1.0),
                              ("e3", "p", "m", 100.0, 5.0), ("e4", "m", "z", 100.0, 100.0)],
                             h2={"p": 50.0})
-    result = _assert_oracle_pushes(scn, [(30.0, 30.0, 1), (51.0, 1.0, 2), (130.0, 130.0, 3),
-                                         (56.0, 6.0, 4), (156.0, 106.0, 5)])
+    result = _assert_oracle_pushes(scn, [(30.0, 30.0, 30.0, 1), (51.0, 51.0, 1.0, 2),
+                                         (130.0, 130.0, 130.0, 3), (56.0, 56.0, 6.0, 4),
+                                         (156.0, 156.0, 106.0, 5)])
     assert result.optimal_path == ("s", "m", "z")
 
 
@@ -347,15 +361,18 @@ def test_oracle_label_evicts_only_the_labels_it_dominates():
                              ("e5", "p", "m", 100.0, 45.0), ("e6", "a", "m", 100.0, 5.0),
                              ("e7", "q", "m", 100.0, 10.0), ("e8", "m", "z", 100.0, 100.0)],
                             h2={"p": 50.0, "q": 47.0})
-    result = _assert_oracle_pushes(scn, [(51.0, 1.0, 1), (70.0, 70.0, 2), (55.0, 55.0, 3),
-                                         (87.0, 40.0, 4), (96.0, 46.0, 5), (60.0, 60.0, 6),
-                                         (160.0, 160.0, 7), (196.0, 146.0, 8)])
+    result = _assert_oracle_pushes(scn, [(51.0, 51.0, 1.0, 1), (70.0, 70.0, 70.0, 2),
+                                         (55.0, 55.0, 55.0, 3), (87.0, 87.0, 40.0, 4),
+                                         (96.0, 96.0, 46.0, 5), (60.0, 60.0, 60.0, 6),
+                                         (160.0, 160.0, 160.0, 7), (196.0, 196.0, 146.0, 8)])
     assert result.optimal_path == ("s", "a", "m", "z")
 
 
 def test_oracle_matches_reference_on_eval_grid20():
     # 160 queries on 400-node grids with 64 events each, where frontier
-    # buckets hold several labels: the evict branch runs 231 times.
+    # buckets hold several labels: the evict branch runs 247 times. Both
+    # order labels by the landmark bound, and the reference in plain cost
+    # order finds the same costs, though not always the same tied path.
     for doc in gen.eval_grid20_docs(1):
         scn = load_scenario(doc)
         truth = TruthTimeline(scn, 30.0)
@@ -364,6 +381,56 @@ def test_oracle_matches_reference_on_eval_grid20():
             expected = ref.offline_optimal(scn, query, 30.0)
             assert got.optimal_realized_cost.hex() == expected.optimal_realized_cost.hex()
             assert got.optimal_path == expected.optimal_path
+            plain = ref.offline_optimal(scn, query, 30.0, goal_directed=False)
+            assert got.optimal_realized_cost.hex() == plain.optimal_realized_cost.hex()
+
+
+def test_goal_directed_oracle_pops_fewer_labels_than_plain_order():
+    scn = load_scenario(gen.eval_grid20_docs(1)[0])
+    assert len(scn.graph.index.ids) >= planners.LANDMARK_MIN_NODES
+    scn.graph.index.landmark_columns()
+    truth = TruthTimeline(scn, 30.0)
+    directed = plain = 0
+    for query in scn.queries:
+        got, _, popped = _oracle_heap(lambda s, q: offline_optimal(s, q, truth), scn, query)
+        expected, _, plain_popped = _oracle_heap(
+            lambda s, q: ref.offline_optimal(s, q, 30.0, goal_directed=False), scn, query)
+        assert got.optimal_realized_cost == expected.optimal_realized_cost
+        directed += len(popped)
+        plain += len(plain_popped)
+    assert 0 < 2 * directed < plain
+
+
+def test_oracle_skips_a_dead_end_spur_the_landmark_terms_rule_out():
+    # A one-way chain c199 -> ... -> c000 with a dead-end spur c150 -> d0 ->
+    # ... -> d9. The first landmark is c000, which the spur cannot reach: its
+    # "to" term reads inf at every spur node. The second active term reads
+    # -inf or NaN (inf - inf) everywhere, and says nothing.
+    chain = [f"c{i:03d}" for i in range(200)]
+    spur = [f"d{i}" for i in range(10)]
+    nodes = [NodeRecord(nid, float(i), 0.0) for i, nid in enumerate(chain + spur)]
+    edges = [EdgeRecord(f"e{i:03d}", chain[i + 1], chain[i], 100.0, 10.0) for i in range(199)]
+    edges += [EdgeRecord(f"s{i}", tail, head, 100.0, 10.0)
+              for i, (tail, head) in enumerate(zip(["c150", *spur], spur))]
+    query = Query("v1", "c199", "c020", 0.0, HeuristicWeights())
+    scn = Scenario(RoadGraph(nodes, edges), HeuristicField(), (), (query,), "chain", 0)
+    index = scn.graph.index
+    s, t = index.pos["c199"], index.pos["c020"]
+    ca, cb = planners._active_columns(index.landmark_columns(), s, t)
+    assert all(ca[index.pos[d]] - ca[t] == math.inf for d in spur)
+    assert all(math.isnan(cb[index.pos[d]] - cb[t]) for d in spur[1:])
+    result, pushed, popped = _oracle_heap(offline_optimal, scn, query)
+    plain, _, plain_popped = _oracle_heap(
+        lambda s, q: ref.offline_optimal(s, q, goal_directed=False), scn, query)
+    assert result == plain == ref.offline_optimal(scn, query)
+    assert result.optimal_path == tuple(chain[199:19:-1])
+    # The spur's first label is pushed with an infinite key and never popped:
+    # each pop is a label of the route. Plain cost order pops the spur's ten
+    # labels too.
+    assert sum(key == math.inf for key, _cost, _time, _label in pushed) == 1
+    assert len(popped) == len(result.optimal_path) == 180
+    assert all(math.isfinite(key) for key, _cost, _time, _label in popped)
+    assert len(plain_popped) == 190
 
 
 def test_tie_break_follows_id_order_not_insertion_order():
