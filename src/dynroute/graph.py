@@ -286,10 +286,6 @@ class GraphSnapshot:
     h2_at: tuple[float, ...]
     h3_at: tuple[float, ...]
 
-    def node_penalty(self, node_id: str) -> float:
-        i = self.index.pos[node_id]
-        return self.h2_at[i] + self.h3_at[i]
-
 
 def apply_event(graph: RoadGraph, field: HeuristicField, ev: Event) -> bool:
     """Apply one event to the live overlay; at most one attribute changes.

@@ -122,10 +122,6 @@ def path_travel_time(snap: GraphSnapshot, path: tuple[str, ...]) -> float:
     return total
 
 
-def path_penalty(snap: GraphSnapshot, path: tuple[str, ...]) -> float:
-    return sum(snap.node_penalty(n) for n in path[1:])
-
-
 def validate_path(snap: GraphSnapshot, path: tuple[str, ...]) -> bool:
     """Independent check that consecutive nodes are joined by unblocked edges."""
     return (bool(path) and all(n in snap.index.pos for n in path)

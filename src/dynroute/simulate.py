@@ -40,8 +40,11 @@ patched from that one, rebuilding only what the collected changes touch.
 Otherwise vehicles plan on the last snapshot.
 
 A ``dyn_astar`` vehicle holds its route and a read set: the nodes its last
-search expanded, which hold that search's path. The same changes mark dirty
-the nodes whose expansion reads them. While none it read is dirty,
+search expanded, which hold that search's path. The same collected changes
+mark dirty the nodes whose expansion reads them: an edge's tail, and a node
+with its predecessors. A change is a write that ``apply_event`` or
+``ingest_observations`` reports as one, so it counts even on a blocked edge
+or when a later write of the batch undoes it. While none it read is dirty,
 :func:`replan` hands on its route, which a new search would return at the
 last search's origin but not always further on: with h2/h3 in the priority
 the heuristic is not consistent. Otherwise it searches and takes the
@@ -498,6 +501,7 @@ def replay_realized_cost(
             raise ValueError(f"replay: no unblocked edge {u!r} -> {v!r} at t={now}")
         now += edge[1]
         cost += edge[1]
-        arrival_snap = timeline.at_time(now)
-        cost += arrival_snap.node_penalty(v)
+        arrival = timeline.at_time(now)
+        i = arrival.index.pos[v]
+        cost += arrival.h2_at[i] + arrival.h3_at[i]
     return cost

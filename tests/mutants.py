@@ -64,6 +64,9 @@ _SPUR = f"{_ORACLE_ORDER}test_oracle_skips_a_dead_end_spur_the_landmark_terms_ru
 _FEWER_POPS = f"{_ORACLE_ORDER}test_goal_directed_oracle_pops_fewer_labels_than_plain_order"
 _EQUAL_REPORT = ("tests/test_heuristics.py::TestIngestObservations::"
                  "test_report_equal_to_the_belief_changes_nothing",)
+_REFERENCE = "tests/test_sim.py::TestReferenceSimulator::"
+_TRACES = (f"{_REFERENCE}test_committed_scenarios", f"{_REFERENCE}test_generated_documents")
+_REUSE = "tests/test_sim.py::TestSearchReuse::"
 
 MUTANTS = (
     _rejection("duplicate-node", "graph.py", """\
@@ -135,9 +138,7 @@ MUTANTS = (
     # A changed h2 read only by its own node, not by the predecessors that push it.
     Mutant("h2-read-without-predecessors", "simulate.py",
            "nodes, (index.ids[u] for n in nodes for _e, u, _b in index.into[index.pos[n]]))",
-           "nodes)",
-           ("tests/test_sim.py::TestSearchReuse::"
-            "test_a_change_next_to_the_kept_search_makes_it_stale",)),
+           "nodes)", (*_TRACES, f"{_REUSE}test_a_change_next_to_the_kept_search_makes_it_stale")),
     # Relaxing an arc that only ties the best g: parents, and so routes, move.
     Mutant("relax-on-equal-g", "planners.py", "            if ng < g_best[v]:",
            "            if ng <= g_best[v]:", _GRID_LANDMARKS),
@@ -227,12 +228,58 @@ MUTANTS = (
     Mutant("entry-in-the-arrival-epoch", "simulate.py", """\
             if reached != k:
                 return  # it enters its next edge in the epoch it reached this node
-""", "", (_BEFORE_A_BOUNDARY, f"{_ONE_TRUTH}test_simulator_replay_and_oracle_agree")),
+""", "", (_BEFORE_A_BOUNDARY, *_TRACES)),
     # A run stepping an epoch for a vehicle that departs at the horizon.
     Mutant("departure-at-the-horizon-steps", "simulate.py",
            "departures[0].depart_epoch < epochs)", "departures[0].depart_epoch <= epochs)",
            ("tests/test_sim.py::TestReplanningAdvantage::"
             "test_run_ends_when_no_vehicle_en_route_departs_before_the_horizon",)),
+    # The simulator's bookkeeping, checked by comparing whole traces with the
+    # reference simulator's (and, where no committed scenario shows a fault,
+    # by a hand-written case too): the targets ingest changed left out of the
+    # snapshot's patch, the patch never emptied, the snapshot never retaken,
+    # a route handed on whatever changed, an edge change read by no node, a
+    # dyn_astar vehicle planning only as it departs, a vehicle planning and
+    # moving after it finished, sensed-only events reaching the belief, and
+    # the read set of the first search kept for good.
+    Mutant("ingest-edges-left-out-of-the-patch", "simulate.py",
+           "            self._stale_edges |= edges\n", "", _TRACES),
+    Mutant("ingest-nodes-left-out-of-the-patch", "simulate.py",
+           "            self._stale_nodes |= nodes\n", "",
+           (*_TRACES, "tests/test_sim.py::TestObservationSharing::"
+            "test_sharing_reaches_a_hidden_node_penalty")),
+    Mutant("patch-never-emptied", "simulate.py", """\
+            edges.clear()
+            nodes.clear()
+""", "", _TRACES),
+    Mutant("snapshot-never-retaken", "simulate.py",
+           "if self._snap is None or edges or nodes:", "if self._snap is None:",
+           _TRACES),
+    Mutant("hand-on-ignores-dirty", "simulate.py",
+           "keep = v.reads is not None and v.reads.isdisjoint(self._dirty)",
+           "keep = v.reads is not None", _TRACES),
+    Mutant("edge-change-read-by-no-node", "simulate.py",
+           "{graph_edges[eid].from_node for eid in edges}.union(", "set().union(",
+           _TRACES),
+    Mutant("dyn-astar-plans-only-at-join", "simulate.py",
+           'planning = moving if self.algorithm == "dyn_astar" else joined',
+           "planning = joined", _TRACES),
+    Mutant("finished-vehicles-keep-moving", "simulate.py",
+           "self._moving = [v for v in moving if v.status == EN_ROUTE]",
+           "self._moving = moving", _TRACES),
+    Mutant("sensed-only-events-broadcast", "simulate.py",
+           "broadcast = [ev for ev in applied if not ev.sensed_only]",
+           "broadcast = list(applied)", _TRACES),
+    Mutant("reads-of-the-first-search-kept", "simulate.py",
+           "            if not keep:  # a search ran in this call\n",
+           "            if v.reads is None:\n",
+           (*_TRACES, f"{_REUSE}test_a_change_on_a_node_the_search_never_expanded_is_not_read")),
+    # Vehicles moving, and so drawing their report noise, in the order they
+    # joined rather than by id.
+    Mutant("moving-in-join-order", "simulate.py",
+           'bisect.insort(moving, v, key=attrgetter("id"))', "moving.append(v)",
+           ("tests/test_sim.py::TestReportNoise::"
+            "test_reports_draw_their_noise_in_vehicle_id_order",)),
     # A report equal to the belief fused anyway, where the average may drift
     # an ulp: in the fusing rule, and in the belief-price guard before it.
     Mutant("fused-without-the-equal-report-shortcut", "heuristics.py", """\

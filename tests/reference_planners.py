@@ -19,6 +19,9 @@ written, keyed by node id and reading its own ground truth,
 :class:`IdTimeline`, and ordered by ``landmark_bound`` like the reference
 A*; the oracle in ``dynroute.evaluate`` searches on node indices and must
 match it bit for bit.
+
+``tests/reference_sim.py`` builds a reference simulator on these planners
+and on :class:`IdTimeline`, and the simulator's traces must equal its traces.
 """
 
 from __future__ import annotations
@@ -87,18 +90,27 @@ class IdTimeline:
         self.epoch_s = epoch_s
         self._views: dict[int, IdView] = {}
 
+    def event_epoch(self, time: float) -> int:
+        """The epoch whose opening boundary applies an event at ``time``: the
+        first boundary at or after it, within 1e-12 of an epoch."""
+        return max(0, math.ceil(time / self.epoch_s - 1e-12))
+
+    def epoch_of(self, time: float) -> int:
+        """The epoch the instant ``time`` belongs to, within 1e-12 of an epoch."""
+        return max(0, math.floor(time / self.epoch_s + 1e-12))
+
     def at_epoch(self, k: int) -> IdView:
         if k not in self._views:
             graph = self.scenario.graph.copy()
             field = self.scenario.initial_field.copy()
             for ev in self.scenario.events:
-                if max(0, math.ceil(ev.at_time / self.epoch_s - 1e-12)) <= k:
+                if self.event_epoch(ev.at_time) <= k:
                     apply_event(graph, field, ev)
             self._views[k] = id_view(graph, field)
         return self._views[k]
 
     def at_time(self, time: float) -> IdView:
-        return self.at_epoch(max(0, int(math.floor(time / self.epoch_s + 1e-12))))
+        return self.at_epoch(self.epoch_of(time))
 
 
 def _check_node(view: IdView, node: str) -> int:

@@ -25,7 +25,7 @@ from dynroute import (
     static_a_star,
     validate_path,
 )
-from dynroute.planners import path_penalty, path_travel_time
+from dynroute.planners import path_travel_time
 import reference_planners as ref
 from conftest import (
     build_graph,
@@ -37,6 +37,12 @@ from conftest import (
 )
 
 UNIT = SearchParams(weights=HeuristicWeights(1.0, 1.0, 0.0, 0.0))
+
+
+def _penalty(snap, path):
+    """The h2 + h3 of every node of ``path`` after its start."""
+    pos = snap.index.pos
+    return sum(snap.h2_at[pos[n]] + snap.h3_at[pos[n]] for n in path[1:])
 
 
 def all_planners(snap, start, goal, seed=0):
@@ -164,7 +170,7 @@ class TestWeightedSearch:
         snap = snap_of(diamond_graph(), h2={"a": 8.0, "b": 0.5}, h3={"a": 4.0, "d": 0.25})
         res = all_planners(snap, "a", "d")[name]
         assert res.path in (("a", "b", "d"), ("a", "c", "d"))
-        assert res.g_cost == path_travel_time(snap, res.path) + path_penalty(snap, res.path)
+        assert res.g_cost == path_travel_time(snap, res.path) + _penalty(snap, res.path)
 
     def test_expanded_counts_are_positive_and_consistent(self):
         snap = snap_of(make_grid(4, 4, 100.0, 10.0))
@@ -318,7 +324,7 @@ class TestReplan:
             current = rng.choice(prior.path)
             res = replan(prior, snap, current, goal, params)
             assert res == dyn_a_star(snap, current, goal, params)
-            assert res.g_cost == path_travel_time(snap, res.path) + path_penalty(snap, res.path)
+            assert res.g_cost == path_travel_time(snap, res.path) + _penalty(snap, res.path)
 
 
 class TestRejectedInput:

@@ -2,7 +2,6 @@ import dataclasses
 import json
 import random
 import tracemalloc
-from contextlib import ExitStack
 from unittest.mock import patch
 
 import pytest
@@ -10,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_planners as ref
+from reference_sim import PlanCall, reference_trace
 from dynroute import (
     ALGORITHMS,
     ARRIVED,
@@ -30,7 +30,7 @@ from dynroute import (
     snapshot,
 )
 from dynroute import planners, simulate
-from dynroute.planners import PlanResult, dyn_a_star, path_travel_time, validate_path
+from dynroute.planners import dyn_a_star
 from dynroute.simulate import MAX_EPOCHS, TruthTimeline, replay_realized_cost
 
 def scenario_doc(*, edges, nodes, events=(), queries=None, h2=None, h3=None, alpha=0.3):
@@ -373,6 +373,34 @@ class TestReportNoise:
         trace = run_simulation(_sub_second_line(7), SimConfig(noise_sigma=2.0))
         assert trace.seed == 7 and "seed" not in trace.config
 
+    def test_reports_draw_their_noise_in_vehicle_id_order(self):
+        # b is on its 100 s road from t=0; a joins at t=90 and crosses its
+        # three 0.5 s edges. Both report in epoch 3 (t=90 to 120), and the
+        # four reports draw from the scenario seed's stream in vehicle id
+        # order, a's first, though b joined first. Epoch 4 fuses them.
+        doc = scenario_doc(
+            nodes=[("a0", 0.0, 0.0), ("a1", 5.0, 0.0), ("a2", 10.0, 0.0), ("a3", 15.0, 0.0),
+                   ("b0", 0.0, 100.0), ("b1", 1000.0, 100.0)],
+            edges=[("ea0", "a0", "a1", 5.0, 0.5), ("ea1", "a1", "a2", 5.0, 0.5),
+                   ("ea2", "a2", "a3", 5.0, 0.5), ("eb0", "b0", "b1", 1000.0, 100.0)],
+            queries=[{"vehicle": v, "start": s, "goal": g, "depart_s": t,
+                      "weights": {"wg": 1, "w1": 1, "w2": 0, "w3": 0}, "context": {}}
+                     for v, s, g, t in (("a", "a0", "a3", 90.0), ("b", "b0", "b1", 0.0))])
+        sim = Simulation(load_scenario(doc), SimConfig(noise_sigma=2.0))
+        for _ in range(5):
+            sim.step_epoch()
+        assert sim.epoch_log[4]["observations_ingested"] == 4
+        draws, alpha = random.Random(7), 0.3  # the scenario's seed and alpha
+        congestion, h2 = {}, {}
+        for eid, head, price in (("ea0", "a1", 0.5), ("ea1", "a2", 0.5), ("ea2", "a3", 0.5),
+                                 ("eb0", "b1", 100.0)):
+            time, comfort = price + draws.gauss(0, 2.0), 0.0 + draws.gauss(0, 2.0)
+            congestion[eid] = max(1.0, (1 - alpha) * 1.0 + alpha * (time / price))
+            h2[head] = max(0.0, (1 - alpha) * 0.0 + alpha * comfort)
+        assert sim.belief_graph.congestion == congestion
+        assert {n: sim.belief_field.h2_by_node.get(n, 0.0) for n in h2} == h2
+        assert congestion["eb0"] == pytest.approx(1.0066715)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("algo", ALGORITHMS)
@@ -693,26 +721,6 @@ class TestOneTruthModel:
         for v in self._line_walk([0.1, 0.1], h2={"b": 0.1, "c": 0.3}):
             assert v["status"] == ARRIVED
 
-    # Short horizons strand vehicles mid-edge; a stranded trace replays too.
-    @settings(max_examples=150, deadline=None)
-    @given(doc=boundary_aligned_docs(), share=st.booleans(),
-           horizon_s=st.sampled_from((3000.0, 90.0, 150.0)))
-    def test_simulator_replay_and_oracle_agree(self, doc, share, horizon_s):
-        scn = load_scenario(doc)
-        cfg = SimConfig(share_observations=share, horizon_s=horizon_s)
-        truth = TruthTimeline(scn, cfg.epoch_s)
-        queries = {q.vehicle: q for q in scn.queries}
-        for algo in ALGORITHMS:
-            sim = Simulation(scn, cfg, algo, truth)
-            sim.run()
-            for v in sim.vehicles:
-                q = queries[v.id]
-                assert replay_realized_cost(scn, cfg, v.id, v.path_taken, q.depart_s, truth) \
-                    == v.realized_cost
-                if v.status == ARRIVED:
-                    assert offline_optimal(scn, q, truth).optimal_realized_cost \
-                        <= v.realized_cost + 1e-6
-
 
 @st.composite
 def grid_fleet_docs(draw):
@@ -774,80 +782,69 @@ DIVERGING_HAND_ON = scenario_doc(
 )
 
 
-def _checked_replan(handed: list[str]):
-    """A stand-in for ``simulate.replan`` that checks every plan call against
-    a new search of the same snapshot, and records where a route was handed on.
-
-    A call that searches must return that search's result in every field. A
-    handed route must be the route held: the rest of the last search's path
-    from the vehicle's node, drivable, and count no expansions. At that
-    search's origin a new search must equal the last one in every field.
-    Further on the two may differ (see ``DIVERGING_HAND_ON``); where the
-    vehicle's weights make the priority consistent (no h2 or h3 weight,
-    w1 <= w_g), both are fastest routes, so the handed route must take as
-    long as the new search's."""
-    real = simulate.replan
-    # by vehicle: the last search's origin and result
-    searches: dict[int, tuple[str, PlanResult]] = {}
-
-    def checked(prior, snap, current, goal, params, keep=False):
-        new = dyn_a_star(snap, current, goal, params)
-        result = real(prior, snap, current, goal, params, keep)
-        if not keep:
-            assert result == new
-            searches[params.rng_seed] = (current, result)
-            return result
-        origin, search = searches[params.rng_seed]
-        route = search.path
-        assert result is prior and prior.path == (route[route.index(current):] if route else ())
-        assert prior.expanded == 0 and (not route or validate_path(snap, prior.path))
-        if current == origin:
-            assert new == search
-        w = params.weights
-        if w.w2 == w.w3 == 0 and w.w1 <= w.w_g:
-            assert path_travel_time(snap, prior.path) == path_travel_time(snap, new.path)
-        handed.append(current)
-        return result
-    return checked
+def _assert_runs_match_the_reference(scn, cfg, truth):
+    """Every algorithm's trace of ``scn`` under ``cfg`` equals the reference
+    simulator's. Each vehicle has paid exactly what replay of its path on
+    ``truth`` charges, and an arrived one no less than its oracle cost."""
+    queries = {q.vehicle: q for q in scn.queries}
+    oracle = {}
+    for algo in ALGORITHMS:
+        sim = Simulation(scn, cfg, algo, truth)
+        assert sim.run().to_dict() == reference_trace(scn, cfg, algo)
+        for v in sim.vehicles:
+            q = queries[v.id]
+            assert replay_realized_cost(scn, cfg, v.id, v.path_taken, q.depart_s, truth) \
+                == v.realized_cost
+            if v.status == ARRIVED:
+                if v.id not in oracle:
+                    oracle[v.id] = offline_optimal(scn, q, truth).optimal_realized_cost
+                assert oracle[v.id] <= v.realized_cost + 1e-6
 
 
-def _searches_from(starts: list[str]):
-    """A patch of the search ``replan`` runs that records each one's start."""
-    real = planners.dyn_a_star
+class TestReferenceSimulator:
+    """The simulator's trace of every run equals that of the reference
+    simulator in ``tests/reference_sim.py``, which checks each route a
+    ``dyn_astar`` vehicle hands on against a new search."""
 
-    def counted(snap, start, *args):
-        starts.append(start)
-        return real(snap, start, *args)
-    return patch.object(planners, "dyn_a_star", counted)
+    def test_committed_scenarios(self, scenario_dir):
+        for path in sorted(scenario_dir.glob("**/*.scn")):
+            scn = load_scenario(path.read_bytes())
+            truth = TruthTimeline(scn, SimConfig.epoch_s)
+            for share in (True, False):
+                _assert_runs_match_the_reference(scn, SimConfig(share_observations=share), truth)
+
+    # Short horizons strand vehicles mid-edge; a stranded trace replays too.
+    @settings(max_examples=300, deadline=None)
+    @given(doc=st.one_of(boundary_aligned_docs(), grid_fleet_docs()), share=st.booleans(),
+           noise=st.sampled_from((0.0, 0.0, 3.0)), epoch_s=st.sampled_from((15.0, 30.0, 45.0)),
+           horizon_s=st.sampled_from((90.0, 150.0, 3000.0)))
+    @example(doc=DIVERGING_HAND_ON, share=False, noise=0.0, epoch_s=30.0, horizon_s=3000.0)
+    def test_generated_documents(self, doc, share, noise, epoch_s, horizon_s):
+        scn = load_scenario(doc)
+        truth = TruthTimeline(scn, epoch_s)
+        _assert_only_varying_nodes_vary(scn, truth)
+        _assert_runs_match_the_reference(scn, SimConfig(
+            epoch_s=epoch_s, share_observations=share, horizon_s=horizon_s, noise_sigma=noise),
+            truth)
+
+
+def _plan_calls(scn, cfg=SimConfig()):
+    """The vehicles of a ``dyn_astar`` run of ``scn``, checked to equal the
+    reference simulator's, and the reference's log of every plan call."""
+    plans: list[PlanCall] = []
+    trace = reference_trace(scn, cfg, "dyn_astar", plans)
+    assert run_simulation(scn, cfg).to_dict() == trace
+    return trace["vehicles"], plans
+
+
+def _origins(plans, searched=True):
+    """Where the logged searches ran, or where routes were handed on."""
+    return [p.origin for p in plans if p.searched == searched]
 
 
 class TestSearchReuse:
     """A dyn_astar vehicle holds its route while nothing its last search read
     has changed, and drives on along it without searching."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(doc=st.one_of(boundary_aligned_docs(), grid_fleet_docs()), share=st.booleans(),
-           noise=st.sampled_from((0.0, 0.0, 3.0)))
-    @example(doc=DIVERGING_HAND_ON, share=False, noise=0.0)
-    def test_every_reused_search_equals_a_new_one(self, doc, share, noise):
-        scn = load_scenario(doc)
-        cfg = SimConfig(share_observations=share, noise_sigma=noise, horizon_s=3000.0)
-        with patch.object(simulate, "replan", _checked_replan([])):
-            run_simulation(scn, cfg)
-
-    @settings(max_examples=100, deadline=None)
-    @given(doc=st.one_of(boundary_aligned_docs(), grid_fleet_docs()), share=st.booleans())
-    def test_the_read_set_holds_the_route_held(self, doc, share):
-        # So a change on any node of the route a vehicle drives makes it search.
-        real = Simulation._plan_vehicle
-
-        def checked(sim, v, snap):
-            real(sim, v, snap)
-            assert v.reads is not None and set(v.plan_nodes) <= v.reads
-
-        with patch.object(Simulation, "_plan_vehicle", checked):
-            run_simulation(load_scenario(doc), SimConfig(share_observations=share,
-                                                         horizon_s=3000.0))
 
     # a-b is a 90 s edge, so the vehicle plans from b in the two epochs after
     # the one it departs in. The route runs a-b-c-d (80 s from b); the side
@@ -876,8 +873,7 @@ class TestSearchReuse:
     def test_a_change_next_to_the_kept_search_makes_it_stale(self, events, h2):
         scn = load_scenario(scenario_doc(**self.SIDE_ROAD, events=events, h2=h2,
                                          queries=[self._query("v1", "a")]))
-        with patch.object(simulate, "replan", _checked_replan([])):
-            (v,) = run_simulation(scn, SimConfig()).vehicles
+        (v,), _plans = _plan_calls(scn)
         assert v["path"] == ["a", "b", "w", "d"]
 
     def test_a_shared_report_makes_the_kept_search_stale(self):
@@ -892,25 +888,19 @@ class TestSearchReuse:
                      "sensed_only": True}],
             queries=[self._query("follower", "a", 390.0), self._query("leader", "c", 30.0)],
         ))
-        with patch.object(simulate, "replan", _checked_replan([])):
-            follower, leader = run_simulation(scn, SimConfig()).vehicles
+        (follower, leader), _plans = _plan_calls(scn)
         assert leader["arrival_s"] == 430.0
         assert follower["path"] == ["a", "b", "w", "d"]
 
     def test_reuse_happens_on_the_sharing_fixture(self, scenario_dir):
         scn = load_scenario((scenario_dir / "sharing_fixture.scn").read_text())
-        handed: list[str] = []
-        with patch.object(simulate, "replan", _checked_replan(handed)):
-            trace = run_simulation(scn, SimConfig())
-        assert trace == run_simulation(scn, SimConfig())
-        assert len(handed) >= 40  # of its 43 replans; a dead cache hands none
+        _vehicles, plans = _plan_calls(scn)
+        assert len(_origins(plans, searched=False)) >= 40  # of its 43 replans
 
     def test_a_clean_multi_edge_trip_searches_once(self):
-        starts: list[str] = []
-        with _searches_from(starts):
-            (v,) = run(scenario_doc(**LINE)).vehicles
+        (v,), plans = _plan_calls(load_scenario(scenario_doc(**LINE)))
         assert v["path"] == ["a", "b", "c", "d"] and v["replans"] == 5
-        assert starts == ["a"]
+        assert _origins(plans) == ["a"]
 
     @pytest.mark.parametrize("events, at_goal", [
         ([], [0] * 7),
@@ -924,29 +914,19 @@ class TestSearchReuse:
         doc = scenario_doc(nodes=[("a", 0.0, 0.0), ("b", 500.0, 0.0), ("d", 2500.0, 0.0)],
                            edges=[("e1", "a", "b", 500.0, 50.0), ("e2", "b", "d", 2000.0, 200.0)],
                            events=events)
-        calls = []
-        real = simulate.replan
-
-        def recorded(prior, snap, current, *args):
-            result = real(prior, snap, current, *args)
-            calls.append((current, result.path, result.expanded))
-            return result
-        with patch.object(simulate, "replan", recorded):
-            (v,) = run(doc).vehicles
-        assert calls == ([("a", ("a", "b", "d"), 3), ("b", ("b", "d"), 0)]
-                         + [("d", ("d",), n) for n in at_goal])
+        (v,), plans = _plan_calls(load_scenario(doc))
+        assert [(p.origin, p.path, p.expanded) for p in plans] == (
+            [("a", ("a", "b", "d"), 3), ("b", ("b", "d"), 0)] + [("d", ("d",), n) for n in at_goal])
         assert (v["status"], v["replans"], v["expanded"]) == (ARRIVED, 9, 3 + sum(at_goal))
 
     def test_a_change_ahead_of_a_moved_vehicle_forces_a_new_search(self):
         # The vehicle plans from b at t=30 and from c at t=60 on its first
         # search. c-d, whose tail c that search expanded, slows at t=90,
         # while the vehicle is still on b-c.
-        starts: list[str] = []
-        with _searches_from(starts):
-            (v,) = run(scenario_doc(**LINE, events=[
-                {"t_s": 90.0, "kind": "set_congestion", "target": "e3", "value": 2.0}])).vehicles
+        (v,), plans = _plan_calls(load_scenario(scenario_doc(**LINE, events=[
+            {"t_s": 90.0, "kind": "set_congestion", "target": "e3", "value": 2.0}])))
         assert v["path"] == ["a", "b", "c", "d"]
-        assert starts == ["a", "c"]
+        assert _origins(plans) == ["a", "c"]
 
     # b-d, or b-x-d, is 50 s against the detour b-c-d's 60 s until the t=30
     # change makes it 60.25 s. The vehicle is on the 100 s edge a-b until t=100.
@@ -967,12 +947,10 @@ class TestSearchReuse:
         doc = scenario_doc(
             nodes=self.NEAR_TIE["nodes"], edges=[*self.NEAR_TIE["edges"], *edges],
             events=[{"t_s": 30.0, "kind": "set_congestion", "target": target, "value": value}])
-        starts: list[str] = []
-        handed: list[str] = []
-        with _searches_from(starts), patch.object(simulate, "replan", _checked_replan(handed)):
-            (v,) = run(doc).vehicles
+        (v,), plans = _plan_calls(load_scenario(doc))
         assert v["path"] == ["a", "b", "c", "d"] and v["replans"] == 6
-        assert starts == ["a", "b"] and handed == ["b", "b", "c", "d"]
+        assert _origins(plans) == ["a", "b"]
+        assert _origins(plans, searched=False) == ["b", "b", "c", "d"]
 
     def test_a_change_on_a_node_the_search_never_expanded_is_not_read(self):
         # Congestion on b-x makes b-x-d 60.25 s. The search from b at t=30
@@ -987,10 +965,8 @@ class TestSearchReuse:
         snap = TruthTimeline(scn, 30.0).at_epoch(1)
         search = dyn_a_star(snap, "b", "d", SearchParams(weights=HeuristicWeights(1.0, 1.0, 0.0, 0.0)))
         assert search.path == ("b", "c", "d") and "x" not in search.expansion_order
-        starts: list[str] = []
-        with _searches_from(starts), patch.object(simulate, "replan", _checked_replan([])):
-            (v,) = run_simulation(scn, SimConfig()).vehicles
-        assert starts == ["a", "b"]
+        (v,), plans = _plan_calls(scn)
+        assert _origins(plans) == ["a", "b"]
         assert v["path"] == ["a", "b", "c", "d"]
 
     def test_a_later_node_drives_on_where_a_new_search_would_leave(self):
@@ -1008,48 +984,29 @@ class TestSearchReuse:
             queries=[{"vehicle": "v1", "start": "a", "goal": "d", "depart_s": 0.0,
                       "weights": {"wg": 1, "w1": 1, "w2": 1, "w3": 0}, "context": {}}])
         scn = load_scenario(doc)
-        starts: list[str] = []
-        with _searches_from(starts):
-            (v,) = run_simulation(scn, SimConfig()).vehicles
-        assert starts == ["a"] and v["replans"] == 5
+        (v,), plans = _plan_calls(scn)
+        assert _origins(plans) == ["a"] and v["replans"] == 5
         assert v["path"] == ["a", "m", "d"] and v["realized_cost_s"] == 220.0
         params = SearchParams(weights=HeuristicWeights(1.0, 1.0, 1.0, 0.0))
         assert dyn_a_star(snapshot(scn.graph, scn.initial_field), "m", "d", params
                           ).path == ("m", "x", "d")
 
 
-PLANNER_LOOKUPS = ("dijkstra_ucs", "greedy_best_first", "static_a_star", "rrt_plan", "dyn_a_star")
-
-
-def _assert_events_logged_once(scn, truth, trace):
-    """Every event of ``scn`` is logged once, in file order, in the epoch
-    ``truth.event_epoch`` gives it, if the run stepped that epoch, and never
-    otherwise."""
-    assert [ep["t_s"] for ep in trace.epochs] == [
-        k * truth.epoch_s for k in range(len(trace.epochs))]
-    logged = [(k, ev) for k, ep in enumerate(trace.epochs) for ev in ep["events_applied"]]
-    expected = [
-        (truth.event_epoch(ev.at_time), {"t_s": ev.at_time, "kind": ev.kind, "target": ev.target,
-                                         "value": ev.value, "sensed_only": ev.sensed_only})
-        for ev in scn.events if truth.event_epoch(ev.at_time) < len(trace.epochs)
-    ]
-    assert logged == expected
-
-
 def _assert_only_varying_nodes_vary(scn, truth):
     """A node outside ``truth.varying_nodes`` pays one penalty in every state,
     and only a ``set_node_comfort_h`` event can put a node in that set."""
     states = [truth.at_epoch(k) for k in truth._starts]
-    for nid in scn.graph.nodes:
+    for nid, i in scn.graph.index.pos.items():
         if nid not in truth.varying_nodes:
-            assert {state.node_penalty(nid) for state in states} == {states[0].node_penalty(nid)}
+            assert len({(state.h2_at[i], state.h3_at[i]) for state in states}) == 1
     assert truth.varying_nodes <= {ev.target for ev in scn.events
                                    if ev.kind == "set_node_comfort_h"}
 
 
 class TestOneSchedule:
     """The truth timeline groups the events by epoch once; each simulation
-    applies and logs its batches, and the oracle reads its varying nodes."""
+    applies and logs its batches (as the reference simulator does, see
+    ``TestReferenceSimulator``), and the oracle reads its varying nodes."""
 
     def test_batches_on_a_line(self):
         # one event at t=0, three opening epoch 2, one after the trip ends
@@ -1069,53 +1026,14 @@ class TestOneSchedule:
         assert truth.varying_nodes == {"b", "d"}
         trace = run_simulation(scn, SimConfig(), truth=truth)
         assert [len(ep["events_applied"]) for ep in trace.epochs] == [1, 0, 3, 0, 0, 0, 0]
-        _assert_events_logged_once(scn, truth, trace)
+        assert [ev["target"] for ep in trace.epochs for ev in ep["events_applied"]] \
+            == ["e1", "e2", "d", "e1"]
         _assert_only_varying_nodes_vary(scn, truth)
 
     def test_committed_scenarios(self, scenario_dir):
         for path in sorted(scenario_dir.glob("**/*.scn")):
             scn = load_scenario(path.read_bytes())
-            truth = TruthTimeline(scn, SimConfig.epoch_s)
-            _assert_events_logged_once(scn, truth, run_simulation(scn, SimConfig(), truth=truth))
-            _assert_only_varying_nodes_vary(scn, truth)
-
-    @settings(max_examples=100, deadline=None)
-    @given(doc=st.one_of(boundary_aligned_docs(), grid_fleet_docs()),
-           algo=st.sampled_from(ALGORITHMS), epoch_s=st.sampled_from((15.0, 30.0, 45.0)),
-           horizon_s=st.sampled_from((60.0, 100.0, 3000.0)))
-    def test_generated_documents(self, doc, algo, epoch_s, horizon_s):
-        scn = load_scenario(doc)
-        truth = TruthTimeline(scn, epoch_s)
-        trace = run_simulation(scn, SimConfig(epoch_s=epoch_s, horizon_s=horizon_s), algo, truth)
-        _assert_events_logged_once(scn, truth, trace)
-        _assert_only_varying_nodes_vary(scn, truth)
-
-
-def _checked_snapshots(sim, seen: list):
-    """Stand-ins for ``simulate``'s planner lookups and ``replan`` that check
-    every snapshot a planner of ``sim`` is handed against one built from
-    scratch on its belief, and record it."""
-    def check(snap):
-        assert snap == snapshot(sim.belief_graph, sim.belief_field)
-        ref.assert_snapshot_of(snap, ref.id_view(sim.belief_graph, sim.belief_field))
-        seen.append(snap)
-
-    def checked(real):
-        def planner(snap, *args):
-            check(snap)
-            return real(snap, *args)
-        return planner
-
-    def checked_replan(prior, snap, *args):
-        check(snap)
-        return real_replan(prior, snap, *args)
-
-    real_replan = simulate.replan
-    stack = ExitStack()
-    for name in PLANNER_LOOKUPS:
-        stack.enter_context(patch.object(simulate, name, checked(getattr(simulate, name))))
-    stack.enter_context(patch.object(simulate, "replan", checked_replan))
-    return stack
+            _assert_only_varying_nodes_vary(scn, TruthTimeline(scn, SimConfig.epoch_s))
 
 
 def _snapshot_epochs(sim):
@@ -1132,22 +1050,9 @@ def _snapshot_epochs(sim):
 
 class TestLazySnapshot:
     """The belief snapshot is patched from the last one, only in epochs where
-    a vehicle plans and the belief has changed, and always equals one built
-    from scratch."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(doc=st.one_of(boundary_aligned_docs(), grid_fleet_docs()), share=st.booleans())
-    def test_every_planned_on_snapshot_equals_a_fresh_one(self, doc, share):
-        scn = load_scenario(doc)
-        cfg = SimConfig(share_observations=share, horizon_s=3000.0)
-        truth = TruthTimeline(scn, cfg.epoch_s)
-        for algo in ALGORITHMS:
-            sim = Simulation(scn, cfg, algo, truth)
-            seen: list = []
-            with _checked_snapshots(sim, seen):
-                trace = sim.run()
-            assert trace == run_simulation(scn, cfg, algo)
-            assert bool(seen) == any(v["path"] for v in trace.vehicles)
+    a vehicle plans and the belief has changed; that it holds the belief is
+    checked by ``TestReferenceSimulator``, whose reference plans on a view of
+    the belief built from scratch."""
 
     @settings(max_examples=200, deadline=None)
     @given(doc=st.one_of(boundary_aligned_docs(), grid_fleet_docs()),
@@ -1212,18 +1117,17 @@ class TestRecordsStayUnchanged:
     @pytest.mark.parametrize("name", ["grid10_congestion.scn", "sharing_fixture.scn"])
     def test_a_run_leaves_every_plan_and_observation_as_built(self, scenario_dir, name):
         seen = []  # (record, its fields when first seen)
-        kinds = {"prior": 0, "returned": 0, "observation": 0}
+        kinds = {"plan": 0, "observation": 0}
 
         def keep(record, kind):
             seen.append((record, dataclasses.astuple(record)))
             kinds[kind] += 1
 
-        real_replan, real_ingest = simulate.replan, simulate.ingest_observations
+        real_search, real_ingest = planners.dyn_a_star, simulate.ingest_observations
 
-        def replan(prior, snap, current, goal, params, keep_route=False):
-            keep(prior, "prior")
-            result = real_replan(prior, snap, current, goal, params, keep_route)
-            keep(result, "returned")
+        def search(*args):
+            result = real_search(*args)
+            keep(result, "plan")
             return result
 
         def ingest(graph, fld, batch):
@@ -1232,7 +1136,7 @@ class TestRecordsStayUnchanged:
             return real_ingest(graph, fld, batch)
 
         scn = load_scenario((scenario_dir / name).read_text())
-        with patch.object(simulate, "replan", replan), \
+        with patch.object(planners, "dyn_a_star", search), \
                 patch.object(simulate, "ingest_observations", ingest):
             run_simulation(scn, SimConfig())
         assert all(kinds.values()), kinds
