@@ -287,39 +287,30 @@ class GraphSnapshot:
     h3_at: tuple[float, ...]
 
 
-def apply_event(graph: RoadGraph, field: HeuristicField, ev: Event) -> bool:
-    """Apply one event to the live overlay; at most one attribute changes.
+def apply_event(graph: RoadGraph, field: HeuristicField, ev: Event) -> None:
+    """Apply one event to the live overlay: set the value it names.
 
     ``ev`` must be an event of a scenario :func:`load_scenario` returned for
     this graph, which checked its kind, target and value once; nothing is
-    checked here. Returns whether a value a planner reads changed: an edge's
-    congestion or blocked flag, or a node's h2 (read with a 0.0 default).
-    Nothing holds edge comfort, so ``set_comfort`` writes nothing and returns
-    False, as does any no-op.
+    checked or compared here. ``set_comfort`` writes nothing, since nothing
+    holds edge comfort; the simulation compares snapshots to find changes.
     """
     if ev.kind == SET_NODE_COMFORT_H:
-        old = field.h2_by_node.get(ev.target, 0.0)
         field.h2_by_node[ev.target] = float(ev.value)
-        return ev.value != old
-    if ev.kind == SET_CONGESTION:
-        old = graph.congestion[ev.target]
+    elif ev.kind == SET_CONGESTION:
         graph.congestion[ev.target] = float(ev.value)
-        return ev.value != old
-    if ev.kind == SET_COMFORT:
-        return False
-    was_blocked = ev.target in graph.blocked
-    if ev.kind == BLOCK_EDGE:
+    elif ev.kind == BLOCK_EDGE:
         graph.blocked.add(ev.target)
-        return not was_blocked
-    graph.blocked.discard(ev.target)
-    return was_blocked
+    elif ev.kind == UNBLOCK_EDGE:
+        graph.blocked.discard(ev.target)
 
 
 def apply_events(graph: RoadGraph, field: HeuristicField, events: Iterable[Event],
                  edges: set[str], nodes: set[str]) -> None:
-    """Apply ``events`` in order; add each changed target to ``nodes`` (an h2) or ``edges``."""
+    """Apply ``events`` in order; add each target written to ``nodes`` (an h2) or ``edges``."""
     for ev in events:
-        if apply_event(graph, field, ev):
+        apply_event(graph, field, ev)
+        if ev.kind != SET_COMFORT:
             (nodes if ev.kind == SET_NODE_COMFORT_H else edges).add(ev.target)
 
 

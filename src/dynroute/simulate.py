@@ -32,19 +32,19 @@ the next epoch enters its next edge there. A vehicle that the horizon
 strands mid-edge has paid only the edges it finished, so every trace
 replays from its path.
 
-The belief snapshot is taken lazily. The simulation collects the edges and
-nodes whose planner-read values (congestion, blocked flags, h2) events and
+The belief snapshot is taken lazily. The simulation collects the edges
+whose congestion or blocked flag, and the nodes whose h2, events wrote and
 observations changed, and takes a snapshot only in an epoch where some
-vehicle plans and the belief has changed since the last one; it is then
-patched from that one, rebuilding only what the collected changes touch.
-Otherwise vehicles plan on the last snapshot.
+vehicle plans and the belief has been written since the last one; it is
+then patched from that one, rebuilding only what the collected targets
+touch. Otherwise vehicles plan on the last snapshot.
 
 A ``dyn_astar`` vehicle holds its route and a read set: the nodes its last
-search expanded, which hold that search's path. The same collected changes
-mark dirty the nodes whose expansion reads them: an edge's tail, and a node
-with its predecessors. A change is a write that ``apply_event`` or
-``ingest_observations`` reports as one, so it counts even on a blocked edge
-or when a later write of the batch undoes it. While none it read is dirty,
+search expanded, which hold that search's path. A node is dirty when a
+value its expansion reads, its out-edge row, its h2 or the h2 of a node it
+pushes, differs between the new snapshot and the last one, compared at the
+collected targets only: a write that changes no value, on a blocked edge or
+undone later in its batch, dirties nothing. While none it read is dirty,
 :func:`replan` hands on its route, which a new search would return at the
 last search's origin but not always further on: with h2/h3 in the priority
 the heuristic is not consistent. Otherwise it searches and takes the
@@ -210,11 +210,11 @@ class Simulation:
         self.obs_queue: list[Observation] = []
         self.epoch_log: list[dict] = []
         self._noise_rng = random.Random(scenario.seed)
-        # dyn_astar only: the nodes whose expansion reads a value changed
-        # since the last snapshot.
+        # dyn_astar only: the nodes whose expansion reads a value that
+        # differs between the last two snapshots.
         self._dirty: set[str] = set()
         # The belief snapshot last taken, and the edges and nodes whose
-        # planner-read belief values changed since: the patch the next needs.
+        # planner-read belief values were written since: the patch the next needs.
         self._snap: GraphSnapshot | None = None
         self._stale_edges: set[str] = set()
         self._stale_nodes: set[str] = set()
@@ -294,18 +294,20 @@ class Simulation:
 
     def _belief_snapshot(self) -> GraphSnapshot:
         """The belief as a snapshot: the last one taken, or a new one patched
-        from it if the belief has changed since. ``_dirty`` becomes the nodes
-        whose expansion reads one of those changes."""
+        from it if the belief has been written since. ``_dirty`` becomes the
+        nodes whose expansion reads a value that differs between the two."""
         edges, nodes = self._stale_edges, self._stale_nodes
-        if self.algorithm == "dyn_astar":
-            # An edge's change is read by its tail; a node's h2 by the node,
-            # as a search's start, and by its predecessors, which push it.
-            index, graph_edges = self.scenario.graph.index, self.scenario.graph.edges
-            self._dirty = {graph_edges[eid].from_node for eid in edges}.union(
-                nodes, (index.ids[u] for n in nodes for _e, u, _b in index.into[index.pos[n]]))
-        if self._snap is None or edges or nodes:
-            self._snap = snapshot(self.belief_graph, self.belief_field, base=self._snap,
-                                  edges=edges, nodes=nodes)
+        old, self._dirty = self._snap, set()
+        if old is None or edges or nodes:
+            new = self._snap = snapshot(self.belief_graph, self.belief_field, base=old,
+                                        edges=edges, nodes=nodes)
+            if self.algorithm == "dyn_astar" and old is not None:
+                # A node reads its out-edge row and h2, and the h2 of each node it pushes.
+                index, ids = new.index, new.index.ids
+                tails = {index.pos[self.scenario.graph.edges[e].from_node] for e in edges}
+                h2 = [i for i in map(index.pos.__getitem__, nodes) if new.h2_at[i] != old.h2_at[i]]
+                self._dirty = {ids[i] for i in tails if new.arcs[i] != old.arcs[i]}.union(
+                    (ids[i] for i in h2), (ids[u] for i in h2 for _e, u, _b in index.into[i]))
             edges.clear()
             nodes.clear()
         return self._snap
@@ -422,10 +424,10 @@ class TruthTimeline:
     events that opened it (:meth:`events_at`; epoch 0's events open the first
     state), and the simulator applies the same batches to its shared belief.
     Each state is patched from the one before it with the targets whose
-    congestion, blocked flag or h2 its batch changed, so it shares every row
-    those events left equal; a batch of ``set_comfort`` events changes none.
-    ``varying_nodes`` holds every node whose h2 some event changed: every
-    other node has the same penalty in every state.
+    congestion, blocked flag or h2 its batch wrote, so it shares every row
+    those events left alone; a batch of ``set_comfort`` events writes none.
+    ``varying_nodes`` holds every node whose h2 some event wrote, changed or
+    not: every other node has the same penalty in every state.
     """
 
     def __init__(self, scenario: Scenario, epoch_s: float):

@@ -137,8 +137,18 @@ MUTANTS = (
             "test_g_cost_charges_every_node_after_the_start",)),
     # A changed h2 read only by its own node, not by the predecessors that push it.
     Mutant("h2-read-without-predecessors", "simulate.py",
-           "nodes, (index.ids[u] for n in nodes for _e, u, _b in index.into[index.pos[n]]))",
-           "nodes)", (*_TRACES, f"{_REUSE}test_a_change_next_to_the_kept_search_makes_it_stale")),
+           "(ids[i] for i in h2), (ids[u] for i in h2 for _e, u, _b in index.into[i]))",
+           "(ids[i] for i in h2))",
+           (*_TRACES, f"{_REUSE}test_a_change_next_to_the_kept_search_makes_it_stale")),
+    # Every written target dirty, whether or not its value differs.
+    Mutant("dirty-without-comparing-values", "simulate.py", """\
+                h2 = [i for i in map(index.pos.__getitem__, nodes) if new.h2_at[i] != old.h2_at[i]]
+                self._dirty = {ids[i] for i in tails if new.arcs[i] != old.arcs[i]}.union(
+""", """\
+                h2 = list(map(index.pos.__getitem__, nodes))
+                self._dirty = {ids[i] for i in tails}.union(
+""", (f"{_REUSE}test_a_write_that_changes_no_read_value_forces_no_search",
+       f"{_REUSE}test_searches_again_only_when_the_last_event_moves_a_read_value")),
     # Relaxing an arc that only ties the best g: parents, and so routes, move.
     Mutant("relax-on-equal-g", "planners.py", "            if ng < g_best[v]:",
            "            if ng <= g_best[v]:", _GRID_LANDMARKS),
@@ -237,11 +247,13 @@ MUTANTS = (
     # The simulator's bookkeeping, checked by comparing whole traces with the
     # reference simulator's (and, where no committed scenario shows a fault,
     # by a hand-written case too): the targets ingest changed left out of the
-    # snapshot's patch, the patch never emptied, the snapshot never retaken,
-    # a route handed on whatever changed, an edge change read by no node, a
-    # dyn_astar vehicle planning only as it departs, a vehicle planning and
-    # moving after it finished, sensed-only events reaching the belief, and
-    # the read set of the first search kept for good.
+    # snapshot's patch, the snapshot never retaken, a route handed on
+    # whatever changed, an edge change read by no node, a dyn_astar vehicle
+    # planning only as it departs, a vehicle planning and moving after it
+    # finished, sensed-only events reaching the belief, and the read set of
+    # the first search kept for good. A patch never emptied changes no trace,
+    # since rows rebuilt with the values they held differ nowhere; it only
+    # retakes the snapshot in every epoch, which a count of snapshots shows.
     Mutant("ingest-edges-left-out-of-the-patch", "simulate.py",
            "            self._stale_edges |= edges\n", "", _TRACES),
     Mutant("ingest-nodes-left-out-of-the-patch", "simulate.py",
@@ -251,15 +263,15 @@ MUTANTS = (
     Mutant("patch-never-emptied", "simulate.py", """\
             edges.clear()
             nodes.clear()
-""", "", _TRACES),
-    Mutant("snapshot-never-retaken", "simulate.py",
-           "if self._snap is None or edges or nodes:", "if self._snap is None:",
-           _TRACES),
+""", "", ("tests/test_sim.py::TestLazySnapshot::"
+          "test_dyn_astar_reuses_the_snapshot_while_the_belief_is_unchanged",)),
+    Mutant("snapshot-never-retaken", "simulate.py", "if old is None or edges or nodes:",
+           "if old is None:", _TRACES),
     Mutant("hand-on-ignores-dirty", "simulate.py",
            "keep = v.reads is not None and v.reads.isdisjoint(self._dirty)",
            "keep = v.reads is not None", _TRACES),
     Mutant("edge-change-read-by-no-node", "simulate.py",
-           "{graph_edges[eid].from_node for eid in edges}.union(", "set().union(",
+           "{ids[i] for i in tails if new.arcs[i] != old.arcs[i]}.union(", "set().union(",
            _TRACES),
     Mutant("dyn-astar-plans-only-at-join", "simulate.py",
            'planning = moving if self.algorithm == "dyn_astar" else joined',

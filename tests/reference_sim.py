@@ -14,14 +14,15 @@ the plain way, from node and edge ids alone:
 * vehicles move through the truth of :class:`reference_planners.IdTimeline`.
 
 A ``dyn_astar`` vehicle plans in every epoch it is en route. It hands on the
-route it holds while no node its last search expanded reads a target that a
-write since the last epoch in which vehicles planned has changed: an edge is
-read by its tail, a node's h2 by the node and by every node with an edge into
-it. A write counts when ``apply_event`` or ``ingest_observations`` reports that
-it changed a value, even one a later write restores or one on a blocked edge.
-At every hand-on the route is checked against a new search (:func:`_check_hand_on`),
-and after every plan the route must lie in the last search's expanded nodes.
-Each plan call can be logged as a :class:`PlanCall`.
+route it holds while no node its last search expanded reads a value that
+differs between the belief's view in this epoch and in the last epoch in
+which vehicles planned (:func:`_dirty`): a node reads its successors, and
+its own h2 and that of every node it has an edge into. Writes are not
+counted: one that a later write restores, or one on a blocked edge, changes
+no successor and no h2, so it forces no search. At every hand-on the route
+is checked against a new search (:func:`_check_hand_on`), and after every
+plan the route must lie in the last search's expanded nodes. Each plan call
+can be logged as a :class:`PlanCall`.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dynroute import (
     apply_event,
     ingest_observations,
 )
-from dynroute.graph import Scenario
+from dynroute.graph import EdgeRecord, Scenario
 from dynroute.simulate import vehicle_params
 
 ASTAR = SearchParams(HeuristicWeights(1.0, 1.0, 0.0, 0.0))
@@ -102,8 +103,7 @@ def reference_trace(scenario: Scenario, config: SimConfig, algorithm: str,
     fleet = [_Vehicle(q.vehicle, q.goal, truth.epoch_of(q.depart_s), params[q.vehicle],
                       q.start, q.depart_s)
              for q in sorted(scenario.queries, key=lambda q: q.vehicle)]
-    changed_edges: set[str] = set()  # since the last epoch in which vehicles planned
-    changed_nodes: set[str] = set()
+    last_view: ref.IdView | None = None  # the belief when vehicles last planned
     reports: list[Observation] = []
     epochs = []
 
@@ -166,13 +166,11 @@ def reference_trace(scenario: Scenario, config: SimConfig, algorithm: str,
     while k < last and any(v.status == EN_ROUTE and v.depart_epoch < last for v in fleet):
         applied = [ev for ev in scenario.events if truth.event_epoch(ev.at_time) == k]
         for ev in applied:
-            if not ev.sensed_only and apply_event(graph, fld, ev):
-                (changed_nodes if ev.kind == "set_node_comfort_h" else changed_edges).add(ev.target)
+            if not ev.sensed_only:
+                apply_event(graph, fld, ev)
         ingested = 0
         if config.share_observations and reports:
-            edges, nodes = ingest_observations(graph, fld, reports)
-            changed_edges |= edges
-            changed_nodes |= nodes
+            ingest_observations(graph, fld, reports)
             ingested = len(reports)
         reports = []
 
@@ -184,9 +182,8 @@ def reference_trace(scenario: Scenario, config: SimConfig, algorithm: str,
         planning = moving if algorithm == "dyn_astar" else joined
         if planning:
             view = ref.id_view(graph, fld)
-            dirty = {edge_records[eid].from_node for eid in changed_edges} | changed_nodes | {
-                e.from_node for e in edge_records.values() if e.to_node in changed_nodes}
-            changed_edges, changed_nodes = set(), set()
+            dirty = set() if last_view is None else _dirty(last_view, view, edge_records)
+            last_view = view
             for v in planning:
                 plan(v, view, dirty)
         for v in moving:
@@ -216,6 +213,21 @@ def reference_trace(scenario: Scenario, config: SimConfig, algorithm: str,
         } for v in fleet),
         "epochs": tuple(epochs),
     }
+
+
+def _dirty(old: ref.IdView, new: ref.IdView, edge_records: dict[str, EdgeRecord]) -> set[str]:
+    """The nodes whose expansion reads a value that differs from ``old`` to
+    ``new``: a node whose successors, as :func:`reference_planners.neighbors`
+    lists them, differ, and a node whose h2 differs with every node that has
+    an edge into it. Successors are compared only at the tails of the edges
+    whose congestion or blocked flag differs, the only nodes where they can."""
+    edges = new.blocked ^ old.blocked
+    if new.congestion != old.congestion:
+        edges |= {eid for eid, c in new.congestion.items() if c != old.congestion[eid]}
+    tails = {edge_records[eid].from_node for eid in edges}
+    h2 = {n for n in new.h2.keys() | old.h2.keys() if new.h2.get(n, 0.0) != old.h2.get(n, 0.0)}
+    return {n for n in tails if ref.neighbors(new, n) != ref.neighbors(old, n)} | h2 | {
+        e.from_node for e in edge_records.values() if e.to_node in h2}
 
 
 def _check_hand_on(view: ref.IdView, v: _Vehicle, origin: str) -> None:

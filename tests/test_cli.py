@@ -92,6 +92,35 @@ class TestPlan:
         assert main(["plan", "--scenario", str(p), "--epoch-s", "45"]) == 4
         assert "Unreachable" in capsys.readouterr().out
 
+    # A* reads the landmark bound from planners.LANDMARK_MIN_NODES (150)
+    # nodes on. On one-way chains of 200 and 600 nodes most nodes have no
+    # route to any landmark: the downstream end is still planned, and the
+    # upstream end is a scenario error that names its query.
+    @pytest.mark.parametrize("n", [200, 600])
+    def test_one_way_chain_past_the_landmark_threshold(self, n, tmp_path, capsys):
+        ids = [f"c{i:03d}" for i in range(n)]
+
+        def chain(start, goal):
+            p = tmp_path / f"{start}_{goal}.scn"
+            p.write_text(json.dumps({
+                "meta": {"name": "long_chain", "seed": 1},
+                "nodes": [{"id": nid, "x": 100.0 * i, "y": 0.0} for i, nid in enumerate(ids)],
+                "edges": [{"id": f"e{i:03d}", "from": ids[i], "to": ids[i + 1],
+                           "length_m": 100.0, "base_time_s": 10.0} for i in range(n - 1)],
+                "queries": [{"vehicle": "v1", "start": start, "goal": goal}]}))
+            return str(p)
+
+        down = chain(ids[0], ids[-1])
+        for algo in ("astar", "dyn_astar"):
+            assert main(["plan", "--scenario", down, "--algo", algo]) == 0
+            out = capsys.readouterr()
+            assert f"path: {' -> '.join(ids)}\n" in out.out
+            assert "Traceback" not in out.out + out.err
+        assert main(["validate", chain(ids[-1], ids[0])]) == 3
+        out = capsys.readouterr()
+        assert f"queries[0]: goal '{ids[0]}' unreachable from '{ids[-1]}'" in out.out
+        assert "Traceback" not in out.out + out.err
+
     def test_custom_weights_accepted(self, line_scn, capsys):
         assert main(["plan", "--scenario", str(line_scn), "--weights", "1,2,0,0"]) == 0
         capsys.readouterr()
@@ -351,6 +380,21 @@ class TestBench:
             suite, "b65c96f9c627d925c839d4a283ba0c720b4d2efb3ca2b5acf7dfa46295c0bece",
             "ae1ef75bc26bbf5e8a179604a6c9bd04455ca53dd7748b15c8e5de29530451e4", tmp_path, capsys)
 
+    def test_fleet_document_scores_without_errors_within_its_bound(self, tmp_path, capsys):
+        # perfbench's seed-1 fleet document: 900 nodes, 300 events, 200 trips.
+        # No cell raises, and dyn_astar's mean ratio to the oracle stays at or
+        # below the 1.0294 it read with a search in every epoch.
+        suite = tmp_path / "fleet"
+        suite.mkdir()
+        (suite / "fleet_1.scn").write_text(gen.fleet_doc(1))
+        assert main(["bench", "--suite", str(suite), "--out", str(tmp_path / "bench")]) == 0
+        assert not any(line.startswith("errors") for line in capsys.readouterr().out.splitlines())
+        header, *rows = (line.split(",") for line in
+                         (tmp_path / "bench.csv").read_text().splitlines())
+        rows = {row[0]: dict(zip(header, row)) for row in rows}
+        assert [row["errors"] for row in rows.values()] == ["0"] * len(ALGORITHMS)
+        assert float(rows["dyn_astar"]["mean_ratio"]) <= 1.0294
+
     @staticmethod
     def _assert_bench_pins(suite, table_sha256, csv_sha256, tmp_path, capsys):
         out = tmp_path / "bench"
@@ -609,6 +653,8 @@ class TestValidate:
         bad.write_text("{broken")
         assert main(["validate", str(line_scn)]) == 0
         assert "OK" in capsys.readouterr().out
+        assert main(["validate", *map(str, _COMMITTED)]) == 0  # every committed scenario
+        capsys.readouterr()
         assert main(["validate", str(line_scn), str(bad)]) == 3
         out = capsys.readouterr().out
         assert "errors" in out and "bad.scn" in out

@@ -357,7 +357,7 @@ class TestApplyEvent:
 
     def test_set_congestion_changes_only_target(self):
         before = dict(self.graph.congestion), dict(self.field.h2_by_node)
-        apply_event(self.graph, self.field, Event(0, "set_congestion", "e1", 2.0))
+        assert apply_event(self.graph, self.field, Event(0, "set_congestion", "e1", 2.0)) is None
         assert self.graph.congestion == {**before[0], "e1": 2.0}
         assert self.field.h2_by_node == before[1]
         assert not self.graph.blocked
@@ -378,27 +378,7 @@ class TestApplyEvent:
         with pytest.raises(TypeError):
             self.field.h3_by_node["a"] = 1.0  # type: ignore[index]
 
-    @pytest.mark.parametrize("events, changed", [
-        ([Event(0, "set_congestion", "e1", 2.0)], True),
-        ([Event(0, "set_congestion", "e1", 1.0)], False),  # already free flow
-        ([Event(0, "set_congestion", "e1", 2.0), Event(1, "set_congestion", "e1", 2.0)], False),
-        ([Event(0, "set_comfort", "e1", 5.0)], False),  # nothing holds edge comfort
-        ([Event(0, "set_node_comfort_h", "a", 4.0)], True),
-        ([Event(0, "set_node_comfort_h", "a", 0.0)], False),  # an absent h2 reads 0.0
-        ([Event(0, "set_node_comfort_h", "a", 4.0),
-          Event(1, "set_node_comfort_h", "a", 4.0)], False),
-        ([Event(0, "block_edge", "e1")], True),
-        ([Event(0, "block_edge", "e1"), Event(1, "block_edge", "e1")], False),
-        ([Event(0, "unblock_edge", "e1")], False),
-        ([Event(0, "block_edge", "e1"), Event(1, "unblock_edge", "e1")], True),
-    ])
-    def test_reports_whether_a_planner_read_changed(self, events, changed):
-        *before, last = events
-        for ev in before:
-            apply_event(self.graph, self.field, ev)
-        assert apply_event(self.graph, self.field, last) is changed
-
-    def test_apply_events_collects_each_changed_target_by_kind(self, monkeypatch):
+    def test_apply_events_collects_each_written_target_by_kind(self, monkeypatch):
         applied = []
 
         def counted(graph, field, ev):
@@ -406,12 +386,14 @@ class TestApplyEvent:
             return apply_event(graph, field, ev)
 
         monkeypatch.setattr(graph_module, "apply_event", counted)
-        events = [Event(0, "set_congestion", "e1", 2.0), Event(0, "set_node_comfort_h", "b", 3.0),
+        events = [Event(0, "unblock_edge", "e1"), Event(0, "set_node_comfort_h", "b", 3.0),
                   Event(0, "set_comfort", "e1", 5.0), Event(0, "set_node_comfort_h", "a", 0.0)]
         edges, nodes = {"e0"}, set()
         apply_events(self.graph, self.field, events, edges, nodes)
         assert applied == events
-        assert (edges, nodes) == ({"e0", "e1"}, {"b"})
+        # A write counts though it changes nothing (e1 is not blocked, a's h2
+        # reads 0.0 already); set_comfort writes nothing.
+        assert (edges, nodes) == ({"e0", "e1"}, {"a", "b"})
 
 
 _EVENT_STRATEGY = st.lists(

@@ -179,27 +179,20 @@ def planning_cases(draw):
 def test_planners_match_string_keyed_reference(case):
     snap, view, start, goal, params, constants = case
     with mock.patch.multiple(planners, **constants):  # the reference reads the same constants
-        assert dyn_a_star(snap, start, goal, params) == ref.dyn_a_star(view, start, goal, params)
-        assert static_a_star(snap, start, goal) == ref.dyn_a_star(
-            view, start, goal, SearchParams(weights=UNIT))
-        assert dijkstra_ucs(snap, start, goal) == ref.dijkstra_ucs(view, start, goal)
+        searches = (dyn_a_star(snap, start, goal, params), static_a_star(snap, start, goal),
+                    dijkstra_ucs(snap, start, goal))
+        assert searches == (ref.dyn_a_star(view, start, goal, params),
+                            ref.dyn_a_star(view, start, goal, SearchParams(weights=UNIT)),
+                            ref.dijkstra_ucs(view, start, goal))
         assert greedy_best_first(snap, start, goal) == ref.greedy_best_first(view, start, goal)
         assert rrt_plan(snap, start, goal, params) == ref.rrt_plan(view, start, goal, params)
+    # A path's nodes are each popped before the goal is, so a dyn_astar
+    # vehicle's read set, its search's expansion order, holds its route.
+    for result in searches:
+        assert set(result.path) <= set(result.expansion_order)
     for u in snap.index.ids:
         for v in snap.index.ids:
             assert cheapest_edge(snap, u, v) == ref.cheapest_edge(view, u, v)
-
-
-@settings(max_examples=300, deadline=None)
-@given(planning_cases())
-def test_every_found_path_lies_in_its_expansion_order(case):
-    # A path's nodes are each popped before the goal is, so a dyn_astar
-    # vehicle's read set, its search's expansion order, holds its route.
-    snap, _view, start, goal, params, constants = case
-    with mock.patch.multiple(planners, **constants):
-        for weights in (params.weights, UNIT, HeuristicWeights(1.0, 0.0, 0.0, 0.0)):
-            result = dyn_a_star(snap, start, goal, SearchParams(weights=weights))
-            assert set(result.path) <= set(result.expansion_order)
 
 
 EVENT_KINDS = ("set_congestion", "set_comfort", "set_node_comfort_h",

@@ -919,6 +919,48 @@ class TestSearchReuse:
             [("a", ("a", "b", "d"), 3), ("b", ("b", "d"), 0)] + [("d", ("d",), n) for n in at_goal])
         assert (v["status"], v["replans"], v["expanded"]) == (ARRIVED, 9, 3 + sum(at_goal))
 
+    # Writes that leave every value the vehicle reads as it was: congestion on
+    # a c-a edge blocked since t=0, and c-d slowed and restored in one batch.
+    @pytest.mark.parametrize("edges, events", [
+        ([("e4", "c", "a", 1000.0, 100.0)],
+         [{"t_s": 0.0, "kind": "block_edge", "target": "e4"},
+          {"t_s": 60.0, "kind": "set_congestion", "target": "e4", "value": 2.0}]),
+        ([], [{"t_s": 60.0, "kind": "set_congestion", "target": "e3", "value": 2.0},
+              {"t_s": 60.0, "kind": "set_congestion", "target": "e3", "value": 1.0}]),
+    ], ids=["congestion-on-a-blocked-edge", "change-undone-in-its-batch"])
+    def test_a_write_that_changes_no_read_value_forces_no_search(self, edges, events):
+        doc = scenario_doc(nodes=LINE["nodes"], edges=[*LINE["edges"], *edges], events=events)
+        (v,), plans = _plan_calls(load_scenario(doc))
+        assert v["path"] == ["a", "b", "c", "d"] and v["expanded"] == 4
+        assert _origins(plans) == ["a"]
+
+    # Each event kind against the value it leaves the belief at. LINE gains
+    # e4 c-a, whose row the first search reads when it expands c. Events at
+    # t=0 come before that search; the last, at t=60, forces a search from c,
+    # where the vehicle on b-c plans, only if it moves a value the search read.
+    @pytest.mark.parametrize("events, searched", [
+        ([("set_congestion", "e4", 2.0)], True),
+        ([("set_congestion", "e4", 1.0)], False),  # already free flow
+        ([("set_congestion", "e4", 2.0), ("set_congestion", "e4", 2.0)], False),
+        ([("set_comfort", "e4", 5.0)], False),  # nothing holds edge comfort
+        ([("set_node_comfort_h", "c", 4.0)], True),
+        ([("set_node_comfort_h", "c", 0.0)], False),  # an absent h2 reads 0.0
+        ([("set_node_comfort_h", "c", 4.0), ("set_node_comfort_h", "c", 4.0)], False),
+        ([("block_edge", "e4")], True),
+        ([("block_edge", "e4"), ("block_edge", "e4")], False),
+        ([("unblock_edge", "e4")], False),
+        ([("block_edge", "e4"), ("unblock_edge", "e4")], True),
+    ])
+    def test_searches_again_only_when_the_last_event_moves_a_read_value(self, events, searched):
+        docs = [{"t_s": 0.0, "kind": kind, "target": target, **{"value": v for v in value}}
+                for kind, target, *value in events]
+        docs[-1]["t_s"] = 60.0
+        doc = scenario_doc(nodes=LINE["nodes"], events=docs,
+                           edges=[*LINE["edges"], ("e4", "c", "a", 1000.0, 100.0)])
+        (v,), plans = _plan_calls(load_scenario(doc))
+        assert v["path"] == ["a", "b", "c", "d"]
+        assert _origins(plans) == (["a", "c"] if searched else ["a"])
+
     def test_a_change_ahead_of_a_moved_vehicle_forces_a_new_search(self):
         # The vehicle plans from b at t=30 and from c at t=60 on its first
         # search. c-d, whose tail c that search expanded, slows at t=90,
@@ -1050,9 +1092,9 @@ def _snapshot_epochs(sim):
 
 class TestLazySnapshot:
     """The belief snapshot is patched from the last one, only in epochs where
-    a vehicle plans and the belief has changed; that it holds the belief is
-    checked by ``TestReferenceSimulator``, whose reference plans on a view of
-    the belief built from scratch."""
+    a vehicle plans and the belief has been written; that it holds the belief
+    is checked by ``TestReferenceSimulator``, whose reference plans on a view
+    of the belief built from scratch."""
 
     @settings(max_examples=200, deadline=None)
     @given(doc=st.one_of(boundary_aligned_docs(), grid_fleet_docs()),
